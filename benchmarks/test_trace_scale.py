@@ -36,7 +36,14 @@ import numpy as np
 from repro.core.records import RECORD_DTYPE, RecordColumns
 from repro.core.symtab import SymbolTable
 from repro.core.timeline import build_timeline
-from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP, TraceRecord
+from repro.core.trace import (
+    REC_ENTER,
+    REC_EXIT,
+    REC_TEMP,
+    NodeTrace,
+    TraceBundle,
+    TraceRecord,
+)
 from repro.core.tsc import detect_regressions
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -270,18 +277,18 @@ def test_trace_scale(benchmark, results_dir):
 BENCH_STREAMING_JSON = REPO_ROOT / "BENCH_streaming.json"
 
 
-def _make_accumulator(symtab, batch, vectorized=True):
+def _make_accumulator(symtab, vectorized=True):
     from repro.core.streamprof import ProfileAccumulator
 
     return ProfileAccumulator(
         "bench", symtab, _seconds, ["S0", "S1"],
-        sampling_hz=4.0, strict=False, batch=batch, vectorized=vectorized,
+        sampling_hz=4.0, strict=False, vectorized=vectorized,
     )
 
 
 def _assert_profiles_match(stream_prof, batch_prof) -> None:
     """The acceptance contract: streaming output matches batch exactly,
-    except Med which is within +-0.5 degC (P2 estimator)."""
+    except the moments, which agree to summation rounding."""
     assert set(stream_prof.functions) == set(batch_prof.functions)
     for name, bf in batch_prof.functions.items():
         sf = stream_prof.functions[name]
@@ -293,11 +300,10 @@ def _assert_profiles_match(stream_prof, batch_prof) -> None:
             1e-9 * max(1.0, abs(bf.exclusive_time_s))
         for sensor, bs in bf.sensor_stats.items():
             ss = sf.sensor_stats[sensor]
-            assert (ss.n, ss.min, ss.max, ss.mod) == \
-                (bs.n, bs.min, bs.max, bs.mod)               # exact
+            assert (ss.n, ss.min, ss.max, ss.med, ss.mod) == \
+                (bs.n, bs.min, bs.max, bs.med, bs.mod)       # exact
             assert abs(ss.avg - bs.avg) <= 1e-9 * max(1.0, abs(bs.avg))
             assert abs(ss.var - bs.var) <= 1e-9 * max(1.0, abs(bs.var))
-            assert abs(ss.med - bs.med) <= 0.5               # documented band
 
 
 def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
@@ -317,6 +323,7 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
     """
     import tracemalloc
 
+    from repro.core.parser import TempestParser
     from repro.core.spool import (
         STREAM_CHUNK_RECORDS,
         TraceSpool,
@@ -332,16 +339,17 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
     del arr
 
     def stream_once(vectorized):
-        acc = _make_accumulator(symtab, batch=False, vectorized=vectorized)
+        acc = _make_accumulator(symtab, vectorized=vectorized)
         for chunk in iter_spool_chunks(spool_path,
                                        chunk_records=STREAM_CHUNK_RECORDS):
             acc.consume(chunk)
         return acc.finalize()
 
     def batch_once():
-        acc = _make_accumulator(symtab, batch=True)
-        acc.consume(read_spool_columns(spool_path))
-        return acc.finalize()
+        trace = NodeTrace("bench", TSC_HZ, ["S0", "S1"])
+        trace.extend_columns(read_spool_columns(spool_path))
+        return TempestParser(TraceBundle(symtab), strict=False).parse_node(
+            trace)
 
     try:
         # -- timing phase: no tracemalloc, GC quiesced between runs

@@ -104,8 +104,7 @@ RULES: dict[str, Rule] = {r.id: r for r in [
     _r("TL018", "batch-stream-divergence", SEV_WARNING,
        "batch (TempestParser) and streaming (ProfileAccumulator) "
        "profiles of the same trace agree within documented tolerances",
-       "times/avg/var/sdv rel 1e-9; med abs 0.5 degC; "
-       "n/min/max/mod/calls exact"),
+       "times/avg/var/sdv rel 1e-9; n/min/max/med/mod/calls exact"),
     _r("TL019", "coverage-inconsistent", SEV_ERROR,
        "each function's coverage is in [0, 1] and equals "
        "min(1, n_samples / (total_time_s * sampling_hz)), pinned to 1.0 "

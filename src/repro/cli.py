@@ -482,7 +482,7 @@ def cmd_serve(args) -> int:
     * ``standalone`` (default) — classic single-tier aggregation:
       collectors in, merged profile out;
     * ``leaf`` — additionally condense everything accepted into
-      ``tempest-summary-v2`` snapshots and ship them to ``--upstream``
+      ``tempest-summary-v3`` snapshots and ship them to ``--upstream``
       (periodically while draining, then a verified final one);
     * ``root`` — accept SUMMARY streams from leaf aggregators (and any
       directly-connected collectors) and compose the global profile
@@ -983,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "leaf summaries then carry mergeable HCCTs "
                         "(0 = unbounded; default: off)")
     p.add_argument("--summary-out", type=Path, default=None, metavar="FILE",
-                   help="write the final tempest-summary-v2 JSON here "
+                   help="write the final tempest-summary-v3 JSON here "
                         "(root: composed; leaf: own)")
     p.add_argument("--stale-timeout", type=float, default=None,
                    metavar="SECONDS",

@@ -9,7 +9,7 @@ record chunks to an aggregator, which maintains a merged
 in-process profile once drained) and can persist a byte-compatible
 ``tempest-trace-v1`` bundle.  Above that sits the fan-in tier: leaf
 aggregators condense their accepted streams into mergeable
-``tempest-summary-v2`` snapshots and ship them to a root, which composes
+``tempest-summary-v3`` snapshots and ship them to a root, which composes
 the global profile without ever seeing a raw record.
 
 Layers, bottom up:

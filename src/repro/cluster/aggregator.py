@@ -15,7 +15,7 @@ Two kinds of source feed an aggregator:
 * **collectors** (wire-v1, unchanged) stream raw record CHUNKs — the
   leaf/standalone role;
 * **leaf aggregators** (wire-v2) stream cumulative
-  ``tempest-summary-v2`` SUMMARY snapshots — the fan-in tier.  A root
+  ``tempest-summary-v3`` SUMMARY snapshots — the fan-in tier.  A root
   composes the global profile from the latest snapshot per leaf
   (last-write-wins by ``seq``; duplication, loss, and reorder are
   absorbed because every snapshot is cumulative) without ever seeing a
@@ -532,7 +532,7 @@ class Aggregator:
         """The mergeable summary of this aggregator's own record streams.
 
         This is what a **leaf** ships upstream: a cumulative
-        ``tempest-summary-v2`` snapshot of everything accepted so far
+        ``tempest-summary-v3`` snapshot of everything accepted so far
         (requires ``live=True`` — the streaming accumulators *are* the
         summary state).  ``final=True`` closes open frames and freezes
         the accumulators; use it only for the last snapshot.
@@ -571,7 +571,8 @@ class Aggregator:
 
         No raw record ever reached this process for the leaf-fed nodes —
         the profile comes from the summary algebra, which is exact for
-        counts/times/moments (``med`` within the documented P² tolerance).
+        counts, times, ``min``/``max``/``med``/``mod``, and moments up to
+        summation-order rounding.
         """
         return self.composed_summary().to_profile()
 

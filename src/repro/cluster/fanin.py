@@ -2,7 +2,7 @@
 
 A leaf aggregator accepts raw record streams from its rack's collectors
 and periodically condenses everything accepted so far into one
-``tempest-summary-v2`` :class:`~repro.core.summary.RunSummary` — a few
+``tempest-summary-v3`` :class:`~repro.core.summary.RunSummary` — a few
 kilobytes of mergeable estimator state, whatever the record volume.
 :class:`LeafUplink` frames those snapshots as wire-v2 SUMMARY frames and
 pushes them to the root aggregator; :class:`SummaryPump` is the

@@ -289,7 +289,7 @@ def summary_payload(leaf_name: str, run: str, seq: int, records: int,
                     summary: dict) -> dict:
     """The SUMMARY frame body: one cumulative leaf snapshot.
 
-    *summary* is a serialized ``tempest-summary-v2``
+    *summary* is a serialized ``tempest-summary-v3``
     :class:`~repro.core.summary.RunSummary`; *seq* orders snapshots so a
     root applies last-write-wins under duplication, loss, and reorder
     (every snapshot is cumulative, so dropping all but the latest is

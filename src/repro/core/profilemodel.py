@@ -66,45 +66,6 @@ class FunctionProfile:
         name = max(self.sensor_stats, key=lambda s: self.sensor_stats[s].avg)
         return name, self.sensor_stats[name]
 
-    def merge(self, other: "FunctionProfile", *,
-              sampling_hz: float = 4.0) -> "FunctionProfile":
-        """Combine two disjoint observations of the same function.
-
-        Times, calls, and samples are additive; per-sensor statistics
-        merge via :meth:`SensorStats.merge` (exact moments, best-effort
-        ``med``/``mod``); significance and coverage are re-derived from
-        the merged totals at *sampling_hz*.  The high-fidelity merge
-        path is the summary algebra (:mod:`repro.core.summary`), which
-        keeps full estimator state — this is the closure on finished
-        profiles.
-        """
-        if other.name != self.name:
-            raise ConfigError(
-                f"cannot merge profile of {other.name!r} into {self.name!r}"
-            )
-        stats: dict[str, SensorStats] = dict(self.sensor_stats)
-        for sensor, st in other.sensor_stats.items():
-            held = stats.get(sensor)
-            stats[sensor] = st if held is None else held.merge(st)
-        total = self.total_time_s + other.total_time_s
-        n_samples = max(
-            [s.n for s in stats.values()],
-            default=self.n_samples + other.n_samples,
-        )
-        significant = total >= 1.0 / sampling_hz and bool(stats)
-        from repro.core.streamprof import _coverage
-
-        return FunctionProfile(
-            name=self.name,
-            total_time_s=total,
-            exclusive_time_s=self.exclusive_time_s + other.exclusive_time_s,
-            n_calls=self.n_calls + other.n_calls,
-            significant=significant,
-            sensor_stats=stats if significant else {},
-            n_samples=n_samples,
-            coverage=_coverage(total, n_samples, sampling_hz),
-        )
-
 
 @dataclass
 class NodeProfile:
@@ -159,78 +120,6 @@ class NodeProfile:
             return list(self.sensor_series)
         return list(self.sensor_summary)
 
-    def merge(self, other: "NodeProfile", *,
-              sampling_hz: float = 4.0) -> "NodeProfile":
-        """Combine two disjoint observations of the same node.
-
-        Function profiles merge name-wise; the timeline is rebuilt from
-        the summed aggregates over the span envelope; sensor series
-        concatenate in time order; sensor summaries merge statistically.
-        Exactness caveats follow :meth:`FunctionProfile.merge` — the
-        summary algebra (:mod:`repro.core.summary`) is the exact path.
-        """
-        if other.node_name != self.node_name:
-            raise ConfigError(
-                f"cannot merge profile of node {other.node_name!r} into "
-                f"{self.node_name!r}"
-            )
-        functions: dict[str, FunctionProfile] = {}
-        for name in list(self.functions) + [
-            n for n in other.functions if n not in self.functions
-        ]:
-            a, b = self.functions.get(name), other.functions.get(name)
-            if a is not None and b is not None:
-                functions[name] = a.merge(b, sampling_hz=sampling_hz)
-            else:
-                functions[name] = a if a is not None else b
-        series: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for sensor in list(self.sensor_series) + [
-            s for s in other.sensor_series if s not in self.sensor_series
-        ]:
-            ta, va = self.sensor_series.get(sensor, (np.empty(0), np.empty(0)))
-            tb, vb = other.sensor_series.get(sensor, (np.empty(0), np.empty(0)))
-            t = np.concatenate([ta, tb])
-            v = np.concatenate([va, vb])
-            order = np.argsort(t, kind="stable")
-            series[sensor] = (t[order], v[order])
-        summary: dict[str, SensorStats] = dict(self.sensor_summary)
-        for sensor, st in other.sensor_summary.items():
-            held = summary.get(sensor)
-            summary[sensor] = st if held is None else held.merge(st)
-        spans = [tl.span for tl in (self.timeline, other.timeline)
-                 if tl.span != (0.0, 0.0)]
-        if spans:
-            span = (min(s[0] for s in spans), max(s[1] for s in spans))
-        else:
-            span = (0.0, 0.0)
-        arcs: dict[tuple[str, str], int] = dict(self.timeline.arcs)
-        for arc, n in other.timeline.arcs.items():
-            arcs[arc] = arcs.get(arc, 0) + n
-        timeline = Timeline.from_aggregates(
-            {n: f.exclusive_time_s for n, f in functions.items()
-             if f.exclusive_time_s},
-            {n: f.n_calls for n, f in functions.items()},
-            arcs,
-            span,
-            inclusive_s={n: f.total_time_s for n, f in functions.items()},
-        )
-        tree = None
-        if self.context_tree is not None:
-            tree = self.context_tree.clone()
-            if other.context_tree is not None:
-                tree.merge(other.context_tree)
-        elif other.context_tree is not None:
-            tree = other.context_tree.clone()
-        return NodeProfile(
-            node_name=self.node_name,
-            duration_s=span[1] - span[0],
-            functions=functions,
-            sensor_series=series,
-            timeline=timeline,
-            sensor_summary=summary,
-            context_tree=tree,
-        )
-
     def mean_temperature(self, sensor: str) -> float:
         """Run-average temperature of one sensor (degC)."""
         series = self.sensor_series.get(sensor)
@@ -265,29 +154,6 @@ class RunProfile:
             return self.nodes[name]
         except KeyError:
             raise ConfigError(f"no node {name!r}; have {list(self.nodes)}")
-
-    def merge(self, other: "RunProfile") -> "RunProfile":
-        """Combine two run profiles node-wise (disjoint nodes union;
-        shared nodes merge via :meth:`NodeProfile.merge`).
-
-        Sampling rates must agree — two runs sampled differently are
-        different experiments, not mergeable halves of one.
-        """
-        if other.sampling_hz != self.sampling_hz:
-            raise ConfigError(
-                f"cannot merge profiles sampled at {other.sampling_hz} Hz "
-                f"into {self.sampling_hz} Hz"
-            )
-        nodes: dict[str, NodeProfile] = dict(self.nodes)
-        for name, np_ in other.nodes.items():
-            held = nodes.get(name)
-            nodes[name] = np_ if held is None else held.merge(
-                np_, sampling_hz=self.sampling_hz)
-        return RunProfile(
-            nodes=nodes,
-            sampling_hz=self.sampling_hz,
-            meta=dict(self.meta or other.meta),
-        )
 
     def node_names(self) -> list[str]:
         return list(self.nodes)

@@ -51,51 +51,6 @@ class SensorStats:
         return (self.min, self.avg, self.max, self.sdv, self.var,
                 self.med, self.mod)
 
-    def merge(self, other: "SensorStats") -> "SensorStats":
-        """Combine two disjoint sample populations' statistics.
-
-        ``n``/``min``/``max`` are exact; ``avg``/``var``/``sdv`` merge
-        with Chan's parallel update (exact up to summation rounding,
-        ``M2 = n * var``).  ``med`` and ``mod`` cannot be recovered from
-        the finished statistics alone, so they are documented
-        best-effort: ``med`` is the sample-weighted blend of the two
-        medians clamped into the merged range (within the streaming
-        engine's ±0.5 °C contract for same-population splits), ``mod``
-        is the mode of the larger population (ties toward the smaller
-        value, matching the batch Counter's determinism).  Exact merges
-        of ``med``/``mod`` live upstream in
-        :meth:`repro.core.streamprof.OnlineStats.merge`, which keeps the
-        full estimator state; this is the closure on the *finished*
-        statistic set.
-        """
-        if self.n == 0:
-            return other
-        if other.n == 0:
-            return self
-        n = self.n + other.n
-        lo = min(self.min, other.min)
-        hi = max(self.max, other.max)
-        delta = other.avg - self.avg
-        mean = self.avg + delta * (other.n / n)
-        m2 = (self.var * self.n + other.var * other.n
-              + delta * delta * (self.n * other.n / n))
-        var = m2 / n
-        med = (self.med * self.n + other.med * other.n) / n
-        if self.n > other.n or (self.n == other.n and self.mod <= other.mod):
-            mod = self.mod
-        else:
-            mod = other.mod
-        return SensorStats(
-            n=n,
-            min=lo,
-            avg=min(max(mean, lo), hi),
-            max=hi,
-            sdv=math.sqrt(var),
-            var=var,
-            med=min(max(med, lo), hi),
-            mod=mod,
-        )
-
     @classmethod
     def empty(cls) -> "SensorStats":
         """The zero-sample statistic set: ``n == 0``, everything else NaN.
@@ -116,12 +71,9 @@ class SensorStats:
         canonically :class:`repro.core.streamprof.OnlineStats`).
 
         Tolerance vs the exact batch :func:`compute_sensor_stats` over the
-        same samples: ``n``/``min``/``max``/``mod`` are exact; ``avg`` /
-        ``var`` / ``sdv`` differ only by summation-order rounding (Welford
-        vs numpy pairwise, relative error ~1e-12); ``med`` is the P²
-        estimate — exact below six samples, within ±0.5 °C beyond for
-        quantized thermal readings (the bound the streaming benchmark
-        gate asserts).
+        same samples: ``n``/``min``/``max``/``med``/``mod`` are exact;
+        ``avg`` / ``var`` / ``sdv`` differ only by summation-order rounding
+        (Welford vs numpy pairwise, relative error ~1e-12).
         """
         if acc.n == 0:
             return cls.empty()

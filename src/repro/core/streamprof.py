@@ -1,69 +1,54 @@
 """Streaming profile engine: single-pass, constant-memory profiling.
 
 The paper's parser is post-mortem: collect the full trace plus the tempd
-sample log, then merge them offline.  The batch pipeline mirrored that,
-holding O(records) state through ``TraceBundle`` → ``TempestParser`` →
-``RunProfile``.  This module inverts the dataflow: a
-:class:`ProfileAccumulator` consumes columnar record chunks (the
-``RecordColumns`` chunks that ``TraceSpool`` writes and
+sample log, then merge them offline.  :class:`~repro.core.parser.TempestParser`
+still does that, holding O(records) state.  This module inverts the
+dataflow: a :class:`ProfileAccumulator` consumes columnar record chunks
+(the ``RecordColumns`` chunks that ``TraceSpool`` writes and
 :func:`repro.core.spool.iter_spool_chunks` reads back) *incrementally*,
 maintaining per-function/per-sensor online statistics and an incremental
 frame stack, so a profile snapshot is available at any point mid-run and
 peak memory is bounded by O(functions × sensors), not trace length.
 
-Two modes share one interface:
+Every chunk is folded into constant-size state the moment it arrives:
 
-* **streaming** (``batch=False``, the default) — every chunk is folded
-  into constant-size state the moment it arrives:
+- Welford mean/variance (bulk Chan merges for whole chunks), running
+  min/max, and an exact quantized-bin counter that yields both ``Med``
+  and ``Mod`` per (function, sensor) pair (:class:`OnlineStats`);
+- an incremental replay of the ENTER/EXIT stream (the exact semantics
+  of the timeline replay builder, including lenient repair: mismatched
+  EXITs unwind, timestamp regressions clamp, open frames close at the
+  last event time);
+- inclusive time as an *online union*: a global per-function
+  activation counter opens a union span on the 0→1 transition and
+  closes it on 1→0, with a one-span ``pending`` buffer so touching
+  spans merge exactly like the batch span merge;
+- sample attribution at arrival time: a TEMP record is credited to
+  every function currently on some stack, to functions whose union
+  span closed at exactly the sample's timestamp, and (retroactively,
+  via a one-sweep cache) to functions entered at exactly the sample's
+  timestamp — reproducing the batch parser's closed-interval
+  ``start <= t <= end`` attribution on time-ordered streams.
 
-  - Welford mean/variance (bulk Chan merges for whole chunks), running
-    min/max, a P² quantile estimator for ``Med`` and an exact
-    quantized-bin counter for ``Mod`` per (function, sensor) pair
-    (:class:`OnlineStats`);
-  - an incremental replay of the ENTER/EXIT stream (the exact semantics
-    of the timeline replay builder, including lenient repair: mismatched
-    EXITs unwind, timestamp regressions clamp, open frames close at the
-    last event time);
-  - inclusive time as an *online union*: a global per-function
-    activation counter opens a union span on the 0→1 transition and
-    closes it on 1→0, with a one-span ``pending`` buffer so touching
-    spans merge exactly like the batch span merge;
-  - sample attribution at arrival time: a TEMP record is credited to
-    every function currently on some stack, to functions whose union
-    span closed at exactly the sample's timestamp, and (retroactively,
-    via a one-sweep cache) to functions entered at exactly the sample's
-    timestamp — reproducing the batch parser's closed-interval
-    ``start <= t <= end`` attribution on time-ordered streams.
-
-  Well-formed chunks take a **vectorized fast path** (chunked numpy
-  segment reduction — see :meth:`ProfileAccumulator.consume`); any chunk
-  it cannot prove well-formed replays record-at-a-time through the
-  scalar engine above, so lenient repair and strict errors are exactly
-  the historical ones.  :data:`FALLBACK_REASONS` enumerates the
-  conditions (documented in ``docs/INTERNALS.md``).
-
-* **batch** (``batch=True``) — chunks are buffered and ``finalize()``
-  runs the classic vectorized pipeline (timeline build + union-span
-  sample attribution + exact :func:`~repro.core.stats.compute_sensor_stats`)
-  over the concatenation.  This is what :class:`~repro.core.parser.TempestParser`
-  drives, and its output is bit-identical to the historical batch parser.
+Well-formed chunks take a **vectorized fast path** (chunked numpy
+segment reduction — see :meth:`ProfileAccumulator.consume`); any chunk
+it cannot prove well-formed replays record-at-a-time through the scalar
+engine above, so lenient repair and strict errors are exactly the
+historical ones.  :data:`FALLBACK_REASONS` enumerates the conditions
+(documented in ``docs/INTERNALS.md``).
 
 Equivalence contract (pinned by ``tests/core/test_streamprof.py``,
 ``tests/core/test_streamprof_differential.py`` and the
 ``benchmarks/test_trace_scale.py`` streaming gates): on a record stream
-whose converted timestamps are globally non-decreasing, the streaming
-mode is chunking-invariant for every exact field — inclusive/exclusive
-times, call counts, arcs, span, ``n``/``min``/``max``/``mod``/``med``
-are bit-identical for chunk sizes 1, 7, 4096 and whole-run, and match
-the batch mode exactly (``med`` stays bit-stable because the P²
-estimator is fed element-wise in stream order even on the bulk path).
-``avg``/``var``/``sdv`` are chunk-size-dependent only in their rounding:
-the fast path folds each chunk's samples with one Chan/Welford merge,
-so moments agree with the scalar engine and with batch within relative
-~1e-12 (the suite asserts 1e-9), and ``med`` is within ±0.5 °C of the
-exact median (P² bound; see
-:meth:`~repro.core.stats.SensorStats.from_accumulator`).  Streams that
-are only per-process time-ordered (cross-core TSC skew) may attribute
+whose converted timestamps are globally non-decreasing, the engine is
+chunking-invariant for every exact field — inclusive/exclusive times,
+call counts, arcs, span, ``n``/``min``/``max``/``mod``/``med`` are
+bit-identical for chunk sizes 1, 7, 4096 and whole-run, and match the
+batch parser exactly.  ``avg``/``var``/``sdv`` are chunk-size-dependent
+only in their rounding: the fast path folds each chunk's samples with
+one Chan/Welford merge, so moments agree with the scalar engine and with
+batch within relative ~1e-12 (the suite asserts 1e-9).  Streams that are
+only per-process time-ordered (cross-core TSC skew) may attribute
 boundary samples differently; the divergence window is bounded by the
 skew magnitude.
 
@@ -88,11 +73,10 @@ import logging
 
 import numpy as np
 
-from repro.core.profilemodel import FunctionProfile, NodeProfile, RunProfile
-from repro.core.records import RECORD_DTYPE, empty_records
-from repro.core.stats import SensorStats, compute_sensor_stats
+from repro.core.profilemodel import NodeProfile, RunProfile
+from repro.core.records import RECORD_DTYPE
 from repro.core.symtab import SymbolTable
-from repro.core.timeline import Timeline, build_timeline, frame_depths
+from repro.core.timeline import frame_depths
 from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP
 from repro.util.errors import TraceError
 
@@ -112,20 +96,20 @@ _log = logging.getLogger(__name__)
 # Online per-sensor statistics
 
 class OnlineStats:
-    """Constant-memory estimator of the Figure 2(a) statistic set.
+    """Constant-memory accumulator of the Figure 2(a) statistic set.
 
     ``n``/``min``/``max`` are exact; ``avg``/``var``/``sdv`` use
     Welford's recurrence per sample and Chan's parallel merge per bulk
-    block (exact multiset, summation-order rounding only); ``mod`` is an
-    exact counter over the quantized readings (sensor readings are
-    quantized, so equal readings are bit-identical floats — the same
+    block (exact multiset, summation-order rounding only).  ``mod`` and
+    ``med`` both read an exact counter over the readings (sensor readings
+    are quantized, so equal readings are bit-identical floats — the same
     assumption the batch ``Counter`` makes; memory is O(distinct
-    readings), bounded by the sensor's quantization range); ``med`` is the
-    P² (Jain & Chlamtac) single-pass median estimator — exact below six
-    samples, approximate beyond.
+    readings), bounded by the sensor's quantization range): the mode is
+    the most frequent bin, the median the middle of the cumulative bin
+    counts, with ``np.median``'s even-``n`` rule.
     """
 
-    __slots__ = ("n", "min", "max", "_mean", "_m2", "_bins", "_q", "_pos")
+    __slots__ = ("n", "min", "max", "_mean", "_m2", "_bins")
 
     def __init__(self):
         self.n = 0
@@ -134,8 +118,6 @@ class OnlineStats:
         self._mean = 0.0
         self._m2 = 0.0
         self._bins: dict[float, int] = {}
-        self._q: list[float] = []        # marker heights (samples until 5)
-        self._pos: Optional[list[int]] = None   # marker positions, 1-based
 
     def push(self, x: float) -> None:
         """Fold one sample into every estimator."""
@@ -149,19 +131,16 @@ class OnlineStats:
         self._mean += delta / self.n
         self._m2 += delta * (x - self._mean)
         self._bins[x] = self._bins.get(x, 0) + 1
-        self._push_med(x)
 
     def push_many(self, values) -> None:
         """Fold a contiguous block of samples (stream order).
 
         The bulk path behind the vectorized accumulator: ``n``, ``min``,
-        ``max`` and the mode bins reduce array-wise; the running
-        mean/M2 folds the block in with one Chan parallel-Welford merge
-        (not a per-element loop), so a block of *k* samples costs O(k)
-        numpy work plus the inherently sequential P² update.  The P²
-        markers are fed element-wise in order, which keeps ``med``
-        bit-identical between bulk and scalar feeding; ``avg``/``var``
-        differ from per-element pushes only in summation rounding
+        ``max`` and the bins reduce array-wise, and the running mean/M2
+        folds the block in with one Chan parallel-Welford merge (not a
+        per-element loop), so a block of *k* samples costs O(k) numpy
+        work.  Every field but ``avg``/``var`` is bit-identical to
+        element-wise pushes; those two differ only in summation rounding
         (~1e-12 relative).
         """
         arr = np.asarray(values, dtype=np.float64)
@@ -195,62 +174,6 @@ class OnlineStats:
         uq, cnt = np.unique(arr, return_counts=True)
         for v, c in zip(uq.tolist(), cnt.tolist()):
             bins[v] = bins.get(v, 0) + c
-        push_med = self._push_med
-        for v in arr.tolist():
-            push_med(v)
-
-    # -- P² median ------------------------------------------------------
-    def _push_med(self, x: float) -> None:
-        q = self._q
-        if self._pos is None:
-            q.append(x)
-            if len(q) == 5:
-                q.sort()
-                self._pos = [1, 2, 3, 4, 5]
-            return
-        pos = self._pos
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            if x > q[4]:
-                q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1
-        n5 = pos[4]
-        desired = (
-            1.0,
-            (n5 - 1) * 0.25 + 1.0,
-            (n5 - 1) * 0.50 + 1.0,
-            (n5 - 1) * 0.75 + 1.0,
-            float(n5),
-        )
-        for i in (1, 2, 3):
-            d = desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1) or \
-               (d <= -1.0 and pos[i - 1] - pos[i] < -1):
-                step = 1 if d >= 0 else -1
-                cand = self._parabolic(i, step)
-                if not (q[i - 1] < cand < q[i + 1]):
-                    cand = q[i] + step * (q[i + step] - q[i]) / (
-                        pos[i + step] - pos[i]
-                    )
-                q[i] = cand
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, pos = self._q, self._pos
-        return q[i] + d / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + d) * (q[i + 1] - q[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - d) * (q[i] - q[i - 1])
-            / (pos[i] - pos[i - 1])
-        )
 
     # -- derived statistics --------------------------------------------
     @property
@@ -271,11 +194,22 @@ class OnlineStats:
 
     @property
     def med(self) -> float:
+        """The exact median: ``float(np.median(readings))`` bit-for-bit."""
         if self.n == 0:
             return math.nan
-        if self._pos is None:
-            return float(np.median(self._q))
-        return float(self._q[2])
+        # Walk the cumulative counts to the 0-based ranks of the middle
+        # pair (one rank twice when n is odd).
+        ranks = ((self.n - 1) // 2, self.n // 2)
+        mid: list[float] = []
+        seen = 0
+        for v in sorted(self._bins):
+            seen += self._bins[v]
+            while len(mid) < 2 and seen > ranks[len(mid)]:
+                mid.append(v)
+            if len(mid) == 2:
+                break
+        lo, hi = mid
+        return lo if lo == hi else (lo + hi) / 2
 
     @property
     def mod(self) -> float:
@@ -294,139 +228,49 @@ class OnlineStats:
         out._mean = self._mean
         out._m2 = self._m2
         out._bins = dict(self._bins)
-        out._q = list(self._q)
-        out._pos = None if self._pos is None else list(self._pos)
         return out
 
     def merge(self, other: "OnlineStats") -> None:
         """Fold another estimator's state into this one, in place.
 
         The algebra the fan-in tier is built on: associative and
-        commutative up to floating-point rounding, with a freshly
-        constructed estimator as the identity.  ``n``/``min``/``max`` and
-        the mode bins merge exactly; ``mean``/``m2`` merge with Chan's
-        parallel update (the same multiset as sequential feeding,
-        summation-order rounding only, ~1e-12 relative); the P² median
-        markers merge by weighted-quantile rebuild over both marker sets
-        (each marker weighted by half the rank distance to its
-        neighbours), which keeps ``med`` within the documented ±0.5 °C
-        tolerance for quantized thermal readings.  Below five combined
-        samples the raw-sample lists concatenate and ``med`` stays exact.
+        commutative, with a freshly constructed estimator as the
+        identity.  Every field merges exactly — ``n``/``min``/``max`` and
+        the bins behind ``mod``/``med`` — except ``mean``/``m2``, which
+        merge with Chan's parallel update (the same multiset as
+        sequential feeding, summation-order rounding only, ~1e-12
+        relative).
         """
         k = other.n
         if k == 0:
             return
-        if self.n == 0:
-            donor = other.clone()
-            self.n = donor.n
-            self.min = donor.min
-            self.max = donor.max
-            self._mean = donor._mean
-            self._m2 = donor._m2
-            self._bins = donor._bins
-            self._q = donor._q
-            self._pos = donor._pos
-            return
-        new_q, new_pos = self._merged_med(other)
         n0 = self.n
         tot = n0 + k
         if other.min < self.min:
             self.min = other.min
         if other.max > self.max:
             self.max = other.max
-        delta = other._mean - self._mean
-        self._mean += delta * (k / tot)
-        self._m2 += other._m2 + delta * delta * (n0 * k / tot)
+        if n0 == 0:
+            self._mean = other._mean
+            self._m2 = other._m2
+        else:
+            delta = other._mean - self._mean
+            self._mean += delta * (k / tot)
+            self._m2 += other._m2 + delta * delta * (n0 * k / tot)
         self.n = tot
         bins = self._bins
         for v, c in other._bins.items():
             bins[v] = bins.get(v, 0) + c
-        self._q, self._pos = new_q, new_pos
-
-    def _med_points(self) -> list[tuple[float, float]]:
-        """The P² state as weighted sample points (height, weight).
-
-        Raw samples (below five) weigh 1 each; established markers carry
-        half the rank distance to their neighbours, rescaled so the five
-        weights total ``n`` — the piecewise-linear CDF the P² invariants
-        maintain.
-        """
-        if self._pos is None:
-            return [(float(x), 1.0) for x in self._q]
-        q, p = self._q, self._pos
-        w = [
-            (p[1] - p[0]) / 2.0,
-            (p[2] - p[0]) / 2.0,
-            (p[3] - p[1]) / 2.0,
-            (p[4] - p[2]) / 2.0,
-            (p[4] - p[3]) / 2.0,
-        ]
-        scale = self.n / (p[4] - p[0])
-        return [(float(q[i]), w[i] * scale) for i in range(5)]
-
-    def _merged_med(self, other: "OnlineStats"):
-        """The merged (marker heights, marker positions) P² state."""
-        tot = self.n + other.n
-        if tot < 5:
-            # Both sides are still raw-sample lists; stay exact.
-            return self._q + other._q, None
-        if self._pos is not None and other._pos is None:
-            scratch = self.clone()
-            for x in other._q:
-                scratch._push_med(x)
-            return scratch._q, scratch._pos
-        if self._pos is None and other._pos is not None:
-            scratch = other.clone()
-            for x in self._q:
-                scratch._push_med(x)
-            return scratch._q, scratch._pos
-        if self._pos is None and other._pos is None:
-            # Two raw lists whose union crosses the threshold: build the
-            # markers from the exact combined sample set.
-            pts = sorted(self._q + other._q)
-            arr = np.asarray(pts, dtype=np.float64)
-            mids = np.quantile(arr, [0.25, 0.5, 0.75]).tolist()
-            q = [pts[0], mids[0], mids[1], mids[2], pts[-1]]
-        else:
-            pts = sorted(self._med_points() + other._med_points())
-            h = np.asarray([p[0] for p in pts])
-            w = np.asarray([p[1] for p in pts])
-            # Mid-rank positions of the weighted points; the merged
-            # markers read the piecewise-linear inverse CDF at the
-            # quartile ranks.
-            c = np.cumsum(w) - 0.5 * w
-            mids = np.interp(
-                [0.25 * tot, 0.5 * tot, 0.75 * tot], c, h
-            ).tolist()
-            lo = min(self._q[0], other._q[0])
-            hi = max(self._q[-1], other._q[-1])
-            q = [lo, mids[0], mids[1], mids[2], hi]
-        # Enforce the P² invariants: non-decreasing heights within the
-        # exact [min, max] envelope, strictly increasing positions.
-        for i in (1, 2, 3):
-            q[i] = min(max(q[i], q[i - 1]), q[4])
-        pos = [
-            1,
-            int(round((tot - 1) * 0.25)) + 1,
-            int(round((tot - 1) * 0.50)) + 1,
-            int(round((tot - 1) * 0.75)) + 1,
-            tot,
-        ]
-        for i in (1, 2, 3):
-            pos[i] = max(pos[i], pos[i - 1] + 1)
-        for i in (3, 2, 1):
-            pos[i] = min(pos[i], pos[i + 1] - 1)
-        return q, pos
 
     def to_state(self) -> dict:
-        """The serializable ``tempest-summary-v2`` estimator state.
+        """The serializable ``tempest-summary-v3`` estimator state.
 
         Keys (drift-tested against ``docs/INTERNALS.md``): ``n``, ``min``,
-        ``max``, ``mean``, ``m2``, ``bin_values``, ``bin_counts``, ``q``,
-        ``pos``.  An empty estimator serializes as ``{"n": 0}`` so the
-        JSON stays finite-valued.  Floats survive a JSON round-trip
-        bit-exactly (``repr`` encoding), so a deserialized state merges
-        and reports identically to the original.
+        ``max``, ``mean``, ``m2``, ``bin_values``, ``bin_counts``.  An
+        empty estimator serializes as ``{"n": 0}`` so the JSON stays
+        finite-valued.  Floats survive a JSON round-trip bit-exactly
+        (``repr`` encoding), so a deserialized state merges and reports
+        identically to the original.
         """
         if self.n == 0:
             return {"n": 0}
@@ -439,34 +283,47 @@ class OnlineStats:
             "m2": self._m2,
             "bin_values": [v for v, _ in items],
             "bin_counts": [c for _, c in items],
-            "q": list(self._q),
-            "pos": None if self._pos is None else list(self._pos),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "OnlineStats":
-        """Rebuild an estimator from :meth:`to_state` output."""
+        """Rebuild an estimator from :meth:`to_state` output.
+
+        States from older summary versions carry extra keys (the
+        retired median markers ``q``/``pos``); they are ignored — the
+        bins hold every reading, so the median comes out exact.  A
+        state whose bins are missing or do not account for all ``n``
+        readings raises :class:`TraceError`.
+        """
         out = cls()
-        n = int(state.get("n", 0))
-        if n == 0:
-            return out
-        out.n = n
-        out.min = float(state["min"])
-        out.max = float(state["max"])
-        out._mean = float(state["mean"])
-        out._m2 = float(state["m2"])
-        out._bins = {
-            float(v): int(c)
-            for v, c in zip(state["bin_values"], state["bin_counts"])
-        }
-        out._q = [float(x) for x in state["q"]]
-        pos = state.get("pos")
-        out._pos = None if pos is None else [int(p) for p in pos]
+        try:
+            n = int(state.get("n", 0))
+            if n == 0:
+                return out
+            out.n = n
+            out.min = float(state["min"])
+            out.max = float(state["max"])
+            out._mean = float(state["mean"])
+            out._m2 = float(state["m2"])
+            out._bins = {
+                float(v): int(c)
+                for v, c in zip(state["bin_values"], state["bin_counts"],
+                                strict=True)
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"malformed estimator state: {exc!r}")
+        if sum(out._bins.values()) != n or \
+                any(c <= 0 for c in out._bins.values()):
+            raise TraceError(
+                f"malformed estimator state: bin counts do not add up "
+                f"to n = {n}"
+            )
         return out
 
 
 # ----------------------------------------------------------------------
-# Attribution helpers (shared by the batch finalizer and the parser)
+# Attribution helpers (shared by the accumulator, the summary algebra
+# and the parser)
 
 #: below this many expected sweeps, a shortfall is indistinguishable from
 #: sampling-phase quantization, so no gap is reported
@@ -488,24 +345,6 @@ def _coverage(total_time_s: float, n_hits: int, sampling_hz: float) -> float:
     if expected < _MIN_EXPECTED_SWEEPS:
         return 1.0
     return min(1.0, n_hits / expected)
-
-
-def _samples_in_spans(
-    times: np.ndarray, values: np.ndarray, spans: list[tuple[float, float]]
-) -> np.ndarray:
-    """Values whose timestamps fall inside any of the (disjoint, sorted)
-    spans — vectorized with searchsorted."""
-    if len(times) == 0 or not spans:
-        return np.empty(0)
-    starts = np.array([s for s, _ in spans])
-    ends = np.array([e for _, e in spans])
-    # For each time, the candidate span is the last with start <= t.
-    idx = np.searchsorted(starts, times, side="right") - 1
-    ok = idx >= 0
-    hit = np.zeros(len(times), dtype=bool)
-    valid = np.where(ok)[0]
-    hit[valid] = times[valid] <= ends[idx[valid]]
-    return values[hit]
 
 
 # ----------------------------------------------------------------------
@@ -556,8 +395,8 @@ class ProfileAccumulator:
     open frames raise; lenient: they close at the process's last event
     time) and returns the final profile.
 
-    In streaming mode the state is O(functions × sensors) regardless of
-    how many records flow through.  Each chunk takes one of two engines:
+    The state is O(functions × sensors) regardless of how many records
+    flow through.  Each chunk takes one of two engines:
 
     * the **vectorized segment reduction** (default) — ENTER/EXIT frames
       are matched per chunk with the same matched-frame trick the
@@ -576,11 +415,6 @@ class ProfileAccumulator:
       errors are bit-faithful to the historical behaviour.  Carry-over
       stacks, pending union spans and the retro-attribution cache thread
       through both engines, so the two interleave freely chunk-by-chunk.
-
-    In batch mode (``batch=True``) chunks are buffered and ``finalize``
-    runs the classic vectorized pipeline — the mode
-    :class:`~repro.core.parser.TempestParser` drives, bit-equal to the
-    historical batch parser.
     """
 
     def __init__(
@@ -593,7 +427,6 @@ class ProfileAccumulator:
         sampling_hz: float = 4.0,
         strict: bool = False,
         min_samples_for_stats: int = 1,
-        batch: bool = False,
         vectorized: bool = True,
         hcct_budget: Optional[int] = None,
     ):
@@ -604,18 +437,12 @@ class ProfileAccumulator:
         self.sampling_hz = float(sampling_hz)
         self.strict = strict
         self.min_samples_for_stats = int(min_samples_for_stats)
-        self.batch = batch
         #: keep a hot calling-context tree alongside the flat profile:
         #: ``None`` disables it (the default — the flat engine pays
         #: nothing), a positive budget bounds tracked contexts by
         #: space-saving eviction, ``0`` keeps the exact unbounded CCT
-        #: (testing/benchmark reference).  Streaming mode only.
+        #: (testing/benchmark reference).
         self.hcct_budget = hcct_budget
-        if hcct_budget is not None and batch:
-            raise TraceError(
-                f"{node_name}: hcct_budget requires streaming mode, "
-                "not batch"
-            )
         #: route well-formed chunks through the numpy segment reduction;
         #: ``False`` forces the scalar replay for every chunk (the
         #: reference engine, used by the differential suite and the
@@ -626,9 +453,6 @@ class ProfileAccumulator:
         self.fallbacks: dict[str, int] = {}
         self.n_records = 0
         self._finalized = False
-        if batch:
-            self._chunks: list[np.ndarray] = []
-            return
         # -- function registry: aggregates are keyed by dense integer
         #    fids so the hot path can reduce into flat arrays
         self._addr_fid: dict[int, int] = {}
@@ -735,9 +559,6 @@ class ProfileAccumulator:
         if not len(arr):
             return
         self.n_records += len(arr)
-        if self.batch:
-            self._chunks.append(arr)
-            return
         self._consume_stream(arr)
         if self._tree is not None:
             # Chunk-boundary space-saving prune: contexts still open on
@@ -762,13 +583,8 @@ class ProfileAccumulator:
 
         The direct hookup for live monitors sitting next to the daemon;
         equivalent to consuming the sweep's TEMP records at stream
-        position *t*.  Streaming mode only (batch mode buffers raw record
-        chunks and has no record to buffer here).
+        position *t*.
         """
-        if self.batch:
-            raise TraceError(
-                f"{self.node_name}: consume_samples requires streaming mode"
-            )
         for sidx, value in samples:
             self._on_sample(int(sidx), float(t), float(value))
 
@@ -1643,8 +1459,6 @@ class ProfileAccumulator:
         provisionally up to the latest event seen; the accumulation
         continues unaffected afterwards.
         """
-        if self.batch:
-            return self._finalize_batch(strict=False)
         totals, exclusive, span_hi = self._provisional_state()
         return self._build_profile(totals, exclusive, span_hi,
                                    tree=self._provisional_tree())
@@ -1700,10 +1514,6 @@ class ProfileAccumulator:
         time, exactly like the replay builder's end-of-trace handling.
         The accumulator rejects further ``consume`` calls afterwards.
         """
-        if self.batch:
-            profile = self._finalize_batch(strict=self.strict)
-            self._finalized = True
-            return profile
         if not self._finalized:
             self._close_open_frames()
             self._finalized = True
@@ -1760,11 +1570,6 @@ class ProfileAccumulator:
         exact: :meth:`NodeSummary.to_node_profile` on it reproduces
         :meth:`finalize`'s profile identically.
         """
-        if self.batch:
-            raise TraceError(
-                f"{self.node_name}: summaries require streaming mode, "
-                "not batch"
-            )
         if final:
             if not self._finalized:
                 self._close_open_frames()
@@ -1849,91 +1654,6 @@ class ProfileAccumulator:
             context_tree=tree,
         )
 
-    # ------------------------------------------------------------------
-    # Batch mode: the classic vectorized pipeline over buffered chunks
-
-    def _finalize_batch(self, *, strict: bool) -> NodeProfile:
-        if self._chunks:
-            arr = (self._chunks[0] if len(self._chunks) == 1
-                   else np.concatenate(self._chunks))
-        else:
-            arr = empty_records()
-        kind = arr["kind"]
-        func = arr[(kind == REC_ENTER) | (kind == REC_EXIT)]
-        timeline = build_timeline(func, self.symtab, self.seconds_fn,
-                                  strict=strict)
-        series = self._series_from(arr[kind == REC_TEMP])
-        interval_s = 1.0 / self.sampling_hz
-        min_needed = max(1, self.min_samples_for_stats)
-
-        functions: dict[str, FunctionProfile] = {}
-        for name in timeline.function_names():
-            total = timeline.inclusive_time(name)
-            significant = total >= interval_s
-            stats: dict[str, SensorStats] = {}
-            n_hits = 0
-            if significant:
-                spans = timeline.union_spans(name)
-                for sensor, (times, values) in series.items():
-                    hit = _samples_in_spans(times, values, spans)
-                    if len(hit) >= min_needed:
-                        stats[sensor] = compute_sensor_stats(hit)
-                        n_hits = max(n_hits, len(hit))
-                    elif self.min_samples_for_stats == 0:
-                        stats[sensor] = SensorStats.empty()
-                if not any(s.n for s in stats.values()):
-                    # Long function but no samples landed (e.g. tempd died
-                    # early): degrade to insignificant rather than invent
-                    # data.
-                    significant = False
-                    stats = {}
-            functions[name] = FunctionProfile(
-                name=name,
-                total_time_s=total,
-                exclusive_time_s=timeline.exclusive_time(name),
-                n_calls=timeline.call_count(name),
-                significant=significant,
-                sensor_stats=stats,
-                n_samples=n_hits,
-                coverage=_coverage(total, n_hits, self.sampling_hz),
-            )
-
-        t0, t1 = timeline.span
-        return NodeProfile(
-            node_name=self.node_name,
-            duration_s=t1 - t0,
-            functions=functions,
-            sensor_series=series,
-            timeline=timeline,
-        )
-
-    def _series_from(
-        self, temp: np.ndarray
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per-sensor (times, values) arrays, built as pure column ops."""
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if len(temp):
-            sensor_idx = temp["addr"]
-            times_all = self._times_of(temp["tsc"])
-            values_all = temp["value"].astype(np.float64)
-            for idx in np.unique(sensor_idx):
-                idx = int(idx)
-                if idx >= len(self.sensor_names) or idx < 0:
-                    raise TraceError(
-                        f"{self.node_name}: TEMP record for sensor index "
-                        f"{idx} but only {len(self.sensor_names)} sensors "
-                        "declared"
-                    )
-                mask = sensor_idx == idx
-                out[self.sensor_names[idx]] = (
-                    times_all[mask], values_all[mask]
-                )
-        # Sensors that never produced a sample still appear, empty.
-        for name in self.sensor_names:
-            if name not in out:
-                out[name] = (np.empty(0), np.empty(0))
-        return out
-
 
 # ----------------------------------------------------------------------
 # Cluster-level driver
@@ -1948,18 +1668,13 @@ class StreamingRunProfiler:
 
     def __init__(self, symtab: SymbolTable, *, sampling_hz: float = 4.0,
                  strict: bool = False, min_samples_for_stats: int = 1,
-                 meta: Optional[dict] = None, batch: bool = False,
-                 vectorized: bool = True,
+                 meta: Optional[dict] = None, vectorized: bool = True,
                  hcct_budget: Optional[int] = None):
         self.symtab = symtab
         self.sampling_hz = float(sampling_hz)
         self.strict = strict
         self.min_samples_for_stats = min_samples_for_stats
         self.meta = dict(meta or {})
-        #: ``batch=True`` buffers chunks and finalizes through the classic
-        #: vectorized pipeline — what a consumer wants when it collects
-        #: remote streams but needs bit-equality with the batch parser
-        self.batch = batch
         self.vectorized = vectorized
         #: per-node hot calling-context tree budget (None = no trees)
         self.hcct_budget = hcct_budget
@@ -1978,7 +1693,6 @@ class StreamingRunProfiler:
                 sampling_hz=self.sampling_hz,
                 strict=self.strict,
                 min_samples_for_stats=self.min_samples_for_stats,
-                batch=self.batch,
                 vectorized=self.vectorized,
                 hcct_budget=self.hcct_budget,
             )

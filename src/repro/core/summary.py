@@ -1,4 +1,4 @@
-"""``tempest-summary-v2``: the mergeable profile-summary algebra.
+"""``tempest-summary-v3``: the mergeable profile-summary algebra.
 
 The paper's workflow is "sample per node, merge offline"; the fan-in
 tier makes that merge *compositional*: every layer of profile state —
@@ -15,10 +15,9 @@ Closure guarantees (the property suite in
 
 * merging the summaries of any chunked split of a stream — cut at
   empty-stack, non-decreasing-time boundaries — equals the whole-stream
-  summary: counts, call counts, arcs, spans, ``min``/``max``/``mod``
-  exactly; Welford moments up to summation-order rounding (~1e-12
-  relative); the P² median within the documented ±0.5 °C tolerance for
-  quantized thermal readings;
+  summary: counts, call counts, arcs, spans, ``min``/``max``/``med``/
+  ``mod`` exactly; Welford moments up to summation-order rounding
+  (~1e-12 relative);
 * ``merge`` is associative and commutative to the same tolerances, and
   an empty summary is a two-sided identity;
 * serialization round-trips bit-exactly (floats encode via ``repr``),
@@ -32,8 +31,11 @@ seconds, call counts, call-graph arcs, the event span, per-(function,
 sensor) estimator states, the node-level per-sensor summary, and (new
 in v2) an optional serialized hot calling-context tree
 (:class:`~repro.core.cct.ContextTree`) whose merge is itself
-budget-closed, so fan-in roots compose a cluster-wide HCCT.  v1
-documents are accepted unchanged (no trees).
+budget-closed, so fan-in roots compose a cluster-wide HCCT.  v3 drops
+the approximate-median markers from every estimator state: the median
+is read exactly off the reading bins.  v1 and v2 documents are accepted
+unchanged (no trees in v1; their marker keys are ignored, and since
+their bins carry every reading they too report the exact median).
 :meth:`NodeSummary.to_node_profile` rebuilds the exact profile the
 streaming accumulator itself would emit — the accumulator's own
 ``finalize`` is routed through this code path, so "profile from
@@ -65,12 +67,13 @@ __all__ = [
 ]
 
 #: version tag carried by every serialized summary
-SUMMARY_FORMAT = "tempest-summary-v2"
+SUMMARY_FORMAT = "tempest-summary-v3"
 
-#: formats :meth:`RunSummary.from_dict` accepts: v2 adds the optional
-#: per-node ``hcct`` block; a v1 document is simply a v2 document with
-#: no trees, so readers stay compatible in both directions.
-SUMMARY_FORMATS_ACCEPTED = ("tempest-summary-v1", "tempest-summary-v2")
+#: formats :meth:`RunSummary.from_dict` accepts: v2 added the optional
+#: per-node ``hcct`` block, v3 dropped the estimator states' ``q``/``pos``
+#: median markers; older documents read as v3 with those keys ignored.
+SUMMARY_FORMATS_ACCEPTED = ("tempest-summary-v1", "tempest-summary-v2",
+                            "tempest-summary-v3")
 
 #: the caller name standing in for "no caller" in serialized arcs
 _ROOT = "<root>"

@@ -17,7 +17,7 @@ this configuration compare to the last forty (``lab query`` /
 * :mod:`repro.lab.execute` — spec → machine → session → summary; the
   record/rerun write paths.
 * :mod:`repro.lab.store` — campaigns: ordered run collections composed
-  lazily through the ``tempest-summary-v2`` merge algebra, with
+  lazily through the ``tempest-summary-v3`` merge algebra, with
   cross-run regression detection reusing the §3.3 timestamp scanner.
 * :mod:`repro.lab.query` — metric queries and two-sided diffs
   (flat function deltas + composed-HCCT hot-path deltas).

@@ -5,7 +5,7 @@ session/faults machinery: it resolves the platform preset into a
 :class:`~repro.simmachine.machine.Machine`, the inject spec into a
 :class:`~repro.faults.inject.FaultInjector`, runs the workload under a
 :class:`~repro.core.session.TempestSession`, and condenses the trace
-into a ``tempest-summary-v2`` document through the streaming engine
+into a ``tempest-summary-v3`` document through the streaming engine
 (which is also how the summary grows an HCCT when the spec budgets one).
 
 :func:`record_run` is the laboratory write path — execute, blob the

@@ -10,7 +10,7 @@ digest, so two cells of a sweep with identical inputs are literally the
 same run (which is what makes sweep resume a pure existence check).
 
 Alongside the inputs it records the run's *outputs* as content digests:
-the ``tempest-summary-v2`` document (stored as a blob), the check
+the ``tempest-summary-v3`` document (stored as a blob), the check
 report, and the per-node raw record streams.  ``tempest lab rerun``
 re-executes the spec and compares output digests — equality proves the
 profile is exactly reproducible, inequality is drift (nondeterminism,

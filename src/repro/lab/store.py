@@ -3,7 +3,7 @@
 A *campaign* is an ordered list of completed runs (ordered by when they
 were added — the campaign's time axis).  The store persists only run
 ids plus their summary-blob digests in ``campaign.json``; the
-``tempest-summary-v2`` documents themselves stay in the content-addressed
+``tempest-summary-v3`` documents themselves stay in the content-addressed
 blob store and are loaded *lazily* — a query for one node/function
 touches each run's summary once, and the composed whole-campaign view
 is built through :meth:`~repro.core.summary.RunSummary.merge` (the
@@ -298,8 +298,8 @@ class CampaignStore:
         :func:`repro.core.tsc.detect_regressions` then reports exactly
         the runs whose metric rose above the best (lowest) value seen
         earlier in the campaign.  ``min_delta`` suppresses sub-threshold
-        noise (default 0.5 — the documented P² median tolerance for
-        quantized thermal readings).
+        noise (default 0.5 — two 0.25 °C quantization steps of a thermal
+        reading).
         """
         from repro.core.trace import REC_ENTER
         from repro.core.tsc import detect_regressions

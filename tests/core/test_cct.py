@@ -5,7 +5,7 @@ exclusive seconds, call counts, error bounds, the context set — merge
 additively and must obey identity/commutativity exactly and
 associativity up to summation-order rounding; per-context sensor
 estimators inherit the OnlineStats tolerances (moments ~1e-12 relative,
-P² median within marker rebuild).  Budgeted trees additionally stay
+everything else exact).  Budgeted trees additionally stay
 closed under merge (never more than ``budget`` live contexts) and keep
 the space-saving guarantee: a pruned tree undercounts any context by at
 most its ``error_s``, and no context whose true weight exceeds
@@ -20,7 +20,7 @@ from repro.core.cct import HCCT_ROOT, ContextTree, hottest_first
 from repro.core.profilemodel import RunProfile
 from repro.core.streamprof import OnlineStats
 from repro.util.errors import TraceError
-from tests.core.difftrace import generate_deep_trace, generate_trace
+from tests.core.difftrace import generate_deep_trace
 from tests.core.test_streamprof import make_acc
 
 REL = 1e-9
@@ -39,16 +39,9 @@ def close(a, b, rel=REL):
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 
 
-def assert_trees_match(t1, t2, *, rel=REL, med_abs=None, ctx=""):
-    """Structure/times/calls/errors exact; estimator moments within *rel*.
-
-    With ``med_abs=None`` (same stream, same push order — the engine
-    differential) the P² marker state must agree to *rel*.  For trees
-    merged in different orders pass ``med_abs=0.5``: marker rebuilds are
-    not order-exact, so only the derived median's documented band (and
-    the exact fields) are comparable — the same contract
-    ``assert_estimators_close`` pins for flat summaries.
-    """
+def assert_trees_match(t1, t2, *, rel=REL, ctx=""):
+    """Structure/times/calls/errors and every estimator field exact
+    except the moments, which agree within *rel*."""
     c1, c2 = t1.to_comparable(), t2.to_comparable()
     assert set(c1) == set(c2), f"{ctx}: context sets differ: {set(c1) ^ set(c2)}"
     for path in c1:
@@ -64,28 +57,10 @@ def assert_trees_match(t1, t2, *, rel=REL, med_abs=None, ctx=""):
             for k in ("mean", "m2"):
                 assert close(a[k], b[k], rel), \
                     f"{ctx}: {path}/{sensor}/{k}: {a[k]} vs {b[k]}"
-            if med_abs is None:
-                assert a["pos"] == b["pos"], f"{ctx}: {path}/{sensor}/pos"
-                assert all(close(x, y, rel)
-                           for x, y in zip(a["q"], b["q"])), \
-                    f"{ctx}: {path}/{sensor}/q"
-            else:
-                # Mirror assert_estimators_close's warm-up ladder: exact
-                # below the P² threshold, in-range until the markers
-                # have settled, then the mutual band (each side is
-                # within med_abs of the truth, so 2x mutually).
-                sa = OnlineStats.from_state(a)
-                sb = OnlineStats.from_state(b)
-                if sa.n < 5:
-                    assert sa.med == sb.med or (
-                        math.isnan(sa.med) and math.isnan(sb.med)), \
-                        f"{ctx}: {path}/{sensor}/med: {sa.med} vs {sb.med}"
-                elif sa.n < 30:
-                    assert sa.min <= sa.med <= sa.max
-                    assert sb.min <= sb.med <= sb.max
-                else:
-                    assert abs(sa.med - sb.med) <= 2 * med_abs, \
-                        f"{ctx}: {path}/{sensor}/med: {sa.med} vs {sb.med}"
+            med_a = OnlineStats.from_state(a).med
+            med_b = OnlineStats.from_state(b).med
+            assert med_a == med_b, \
+                f"{ctx}: {path}/{sensor}/med: {med_a} vs {med_b}"
 
 
 # ----------------------------------------------------------------------
@@ -130,12 +105,6 @@ def test_budget_below_one_rejected():
         ContextTree(["TEMP"], budget=0)
     with pytest.raises(TraceError):
         ContextTree(["TEMP"], budget=-3)
-
-
-def test_batch_mode_rejects_hcct():
-    trace, symtab = generate_trace(0)
-    with pytest.raises(TraceError):
-        make_acc(trace, symtab, batch=True, hcct_budget=64)
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +209,7 @@ def test_merge_is_commutative():
     ab.merge(b)
     ba = b.clone()
     ba.merge(a)
-    assert_trees_match(ab, ba, rel=1e-9, med_abs=0.5, ctx="commutativity")
+    assert_trees_match(ab, ba, rel=1e-9, ctx="commutativity")
     assert ab.epsilon_s == ba.epsilon_s
 
 
@@ -255,7 +224,7 @@ def test_merge_is_associative_without_eviction():
     a_bc.merge(c)
     lhs = a.clone()
     lhs.merge(a_bc)
-    assert_trees_match(ab_c, lhs, rel=1e-9, med_abs=0.5, ctx="associativity")
+    assert_trees_match(ab_c, lhs, rel=1e-9, ctx="associativity")
 
 
 def test_merge_of_split_stream_equals_whole_stream():

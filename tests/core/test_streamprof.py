@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import instrument
+from repro.core.parser import TempestParser
 from repro.core.records import RecordColumns
 from repro.core.session import TempestSession
 from repro.core.stats import SensorStats, compute_sensor_stats
@@ -17,7 +18,13 @@ from repro.core.streamprof import (
     stream_spool_profile,
 )
 from repro.core.symtab import SymbolTable
-from repro.core.trace import NodeTrace, REC_ENTER, REC_EXIT, REC_TEMP
+from repro.core.trace import (
+    NodeTrace,
+    REC_ENTER,
+    REC_EXIT,
+    REC_TEMP,
+    TraceBundle,
+)
 from repro.faults import FaultConfig, FaultPlan, LossyNodeTrace
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.simmachine.power import ACTIVITY_BURN
@@ -49,11 +56,7 @@ def test_online_stats_matches_exact(n):
     assert st.avg == pytest.approx(exact.avg, rel=1e-9)
     assert st.var == pytest.approx(exact.var, rel=1e-9, abs=1e-12)
     assert st.sdv == pytest.approx(exact.sdv, rel=1e-9, abs=1e-12)
-    # P2 median: exact below 5 samples, within the documented band beyond.
-    if n < 5:
-        assert st.med == exact.med
-    else:
-        assert st.med == pytest.approx(exact.med, abs=0.5)
+    assert st.med == exact.med
 
 
 def test_online_stats_empty():
@@ -111,14 +114,9 @@ def test_push_many_adversarial_distributions(name):
     assert st.avg == pytest.approx(exact.avg, rel=1e-12)
     assert st.var == pytest.approx(exact.var, rel=_MOMENT_REL[name],
                                    abs=1e-12)
+    assert st.med == exact.med
     if name == "constant":
         assert st.var == 0.0 and st.med == 51.25
-    elif name == "bimodal":
-        # P² assumes a unimodal-ish CDF; on two far modes its estimate
-        # lands between them.  The in-range guarantee is all there is.
-        assert st.min <= st.med <= st.max
-    else:
-        assert st.med == pytest.approx(exact.med, abs=0.5)
 
 
 @pytest.mark.parametrize("name", sorted(_adversarial_distributions()))
@@ -243,6 +241,13 @@ def stream_profile(trace, symtab, chunk_records, **kw):
     return acc.finalize()
 
 
+def batch_profile(trace, symtab, *, strict=False, min_samples_for_stats=1):
+    """The post-mortem parser's profile of one node trace."""
+    parser = TempestParser(TraceBundle(symtab), strict=strict,
+                           min_samples_for_stats=min_samples_for_stats)
+    return parser.parse_node(trace)
+
+
 # ----------------------------------------------------------------------
 # Chunk-size invariance (the streaming property): identical profiles up
 # to moment rounding (see assert_profiles_equivalent)
@@ -340,14 +345,14 @@ def assert_stream_matches_batch(stream_prof, batch_prof):
             assert ss.mod == bs.mod
             assert ss.avg == pytest.approx(bs.avg, rel=1e-9)
             assert ss.var == pytest.approx(bs.var, rel=1e-9, abs=1e-12)
-            assert ss.med == pytest.approx(bs.med, abs=0.5)
+            assert ss.med == bs.med
     assert stream_prof.timeline.arcs == batch_prof.timeline.arcs
 
 
 def test_streaming_matches_batch_on_monotone_trace():
     trace, symtab = synth_trace(n_quads=1500, seed=23)
     stream_prof = stream_profile(trace, symtab, 512)
-    batch_prof = stream_profile(trace, symtab, None, batch=True)
+    batch_prof = batch_profile(trace, symtab)
     assert_stream_matches_batch(stream_prof, batch_prof)
 
 
@@ -359,7 +364,7 @@ def test_streaming_matches_batch_exact_inclusive_sums():
     stream.)"""
     trace, symtab = synth_trace(n_quads=800, seed=5)
     stream_prof = stream_profile(trace, symtab, 64)
-    batch_prof = stream_profile(trace, symtab, None, batch=True)
+    batch_prof = batch_profile(trace, symtab)
     for name, bf in batch_prof.functions.items():
         assert stream_prof.functions[name].total_time_s == bf.total_time_s
         assert stream_prof.functions[name].exclusive_time_s == \
@@ -414,8 +419,7 @@ def test_lenient_repair_matches_batch_builder():
         ("x", REC_EXIT, 6_000_000, 1),
     ])
     stream_prof = stream_profile(trace, symtab, 1, strict=False)
-    batch_prof = stream_profile(trace, symtab, None, strict=False,
-                                batch=True)
+    batch_prof = batch_profile(trace, symtab)
     for name in batch_prof.functions:
         bf = batch_prof.functions[name]
         sf = stream_prof.functions[name]
@@ -584,7 +588,6 @@ def test_live_profile_constant_memory_spooled(tmp_path):
 
 def test_stream_spool_profile_matches_batch(tmp_path):
     from repro.core.spool import spool_to_bundle
-    from repro.core.parser import TempestParser
 
     m = Machine(ClusterConfig(n_nodes=2, vary_nodes=False, seed=9))
     s = TempestSession(m, spool_dir=tmp_path)
@@ -630,8 +633,10 @@ def test_min_samples_zero_yields_empty_stats(batch):
     compute_sensor_stats on the uncovered sensor; now it carries
     SensorStats.empty() explicitly."""
     trace, symtab = uncovered_sensor_trace()
-    prof = stream_profile(trace, symtab, None if batch else 2,
-                          batch=batch, min_samples_for_stats=0)
+    if batch:
+        prof = batch_profile(trace, symtab, min_samples_for_stats=0)
+    else:
+        prof = stream_profile(trace, symtab, 2, min_samples_for_stats=0)
     fp = prof.functions["f"]
     assert fp.significant
     assert fp.sensor_stats["S0"].n == 1
@@ -643,6 +648,7 @@ def test_min_samples_zero_yields_empty_stats(batch):
 @pytest.mark.parametrize("batch", [True, False])
 def test_min_samples_default_suppresses_uncovered_sensor(batch):
     trace, symtab = uncovered_sensor_trace()
-    prof = stream_profile(trace, symtab, None if batch else 2, batch=batch)
+    prof = (batch_profile(trace, symtab) if batch
+            else stream_profile(trace, symtab, 2))
     fp = prof.functions["f"]
     assert set(fp.sensor_stats) == {"S0"}        # unchanged default shape

@@ -7,8 +7,9 @@ Three-way check per seeded adversarial trace (see
 * vectorized streaming vs **forced-scalar** streaming — the exact
   contract: every field bit-equal except the Chan-merged moments
   (``avg``/``var``/``sdv``, 1e-9 relative);
-* vectorized streaming vs the **batch** pipeline — the documented
-  streaming-vs-batch tolerances (``assert_stream_matches_batch``);
+* vectorized streaming vs the **batch** parser
+  (``TempestParser.parse_node``) — the documented streaming-vs-batch
+  tolerances (``assert_stream_matches_batch``);
 * the TL018 cross-validation rule on fault-injected bundles — the
   lint-level restatement of the same contract must stay green.
 
@@ -28,6 +29,7 @@ from tests.core.difftrace import generate_trace
 from tests.core.test_streamprof import (
     assert_profiles_equivalent,
     assert_stream_matches_batch,
+    batch_profile,
     make_acc,
 )
 
@@ -67,8 +69,7 @@ def test_differential_three_way(seed):
         # skew-bounded (documented divergence); for them the
         # vectorized==scalar and chunking-invariance checks above and
         # below are the binding ones.
-        _, batch = stream(trace, symtab, None, batch=True)
-        assert_stream_matches_batch(fast, batch)
+        assert_stream_matches_batch(fast, batch_profile(trace, symtab))
     else:
         _, whole = stream(trace, symtab, None)
         assert_profiles_equivalent(fast, whole)
@@ -91,7 +92,7 @@ def test_tl018_green_on_fault_injected_bundles(seed):
     trace, symtab = generate_trace(seed, adversarial=True)
     chunk = CHUNK_SIZES[seed % len(CHUNK_SIZES)]
     _, fast = stream(trace, symtab, chunk)
-    _, batch = stream(trace, symtab, None, batch=True)
+    batch = batch_profile(trace, symtab)
     wrap = lambda prof: RunProfile(nodes={prof.node_name: prof},
                                    sampling_hz=4.0, meta={})
     assert compare_profiles(wrap(batch), wrap(fast)) == []

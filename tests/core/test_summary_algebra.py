@@ -6,9 +6,9 @@ The contract under test (documented in ``repro.core.summary`` and
 ``docs/INTERNALS.md``): ``merge`` is associative and commutative with
 an empty identity; merging the summaries of any chunked split of a
 stream equals the whole-stream summary — counts, calls, arcs, spans,
-``min``/``max``/``mod`` exactly, Welford moments up to summation-order
-rounding, the P² median within ±0.5 °C on quantized readings; and the
-serialized form merges identically to the in-process one.
+``min``/``max``/``med``/``mod`` exactly, Welford moments up to
+summation-order rounding; and the serialized form merges identically to
+the in-process one.
 """
 
 import json
@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.stats import SensorStats, compute_sensor_stats
+from repro.core.stats import compute_sensor_stats
 from repro.core.streamprof import OnlineStats
 from repro.core.summary import SUMMARY_FORMAT, NodeSummary, RunSummary
 from repro.core.trace import NodeTrace, REC_ENTER, REC_EXIT
-from repro.util.errors import ConfigError, TraceError
+from repro.util.errors import TraceError
 
 from tests.core.test_streamprof import (
     make_acc,
@@ -49,31 +49,21 @@ def merged(*parts) -> OnlineStats:
     return out
 
 
-def assert_estimators_close(a, b, *, exact, med_abs=0.5):
-    """Same-multiset estimators: exact fields bit-equal, moments to
-    summation rounding, ``med`` within the documented band of *exact*
-    (the true batch statistics of the underlying samples).
-
-    The ±0.5 band applies once the P² markers have warmed up; tiny
-    merged sets that just crossed the five-sample threshold get only
-    the in-range guarantee (one post-rebuild update can move an
-    interpolated marker by a full quantization step)."""
-    assert (a.n, a.min, a.max, a.mod) == (b.n, b.min, b.max, b.mod)
+def assert_estimators_close(a, b, *, exact):
+    """Same-multiset estimators: exact fields bit-equal to each other and
+    to *exact* (the batch statistics of the underlying samples), moments
+    to summation rounding."""
+    for st in (a, b):
+        assert (st.n, st.min, st.max, st.med, st.mod) == (
+            exact.n, exact.min, exact.max, exact.med, exact.mod)
     assert a.avg == pytest.approx(b.avg, rel=1e-9)
     assert a.var == pytest.approx(b.var, rel=1e-9, abs=1e-12)
-    for st in (a, b):
-        if st.n < 5:
-            assert st.med == exact.med
-        elif st.n < 30:
-            assert st.min <= st.med <= st.max
-        else:
-            assert st.med == pytest.approx(exact.med, abs=med_abs)
 
 
 def assert_node_profiles_close(a, b):
     """The split-closure contract at the profile layer: counts, arcs,
     span, and the exact estimator fields bit-equal; times to summation
-    rounding; ``med`` within the estimators' mutual ±0.5 band."""
+    rounding."""
     assert a.node_name == b.node_name
     assert a.duration_s == pytest.approx(b.duration_s, rel=1e-9)
     assert set(a.functions) == set(b.functions)
@@ -98,10 +88,10 @@ def assert_node_profiles_close(a, b):
 
 
 def _assert_sensor_stats_close(sa, sb):
-    assert (sa.n, sa.min, sa.max, sa.mod) == (sb.n, sb.min, sb.max, sb.mod)
+    assert (sa.n, sa.min, sa.max, sa.med, sa.mod) == (
+        sb.n, sb.min, sb.max, sb.med, sb.mod)
     assert sa.avg == pytest.approx(sb.avg, rel=1e-9)
     assert sa.var == pytest.approx(sb.var, rel=1e-9, abs=1e-12)
-    assert sa.med == pytest.approx(sb.med, abs=0.5)
 
 
 def empty_stack_cuts(arr, n_cuts, seed=0):
@@ -161,7 +151,6 @@ def test_merge_is_commutative(na, nb):
     ba = merged(stats_of(b), stats_of(a))
     exact = compute_sensor_stats(np.concatenate([a, b]))
     assert_estimators_close(ab, ba, exact=exact)
-    assert ab.mod == exact.mod
 
 
 @pytest.mark.parametrize("sizes", [(1, 2, 3), (4, 4, 4), (100, 7, 900),
@@ -191,8 +180,7 @@ def test_raw_sample_merges_stay_exact_below_five():
     b = stats_of([40.5, 44.0])
     m = merged(a, b)
     exact = compute_sensor_stats(np.array([41.0, 43.5, 40.5, 44.0]))
-    assert m.med == exact.med          # still raw samples: exact median
-    assert m.to_state()["pos"] is None
+    assert m.med == exact.med
 
 
 @pytest.mark.parametrize("n_chunks", [2, 5, 16, 64])
@@ -203,8 +191,57 @@ def test_chunked_split_equals_whole_stream(n_chunks):
     folded = merged(*parts)
     exact = compute_sensor_stats(samples)
     assert_estimators_close(folded, whole, exact=exact)
-    # The mode bins merge exactly, so the mode is the batch mode.
-    assert folded.mod == exact.mod
+
+
+def _fold_in_random_order(parts, rng) -> OnlineStats:
+    """One estimator per part, each fed by push, push_many or a mix,
+    some sent through a state round trip, then merged in random order
+    and grouping."""
+    pending = []
+    for part in parts:
+        st = OnlineStats()
+        how = int(rng.integers(3))
+        if how == 0:
+            for v in part.tolist():
+                st.push(v)
+        elif how == 1:
+            st.push_many(part)
+        else:
+            cut = int(rng.integers(len(part) + 1))
+            st.push_many(part[:cut])
+            for v in part[cut:].tolist():
+                st.push(v)
+        if rng.random() < 0.5:
+            st = OnlineStats.from_state(
+                json.loads(json.dumps(st.to_state())))
+        pending.append(st)
+    while len(pending) > 1:
+        i, j = rng.choice(len(pending), size=2, replace=False)
+        pending[i].merge(pending[j])
+        pending.pop(j)
+    return pending[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_median_is_exact_in_every_merge_order(seed):
+    """The median read off the bins is ``np.median`` of everything
+    folded in, bit-for-bit, however the readings were split, fed and
+    merged."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(1, 400))
+        step = float(rng.choice([0.125, 0.25, 0.5, 1.0]))
+        values = np.round(rng.normal(55.0, 6.0, size=n) / step) * step
+        n_parts = int(rng.integers(1, 9))
+        cuts = np.sort(rng.integers(0, n + 1, size=n_parts - 1))
+        parts = np.split(values, cuts)
+        folded = _fold_in_random_order(parts, rng)
+        back = OnlineStats.from_state(json.loads(json.dumps(
+            folded.to_state())))
+        want = float(np.median(values))
+        assert folded.med == want
+        assert back.med == want
+        assert folded.n == n
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +258,57 @@ def test_state_roundtrip_is_bit_exact():
         other = stats_of(quantized_samples(37, seed=99))
         assert merged(back, other).to_state() == \
             merged(st, other).to_state()
+
+
+def test_legacy_v2_markers_are_ignored_and_median_is_exact():
+    """A ``tempest-summary-v2`` document still carries the retired
+    ``q``/``pos`` median markers in every estimator state; it loads, and
+    its median comes out exact because the bins hold every reading."""
+    trace, symtab = synth_trace(n_quads=300, seed=37)
+    acc = make_acc(trace, symtab)
+    acc.consume(trace.columns.array)
+    run = RunSummary(nodes={"node1": acc.summary(final=True)},
+                     sampling_hz=4.0, meta={})
+    doc = json.loads(json.dumps(run.to_dict()))
+    doc["format"] = "tempest-summary-v2"
+    node = doc["nodes"]["node1"]
+    states = [st for per in node["stats"].values() for st in per.values()]
+    states += list(node["sensor_summary"].values())
+    for state in states:
+        if state["n"]:
+            # Deliberately wrong markers: only an ignoring reader passes.
+            state["q"] = [0.0, 1.0, 2.0, 3.0, 4.0]
+            state["pos"] = [1, 2, 3, 4, state["n"]]
+    back = RunSummary.from_dict(doc)
+    assert back.to_dict() == run.to_dict()
+    for state in states:
+        if state["n"]:
+            readings = np.repeat(state["bin_values"], state["bin_counts"])
+            assert OnlineStats.from_state(state).med == \
+                float(np.median(readings))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda st: st.pop("bin_values"),
+    lambda st: st.pop("bin_counts"),
+    lambda st: st.update(bin_counts=st["bin_counts"][:-1]),
+    lambda st: st.update(bin_counts=[c + 1 for c in st["bin_counts"]]),
+    lambda st: st.update(bin_values="garbage"),
+], ids=["no-values", "no-counts", "short-counts", "counts-exceed-n",
+        "values-not-a-list"])
+def test_malformed_state_is_a_trace_error(mutate):
+    """Bins that are missing or do not account for all ``n`` readings
+    would make the median wrong; the reader refuses them with the typed
+    error the CLI maps to exit 2."""
+    state = stats_of(quantized_samples(50)).to_state()
+    mutate(state)
+    with pytest.raises(TraceError, match="malformed estimator state"):
+        OnlineStats.from_state(state)
+    doc = {"format": SUMMARY_FORMAT, "sampling_hz": 4.0, "nodes": {
+        "node1": {"node": "node1", "sensor_names": ["S0"],
+                  "sensor_summary": {"S0": state}}}}
+    with pytest.raises(TraceError):
+        RunSummary.from_dict(doc)
 
 
 def test_empty_state_is_minimal():
@@ -243,30 +331,6 @@ def test_run_summary_roundtrip_is_bit_exact():
 def test_from_dict_rejects_wrong_format():
     with pytest.raises(TraceError):
         RunSummary.from_dict({"format": "tempest-summary-v0", "nodes": {}})
-
-
-# ----------------------------------------------------------------------
-# SensorStats closure (the finished-statistics layer)
-
-def test_sensor_stats_merge_moments_match_batch():
-    a = quantized_samples(400, seed=3)
-    b = quantized_samples(700, seed=4)
-    m = compute_sensor_stats(a).merge(compute_sensor_stats(b))
-    exact = compute_sensor_stats(np.concatenate([a, b]))
-    assert (m.n, m.min, m.max) == (exact.n, exact.min, exact.max)
-    assert m.avg == pytest.approx(exact.avg, rel=1e-9)
-    assert m.var == pytest.approx(exact.var, rel=1e-9)
-    assert m.sdv == pytest.approx(exact.sdv, rel=1e-9)
-    # med/mod are documented best-effort on finished statistics; the
-    # same-population split stays inside the streaming contract.
-    assert m.med == pytest.approx(exact.med, abs=0.5)
-    assert m.min <= m.mod <= m.max
-
-
-def test_sensor_stats_empty_identity():
-    st = compute_sensor_stats(quantized_samples(64))
-    assert SensorStats.empty().merge(st) == st
-    assert st.merge(SensorStats.empty()) == st
 
 
 # ----------------------------------------------------------------------
@@ -355,47 +419,6 @@ def test_run_summary_rejects_sampling_rate_conflict():
 
 
 # ----------------------------------------------------------------------
-# Finished-profile closure (profilemodel merges)
-
-def test_node_profile_merge_closure_on_split():
-    trace, symtab = synth_trace(n_quads=300, seed=53)
-    whole_acc = make_acc(trace, symtab)
-    whole_acc.consume(trace.columns.array)
-    whole = whole_acc.finalize()
-
-    cuts = empty_stack_cuts(trace.columns.array, n_cuts=1, seed=9)
-    left, right = split_summaries(trace, symtab, cuts)
-    merged_prof = left.to_node_profile(sampling_hz=4.0).merge(
-        right.to_node_profile(sampling_hz=4.0), sampling_hz=4.0)
-
-    assert set(merged_prof.functions) == set(whole.functions)
-    assert dict(merged_prof.timeline.arcs) == dict(whole.timeline.arcs)
-    for name, fw in whole.functions.items():
-        fm = merged_prof.functions[name]
-        assert fm.n_calls == fw.n_calls
-        assert fm.total_time_s == pytest.approx(fw.total_time_s, rel=1e-9)
-        assert fm.exclusive_time_s == pytest.approx(fw.exclusive_time_s,
-                                                    rel=1e-9)
-        for sensor, sw in fw.sensor_stats.items():
-            sm = fm.sensor_stats[sensor]
-            assert (sm.n, sm.min, sm.max) == (sw.n, sw.min, sw.max)
-            assert sm.avg == pytest.approx(sw.avg, rel=1e-9)
-            assert sm.var == pytest.approx(sw.var, rel=1e-9, abs=1e-12)
-
-
-def test_profile_merges_reject_mismatched_names():
-    trace, symtab = synth_trace(n_quads=30, seed=61)
-    acc = make_acc(trace, symtab)
-    acc.consume(trace.columns.array)
-    prof = acc.finalize()
-    other = prof.functions[next(iter(prof.functions))]
-    different = [f for f in prof.functions.values()
-                 if f.name != other.name][0]
-    with pytest.raises(ConfigError):
-        other.merge(different)
-
-
-# ----------------------------------------------------------------------
 # Documentation drift
 
 def test_summary_state_keys_match_internals_doc():
@@ -471,7 +494,7 @@ def test_split_tree_summaries_merge_to_whole():
     ref = whole.summary(final=True)
     assert folded.context_tree is not None
     assert_trees_match(folded.context_tree, ref.context_tree,
-                       med_abs=0.5, ctx="split-merge")
+                       ctx="split-merge")
     assert_node_profiles_close(
         folded.to_node_profile(sampling_hz=4.0),
         ref.to_node_profile(sampling_hz=4.0),

@@ -129,3 +129,34 @@ def test_top_once_and_missing(tmp_path, capsys):
     assert "tempest top" in out
     assert "node1" in out and "drained" in out
     assert "10 record(s) in, 1 dup, 3 frame(s)" in out
+
+
+def test_summary_state_without_bins_exits_2(tmp_path, capsys):
+    """A stored summary whose estimator states lost their reading bins
+    cannot report a median: ``lab diff`` refuses it with one ``error:``
+    line and exit 2, not a traceback."""
+    from repro.lab import Laboratory, RunManifest, record_run
+    from tests.lab.conftest import micro_spec
+
+    lab = Laboratory.create(tmp_path / "lab")
+    manifest, _ = record_run(lab, micro_spec())
+    doc = lab.get_json(manifest.outputs["summary"])
+    for block in doc["nodes"].values():
+        states = list(block["sensor_summary"].values())
+        states += [st for per in block["stats"].values()
+                   for st in per.values()]
+        for state in states:
+            state.pop("bin_values", None)
+    # Enroll the damaged document as a second run by hand.
+    mdoc = dict(lab.read_manifest_doc(manifest.run_id))
+    mdoc["spec"] = dict(mdoc["spec"], seed=mdoc["spec"]["seed"] + 1)
+    del mdoc["inputs_digest"]
+    twin = RunManifest.from_dict(mdoc)
+    twin.outputs = dict(mdoc["outputs"], summary=lab.put_json(doc))
+    lab.write_manifest_doc(twin.run_id, twin.to_dict())
+
+    assert main(["lab", "diff", "--lab", str(lab.root), manifest.run_id,
+                 twin.run_id]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "malformed estimator state" in err

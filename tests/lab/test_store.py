@@ -66,8 +66,8 @@ def test_composed_cache_invalidates_on_add(lab):
 
 
 def test_v1_summaries_compose_with_v2(recorded_lab):
-    """The upgrade path: a campaign mixing v1 and v2 documents still
-    composes — a v1 doc is exactly a v2 doc with no hcct blocks."""
+    """The upgrade path: a campaign mixing v1 and current documents
+    still composes — a v1 doc is a current doc with no hcct blocks."""
     lab, manifest = recorded_lab
     v2_doc = lab.get_json(manifest.outputs["summary"])
 
@@ -93,9 +93,9 @@ def test_v1_summaries_compose_with_v2(recorded_lab):
     store.add_run(twin.run_id, label="v1")
     composed = store.composed()
     assert composed.n_records == 2 * RunSummary.from_dict(v2_doc).n_records
-    # the v1 member loads without hcct, the composed doc is v2 again
+    # the v1 member loads without hcct, the composed doc is current again
     assert store.load_summary(twin.run_id).nodes["node1"].context_tree is None
-    assert composed.to_dict()["format"] == "tempest-summary-v2"
+    assert composed.to_dict()["format"] == "tempest-summary-v3"
 
 
 def test_summary_metric_selectors(recorded_lab):
