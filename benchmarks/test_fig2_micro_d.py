@@ -30,11 +30,11 @@ def run_fig2():
     s2 = TempestSession(m2)
     s2.run_serial(mb.micro_d, "node1", 0, 60.0, 6.0)
     figure_profile = s2.profile()
-    return table_profile, figure_profile
+    return table_profile, figure_profile, s2.collect()
 
 
 def test_fig2_micro_d(benchmark, results_dir):
-    table_profile, figure_profile = once(benchmark, run_fig2)
+    table_profile, figure_profile, figure_bundle = once(benchmark, run_fig2)
     node = table_profile.node("node1")
     main, foo1, foo2 = (node.function(f) for f in ("main", "foo1", "foo2"))
 
@@ -71,6 +71,7 @@ def test_fig2_micro_d(benchmark, results_dir):
         render_stdout_report(table_profile),
         "",
         "===== Figure 2(b): temperature profile (micro D, long timer) =====",
-        render_function_profile(fig_node, "CPU0 Temp", width=76, height=12),
+        render_function_profile(fig_node, "CPU0 Temp", figure_bundle,
+                                width=76, height=12),
     ]
     write_artifact(results_dir, "fig2_micro_d.txt", "\n".join(text))

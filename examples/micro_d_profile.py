@@ -42,7 +42,8 @@ def main() -> None:
     print("=" * 70)
     print("Figure 2(b): temperature profile (function band on top)")
     print("=" * 70)
-    print(render_function_profile(node, "CPU0 Temp", width=76, height=12))
+    print(render_function_profile(node, "CPU0 Temp", bundle=session.collect(),
+                                  width=76, height=12))
 
     # Round-trip the trace through disk, as the real tool chain does.
     with tempfile.TemporaryDirectory() as tmp:

@@ -101,9 +101,10 @@ RULES: dict[str, Rule] = {r.id: r for r in [
        "records.RECORD_DTYPE is byte-identical to the historical "
        "<Bqqiid struct layout: same itemsize, same field offsets, and a "
        "sample record round-trips bit-for-bit through both"),
-    _r("TL018", "batch-stream-divergence", SEV_WARNING,
-       "batch (TempestParser) and streaming (ProfileAccumulator) "
-       "profiles of the same trace agree within documented tolerances",
+    _r("TL018", "chunking-divergence", SEV_WARNING,
+       "the profile engine gives the same profile of a trace whether fed "
+       "in STREAM_CHUNK_RECORDS chunks (TempestParser) or as one whole "
+       "chunk per node, within documented tolerances",
        "times/avg/var/sdv rel 1e-9; n/min/max/med/mod/calls exact"),
     _r("TL019", "coverage-inconsistent", SEV_ERROR,
        "each function's coverage is in [0, 1] and equals "

@@ -13,14 +13,14 @@ Entry points, coarse to fine:
 * :func:`check_path` — dispatch on what a directory is (bundle / spool).
 * :func:`check_bundle_dir` / :func:`check_spool_dir` — header + per-node
   record-stream checks, plus (bundles, ``deep=True``) the
-  batch-vs-streaming cross-validation of TL018 and the profile-level
+  chunking-invariance cross-validation of TL018 and the profile-level
   rules via :func:`check_profile`.
 * :func:`check_records` — one record stream: kinds, stack balance, TSC
   monotonicity, sensor index/range/quantization, symbol resolution.
 * :func:`check_profile` — a finished :class:`RunProfile`: coverage
   arithmetic, statistic sanity, significance coherence.
-* :func:`compare_profiles` — TL018, batch vs streaming agreement within
-  the tolerances documented in ``docs/INTERNALS.md``.
+* :func:`compare_profiles` — TL018, agreement of two profiles of the
+  same trace within the tolerances documented in ``docs/INTERNALS.md``.
 * :func:`compare_bundle_dirs` — TL022, a wire-reassembled bundle is
   byte-identical to the locally saved baseline.
 * :func:`check_layout` — TL017, the ``RECORD_DTYPE`` vs ``<Bqqiid``
@@ -89,11 +89,10 @@ _HINTS = {
              "paper)",
     "TL017": "records.RECORD_DTYPE must stay byte-identical to <Bqqiid; "
              "fix the dtype, never the reference",
-    "TL018": "suspect cross-core skew or accumulator drift; re-check with "
-             "bound processes",
+    "TL018": "the engine's result depends on where chunks are cut; "
+             "reduce the trace and bisect the chunk size",
     "TL019": "recompute coverage with repro.core.streamprof._coverage",
-    "TL020": "these statistics were not produced by compute_sensor_stats / "
-             "OnlineStats",
+    "TL020": "these statistics were not produced by OnlineStats",
     "TL021": "recompute significance: inclusive time vs the sampling "
              "interval, with at least one attributed sample",
     "TL022": "the wire path lost or reordered data; re-push the spool, or "
@@ -426,10 +425,11 @@ def check_bundle_dir(path, *, deep: bool = True) -> list[Diagnostic]:
     """Validate a ``tempest-trace-v1`` bundle directory.
 
     Header and per-node record checks always run; with ``deep`` the
-    bundle is additionally parsed both ways (batch and streaming) and the
-    two profiles cross-validated (TL018) plus profile-level rules
-    (TL019-TL021) — skipped whenever structural errors or timestamp
-    disorder would make the comparison meaningless.
+    bundle is additionally parsed twice — by the parser, in
+    ``STREAM_CHUNK_RECORDS`` chunks, and as one whole-stream chunk per
+    node — and the two profiles cross-validated (TL018) plus
+    profile-level rules (TL019-TL021) — skipped whenever structural
+    errors or timestamp disorder would make the comparison meaningless.
     """
     path = Path(path)
     label = str(path)
@@ -514,7 +514,8 @@ def check_bundle_dir(path, *, deep: bool = True) -> list[Diagnostic]:
 
 
 def _deep_check_bundle(path: Path, label: str) -> list[Diagnostic]:
-    """Parse the (structurally clean) bundle both ways and cross-check."""
+    """Parse the (structurally clean, time-ordered) bundle chunked and
+    whole, and cross-check."""
     from repro.core.parser import TempestParser
     from repro.core.streamprof import StreamingRunProfiler
     from repro.core.trace import TraceBundle
@@ -715,7 +716,7 @@ def check_profile(profile, *, path: str = "") -> list[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# TL018: batch vs streaming agreement
+# TL018: chunking invariance
 
 
 def _close(a: float, b: float, rel: float, abs_tol: float = 1e-12) -> bool:
@@ -728,7 +729,8 @@ def _close(a: float, b: float, rel: float, abs_tol: float = 1e-12) -> bool:
 
 def compare_profiles(batch, stream, *, rel: float = 1e-9,
                      path: str = "") -> list[Diagnostic]:
-    """TL018: the two engines agree within the documented tolerances.
+    """TL018: two profiles of the same trace agree within the documented
+    tolerances (*batch* is the reference side, *stream* the other).
 
     ``n``/``min``/``max``/``med``/``mod``/``n_calls``/``significant``
     must match exactly; times and ``avg``/``var``/``sdv`` within relative

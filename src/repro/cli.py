@@ -35,7 +35,7 @@ from repro.core.report import dump_csv, dump_json
 from repro.core.trace import TraceBundle
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.util.canonjson import canon_dumps
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigError, ReproError
 
 
 def _add_inject_args(p: argparse.ArgumentParser) -> None:
@@ -127,6 +127,7 @@ def cmd_micro(args) -> int:
         sensor = node.sensor_names()[0]
         print()
         print(render_function_profile(node, sensor,
+                                      bundle=session.collect(),
                                       fahrenheit=not args.celsius))
     if args.save_trace:
         session.collect().save(args.save_trace)
@@ -348,21 +349,31 @@ def cmd_hotpaths(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    if args.stream:
-        # Constant-memory parse of a spool directory: records are folded
-        # chunk by chunk into streaming accumulators, never fully resident.
+    """Profile a saved trace bundle (``meta.json``) or, chunk by chunk in
+    constant memory, a spool directory (``header.json``)."""
+    path = args.bundle
+    if (path / "meta.json").is_file():
+        if args.chunk_records is not None or args.hcct_budget is not None:
+            raise ConfigError(
+                f"{path} is a trace bundle; --chunk-records and "
+                "--hcct-budget apply to spool directories only"
+            )
+        bundle = TraceBundle.load(path, tolerate_truncation=args.lenient)
+        profile = TempestParser(bundle, strict=not args.lenient).parse()
+    elif (path / "header.json").is_file():
         from repro.core.streamprof import stream_spool_profile
 
         profile = stream_spool_profile(
-            args.bundle,
+            path,
             chunk_records=args.chunk_records,
             strict=not args.lenient,
             hcct_budget=args.hcct_budget,
         )
     else:
-        bundle = TraceBundle.load(args.bundle,
-                                  tolerate_truncation=args.lenient)
-        profile = TempestParser(bundle, strict=not args.lenient).parse()
+        raise ConfigError(
+            f"{path} is neither a trace bundle (meta.json) nor a spool "
+            "directory (header.json)"
+        )
     _emit(profile, args)
     return 0
 
@@ -906,19 +917,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inject_args(p)
     p.set_defaults(fn=cmd_hotpaths)
 
-    p = sub.add_parser("parse", help="parse a saved trace bundle")
-    p.add_argument("bundle", type=Path)
+    p = sub.add_parser("parse",
+                       help="parse a saved trace bundle or spool directory")
+    p.add_argument("bundle", type=Path,
+                   help="a trace bundle (meta.json) or a spool directory "
+                        "(header.json), told apart by inspection; a spool "
+                        "is profiled in written order, not time order, so "
+                        "its sensor statistics can differ from those of "
+                        "the bundle saved from it (calls and times "
+                        "cannot)")
     p.add_argument("--lenient", action="store_true")
-    p.add_argument("--stream", action="store_true",
-                   help="treat the path as a spool directory and parse it "
-                        "chunk-by-chunk with the streaming engine "
-                        "(constant memory)")
     p.add_argument("--chunk-records", type=int, default=None,
-                   help="records per streaming chunk (default: the "
-                        "streaming read size, 32768 — the vectorized "
-                        "engine amortizes per-chunk cost over big chunks)")
+                   help="spools only: records per streaming chunk "
+                        "(default: the streaming read size, 32768 — the "
+                        "vectorized engine amortizes per-chunk cost over "
+                        "big chunks)")
     p.add_argument("--hcct-budget", type=int, default=None, metavar="N",
-                   help="with --stream: also build hot calling-context "
+                   help="spools only: also build hot calling-context "
                         "trees, at most N tracked contexts per node "
                         "(0 = unbounded exact CCT; default: off)")
     _add_output_args(p)
@@ -1037,7 +1052,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", action="store_true",
                    help="print the diagnostics catalogue and exit")
     p.add_argument("--no-deep", action="store_true",
-                   help="skip the batch-vs-streaming cross-validation pass")
+                   help="skip the chunking-invariance cross-validation "
+                        "pass (TL018)")
     p.add_argument("--baseline", type=Path, default=None, metavar="DIR",
                    help="cross-validate each checked bundle against this "
                         "locally saved bundle (TL022: byte-identical "

@@ -37,7 +37,7 @@ one authoritative cursor per node — ``n_records`` accepted so far:
 Each node's accepted record bytes accumulate verbatim (the zero
 re-encode invariant), so the drained bundle is byte-identical to what
 the node's own spool would have produced, and the merged profile is
-computed by the same batch parser the in-process path uses — equality
+computed by the same parser the in-process path uses — equality
 with the single-process profile is exact, not approximate.
 
 Connection state machine (drift-documented in ``docs/INTERNALS.md``)::
@@ -515,8 +515,8 @@ class Aggregator:
             return bundle
 
     def merged_profile(self) -> RunProfile:
-        """The cluster profile of everything accepted, via the batch
-        parser — the same pipeline the in-process path drives, so the
+        """The cluster profile of everything accepted, via the parser —
+        the same pipeline the in-process path drives, so the
         result is *equal*, not approximately equal, when the streams
         arrived intact."""
         return TempestParser(self.to_bundle(), strict=self.strict).parse()

@@ -9,9 +9,10 @@ The pipeline mirrors §3.2 of the paper:
    hwmon thermal sensor four times per second.
 3. **Trace** (:mod:`~repro.core.trace`): both streams aggregate into a
    per-node trace with a symbol table mapping function addresses to names.
-4. **Parser** (:mod:`~repro.core.parser`): reconstructs the function
-   timeline, maps temperature samples onto it, and emits per-function,
-   per-sensor statistics (:mod:`~repro.core.stats`).
+4. **Parser** (:mod:`~repro.core.parser`): drives the profile engine
+   (:mod:`~repro.core.streamprof`), which replays the function timeline,
+   maps temperature samples onto it, and emits per-function, per-sensor
+   statistics (:mod:`~repro.core.stats`).
 5. **Reports** (:mod:`~repro.core.report`, :mod:`~repro.core.ascii_plot`):
    the standard-output format of Figure 2(a) and the temperature-profile
    plots of Figures 2(b), 3 and 4.
@@ -44,8 +45,8 @@ from repro.core.sensors import (
     HwmonSensorReader,
 )
 from repro.core.tempd import tempd_process, TempdConfig
-from repro.core.timeline import FunctionInterval, Timeline, build_timeline
-from repro.core.stats import SensorStats, compute_sensor_stats
+from repro.core.timeline import Timeline
+from repro.core.stats import SensorStats
 from repro.core.profilemodel import FunctionProfile, NodeProfile, RunProfile
 from repro.core.parser import TempestParser
 from repro.core.streamprof import (
@@ -83,11 +84,8 @@ __all__ = [
     "HwmonSensorReader",
     "tempd_process",
     "TempdConfig",
-    "FunctionInterval",
     "Timeline",
-    "build_timeline",
     "SensorStats",
-    "compute_sensor_stats",
     "FunctionProfile",
     "NodeProfile",
     "RunProfile",

@@ -15,6 +15,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.profilemodel import NodeProfile, RunProfile
+from repro.core.streamprof import ProfileAccumulator, time_ordered
+from repro.core.symtab import SymbolTable
+from repro.core.trace import NodeTrace, TraceBundle
 from repro.util.units import c_to_f
 
 
@@ -62,44 +65,69 @@ def render_series(
     return "\n".join(lines)
 
 
-def _function_band(node: NodeProfile, width: int, t0: float, t1: float) -> str:
-    """One-line band naming the innermost function over time (Fig 2(b) top)."""
-    span = max(t1 - t0, 1e-12)
+def _function_band(trace: NodeTrace, symtab: SymbolTable, width: int,
+                   t0: float, t1: float) -> str:
+    """One-line band naming the innermost function over time (Fig 2(b) top).
+
+    The node's records stream through a profile engine cut at each
+    column's centre time; the column shows the frame
+    :meth:`ProfileAccumulator.innermost` reports there, and each run of
+    one frame is labelled once.
+    """
+    acc = ProfileAccumulator(trace.node_name, symtab, trace.seconds,
+                             trace.sensor_names)
+    arr = time_ordered(trace.columns.array)
+    # Running max so a leniently clamped record cannot unsort the cuts.
+    times = np.maximum.accumulate(
+        np.asarray(trace.seconds(arr["tsc"]), dtype=np.float64))
+    step = max(t1 - t0, 1e-12) / max(width - 1, 1)
+    columns: list[Optional[tuple[str, float]]] = []
+    lo = 0
+    for x in range(width):
+        hi = int(np.searchsorted(times, t0 + (x + 0.5) * step, side="right"))
+        if hi > lo:
+            acc.consume(arr[lo:hi])
+            lo = hi
+        columns.append(acc.innermost())
     band = [" "] * width
-    segs = sorted(node.timeline.top_segments, key=lambda s: s.start_s)
-    for seg in segs:
-        x0 = int((seg.start_s - t0) / span * (width - 1))
-        x1 = int((seg.end_s - t0) / span * (width - 1))
-        x0 = max(0, min(width - 1, x0))
-        x1 = max(0, min(width - 1, x1))
-        label = seg.name[: max(1, x1 - x0 + 1)]
-        # Draw the segment extent, then overlay the label at its start.
-        for x in range(x0, x1 + 1):
-            band[x] = "-"
-        for k, ch in enumerate(label):
-            if x0 + k <= x1:
-                band[x0 + k] = ch
+    x0 = 0
+    while x0 < width:
+        frame = columns[x0]
+        x1 = x0
+        while x1 + 1 < width and columns[x1 + 1] == frame:
+            x1 += 1
+        if frame is not None:
+            # Draw the frame's extent, then overlay its name at the start.
+            run = x1 - x0 + 1
+            band[x0:x1 + 1] = list(frame[0][:run].ljust(run, "-"))
+        x0 = x1 + 1
     return " " * 8 + "|" + "".join(band)
 
 
 def render_function_profile(
     node: NodeProfile,
     sensor: str,
+    bundle: TraceBundle,
     *,
     width: int = 72,
     height: int = 10,
     fahrenheit: bool = True,
 ) -> str:
-    """Figure 2(b): temperature trend with the active function annotated."""
+    """Figure 2(b): temperature trend with the active function annotated.
+
+    The function band comes from the node's trace in *bundle* (a profile
+    keeps aggregates only).
+    """
     times, values = node.sensor_series[sensor]
     if len(times) == 0:
         return f"{node.node_name}/{sensor}: no samples"
     t0, t1 = float(times[0]), float(times[-1])
-    header = f"{node.node_name} — sensor {sensor!r} (function band above plot)"
-    band = _function_band(node, width, t0, t1)
     chart = render_series(
         times, values, width=width, height=height, fahrenheit=fahrenheit
     )
+    header = f"{node.node_name} — sensor {sensor!r} (function band above plot)"
+    band = _function_band(bundle.node(node.node_name), bundle.symtab, width,
+                          t0, t1)
     return "\n".join([header, band, chart])
 
 

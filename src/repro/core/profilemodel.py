@@ -3,8 +3,8 @@
 A :class:`RunProfile` holds one :class:`NodeProfile` per cluster node; each
 node profile holds per-function :class:`FunctionProfile` entries (inclusive
 time, call count, per-sensor statistics, thermal significance) plus the raw
-sensor time series and the reconstructed timeline — everything Figures 2-4
-and Tables 2-3 draw from.
+sensor time series and the call-timeline aggregates — everything Figures
+2-4 and Tables 2-3 draw from.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ class NodeProfile:
     functions: dict[str, FunctionProfile]
     sensor_series: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (t, degC)
     timeline: Timeline
-    #: per-sensor whole-node statistics; the streaming engine fills this
-    #: (it never materializes the raw series), the batch path leaves it
-    #: empty because the series answers the same questions exactly
+    #: per-sensor whole-node statistics from the profile engine; the raw
+    #: ``sensor_series`` is only present when the parser had the whole
+    #: trace resident
     sensor_summary: dict[str, SensorStats] = field(default_factory=dict)
     #: the node's hot calling-context tree (:mod:`repro.core.cct`), when
     #: the producer was asked to keep one (``hcct_budget``); the flat

@@ -1,66 +1,64 @@
-"""Streaming profile engine: single-pass, constant-memory profiling.
+"""The profile engine: single-pass, constant-memory profiling.
 
 The paper's parser is post-mortem: collect the full trace plus the tempd
-sample log, then merge them offline.  :class:`~repro.core.parser.TempestParser`
-still does that, holding O(records) state.  This module inverts the
-dataflow: a :class:`ProfileAccumulator` consumes columnar record chunks
+sample log, then merge them offline.  Here every path to a profile —
+:class:`~repro.core.parser.TempestParser` over a resident bundle,
+:func:`stream_spool_profile` over a spool, live snapshots mid-run — runs
+the same :class:`ProfileAccumulator`.  It consumes columnar record chunks
 (the ``RecordColumns`` chunks that ``TraceSpool`` writes and
 :func:`repro.core.spool.iter_spool_chunks` reads back) *incrementally*,
 maintaining per-function/per-sensor online statistics and an incremental
 frame stack, so a profile snapshot is available at any point mid-run and
-peak memory is bounded by O(functions × sensors), not trace length.
+engine state is bounded by O(functions × sensors), not trace length.
 
 Every chunk is folded into constant-size state the moment it arrives:
 
 - Welford mean/variance (bulk Chan merges for whole chunks), running
   min/max, and an exact quantized-bin counter that yields both ``Med``
   and ``Mod`` per (function, sensor) pair (:class:`OnlineStats`);
-- an incremental replay of the ENTER/EXIT stream (the exact semantics
-  of the timeline replay builder, including lenient repair: mismatched
-  EXITs unwind, timestamp regressions clamp, open frames close at the
-  last event time);
+- an incremental replay of the ENTER/EXIT stream, including lenient
+  repair: mismatched EXITs unwind, timestamp regressions clamp, open
+  frames close at the last event time;
 - inclusive time as an *online union*: a global per-function
   activation counter opens a union span on the 0→1 transition and
   closes it on 1→0, with a one-span ``pending`` buffer so touching
-  spans merge exactly like the batch span merge;
+  spans merge into one;
 - sample attribution at arrival time: a TEMP record is credited to
   every function currently on some stack, to functions whose union
   span closed at exactly the sample's timestamp, and (retroactively,
   via a one-sweep cache) to functions entered at exactly the sample's
-  timestamp — reproducing the batch parser's closed-interval
-  ``start <= t <= end`` attribution on time-ordered streams.
+  timestamp — the closed-interval ``start <= t <= end`` attribution of
+  the paper's post-mortem parser, on time-ordered streams.
 
 Well-formed chunks take a **vectorized fast path** (chunked numpy
 segment reduction — see :meth:`ProfileAccumulator.consume`); any chunk
 it cannot prove well-formed replays record-at-a-time through the scalar
 engine above, so lenient repair and strict errors are exactly the
-historical ones.  :data:`FALLBACK_REASONS` enumerates the conditions
+record-order ones.  :data:`FALLBACK_REASONS` enumerates the conditions
 (documented in ``docs/INTERNALS.md``).
 
-Equivalence contract (pinned by ``tests/core/test_streamprof.py``,
-``tests/core/test_streamprof_differential.py`` and the
-``benchmarks/test_trace_scale.py`` streaming gates): on a record stream
-whose converted timestamps are globally non-decreasing, the engine is
-chunking-invariant for every exact field — inclusive/exclusive times,
-call counts, arcs, span, ``n``/``min``/``max``/``mod``/``med`` are
-bit-identical for chunk sizes 1, 7, 4096 and whole-run, and match the
-batch parser exactly.  ``avg``/``var``/``sdv`` are chunk-size-dependent
-only in their rounding: the fast path folds each chunk's samples with
-one Chan/Welford merge, so moments agree with the scalar engine and with
-batch within relative ~1e-12 (the suite asserts 1e-9).  Streams that are
-only per-process time-ordered (cross-core TSC skew) may attribute
-boundary samples differently; the divergence window is bounded by the
-skew magnitude.
+Equivalence contract (pinned by ``tests/core/test_streamprof.py`` and
+``tests/core/test_streamprof_differential.py`` against the post-mortem
+oracle in ``tests/core/oracle.py``): on a record stream whose converted
+timestamps are globally non-decreasing, the engine is chunking-invariant
+for every exact field — inclusive/exclusive times, call counts, arcs,
+span, ``n``/``min``/``max``/``mod``/``med`` are bit-identical for chunk
+sizes 1, 7, 4096 and whole-run, and match the oracle exactly.
+``avg``/``var``/``sdv`` are chunk-size-dependent only in their rounding:
+the fast path folds each chunk's samples with one Chan/Welford merge, so
+moments agree with the scalar engine and with the oracle within relative
+~1e-12 (the suite asserts 1e-9).  Real nodes are only time-ordered per
+process, so resident traces go through :func:`feed_node`, which puts
+them in time order first.
 
-One structural caveat: the online union keeps O(functions) state — an
-open span plus an activation count per function — so it cannot hold a
-*hole* open inside a still-active span.  A process abandoned mid-run
-with open frames is leniently closed at its last-seen time by
-``finalize()``; if other processes ran the same function later with
-gaps, batch keeps the gap and streaming bridges it (inclusive time may
-read high by at most that gap).  Every stream-vs-batch divergence on a
-monotone stream is of this shape; traces whose processes stay live to
-the end of the run match batch exactly.
+One limit of lenient repair: the online union keeps O(functions) state
+— an open span plus an activation count per function — so it cannot
+hold a *hole* open inside a still-active span.  A process abandoned
+mid-run with open frames is closed at its last-seen time only by
+``finalize()``; if other processes ran the same function after that
+time with gaps, the union bridges the gaps (inclusive time reads high
+by at most their length).  Traces whose processes stay live to the end
+of the run are unaffected.
 """
 
 from __future__ import annotations
@@ -76,7 +74,6 @@ import numpy as np
 from repro.core.profilemodel import NodeProfile, RunProfile
 from repro.core.records import RECORD_DTYPE
 from repro.core.symtab import SymbolTable
-from repro.core.timeline import frame_depths
 from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP
 from repro.util.errors import TraceError
 
@@ -103,7 +100,7 @@ class OnlineStats:
     block (exact multiset, summation-order rounding only).  ``mod`` and
     ``med`` both read an exact counter over the readings (sensor readings
     are quantized, so equal readings are bit-identical floats — the same
-    assumption the batch ``Counter`` makes; memory is O(distinct
+    assumption an exact ``Counter`` makes; memory is O(distinct
     readings), bounded by the sensor's quantization range): the mode is
     the most frequent bin, the median the middle of the cumulative bin
     counts, with ``np.median``'s even-``n`` rule.
@@ -180,7 +177,7 @@ class OnlineStats:
     def avg(self) -> float:
         if self.n == 0:
             return math.nan
-        # Clamp like the batch path: rounding must not push the mean
+        # Clamp: rounding must not push the mean
         # outside the sample range.
         return min(max(self._mean, self.min), self.max)
 
@@ -382,6 +379,22 @@ _FB_SENSOR = "sensor-range"
 _INITIAL_FIDS = 64
 
 
+def frame_depths(is_enter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matched-frame trick's depth arrays for one process's stream.
+
+    ``depth_after[i]`` is the call depth after event *i*;
+    ``frame_depth[i]`` is the depth of the frame the event belongs to —
+    an ENTER's own depth, or for an EXIT the depth of the frame it
+    closes.  Within one process the *i*-th ENTER reaching depth *d*
+    always matches the *i*-th EXIT leaving depth *d* (a second depth-*d*
+    frame cannot open before the first closes), so ``frame_depth`` plus
+    one stable sort pairs every frame without a per-event loop.
+    """
+    depth_after = np.cumsum(np.where(is_enter, 1, -1))
+    frame_depth = np.where(is_enter, depth_after, depth_after + 1)
+    return depth_after, frame_depth
+
+
 # ----------------------------------------------------------------------
 # The accumulator
 
@@ -399,9 +412,9 @@ class ProfileAccumulator:
     flow through.  Each chunk takes one of two engines:
 
     * the **vectorized segment reduction** (default) — ENTER/EXIT frames
-      are matched per chunk with the same matched-frame trick the
-      timeline builder uses (:func:`repro.core.timeline.frame_depths`,
-      seeded with the carry-over stack depth), exclusive time reduces
+      are matched per chunk with the matched-frame trick
+      (:func:`frame_depths`, over the carry-over stack threaded in as a
+      virtual ENTER prefix), exclusive time reduces
       with one ``np.add.at`` over stream-ordered top-of-stack segments,
       inclusive time reduces per function from a segmented cumulative
       sum of activation counts (union spans merge by equality of
@@ -468,9 +481,9 @@ class ProfileAccumulator:
         self._floor_arr = np.zeros(cap)
         self._floor_mask = np.zeros(cap, dtype=bool)
         # max close time since the current union span opened: the span
-        # must end at the latest constituent close (the batch interval
-        # merge's max), which a count-only union would miss when lenient
-        # end-of-trace closes arrive out of time order
+        # must end at the latest constituent close, which a count-only
+        # union would miss when lenient end-of-trace closes arrive out of
+        # time order
         self._maxclose_arr = np.full(cap, -math.inf)
         self._pend_start = np.zeros(cap)
         self._pend_end = np.zeros(cap)
@@ -478,7 +491,7 @@ class ProfileAccumulator:
         # -- per-process replay state (the incremental stack machine)
         self._stacks: dict[int, list[tuple[int, float]]] = {}
         self._last_time: dict[int, float] = {}
-        self._now = 0.0                      # latest time seen in any record
+        self._now = -math.inf                # latest time seen in any record
         self._top_since: dict[int, tuple[int, float]] = {}
         # -- remaining sparse per-function aggregates
         self._arcs: dict[tuple[int, int], int] = {}   # (-1 = "<root>")
@@ -570,12 +583,6 @@ class ProfileAccumulator:
                 cid for st in self._ctx_stacks.values() for cid in st
             })
 
-    def consume_records(self, records: Iterable) -> None:
-        """Fold an iterable of :class:`TraceRecord`-shaped objects."""
-        from repro.core.records import RecordColumns
-
-        self.consume(RecordColumns.from_records(records).array)
-
     def consume_samples(self, t: float,
                         samples: Iterable[tuple[int, float]]) -> None:
         """Fold one tempd sweep — ``(sensor_index, degC)`` pairs taken at
@@ -589,7 +596,7 @@ class ProfileAccumulator:
             self._on_sample(int(sidx), float(t), float(value))
 
     def _times_of(self, tsc: np.ndarray) -> np.ndarray:
-        """Vectorized TSC→seconds, matching the batch conversion exactly."""
+        """Vectorized TSC→seconds, matching ``seconds_fn`` per record exactly."""
         try:
             times = np.asarray(self.seconds_fn(tsc), dtype=np.float64)
             if times.shape != tsc.shape:
@@ -638,7 +645,7 @@ class ProfileAccumulator:
             else:
                 on_exit(fid, t, pid)
 
-    # -- function events (ported from the replay builder, incremental) --
+    # -- function events (the incremental stack replay) --
 
     def _clamp(self, t: float, pid: int) -> float:
         prev = self._last_time.get(pid)
@@ -711,7 +718,7 @@ class ProfileAccumulator:
                 )
             # Lenient: close the current top-of-stack segment at this
             # timestamp *before* unwinding (the crossed frames are about
-            # to be popped), exactly like the replay builder.
+            # to be popped).
             self._credit_top(pid, t)
             cstack = self._ctx_stacks.get(pid)
             while stack and stack[-1][0] != fid:
@@ -749,7 +756,7 @@ class ProfileAccumulator:
             end = float(self._pend_end[fid])
             if t <= end:
                 # Touching (or time-disordered) reopen: resume the merged
-                # span — same semantics as the batch span merge.
+                # span — same semantics as an interval span merge.
                 self._open_start_arr[fid] = start
                 self._floor_arr[fid] = end
                 self._floor_mask[fid] = True
@@ -760,8 +767,8 @@ class ProfileAccumulator:
         else:
             self._open_start_arr[fid] = t
         # Retroactive attribution: samples that arrived at exactly this
-        # timestamp belong to the span that starts here (batch attribution
-        # is closed-interval on both ends).
+        # timestamp belong to the span that starts here (attribution is
+        # closed-interval on both ends).
         rt, rsamples = self._recent
         if rt == t:
             for seq, sidx, value in rsamples:
@@ -1452,6 +1459,16 @@ class ProfileAccumulator:
     # ------------------------------------------------------------------
     # Profile construction
 
+    def innermost(self) -> Optional[tuple[str, float]]:
+        """The frame executing now, as ``(function, entered at)``: of
+        every process's top frame, the one entered last — ``None`` while
+        every stack is empty."""
+        top = None
+        for stack in self._stacks.values():
+            if stack and (top is None or stack[-1][1] > top[1]):
+                top = stack[-1]
+        return None if top is None else (self._fnames[top[0]], top[1])
+
     def snapshot(self) -> NodeProfile:
         """A valid profile of everything consumed so far (non-destructive).
 
@@ -1509,10 +1526,9 @@ class ProfileAccumulator:
     def finalize(self) -> NodeProfile:
         """Apply end-of-trace semantics and return the final profile.
 
-        Strict mode raises on frames still open (matching the batch
-        parser); lenient mode closes them at their process's last event
-        time, exactly like the replay builder's end-of-trace handling.
-        The accumulator rejects further ``consume`` calls afterwards.
+        Strict mode raises on frames still open; lenient mode closes them
+        at their process's last event time.  The accumulator rejects
+        further ``consume`` calls afterwards.
         """
         if not self._finalized:
             self._close_open_frames()
@@ -1530,7 +1546,7 @@ class ProfileAccumulator:
         # counts activations and needs close times non-decreasing, else a
         # function open on two processes would end its merged span at
         # whichever process happened to be swept last rather than at the
-        # latest end (the batch interval merge always takes the latest).
+        # latest end.
         open_pids = sorted(
             (pid for pid, stack in self._stacks.items() if stack),
             key=lambda pid: self._last_time.get(
@@ -1753,8 +1769,7 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
     Reads ``header.json`` plus each ``<node>.spool`` in fixed-size record
     chunks and folds them straight into streaming accumulators — the
     whole trace is never resident, so peak memory is O(chunk + functions
-    × sensors) however long the run was.  The batch equivalent is
-    ``spool_to_bundle`` + ``TempestParser``.  The default chunk size is
+    × sensors) however long the run was.  The default chunk size is
     :data:`repro.core.spool.STREAM_CHUNK_RECORDS` — larger than the
     spool write granularity, because the vectorized reduction amortizes
     per-chunk overhead over more records at ~11 MB of peak residency.
@@ -1792,17 +1807,13 @@ def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
                           min_samples_for_stats: int = 1,
                           vectorized: bool = True,
                           hcct_budget: Optional[int] = None) -> RunProfile:
-    """Stream an in-memory :class:`~repro.core.trace.TraceBundle`.
+    """Profile an in-memory :class:`~repro.core.trace.TraceBundle`.
 
-    The batch parser (``TempestParser``) is the canonical path for
-    bundles, but it builds flat profiles only; this routes the same
-    records through the streaming accumulators, which is how a bundle
-    grows a hot calling-context tree (``hcct_budget``).  Chunked so the
-    HCCT's chunk-boundary eviction actually engages on long traces.
+    The same engine and feed as :class:`~repro.core.parser.TempestParser`
+    (:func:`feed_node`), minus the parser's raw sensor series; this is
+    how a bundle grows a hot calling-context tree (``hcct_budget``).
+    Chunked so the HCCT's chunk-boundary eviction engages on long traces.
     """
-    from repro.core.spool import STREAM_CHUNK_RECORDS
-
-    size = chunk_records or STREAM_CHUNK_RECORDS
     profiler = StreamingRunProfiler(
         bundle.symtab,
         sampling_hz=float(bundle.meta.get("sampling_hz", 4.0)),
@@ -1814,7 +1825,45 @@ def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
     )
     for name, trace in bundle.nodes.items():
         acc = profiler.add_node(name, trace.tsc_hz, trace.sensor_names)
-        arr = trace.columns.array
-        for lo in range(0, len(arr), size):
-            acc.consume(arr[lo:lo + size])
+        feed_node(acc, trace.columns.array, chunk_records)
     return profiler.finalize()
+
+
+def time_ordered(arr: np.ndarray) -> np.ndarray:
+    """One node's records in time order, each process's in its own order.
+
+    A node's trace is only time-ordered per process: tempd's sweeps and
+    a rank's buffered records reach it in bursts.  When the ``tsc``
+    column is not non-decreasing, the records are stable-sorted once by
+    their process's running-max ``tsc`` — the time the lenient clamp
+    gives a regressed record — which keeps every process's own order.
+    """
+    tsc = arr["tsc"]
+    if len(tsc) < 2 or bool(np.all(tsc[1:] >= tsc[:-1])):
+        return arr
+    key = tsc
+    pids = arr["pid"]
+    # Every pid heads at least one run; writing in bursts keeps runs few.
+    heads = np.flatnonzero(pids[1:] != pids[:-1]) + 1
+    for pid in np.unique(pids[np.append(0, heads)]).tolist():
+        sel = np.flatnonzero(pids == pid)
+        own = tsc[sel]
+        if not bool(np.all(own[1:] >= own[:-1])):
+            if key is tsc:
+                key = tsc.copy()
+            key[sel] = np.maximum.accumulate(own)
+    # np.take: fancy indexing is far slower on the packed record dtype.
+    return np.take(arr, np.argsort(key, kind="stable"))
+
+
+def feed_node(acc: ProfileAccumulator, arr: np.ndarray,
+              chunk_records: Optional[int] = None) -> None:
+    """Fold one node's resident records into *acc*: in time order
+    (:func:`time_ordered`), in slices of ``chunk_records`` (default
+    :data:`repro.core.spool.STREAM_CHUNK_RECORDS`)."""
+    from repro.core.spool import STREAM_CHUNK_RECORDS
+
+    arr = time_ordered(arr)
+    size = chunk_records or STREAM_CHUNK_RECORDS
+    for lo in range(0, len(arr), size):
+        acc.consume(arr[lo:lo + size])

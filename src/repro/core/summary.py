@@ -238,7 +238,7 @@ class NodeSummary:
                 self.sensor_summary.get(name, OnlineStats()))
             for name in self.sensor_names
         }
-        timeline = Timeline.from_aggregates(
+        timeline = Timeline(
             dict(self.exclusive_s),
             {name: int(c) for name, c in self.calls.items()},
             dict(self.arcs),

@@ -151,7 +151,7 @@ def test_synchronization_score_extremes():
         return NodeProfile(
             node_name=name, duration_s=20.0, functions={},
             sensor_series={"CPU A Temp": (t, vals)},
-            timeline=Timeline([], [], {}, {}),
+            timeline=Timeline({}, {}),
         )
 
     synced = RunProfile(

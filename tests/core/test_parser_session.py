@@ -170,12 +170,12 @@ def test_run_profile_helpers():
 
 
 def test_ascii_plots_render():
-    _, _, prof = run_micro()
+    _, s, prof = run_micro()
     node = prof.node("node1")
     times, values = node.sensor_series["CPU0 Temp"]
     chart = render_series(times, values, title="CPU0")
     assert "CPU0" in chart and "*" in chart and "time (s)" in chart
-    fig2b = render_function_profile(node, "CPU0 Temp")
+    fig2b = render_function_profile(node, "CPU0 Temp", bundle=s.collect())
     assert "hot_loop" in fig2b  # function band annotation
     fig3 = render_cluster_profile(prof, "CPU0 Temp")
     assert "[node1]" in fig3

@@ -6,8 +6,9 @@ import pytest
 from repro.core.ascii_plot import render_cluster_profile, render_series
 from repro.core.profilemodel import FunctionProfile, NodeProfile, RunProfile
 from repro.core.report import dump_csv, profile_to_rows, render_stdout_report
-from repro.core.stats import compute_sensor_stats
 from repro.core.timeline import Timeline
+
+from tests.core.oracle import compute_sensor_stats
 
 
 def empty_node(name="n1"):
@@ -16,7 +17,7 @@ def empty_node(name="n1"):
         duration_s=0.0,
         functions={},
         sensor_series={"CPU": (np.empty(0), np.empty(0))},
-        timeline=Timeline([], [], {}, {}),
+        timeline=Timeline({}, {}),
     )
 
 
@@ -41,7 +42,7 @@ def test_show_calls_column():
     node = NodeProfile(
         node_name="n1", duration_s=2.0, functions={"f": fp},
         sensor_series={"CPU": (np.array([0.0]), np.array([40.0]))},
-        timeline=Timeline([], [], {}, {}),
+        timeline=Timeline({}, {}),
     )
     text = render_stdout_report(node, show_calls=True)
     assert "Calls: 7" in text
@@ -84,7 +85,7 @@ def test_run_profile_hottest_node_without_cpu_sensors():
         node_name="n1", duration_s=1.0, functions={},
         sensor_series={"Ambient": (np.array([0.0, 1.0]),
                                    np.array([25.0, 26.0]))},
-        timeline=Timeline([], [], {}, {}),
+        timeline=Timeline({}, {}),
     )
     run = RunProfile(nodes={"n1": node}, sampling_hz=4.0)
     assert run.hottest_node() == "n1"
@@ -95,7 +96,7 @@ def _node_at(name, temps):
         node_name=name, duration_s=1.0, functions={},
         sensor_series={"CPU": (np.arange(float(len(temps))),
                                np.array(temps, dtype=float))},
-        timeline=Timeline([], [], {}, {}),
+        timeline=Timeline({}, {}),
     )
 
 
@@ -136,7 +137,7 @@ def test_sensor_summary_fallback_without_series():
     node = NodeProfile(
         node_name="n1", duration_s=1.0, functions={},
         sensor_series={},
-        timeline=Timeline([], [], {}, {}),
+        timeline=Timeline({}, {}),
         sensor_summary={"CPU": compute_sensor_stats([40.0, 44.0])},
     )
     assert node.sensor_names() == ["CPU"]
@@ -144,7 +145,7 @@ def test_sensor_summary_fallback_without_series():
     assert node.max_temperature("CPU") == 44.0
     empty = NodeProfile(
         node_name="n2", duration_s=0.0, functions={},
-        sensor_series={}, timeline=Timeline([], [], {}, {}),
+        sensor_series={}, timeline=Timeline({}, {}),
         sensor_summary={"CPU": SensorStats.empty()},
     )
     assert np.isnan(empty.mean_temperature("CPU"))

@@ -97,7 +97,8 @@ def test_function_band_labels_multiple_segments():
     s = TempestSession(m)
     s.run_serial(mb.micro_c, "node1", 0, 3.0)
     node = s.profile().node("node1")
-    fig = render_function_profile(node, "CPU0 Temp", width=80)
+    fig = render_function_profile(node, "CPU0 Temp", bundle=s.collect(),
+                                  width=80)
     # The band names the phases in time order.
     band_line = fig.splitlines()[1]
     assert "foo1" in band_line

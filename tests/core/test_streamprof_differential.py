@@ -1,21 +1,24 @@
-"""Differential harness: the vectorized streaming accumulator against
-its two references.
+"""Differential harness: the vectorized profile engine against its two
+references.
 
 Three-way check per seeded adversarial trace (see
 :mod:`tests.core.difftrace`):
 
-* vectorized streaming vs **forced-scalar** streaming — the exact
-  contract: every field bit-equal except the Chan-merged moments
+* vectorized engine vs **forced-scalar** engine — the exact contract:
+  every field bit-equal except the Chan-merged moments
   (``avg``/``var``/``sdv``, 1e-9 relative);
-* vectorized streaming vs the **batch** parser
-  (``TempestParser.parse_node``) — the documented streaming-vs-batch
-  tolerances (``assert_stream_matches_batch``);
-* the TL018 cross-validation rule on fault-injected bundles — the
-  lint-level restatement of the same contract must stay green.
+* vectorized engine vs the **post-mortem oracle**
+  (:func:`tests.core.oracle.oracle_profile`) — every field exact except
+  the moments and exclusive time (``assert_stream_matches_batch``);
+* the TL018 comparator on fault-injected bundles — the lint-level
+  restatement of the same contract must stay green.
 
 Clean traces must additionally take zero scalar fallbacks (the fast
 path covering them is the point of the vectorization), and the fallback
-registry must stay in sync with docs/INTERNALS.md.
+registry must stay in sync with docs/INTERNALS.md.  A real NPB run
+closes the loop: the parser on BT class W takes no fallbacks and
+matches the oracle on every node, and the same run pins how far a spool,
+profiled in written order, departs from its time-sorted bundle.
 """
 
 from pathlib import Path
@@ -23,9 +26,20 @@ from pathlib import Path
 import pytest
 
 from repro.check.tracelint import compare_profiles
+from repro.core import TempestSession
+from repro.core import parser as parser_mod
+from repro.core.parser import TempestParser
 from repro.core.profilemodel import RunProfile
-from repro.core.streamprof import FALLBACK_REASONS
+from repro.core.spool import spool_to_bundle
+from repro.core.streamprof import (
+    FALLBACK_REASONS,
+    ProfileAccumulator,
+    stream_spool_profile,
+)
+from repro.simmachine.machine import ClusterConfig, Machine
+from repro.workloads.npb import bt
 from tests.core.difftrace import generate_trace
+from tests.core.oracle import oracle_profile
 from tests.core.test_streamprof import (
     assert_profiles_equivalent,
     assert_stream_matches_batch,
@@ -88,7 +102,7 @@ def test_differential_chunk_sweep_one_seed(chunk):
 
 @pytest.mark.parametrize("seed", [2, 5, 8])
 def test_tl018_green_on_fault_injected_bundles(seed):
-    """The lint-level batch-vs-stream rule agrees with the harness."""
+    """The lint-level TL018 comparator agrees with the harness."""
     trace, symtab = generate_trace(seed, adversarial=True)
     chunk = CHUNK_SIZES[seed % len(CHUNK_SIZES)]
     _, fast = stream(trace, symtab, chunk)
@@ -96,6 +110,67 @@ def test_tl018_green_on_fault_injected_bundles(seed):
     wrap = lambda prof: RunProfile(nodes={prof.node_name: prof},
                                    sampling_hz=4.0, meta={})
     assert compare_profiles(wrap(batch), wrap(fast)) == []
+
+
+@pytest.fixture(scope="module")
+def bt_class_w(tmp_path_factory):
+    """BT class W on 4 ranks, spooled: (collected bundle, spool dir)."""
+    spools = tmp_path_factory.mktemp("bt_w") / "spools"
+    session = TempestSession(Machine(ClusterConfig(n_nodes=4, seed=2007)),
+                             spool_dir=spools)
+    session.run_mpi(
+        lambda ctx: bt.bt_benchmark(ctx, bt.BTConfig(klass="W",
+                                                     iterations=200)), 4)
+    return session.collect(), spools
+
+
+def test_parser_on_bt_class_w_takes_no_fallbacks_and_matches_oracle(
+        bt_class_w, monkeypatch):
+    """BT class W on 4 ranks: every node's tsc column is out of order
+    (tempd's sweeps land ahead of the rank's buffered records) and three
+    nodes start at negative converted times.  The parser still keeps
+    every chunk on the fast path and matches the oracle."""
+    bundle, _ = bt_class_w
+    accs = []
+
+    class Recording(ProfileAccumulator):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            accs.append(self)
+
+    monkeypatch.setattr(parser_mod, "ProfileAccumulator", Recording)
+    parsed = TempestParser(bundle).parse()
+    assert len(accs) == 4
+    assert [acc.fallbacks for acc in accs] == [{}] * 4
+    for name, trace in bundle.nodes.items():
+        arr = trace.columns.array
+        assert (arr["tsc"][1:] < arr["tsc"][:-1]).any(), name
+        assert_stream_matches_batch(
+            parsed.node(name),
+            oracle_profile(trace, bundle.symtab, strict=True))
+
+
+def test_spool_is_profiled_in_written_order(bt_class_w):
+    """Limit, pinned: only a resident node is time-sorted; a spool is
+    profiled in the order it was written.  On BT class W calls and times
+    still agree exactly with the bundle saved from the spool (they are
+    per-process), but a sweep that reached the spool ahead of a rank's
+    buffered records is credited to the stack as it stood on arrival,
+    so sample counts and sensor statistics move.  If this starts to
+    fail, spools are time-ordered: update INTERNALS "Time order" and the
+    `parse` help."""
+    _, spools = bt_class_w
+    spooled = stream_spool_profile(spools)
+    resident = TempestParser(spool_to_bundle(spools)).parse()
+    moved = 0
+    for name in resident.node_names():
+        for fn, want in resident.node(name).functions.items():
+            got = spooled.node(name).function(fn)
+            assert ((got.n_calls, got.total_time_s, got.exclusive_time_s)
+                    == (want.n_calls, want.total_time_s,
+                        want.exclusive_time_s)), (name, fn)
+            moved += got.n_samples != want.n_samples
+    assert moved > 0
 
 
 def test_fallback_reasons_documented():

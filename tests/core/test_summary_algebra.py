@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.stats import compute_sensor_stats
 from repro.core.streamprof import OnlineStats
 from repro.core.summary import SUMMARY_FORMAT, NodeSummary, RunSummary
 from repro.core.trace import NodeTrace, REC_ENTER, REC_EXIT
 from repro.util.errors import TraceError
 
+from tests.core.oracle import compute_sensor_stats
 from tests.core.test_streamprof import (
     make_acc,
     quantized_samples,

