@@ -272,12 +272,12 @@ def test_trace_scale(benchmark, results_dir):
 BENCH_STREAMING_JSON = REPO_ROOT / "BENCH_streaming.json"
 
 
-def _make_accumulator(symtab, vectorized=True):
+def _make_accumulator(symtab):
     from repro.core.streamprof import ProfileAccumulator
 
     return ProfileAccumulator(
         "bench", symtab, _seconds, ["S0", "S1"],
-        sampling_hz=4.0, strict=False, vectorized=vectorized,
+        sampling_hz=4.0, strict=False,
     )
 
 
@@ -307,11 +307,10 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
     The trace goes to a spool file first (all parses read the same
     bytes).  Wall times are taken in a tracemalloc-free phase — the
     tracer adds per-allocation overhead that would distort the speed
-    ratio — covering three runs of the profile engine: vectorized over
-    spool chunks (the "after"), forced-scalar over spool chunks (the
-    "before" the segment reduction replaced), and ``TempestParser`` over
-    the whole trace loaded resident (the "batch" yardstick of the speed
-    gate).  Peaks are then measured with
+    ratio — covering two runs of the profile engine: over spool chunks
+    (the streaming side), and ``TempestParser`` over the whole trace
+    loaded resident (the "batch" yardstick of the speed gate).  Peaks
+    are then measured with
     tracemalloc (numpy registers its allocations), reset per phase —
     ru_maxrss is process-monotonic and cannot measure the second phase.
     Streaming runs first so the batch phase's garbage cannot inflate its
@@ -334,8 +333,8 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
             spool.write_array(arr)
         return symtab
 
-    def stream_once(vectorized, path, symtab):
-        acc = _make_accumulator(symtab, vectorized=vectorized)
+    def stream_once(path, symtab):
+        acc = _make_accumulator(symtab)
         for chunk in iter_spool_chunks(path,
                                        chunk_records=STREAM_CHUNK_RECORDS):
             acc.consume(chunk)
@@ -357,13 +356,10 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
     try:
         # -- timing phase: no tracemalloc, GC quiesced between runs
         gc.collect()
-        stream_s, stream_prof = _timed(stream_once, True, spool_path,
+        stream_s, stream_prof = _timed(stream_once, spool_path,
                                        spool_symtab)
         gc.collect()
         batch_s, batch_prof = _timed(batch_once)
-        gc.collect()
-        scalar_s, scalar_prof = _timed(stream_once, False, spool_path,
-                                       spool_symtab)
         gc.collect()
 
         # -- memory phase: same runs again under the allocation tracer
@@ -371,7 +367,7 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
         try:
             gc.collect()
             tracemalloc.reset_peak()
-            stream_once(True, spool_path, spool_symtab)
+            stream_once(spool_path, spool_symtab)
             _, stream_peak = tracemalloc.get_traced_memory()
             gc.collect()
             tracemalloc.reset_peak()
@@ -384,7 +380,7 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
         gc.collect()
         tracemalloc.start()
         try:
-            stream_once(True, ref_path, ref_symtab)
+            stream_once(ref_path, ref_symtab)
             _, ref_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -393,7 +389,6 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
         ref_path.unlink(missing_ok=True)
 
     _assert_profiles_match(stream_prof, batch_prof)
-    _assert_profiles_match(scalar_prof, batch_prof)
 
     return {
         "n_records": n_records,
@@ -401,34 +396,30 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
         "chunk_records": STREAM_CHUNK_RECORDS,
         "streaming": {"parse_s": stream_s, "peak_bytes": stream_peak},
         "streaming_ref": {"n_records": n_ref, "peak_bytes": ref_peak},
-        "streaming_scalar": {"parse_s": scalar_s},
         "batch": {"parse_s": batch_s, "peak_bytes": batch_peak},
         "peak_ratio": stream_peak / batch_peak if batch_peak else 0.0,
         "peak_growth": stream_peak / ref_peak if ref_peak else 0.0,
         "speed_ratio": stream_s / batch_s if batch_s else 0.0,
-        "scalar_speed_ratio": scalar_s / batch_s if batch_s else 0.0,
         "n_functions": len(batch_prof.functions),
     }
 
 
 def render_streaming_table(result: dict) -> str:
     s, b = result["streaming"], result["batch"]
-    sc, ref = result["streaming_scalar"], result["streaming_ref"]
+    ref = result["streaming_ref"]
     return "\n".join([
         f"Streaming engine @ {result['n_records']:,} records "
         f"(seed {result['seed']}, chunks of {result['chunk_records']:,})",
         f"{'path':<14}{'parse':>10}{'peak mem':>14}",
         "-" * 38,
         f"{'batch':<14}{b['parse_s']:>9.3f}s{b['peak_bytes'] / 1e6:>12.1f}MB",
-        f"{'scalar strm':<14}{sc['parse_s']:>9.3f}s{'—':>14}",
-        f"{'vector strm':<14}{s['parse_s']:>9.3f}s"
+        f"{'streaming':<14}{s['parse_s']:>9.3f}s"
         f"{s['peak_bytes'] / 1e6:>12.1f}MB",
         f"peak ratio:  {result['peak_ratio']:.1%} of batch",
         f"peak growth: {result['peak_growth']:.2f}x the "
         f"{ref['n_records']:,}-record stream's "
         f"{ref['peak_bytes'] / 1e6:.1f}MB (gate: <= 1.1x)",
-        f"speed ratio: {result['speed_ratio']:.2f}x batch (gate: <= 1.2x; "
-        f"scalar was {result['scalar_speed_ratio']:.2f}x)",
+        f"speed ratio: {result['speed_ratio']:.2f}x batch (gate: <= 1.2x)",
     ])
 
 
@@ -469,13 +460,12 @@ def test_streaming_memory_gate(benchmark, results_dir):
 
 
 def test_streaming_speed_gate(results_dir):
-    # The vectorized segment reduction's gate: constant-memory streaming
-    # may cost at most 20% wall time over the fully-resident batch
-    # pipeline on the same ~1M-record spool.  (The scalar replay it
-    # replaced is reported alongside in BENCH_streaming.json.)
+    # The segment reduction's gate: constant-memory streaming may cost
+    # at most 20% wall time over the fully-resident batch pipeline on
+    # the same ~1M-record spool.
     result = _streaming_result()
     assert result["speed_ratio"] <= 1.2, (
-        f"vectorized streaming is {result['speed_ratio']:.2f}x batch; "
+        f"streaming is {result['speed_ratio']:.2f}x batch; "
         "expected <= 1.2x"
     )
 

@@ -921,17 +921,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parse a saved trace bundle or spool directory")
     p.add_argument("bundle", type=Path,
                    help="a trace bundle (meta.json) or a spool directory "
-                        "(header.json), told apart by inspection; a spool "
-                        "is profiled in written order, not time order, so "
-                        "its sensor statistics can differ from those of "
-                        "the bundle saved from it (calls and times "
-                        "cannot)")
+                        "(header.json), told apart by inspection; each "
+                        "spool chunk is put in time order, so a spool "
+                        "profiles like the bundle saved from it unless a "
+                        "record arrives more than one chunk late")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--chunk-records", type=int, default=None,
                    help="spools only: records per streaming chunk "
                         "(default: the streaming read size, 32768 — the "
-                        "vectorized engine amortizes per-chunk cost over "
-                        "big chunks)")
+                        "engine amortizes per-chunk cost over big "
+                        "chunks)")
     p.add_argument("--hcct-budget", type=int, default=None, metavar="N",
                    help="spools only: also build hot calling-context "
                         "trees, at most N tracked contexts per node "

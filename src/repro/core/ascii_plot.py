@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.profilemodel import NodeProfile, RunProfile
-from repro.core.streamprof import ProfileAccumulator, time_ordered
+from repro.core.streamprof import ProfileAccumulator, in_time_order
 from repro.core.symtab import SymbolTable
 from repro.core.trace import NodeTrace, TraceBundle
 from repro.util.units import c_to_f
@@ -76,7 +76,7 @@ def _function_band(trace: NodeTrace, symtab: SymbolTable, width: int,
     """
     acc = ProfileAccumulator(trace.node_name, symtab, trace.seconds,
                              trace.sensor_names)
-    arr = time_ordered(trace.columns.array)
+    arr = in_time_order(trace.columns.array)
     # Running max so a leniently clamped record cannot unsort the cuts.
     times = np.maximum.accumulate(
         np.asarray(trace.seconds(arr["tsc"]), dtype=np.float64))

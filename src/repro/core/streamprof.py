@@ -16,40 +16,36 @@ Every chunk is folded into constant-size state the moment it arrives:
 - Welford mean/variance (bulk Chan merges for whole chunks), running
   min/max, and an exact quantized-bin counter that yields both ``Med``
   and ``Mod`` per (function, sensor) pair (:class:`OnlineStats`);
-- an incremental replay of the ENTER/EXIT stream, including lenient
-  repair: mismatched EXITs unwind, timestamp regressions clamp, open
-  frames close at the last event time;
+- per-process frame stacks carried from chunk to chunk, so exclusive
+  time, calls and caller arcs reduce over each chunk's ENTER/EXIT
+  frames with the matched-frame trick (:func:`frame_depths`);
 - inclusive time as an *online union*: a global per-function
-  activation counter opens a union span on the 0→1 transition and
-  closes it on 1→0, with a one-span ``pending`` buffer so touching
-  spans merge into one;
-- sample attribution at arrival time: a TEMP record is credited to
-  every function currently on some stack, to functions whose union
-  span closed at exactly the sample's timestamp, and (retroactively,
-  via a one-sweep cache) to functions entered at exactly the sample's
-  timestamp — the closed-interval ``start <= t <= end`` attribution of
-  the paper's post-mortem parser, on time-ordered streams.
+  activation count opens a union span on 0→1 and closes it on 1→0,
+  with one pending span per function so touching spans merge;
+- sample attribution by closed-interval containment (``start <= t <=
+  end``) in those spans — the attribution of the paper's post-mortem
+  parser.
 
-Well-formed chunks take a **vectorized fast path** (chunked numpy
-segment reduction — see :meth:`ProfileAccumulator.consume`); any chunk
-it cannot prove well-formed replays record-at-a-time through the scalar
-engine above, so lenient repair and strict errors are exactly the
-record-order ones.  :data:`FALLBACK_REASONS` enumerates the conditions
-(documented in ``docs/INTERNALS.md``).
+Each chunk goes through one engine in two steps (see
+:meth:`ProfileAccumulator.consume`).  A short **pre-pass** puts the
+chunk in time order — a function record's time is its process's clock,
+the running maximum of its timestamps (the lenient clamp), a sample's
+time its own — and, only when a process's frames do not pair up,
+rewrites the chunk with the lenient repairs (:data:`REPAIR_REASONS`).
+The vectorized **reduction** then folds it without a per-record loop.
 
 Equivalence contract (pinned by ``tests/core/test_streamprof.py`` and
 ``tests/core/test_streamprof_differential.py`` against the post-mortem
-oracle in ``tests/core/oracle.py``): on a record stream whose converted
-timestamps are globally non-decreasing, the engine is chunking-invariant
-for every exact field — inclusive/exclusive times, call counts, arcs,
-span, ``n``/``min``/``max``/``mod``/``med`` are bit-identical for chunk
-sizes 1, 7, 4096 and whole-run, and match the oracle exactly.
-``avg``/``var``/``sdv`` are chunk-size-dependent only in their rounding:
-the fast path folds each chunk's samples with one Chan/Welford merge, so
-moments agree with the scalar engine and with the oracle within relative
-~1e-12 (the suite asserts 1e-9).  Real nodes are only time-ordered per
-process, so resident traces go through :func:`feed_node`, which puts
-them in time order first.
+oracle in ``tests/core/oracle.py``): unless a chunk holds *late
+records* — records below the time another, earlier chunk already
+reached — the profile is chunking-invariant and equals the oracle's on
+the time-sorted trace for every exact field (inclusive/exclusive times,
+call counts, arcs, span, ``n``/``min``/``max``/``mod``/``med``), and
+``avg``/``var``/``sdv`` within rounding (each chunk's samples fold with
+one Chan/Welford merge; ~1e-12 relative, the suite asserts 1e-9).  Late
+records are folded at their own time: calls, exclusive time and arcs
+are per-process and stay exact; union spans and attribution can differ,
+because a span already retired cannot reopen.
 
 One limit of lenient repair: the online union keeps O(functions) state
 — an open span plus an activation count per function — so it cannot
@@ -65,7 +61,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import logging
 
@@ -78,9 +74,9 @@ from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP
 from repro.util.errors import TraceError
 
 __all__ = [
-    "FALLBACK_REASONS",
     "OnlineStats",
     "ProfileAccumulator",
+    "REPAIR_REASONS",
     "StreamingRunProfiler",
     "stream_bundle_profile",
     "stream_spool_profile",
@@ -345,36 +341,33 @@ def _coverage(total_time_s: float, n_hits: int, sampling_hz: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Vectorized fast-path fallback conditions
+# The pre-pass: time order and lenient repairs
 
-#: Conditions under which a chunk is routed to the scalar replay path
-#: instead of the vectorized segment reduction.  Keys are the counter
-#: names in :attr:`ProfileAccumulator.fallbacks`; the prose lives in
-#: docs/INTERNALS.md ("Vectorized segment reduction"), drift-tested by
+#: What the pre-pass can find in a chunk and repair before the reduction
+#: folds it.  Keys are the counter names in
+#: :attr:`ProfileAccumulator.fallbacks` (each counts chunks); the prose
+#: lives in docs/INTERNALS.md ("Repairs"), drift-tested by
 #: tests/core/test_streamprof_differential.py.
-FALLBACK_REASONS = {
-    "non-monotone-chunk":
-        "timestamps inside the chunk decrease (cross-core TSC skew, "
-        "corruption, or clamp-needing regressions)",
+REPAIR_REASONS = {
     "time-regression":
-        "the chunk starts before the accumulator's high-water mark, so "
-        "touching-span merges could reach back in time",
+        "a function record is earlier than its process's clock (cross-core "
+        "TSC skew or corruption); it takes the clock's time",
     "unbalanced-frames":
         "an EXIT has no open frame at its depth (empty-stack EXIT or "
-        "record loss) — lenient drop/unwind territory",
+        "record loss): it is dropped, or the stack unwinds",
     "frame-mismatch":
-        "a paired ENTER/EXIT resolve to different functions — lenient "
-        "unwind territory",
-    "sensor-range":
-        "a TEMP record names an undeclared sensor index; the scalar "
-        "replay raises at the exact offending record",
+        "a paired ENTER/EXIT resolve to different functions: EXITs for "
+        "the crossed frames are inserted at the same time",
+    "late-records":
+        "a record is earlier than an earlier chunk reached; it is folded "
+        "at its own time, so union spans and attribution may differ from "
+        "the whole-stream result",
 }
 
-_FB_NON_MONOTONE = "non-monotone-chunk"
-_FB_REGRESSION = "time-regression"
-_FB_UNBALANCED = "unbalanced-frames"
-_FB_MISMATCH = "frame-mismatch"
-_FB_SENSOR = "sensor-range"
+_R_REGRESSION = "time-regression"
+_R_UNBALANCED = "unbalanced-frames"
+_R_MISMATCH = "frame-mismatch"
+_R_LATE = "late-records"
 
 _INITIAL_FIDS = 64
 
@@ -395,6 +388,43 @@ def frame_depths(is_enter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return depth_after, frame_depth
 
 
+def _monotone(a: np.ndarray) -> bool:
+    return len(a) < 2 or bool(np.all(a[1:] >= a[:-1]))
+
+
+def process_clock(key: np.ndarray, pids: np.ndarray,
+                  seed: Optional[dict] = None) -> np.ndarray:
+    """Each function record's time under the lenient clamp.
+
+    A node's trace is only time-ordered per process, and within one
+    process a timestamp that regresses (cross-core TSC skew, corruption)
+    takes its process's clock instead: the running maximum of the
+    process's keys so far, starting from ``seed[pid]`` (the clock
+    carried over from earlier records).  *key* is any time column —
+    TSC ticks or seconds.  Returns *key* itself when nothing is clamped.
+    :func:`feed_node` applies this rule to a whole resident node,
+    :meth:`ProfileAccumulator.consume` to each chunk.
+    """
+    out = key
+    if not len(key):
+        return out
+    # Every pid heads at least one run; writing in bursts keeps runs few.
+    heads = np.flatnonzero(pids[1:] != pids[:-1]) + 1
+    for pid in np.unique(pids[np.append(0, heads)]).tolist():
+        sel = np.flatnonzero(pids == pid)
+        own = key[sel]
+        floor = seed.get(pid) if seed else None
+        if (floor is None or own[0] >= floor) and _monotone(own):
+            continue
+        run = np.maximum.accumulate(own)
+        if floor is not None:
+            run = np.maximum(run, floor)
+        if out is key:
+            out = key.copy()
+        out[sel] = run
+    return out
+
+
 # ----------------------------------------------------------------------
 # The accumulator
 
@@ -409,25 +439,23 @@ class ProfileAccumulator:
     time) and returns the final profile.
 
     The state is O(functions × sensors) regardless of how many records
-    flow through.  Each chunk takes one of two engines:
+    flow through.  Each chunk runs through one engine:
 
-    * the **vectorized segment reduction** (default) — ENTER/EXIT frames
-      are matched per chunk with the matched-frame trick
+    * the **pre-pass** (:meth:`_time_order`, :meth:`_repair`) puts the
+      chunk's profile records in time order and, only when a process's
+      frames fail the matched-frame check, rewrites them with the
+      lenient repairs (strict mode raises there instead); it never
+      writes to the caller's array;
+    * the **segment reduction** (:meth:`_reduce`) — ENTER/EXIT frames
+      are matched per process with the matched-frame trick
       (:func:`frame_depths`, over the carry-over stack threaded in as a
-      virtual ENTER prefix), exclusive time reduces
-      with one ``np.add.at`` over stream-ordered top-of-stack segments,
-      inclusive time reduces per function from a segmented cumulative
-      sum of activation counts (union spans merge by equality of
-      endpoints, exactly like the scalar pending-span buffer), and
-      samples are attributed by closed-interval span containment and
-      pushed per (function, sensor) group with one
+      virtual ENTER prefix), exclusive time reduces with one
+      ``np.add.at`` over time-ordered top-of-stack segments, inclusive
+      time reduces per function from a segmented cumulative sum of
+      activation counts (union spans merge when their endpoints
+      touch), and samples are attributed by closed-interval span
+      containment and pushed per (function, sensor) group with one
       :meth:`OnlineStats.push_many` each.
-    * the **scalar replay** — the record-at-a-time engine; any chunk the
-      fast path cannot prove well-formed (see :data:`FALLBACK_REASONS`)
-      is replayed through it untouched, so lenient repair and strict
-      errors are bit-faithful to the historical behaviour.  Carry-over
-      stacks, pending union spans and the retro-attribution cache thread
-      through both engines, so the two interleave freely chunk-by-chunk.
     """
 
     def __init__(
@@ -440,7 +468,6 @@ class ProfileAccumulator:
         sampling_hz: float = 4.0,
         strict: bool = False,
         min_samples_for_stats: int = 1,
-        vectorized: bool = True,
         hcct_budget: Optional[int] = None,
     ):
         self.node_name = node_name
@@ -456,13 +483,8 @@ class ProfileAccumulator:
         #: space-saving eviction, ``0`` keeps the exact unbounded CCT
         #: (testing/benchmark reference).
         self.hcct_budget = hcct_budget
-        #: route well-formed chunks through the numpy segment reduction;
-        #: ``False`` forces the scalar replay for every chunk (the
-        #: reference engine, used by the differential suite and the
-        #: before/after benchmark)
-        self.vectorized = vectorized
-        #: per-reason counts of chunks that fell back to the scalar
-        #: replay (keys are :data:`FALLBACK_REASONS` entries)
+        #: per-reason counts of chunks the pre-pass repaired (keys are
+        #: :data:`REPAIR_REASONS` entries)
         self.fallbacks: dict[str, int] = {}
         self.n_records = 0
         self._finalized = False
@@ -478,17 +500,15 @@ class ProfileAccumulator:
         self._calls_arr = np.zeros(cap, dtype=np.int64)
         self._active_arr = np.zeros(cap, dtype=np.int64)
         self._open_start_arr = np.zeros(cap)
-        self._floor_arr = np.zeros(cap)
-        self._floor_mask = np.zeros(cap, dtype=bool)
-        # max close time since the current union span opened: the span
-        # must end at the latest constituent close, which a count-only
-        # union would miss when lenient end-of-trace closes arrive out of
-        # time order
+        # the latest time the open union span is known to reach (a
+        # nested close, or the end of a run it resumed): a count-only
+        # union would end it early on a late or end-of-trace close
         self._maxclose_arr = np.full(cap, -math.inf)
         self._pend_start = np.zeros(cap)
         self._pend_end = np.zeros(cap)
         self._pend_mask = np.zeros(cap, dtype=bool)
-        # -- per-process replay state (the incremental stack machine)
+        # -- per-process state carried from chunk to chunk: open frames
+        #    and the clock (latest function-record time)
         self._stacks: dict[int, list[tuple[int, float]]] = {}
         self._last_time: dict[int, float] = {}
         self._now = -math.inf                # latest time seen in any record
@@ -504,8 +524,6 @@ class ProfileAccumulator:
         # samples sharing the latest sample timestamp (retro attribution)
         self._recent: tuple[Optional[float], list[tuple[int, int, float]]] = \
             (None, [])
-        # union spans that closed at the latest close timestamp
-        self._closed_at: tuple[Optional[float], set[int]] = (None, set())
         # -- node-level per-sensor aggregates (snapshot sensor_summary)
         self._summary = [OnlineStats() for _ in self.sensor_names]
         # -- hot calling-context tree (optional; repro.core.cct)
@@ -530,9 +548,8 @@ class ProfileAccumulator:
         while cap < need:
             cap *= 2
         for attr in ("_excl", "_incl", "_incl_touched", "_calls_arr",
-                     "_active_arr", "_open_start_arr", "_floor_arr",
-                     "_floor_mask", "_pend_start", "_pend_end",
-                     "_pend_mask", "_maxclose_arr"):
+                     "_active_arr", "_open_start_arr", "_pend_start",
+                     "_pend_end", "_pend_mask", "_maxclose_arr"):
             old = getattr(self, attr)
             fill = -math.inf if attr == "_maxclose_arr" else 0
             new = np.full(cap, fill, dtype=old.dtype)
@@ -557,7 +574,14 @@ class ProfileAccumulator:
     # Ingest
 
     def consume(self, arr: np.ndarray) -> None:
-        """Fold one columnar record chunk (any size, stream order)."""
+        """Fold one columnar record chunk (any size, stream order).
+
+        The pre-pass puts the chunk's profile records in time order and
+        repairs them if their frames do not pair up; the reduction folds
+        the result.  Each repair it took counts once in
+        :attr:`fallbacks`.  Nothing is committed before an error is
+        raised, and *arr* is never written to.
+        """
         if self._finalized:
             raise TraceError(
                 f"{self.node_name}: accumulator already finalized"
@@ -572,28 +596,31 @@ class ProfileAccumulator:
         if not len(arr):
             return
         self.n_records += len(arr)
-        self._consume_stream(arr)
+        chunk, repairs = self._time_order(arr)
+        if chunk is not None:
+            t_hi = float(chunk[2][-1])
+            late = _R_LATE in repairs
+            reason = self._reduce(*chunk, late=late)
+            if reason is not None:
+                repairs.append(reason)
+                chunk, clocks = self._repair(*chunk)
+                if self._reduce(*chunk, late=late) is not None:
+                    raise AssertionError(
+                        f"{self.node_name}: repaired chunk still fails "
+                        "the matched-frame check")
+                # A dropped EXIT still advanced its process's clock.
+                self._last_time.update(clocks)
+            self._now = max(self._now, t_hi)
+        for reason in repairs:
+            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
         if self._tree is not None:
             # Chunk-boundary space-saving prune: contexts still open on
             # some stack are pinned (their slots are live credit
-            # targets); both engines reach identical tree state here, so
-            # eviction decisions — and therefore the whole tree — stay
-            # engine-independent even under budget pressure.
+            # targets), so eviction decisions depend only on where the
+            # chunk boundaries fall.
             self._tree.end_chunk(pinned={
                 cid for st in self._ctx_stacks.values() for cid in st
             })
-
-    def consume_samples(self, t: float,
-                        samples: Iterable[tuple[int, float]]) -> None:
-        """Fold one tempd sweep — ``(sensor_index, degC)`` pairs taken at
-        time *t* — without routing it through trace records.
-
-        The direct hookup for live monitors sitting next to the daemon;
-        equivalent to consuming the sweep's TEMP records at stream
-        position *t*.
-        """
-        for sidx, value in samples:
-            self._on_sample(int(sidx), float(t), float(value))
 
     def _times_of(self, tsc: np.ndarray) -> np.ndarray:
         """Vectorized TSC→seconds, matching ``seconds_fn`` per record exactly."""
@@ -609,237 +636,127 @@ class ProfileAccumulator:
                              dtype=np.float64)
         return times
 
-    def _consume_stream(self, arr: np.ndarray) -> None:
-        if self.vectorized:
-            reason = self._consume_vectorized(arr)
-            if reason is None:
-                return
-            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
-        self._consume_stream_scalar(arr)
-
     # ------------------------------------------------------------------
-    # Scalar replay (the semantic reference; repairs + precise errors)
+    # The pre-pass
 
-    def _consume_stream_scalar(self, arr: np.ndarray) -> None:
-        kinds = arr["kind"].tolist()
-        addrs = arr["addr"].tolist()
-        times = self._times_of(arr["tsc"]).tolist()
-        pids = arr["pid"].tolist()
-        values = arr["value"].tolist()
-        addr_fid = self._addr_fid
-        fid_for_addr = self._fid_for_addr
-        on_enter, on_exit, on_sample = \
-            self._on_enter, self._on_exit, self._on_sample
-        for kind, addr, t, pid, value in zip(kinds, addrs, times, pids,
-                                             values):
-            if kind == REC_TEMP:
-                on_sample(addr, t, value)
-                continue
-            if kind != REC_ENTER and kind != REC_EXIT:
-                continue
-            fid = addr_fid.get(addr)
-            if fid is None:
-                fid = fid_for_addr(addr)
-            if kind == REC_ENTER:
-                on_enter(fid, t, pid)
-            else:
-                on_exit(fid, t, pid)
+    def _time_order(self, arr: np.ndarray):
+        """The chunk's profile records as columns in time order.
 
-    # -- function events (the incremental stack replay) --
-
-    def _clamp(self, t: float, pid: int) -> float:
-        prev = self._last_time.get(pid)
-        if prev is not None and t < prev - 1e-12:
-            if self.strict:
-                raise TraceError(
-                    f"pid {pid}: timestamps regressed ({t} after {prev}); "
-                    "was the process bound to one core?"
-                )
-            t = prev  # lenient: clamp to restore monotonicity
-        self._last_time[pid] = t
-        if t > self._now:
-            self._now = t
-        return t
-
-    def _credit_top(self, pid: int, until: float) -> None:
-        cur = self._top_since.get(pid)
-        if cur is not None:
-            fid, since = cur
-            if until > since:
-                dt = until - since
-                self._excl[fid] += dt
-                if self._tree is not None:
-                    # The context stack mirrors the frame stack, so the
-                    # top context is the top frame's calling context.
-                    cstack = self._ctx_stacks.get(pid)
-                    if cstack:
-                        self._tree.add_excl(cstack[-1], dt)
-
-    def _on_enter(self, fid: int, t: float, pid: int) -> None:
-        stack = self._stacks.get(pid)
-        if stack is None:
-            stack = self._stacks[pid] = []
-        t = self._clamp(t, pid)
-        self._credit_top(pid, t)
-        caller = stack[-1][0] if stack else -1
-        arcs = self._arcs
-        arcs[(caller, fid)] = arcs.get((caller, fid), 0) + 1
-        stack.append((fid, t))
-        if self._tree is not None:
-            cstack = self._ctx_stacks.get(pid)
-            if cstack is None:
-                cstack = self._ctx_stacks[pid] = []
-            cid = self._tree.intern(cstack[-1] if cstack else 0,
-                                    self._fnames[fid])
-            self._tree.record_call(cid)
-            cstack.append(cid)
-        self._top_since[pid] = (fid, t)
-        self._calls_arr[fid] += 1
-        if t < self._span_lo:
-            self._span_lo = t
-        self._union_open(fid, t)
-
-    def _on_exit(self, fid: int, t: float, pid: int) -> None:
-        stack = self._stacks.get(pid)
-        if stack is None:
-            stack = self._stacks[pid] = []
-        t = self._clamp(t, pid)
-        if not stack:
-            if self.strict:
-                raise TraceError(
-                    f"pid {pid}: EXIT {self._fnames[fid]!r} with empty stack"
-                )
-            return
-        if stack[-1][0] != fid:
-            if self.strict:
-                raise TraceError(
-                    f"pid {pid}: EXIT {self._fnames[fid]!r} but top of "
-                    f"stack is {self._fnames[stack[-1][0]]!r}"
-                )
-            # Lenient: close the current top-of-stack segment at this
-            # timestamp *before* unwinding (the crossed frames are about
-            # to be popped).
-            self._credit_top(pid, t)
-            cstack = self._ctx_stacks.get(pid)
-            while stack and stack[-1][0] != fid:
-                crossed, _t0 = stack.pop()
-                if cstack:
-                    cstack.pop()
-                self._union_close(crossed, t)
-            if not stack:
-                # The EXIT matched nothing: every frame unwound.
-                self._top_since.pop(pid, None)
-                return
-            self._top_since[pid] = (stack[-1][0], t)
-        self._credit_top(pid, t)
-        stack.pop()
-        cstack = self._ctx_stacks.get(pid)
-        if cstack:
-            cstack.pop()
-        self._union_close(fid, t)
-        if stack:
-            self._top_since[pid] = (stack[-1][0], t)
-        else:
-            self._top_since.pop(pid, None)
-
-    # -- online inclusive-time union -----------------------------------
-
-    def _union_open(self, fid: int, t: float) -> None:
-        count = self._active_arr[fid]
-        if count:
-            self._active_arr[fid] = count + 1
-            return
-        self._active_arr[fid] = 1
-        if self._pend_mask[fid]:
-            self._pend_mask[fid] = False
-            start = float(self._pend_start[fid])
-            end = float(self._pend_end[fid])
-            if t <= end:
-                # Touching (or time-disordered) reopen: resume the merged
-                # span — same semantics as an interval span merge.
-                self._open_start_arr[fid] = start
-                self._floor_arr[fid] = end
-                self._floor_mask[fid] = True
-            else:
-                self._incl[fid] += end - start
-                self._incl_touched[fid] = True
-                self._open_start_arr[fid] = t
-        else:
-            self._open_start_arr[fid] = t
-        # Retroactive attribution: samples that arrived at exactly this
-        # timestamp belong to the span that starts here (attribution is
-        # closed-interval on both ends).
-        rt, rsamples = self._recent
-        if rt == t:
-            for seq, sidx, value in rsamples:
-                self._attribute(fid, sidx, value, seq)
-
-    def _union_close(self, fid: int, t: float) -> None:
-        if t > self._span_hi:
-            self._span_hi = t
-        if t > self._maxclose_arr[fid]:
-            self._maxclose_arr[fid] = t
-        count = self._active_arr[fid] - 1
-        if count > 0:
-            self._active_arr[fid] = count
-            return
-        self._active_arr[fid] = 0
-        start = float(self._open_start_arr[fid])
-        # The merged span ends at the latest of: this close, any earlier
-        # close while the span was open (lenient finalize can deliver
-        # them out of order across processes), and the resume floor.
-        end = float(self._maxclose_arr[fid])
-        self._maxclose_arr[fid] = -math.inf
-        if self._floor_mask[fid]:
-            self._floor_mask[fid] = False
-            floor = float(self._floor_arr[fid])
-            if floor > end:
-                end = floor
-        self._pend_start[fid] = start
-        self._pend_end[fid] = end
-        self._pend_mask[fid] = True
-        ct, cset = self._closed_at
-        if ct == end:
-            cset.add(fid)
-        else:
-            self._closed_at = (end, {fid})
-
-    # -- sample attribution --------------------------------------------
-
-    def _on_sample(self, sidx: int, t: float, value: float) -> None:
-        if sidx >= len(self.sensor_names) or sidx < 0:
+        Returns ``((kind, code, t, pid, value), repairs)`` — ``code`` is
+        the function id of an ENTER/EXIT and the sensor index of a TEMP
+        record, ``t`` the time the record is folded at — or ``(None,
+        [])`` when the chunk holds no profile records.  A chunk already
+        in order that starts at or after everything seen so far costs
+        one monotonicity check; otherwise each function record takes
+        its process's clock (:func:`process_clock`), and the records
+        are stable-sorted by time.
+        """
+        kinds = arr["kind"]
+        keep = (kinds == REC_ENTER) | (kinds == REC_EXIT) | (kinds == REC_TEMP)
+        if not keep.any():
+            return None, []
+        if not keep.all():
+            # np.take: fancy indexing is far slower on the packed dtype.
+            arr = np.take(arr, np.flatnonzero(keep))
+        kind, addr, pid, value = (
+            arr["kind"], arr["addr"], arr["pid"], arr["value"])
+        is_f = kind != REC_TEMP
+        n_sensors = len(self.sensor_names)
+        sidx = addr[~is_f]
+        bad = sidx[(sidx < 0) | (sidx >= n_sensors)]
+        if len(bad):
             raise TraceError(
                 f"{self.node_name}: TEMP record for sensor index "
-                f"{sidx} but only {len(self.sensor_names)} sensors "
-                "declared"
+                f"{int(bad[0])} but only {n_sensors} sensors declared"
             )
-        self._seq += 1
-        seq = self._seq
-        if t > self._now:
-            self._now = t
-        self._summary[sidx].push(value)
-        rt, rsamples = self._recent
-        if rt == t:
-            rsamples.append((seq, sidx, value))
-        else:
-            self._recent = (t, [(seq, sidx, value)])
-        for fid in np.nonzero(self._active_arr)[0].tolist():
-            self._attribute(fid, sidx, value, seq)
-        ct, cset = self._closed_at
-        if ct == t:
-            for fid in cset:
-                self._attribute(fid, sidx, value, seq)
-        if self._tree is not None:
-            # Context attribution is point-in-time: the sample lands on
-            # every process's *current* top-of-stack context, once per
-            # distinct context (the flat engine's closed-interval and
-            # retro rules stay flat-only — a context is narrower than a
-            # function, so its sample set is the exact moments it was on
-            # top).
-            tree = self._tree
-            for cid in sorted({st[-1]
-                               for st in self._ctx_stacks.values() if st}):
-                tree.push_sample(cid, sidx, value)
+        code = addr.astype(np.int64)
+        if is_f.any():
+            uniq, inverse = np.unique(addr[is_f], return_inverse=True)
+            code[is_f] = np.fromiter(
+                (self._fid_for_addr(int(a)) for a in uniq),
+                dtype=np.int64, count=len(uniq),
+            )[inverse]
+        t = self._times_of(arr["tsc"])
+        repairs: list[str] = []
+        if _monotone(t) and float(t[0]) >= self._now:
+            return (kind, code, t, pid, value), repairs
+        f_t = t[is_f]
+        f_pid = pid[is_f]
+        clock = process_clock(f_t, f_pid, self._last_time)
+        if clock is not f_t:
+            bad = np.flatnonzero(f_t < clock - 1e-12)
+            if self.strict and len(bad):
+                i = int(bad[0])
+                raise TraceError(
+                    f"pid {int(f_pid[i])}: timestamps regressed "
+                    f"({float(f_t[i])} after {float(clock[i])}); "
+                    "was the process bound to one core?"
+                )
+            t = t.copy()
+            t[is_f] = clock
+            repairs.append(_R_REGRESSION)
+        if float(t.min()) < self._now:
+            repairs.append(_R_LATE)
+        if not _monotone(t):
+            order = np.argsort(t, kind="stable")
+            kind, code, t, pid, value = (
+                kind[order], code[order], t[order], pid[order], value[order])
+        return (kind, code, t, pid, value), repairs
+
+    def _repair(self, kind, code, t, pid, value):
+        """Rewrite a chunk whose frames do not pair up (the oracle's rules).
+
+        Walks the function records with each process's carried stack:
+        an EXIT on an empty stack is dropped; a crossed EXIT gets an
+        EXIT at its time inserted for each frame above its match; an
+        EXIT that matches nothing is dropped after EXITs unwinding the
+        whole stack.  Strict mode raises at the first such EXIT instead.
+        Returns the rewritten columns and each walked process's clock
+        (a dropped EXIT still advances it).
+        """
+        n = len(kind)
+        stacks: dict[int, list[int]] = {}
+        clocks: dict[int, float] = {}
+        rows: list[int] = []        # the output, as row indices
+        extra: list[tuple] = []     # inserted EXITs, rows n, n + 1, ...
+        fnames = self._fnames
+        for pos, k, fid, ti, p in zip(range(n), kind.tolist(), code.tolist(),
+                                      t.tolist(), pid.tolist()):
+            if k == REC_TEMP:
+                rows.append(pos)
+                continue
+            clocks[p] = ti
+            stack = stacks.get(p)
+            if stack is None:
+                stack = stacks[p] = [f for f, _ in self._stacks.get(p, ())]
+            if k == REC_ENTER:
+                stack.append(fid)
+            elif stack and stack[-1] == fid:
+                stack.pop()
+            elif not stack:
+                if self.strict:
+                    raise TraceError(
+                        f"pid {p}: EXIT {fnames[fid]!r} with empty stack")
+                continue
+            else:
+                if self.strict:
+                    raise TraceError(
+                        f"pid {p}: EXIT {fnames[fid]!r} but top of stack "
+                        f"is {fnames[stack[-1]]!r}"
+                    )
+                matched = fid in stack
+                while stack and stack[-1] != fid:
+                    rows.append(n + len(extra))
+                    extra.append((REC_EXIT, stack.pop(), ti, p, 0.0))
+                if not matched:
+                    continue
+                stack.pop()
+            rows.append(pos)
+        cols = (kind, code, t, pid, value)
+        if extra:
+            cols = tuple(np.concatenate((c, new))
+                         for c, new in zip(cols, zip(*extra)))
+        return tuple(c[rows] for c in cols), clocks
 
     def _attribute(self, fid: int, sidx: int, value: float,
                    seq: int) -> None:
@@ -854,35 +771,23 @@ class ProfileAccumulator:
         st.push(value)
 
     # ------------------------------------------------------------------
-    # Vectorized fast path: chunked numpy segment reduction
+    # The reduction: chunked numpy segment reduction
 
-    def _consume_vectorized(self, arr: np.ndarray) -> Optional[str]:
-        """Fold one chunk without a per-record loop.
+    def _reduce(self, kind, code, times, pids, value, *, late: bool
+                ) -> Optional[str]:
+        """Fold one time-ordered chunk without a per-record loop.
 
-        Returns ``None`` on success or a :data:`FALLBACK_REASONS` key;
-        on fallback no state has been mutated (beyond the append-only
-        function registry), so the scalar replay re-processes the whole
-        chunk with bit-faithful semantics.
+        Returns ``None`` once folded, or the :data:`REPAIR_REASONS` key
+        of the first process whose frames fail the matched-frame check;
+        then nothing has been committed, and the chunk goes to
+        :meth:`_repair`.  ``late`` says the chunk holds records below
+        what earlier chunks reached (see :meth:`_commit_union`).
         """
-        kinds = arr["kind"]
-        f_mask = (kinds == REC_ENTER) | (kinds == REC_EXIT)
-        s_mask = kinds == REC_TEMP
-        rel = f_mask | s_mask
-        if not rel.any():
-            return None
-        times = self._times_of(arr["tsc"])
-        rt = times[rel]
-        if len(rt) > 1 and np.any(rt[1:] < rt[:-1]):
-            return _FB_NON_MONOTONE
-        if float(rt[0]) < self._now:
-            return _FB_REGRESSION
-        n_sensors = len(self.sensor_names)
-        s_sidx = arr["addr"][s_mask].astype(np.int64)
-        if len(s_sidx) and (int(s_sidx.min()) < 0
-                            or int(s_sidx.max()) >= n_sensors):
-            return _FB_SENSOR
+        f_mask = kind != REC_TEMP
+        s_mask = ~f_mask
+        s_sidx = code[s_mask]
         s_t = times[s_mask]
-        s_val = arr["value"][s_mask].astype(np.float64)
+        s_val = value[s_mask].astype(np.float64)
 
         f_fid = f_t = f_enter = None
         have_funcs = bool(f_mask.any())
@@ -898,16 +803,10 @@ class ProfileAccumulator:
         seg_ctx_parts: list[tuple[int, Optional[np.ndarray]]] = []
         f_gpos_all = np.nonzero(f_mask)[0] if tree is not None else None
         if have_funcs:
-            f_addr = arr["addr"][f_mask]
-            f_pid = arr["pid"][f_mask].astype(np.int64)
-            f_enter = kinds[f_mask] == REC_ENTER
+            f_fid = code[f_mask]
+            f_pid = pids[f_mask].astype(np.int64)
+            f_enter = kind[f_mask] == REC_ENTER
             f_t = times[f_mask]
-            uniq, inverse = np.unique(f_addr, return_inverse=True)
-            fid_map = np.fromiter(
-                (self._fid_for_addr(int(a)) for a in uniq),
-                dtype=np.int64, count=len(uniq),
-            )
-            f_fid = fid_map[inverse]
             n_names = len(self._fnames)
 
             # ---- per-process frame matching (pure: nothing committed
@@ -937,7 +836,7 @@ class ProfileAccumulator:
                     ext_ni = ni
                 depth_after, frame_depth = frame_depths(ext_en)
                 if int(depth_after.min()) < 0:
-                    return _FB_UNBALANCED
+                    return _R_UNBALANCED
                 enters = np.nonzero(ext_en)[0]
                 exits = np.nonzero(~ext_en)[0]
                 ed = frame_depth[enters]
@@ -955,9 +854,9 @@ class ProfileAccumulator:
                              - np.searchsorted(xds, xds, side="left"))
                     mate = e_lo + ranks
                     if np.any(mate >= e_hi):
-                        return _FB_UNBALANCED
+                        return _R_UNBALANCED
                     if not np.array_equal(ext_ni[pe[mate]], ext_ni[px]):
-                        return _FB_MISMATCH
+                        return _R_MISMATCH
                 # Surviving frames: per depth, enters beyond the exit
                 # count stay open (at most one per depth, in depth order
                 # — i.e. bottom-to-top stack order).
@@ -1061,7 +960,7 @@ class ProfileAccumulator:
             if len(enters_fid):
                 self._calls_arr[:n_names] += np.bincount(
                     enters_fid, minlength=n_names)
-                lo = float(f_t[f_enter][0])     # monotone: first is min
+                lo = float(f_t[f_enter][0])     # time order: first is min
                 if lo < self._span_lo:
                     self._span_lo = lo
             exit_t = f_t[~f_enter]
@@ -1089,13 +988,14 @@ class ProfileAccumulator:
                 sd = np.concatenate(seg_dts)
                 sp = np.concatenate(seg_pos)
                 # np.add.at applies adds sequentially in index order, so
-                # sorting segments by their closing event's stream
-                # position keeps each function's float accumulation
-                # bit-identical to the scalar replay.
+                # sorting segments by their closing event's position
+                # sums each function's segments in time order, whatever
+                # the chunking.
                 order = np.argsort(sp, kind="stable")
                 np.add.at(self._excl, sf[order], sd[order])
 
-            self._commit_union(f_fid, f_enter, f_t, spans_for, first_opens)
+            self._commit_union(f_fid, f_enter, f_t, spans_for, first_opens,
+                               late=late)
 
         if tree is not None:
             self._commit_tree(per_pid, seg_ctx_parts, seg_dts, seg_pos,
@@ -1123,7 +1023,6 @@ class ProfileAccumulator:
                 (base_seq + 1 + int(i), int(s_sidx[i]), float(s_val[i]))
                 for i in tie.tolist()
             ])
-        self._now = float(rt[-1])
         return None
 
     def _commit_tree(self, per_pid, seg_ctx_parts, seg_dts, seg_pos,
@@ -1135,9 +1034,9 @@ class ProfileAccumulator:
         parent ENTER's context (``parent_ext``), carried frames keep the
         context-stack prefix, exclusive segments map their top ENTER's
         ext index (``top_src``) onto context ids and reduce with the
-        same stream-ordered ``np.add.at`` as the flat engine — so the
-        tree's per-context times are bit-identical to the scalar
-        replay's.  Samples attribute point-in-time: each lands once on
+        same time-ordered ``np.add.at`` as the flat profile — so the
+        tree's per-context times do not depend on the chunking.  Samples
+        attribute point-in-time: each lands once on
         every distinct context topping some process's stack at that
         stream position, pushed per (context, sensor) in stream order.
         """
@@ -1222,25 +1121,39 @@ class ProfileAccumulator:
                 for p in open_pos.tolist()
             ]
 
-    def _commit_union(self, f_fid, f_enter, f_t, spans_for, first_opens
-                      ) -> None:
-        """Per-function inclusive-time union over one monotone chunk.
+    def _commit_union(self, f_fid, f_enter, f_t, spans_for, first_opens,
+                      *, late: bool) -> None:
+        """Per-function inclusive-time union over one time-ordered chunk.
 
         A segmented cumulative sum of ±1 activation deltas finds the
         0→1 opens and 1→0 closes per function; each close pairs with its
         same-rank open (rank shifted by one when the function carried an
         open span into the chunk), and raw spans merge into runs when
-        they touch — reproducing the scalar pending-span buffer.  All
-        fully-retired runs reduce with one ``np.add.at`` (per-slot order
-        preserved, so sums stay bit-identical to the scalar engine);
-        only each function's *last* run needs scalar disposition (kept
-        pending, resumed into the open span, or flushed).
+        they touch, like the one-span pending buffer carried between
+        chunks.  All fully-retired runs reduce with one ``np.add.at``
+        (per-slot order preserved, so sums do not depend on the
+        chunking); only each function's *last* run needs its own
+        disposition (kept pending, resumed into the open span, or
+        flushed).
+
+        In a ``late`` chunk a function's union times are first raised
+        to what its union already holds (pending end, or open start and
+        max-close carry): a late record can extend a span forward but
+        cannot reopen one already retired.  On every other chunk that
+        raise changes nothing, so it is skipped.
         """
         delta = np.where(f_enter, 1, -1).astype(np.int64)
         order = np.argsort(f_fid, kind="stable")
         g_f = f_fid[order]
         g_d = delta[order]
         g_t = f_t[order]
+        if late:
+            held = np.where(
+                self._pend_mask, self._pend_end,
+                np.where(self._active_arr > 0,
+                         np.maximum(self._open_start_arr,
+                                    self._maxclose_arr), -math.inf))
+            g_t = np.maximum(g_t, held[g_f])
         cs = np.cumsum(g_d)
         first = np.concatenate(([True], g_f[1:] != g_f[:-1]))
         grp_start = np.nonzero(first)[0]
@@ -1298,7 +1211,6 @@ class ProfileAccumulator:
         inf = math.inf
         for k in range(len(grp_fids)):
             fid = int(grp_fids[k])
-            c0 = int(carry0[k])
             cend = int(count_end[k])
             r_lo = int(np.searchsorted(run_fid, fid, side="left"))
             r_hi = int(np.searchsorted(run_fid, fid, side="right"))
@@ -1323,12 +1235,10 @@ class ProfileAccumulator:
                     else:
                         incl[fid] += pe_ - ps
                         self._incl_touched[fid] = True
-            if c0 > 0 and nruns:
-                # The carried open span closed: its resume floor is spent.
-                self._floor_mask[fid] = False
             resumed = (pend0 is not None and o_hi > o_lo
                        and float(ot[o_lo]) <= pend0[1])
             open_final = None
+            floor = -inf        # how far a still-open span already reaches
             if cend > 0:
                 if nruns:
                     o_last = float(ot[o_hi - 1])
@@ -1338,17 +1248,13 @@ class ProfileAccumulator:
                         # not retired, it extends into the open span.
                         add_run[r_hi - 1] = False
                         open_final = float(run_start[r_hi - 1])
-                        self._floor_arr[fid] = last_end
-                        self._floor_mask[fid] = True
+                        floor = last_end
                     else:
                         open_final = o_last
-                        self._floor_mask[fid] = False
                 elif o_hi > o_lo:
                     # Opened in-chunk, never closed.
                     if resumed:
-                        open_final = pend0[0]
-                        self._floor_arr[fid] = pend0[1]
-                        self._floor_mask[fid] = True
+                        open_final, floor = pend0
                     else:
                         open_final = float(ot[o_lo])
                 else:
@@ -1362,10 +1268,11 @@ class ProfileAccumulator:
                 self._pend_start[fid] = run_start[r_hi - 1]
                 self._pend_end[fid] = run_end[r_hi - 1]
                 self._pend_mask[fid] = True
-                self._floor_mask[fid] = False
-            # Max-close carry: on a monotone chunk every retiring close
-            # already ends its run at the in-chunk maximum, so the carry
-            # only matters for a span left open past the chunk.
+            # Max-close carry, for a span left open past the chunk: the
+            # latest time it is known to reach (a nested close, or the
+            # end of the run it resumed), so that a late or end-of-trace
+            # close cannot end it earlier.  In time order every retiring
+            # close already ends its run at the in-chunk maximum.
             if cend == 0:
                 self._maxclose_arr[fid] = -inf
             else:
@@ -1378,11 +1285,13 @@ class ProfileAccumulator:
                     last_retire = (int(c_idx[c_hi_f - 1])
                                    if c_hi_f > c_lo_f else -1)
                     # A close after the last 0-reaching close belongs to
-                    # the still-open span; otherwise the scalar engine
-                    # would have reset the carry at that retire.
+                    # the still-open span; otherwise the carry was reset
+                    # at that retire.
                     self._maxclose_arr[fid] = (
                         float(g_t[last_close])
                         if last_close > last_retire else -inf)
+                if floor > self._maxclose_arr[fid]:
+                    self._maxclose_arr[fid] = floor
             # Attribution spans: carried pending (boundary-tie samples),
             # this chunk's runs, and the still-open span.
             n_spans = (1 if pend0 is not None else 0) + nruns \
@@ -1405,12 +1314,6 @@ class ProfileAccumulator:
             np.add.at(incl, run_fid[keep],
                       run_end[keep] - run_start[keep])
             self._incl_touched[run_fid[keep]] = True
-        if n_close:
-            e_last = float(ctm[-1])     # monotone: last close is latest
-            self._closed_at = (
-                e_last,
-                {int(f) for f in cf[ctm == e_last].tolist()},
-            )
 
     def _attribute_chunk(self, spans_for, s_t, s_sidx, s_val, base_seq
                          ) -> None:
@@ -1542,33 +1445,25 @@ class ProfileAccumulator:
                                    tree=self._tree)
 
     def _close_open_frames(self) -> None:
-        # Close processes in ascending end-time order: the online union
-        # counts activations and needs close times non-decreasing, else a
-        # function open on two processes would end its merged span at
-        # whichever process happened to be swept last rather than at the
-        # latest end.
-        open_pids = sorted(
-            (pid for pid, stack in self._stacks.items() if stack),
-            key=lambda pid: self._last_time.get(
-                pid, self._stacks[pid][-1][1]),
-        )
-        for pid in open_pids:
-            stack = self._stacks[pid]
-            if self.strict:
-                open_names = [self._fnames[f] for f, _ in stack]
-                raise TraceError(
-                    f"pid {pid}: trace ended with open frames "
-                    f"{open_names}"
-                )
-            t_end = self._last_time.get(pid, stack[-1][1])
-            self._credit_top(pid, t_end)
-            while stack:
-                fid, _t0 = stack.pop()
-                self._union_close(fid, t_end)
-            cstack = self._ctx_stacks.get(pid)
-            if cstack:
-                cstack.clear()
-            self._top_since.pop(pid, None)
+        """End of trace: every open frame closes at its process's clock,
+        folded as one time-ordered chunk of EXITs (late where a process
+        stopped before others did)."""
+        rows = [(fid, self._last_time[pid], pid)
+                for pid, stack in self._stacks.items()
+                for fid, _t0 in reversed(stack)]
+        if rows and self.strict:
+            pid = min((pid for _f, _t, pid in rows),
+                      key=self._last_time.__getitem__)
+            raise TraceError(
+                f"pid {pid}: trace ended with open frames "
+                f"{[self._fnames[f] for f, _ in self._stacks[pid]]}"
+            )
+        if rows:
+            fid, t, pid = (np.array(col) for col in zip(*rows))
+            order = np.argsort(t, kind="stable")
+            self._reduce(np.full(len(rows), REC_EXIT), fid[order], t[order],
+                         pid[order], np.zeros(len(rows)),
+                         late=float(t.min()) < self._now)
         if self._tree is not None:
             # Every context is unpinned now: restore the budget exactly.
             self._tree.end_chunk()
@@ -1684,14 +1579,13 @@ class StreamingRunProfiler:
 
     def __init__(self, symtab: SymbolTable, *, sampling_hz: float = 4.0,
                  strict: bool = False, min_samples_for_stats: int = 1,
-                 meta: Optional[dict] = None, vectorized: bool = True,
+                 meta: Optional[dict] = None,
                  hcct_budget: Optional[int] = None):
         self.symtab = symtab
         self.sampling_hz = float(sampling_hz)
         self.strict = strict
         self.min_samples_for_stats = min_samples_for_stats
         self.meta = dict(meta or {})
-        self.vectorized = vectorized
         #: per-node hot calling-context tree budget (None = no trees)
         self.hcct_budget = hcct_budget
         self.accumulators: dict[str, ProfileAccumulator] = {}
@@ -1709,7 +1603,6 @@ class StreamingRunProfiler:
                 sampling_hz=self.sampling_hz,
                 strict=self.strict,
                 min_samples_for_stats=self.min_samples_for_stats,
-                vectorized=self.vectorized,
                 hcct_budget=self.hcct_budget,
             )
             self.accumulators[node_name] = acc
@@ -1762,17 +1655,19 @@ class StreamingRunProfiler:
 def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
                          strict: bool = False,
                          min_samples_for_stats: int = 1,
-                         vectorized: bool = True,
                          hcct_budget: Optional[int] = None) -> RunProfile:
     """Constant-memory profile of a spool directory.
 
     Reads ``header.json`` plus each ``<node>.spool`` in fixed-size record
     chunks and folds them straight into streaming accumulators — the
     whole trace is never resident, so peak memory is O(chunk + functions
-    × sensors) however long the run was.  The default chunk size is
+    × sensors) however long the run was.  Each chunk is put in time
+    order as it is consumed, so a spool profiles like the bundle saved
+    from it unless a record arrives a whole chunk late (counted as
+    ``late-records``).  The default chunk size is
     :data:`repro.core.spool.STREAM_CHUNK_RECORDS` — larger than the
-    spool write granularity, because the vectorized reduction amortizes
-    per-chunk overhead over more records at ~11 MB of peak residency.
+    spool write granularity, because the reduction amortizes per-chunk
+    overhead over more records at ~11 MB of peak residency.
     """
     from repro.core.spool import (
         STREAM_CHUNK_RECORDS,
@@ -1789,7 +1684,6 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
         strict=strict,
         min_samples_for_stats=min_samples_for_stats,
         meta=meta,
-        vectorized=vectorized,
         hcct_budget=hcct_budget,
     )
     size = chunk_records or STREAM_CHUNK_RECORDS
@@ -1805,7 +1699,6 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
 def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
                           strict: bool = True,
                           min_samples_for_stats: int = 1,
-                          vectorized: bool = True,
                           hcct_budget: Optional[int] = None) -> RunProfile:
     """Profile an in-memory :class:`~repro.core.trace.TraceBundle`.
 
@@ -1820,7 +1713,6 @@ def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
         strict=strict,
         min_samples_for_stats=min_samples_for_stats,
         meta=dict(bundle.meta),
-        vectorized=vectorized,
         hcct_budget=hcct_budget,
     )
     for name, trace in bundle.nodes.items():
@@ -1829,29 +1721,27 @@ def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
     return profiler.finalize()
 
 
-def time_ordered(arr: np.ndarray) -> np.ndarray:
-    """One node's records in time order, each process's in its own order.
+def in_time_order(arr: np.ndarray) -> np.ndarray:
+    """One node's resident records in the order the engine folds them.
 
     A node's trace is only time-ordered per process: tempd's sweeps and
     a rank's buffered records reach it in bursts.  When the ``tsc``
     column is not non-decreasing, the records are stable-sorted once by
-    their process's running-max ``tsc`` — the time the lenient clamp
-    gives a regressed record — which keeps every process's own order.
+    time, a function record's time being its process's clock
+    (:func:`process_clock`) — every process keeps its own order, and a
+    regressed record sorts where the lenient clamp puts it.
     """
     tsc = arr["tsc"]
-    if len(tsc) < 2 or bool(np.all(tsc[1:] >= tsc[:-1])):
+    if _monotone(tsc):
         return arr
+    kinds = arr["kind"]
+    is_f = (kinds == REC_ENTER) | (kinds == REC_EXIT)
+    f_tsc = tsc[is_f]
+    clock = process_clock(f_tsc, arr["pid"][is_f])
     key = tsc
-    pids = arr["pid"]
-    # Every pid heads at least one run; writing in bursts keeps runs few.
-    heads = np.flatnonzero(pids[1:] != pids[:-1]) + 1
-    for pid in np.unique(pids[np.append(0, heads)]).tolist():
-        sel = np.flatnonzero(pids == pid)
-        own = tsc[sel]
-        if not bool(np.all(own[1:] >= own[:-1])):
-            if key is tsc:
-                key = tsc.copy()
-            key[sel] = np.maximum.accumulate(own)
+    if clock is not f_tsc:
+        key = tsc.copy()
+        key[is_f] = clock
     # np.take: fancy indexing is far slower on the packed record dtype.
     return np.take(arr, np.argsort(key, kind="stable"))
 
@@ -1859,11 +1749,11 @@ def time_ordered(arr: np.ndarray) -> np.ndarray:
 def feed_node(acc: ProfileAccumulator, arr: np.ndarray,
               chunk_records: Optional[int] = None) -> None:
     """Fold one node's resident records into *acc*: in time order
-    (:func:`time_ordered`), in slices of ``chunk_records`` (default
+    (:func:`in_time_order`), in slices of ``chunk_records`` (default
     :data:`repro.core.spool.STREAM_CHUNK_RECORDS`)."""
     from repro.core.spool import STREAM_CHUNK_RECORDS
 
-    arr = time_ordered(arr)
+    arr = in_time_order(arr)
     size = chunk_records or STREAM_CHUNK_RECORDS
     for lo in range(0, len(arr), size):
         acc.consume(arr[lo:lo + size])

@@ -14,9 +14,7 @@ Samples recorded through the tracer land in the node trace as TEMP records
 and are therefore visible to the streaming engine the moment they are
 written: :meth:`repro.core.session.TempestSession.live_profile` tail-reads
 them into per-node :class:`~repro.core.streamprof.ProfileAccumulator`\\ s
-mid-run, and a monitor co-located with the daemon can feed sweeps straight
-to an accumulator via
-:meth:`~repro.core.streamprof.ProfileAccumulator.consume_samples`.
+mid-run.
 """
 
 from __future__ import annotations

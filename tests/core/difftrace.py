@@ -2,8 +2,8 @@
 harness.
 
 :func:`generate_trace` builds a globally time-ordered trace that walks
-the streaming accumulator through every structural edge the vectorized
-segment reduction has to get right: interleaved processes, deep and
+the streaming accumulator through every structural edge the segment
+reduction and its repair pre-pass have to get right: interleaved processes, deep and
 recursive nesting, zero-length spans (ENTER and EXIT on the same tick),
 sensor sweeps tied to event timestamps (the closed-interval boundary
 cases), trailing open frames, and — with ``adversarial=True`` —
@@ -31,12 +31,13 @@ def generate_trace(seed, *, n_events=900, n_pids=3, n_funcs=10,
 
     ``adversarial`` adds unbalanced EXITs, unknown record kinds and
     fault-plan record *loss* — all of which keep the emitted timestamps
-    globally non-decreasing, the precondition of the streaming-vs-batch
-    equivalence contract.  ``corrupt`` additionally enables fault-plan
-    record corruption, whose forward TSC jitter breaks global
-    monotonicity: such traces are still chunking-invariant and
-    vectorized==scalar, but stream-vs-batch agreement is only
-    skew-bounded (the documented divergence).
+    globally non-decreasing, so no chunk can hold late records.
+    ``corrupt`` additionally enables fault-plan record corruption, whose
+    forward TSC jitter breaks global monotonicity: a jittered record
+    raises its process's clock, records of other processes that later
+    chunks hold arrive late, and only calls, exclusive time and arcs
+    stay chunking-invariant; in one whole chunk the engine still
+    matches the oracle.
     """
     rng = np.random.default_rng(seed)
     symtab = SymbolTable()

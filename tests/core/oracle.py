@@ -242,6 +242,76 @@ def build_timeline(records, symtab: SymbolTable, seconds_fn, *,
     return replay_timeline(kinds, names, times, pids, strict=strict)
 
 
+def oracle_tree(trace: NodeTrace, symtab: SymbolTable, *, budget: int,
+                chunk_records=None):
+    """One node's calling-context tree, replayed event at a time.
+
+    The same lenient rules as :func:`replay_timeline` drive a
+    :class:`~repro.core.cct.ContextTree`: an ENTER interns its context
+    under the caller's and counts a call, each process's top context
+    collects exclusive time between that process's events, and a sample
+    lands once on every distinct context topping some process's stack.
+    ``end_chunk`` prunes after every ``chunk_records`` records, pinning
+    the open contexts, like the engine's chunk boundaries — so budgeted
+    trees compare too.  Records are replayed in the order given: feed a
+    time-ordered trace.  ``budget`` 0 keeps the exact tree.
+    """
+    from repro.core.cct import ContextTree
+
+    tree = ContextTree(trace.sensor_names,
+                       budget=None if budget == 0 else int(budget))
+    arr = trace.columns.array
+    times = np.asarray(trace.seconds(arr["tsc"]), dtype=float).tolist()
+    stacks: dict[int, list[tuple[str, int]]] = {}
+    last_time: dict[int, float] = {}
+
+    def credit_top(pid: int, until: float) -> None:
+        stack = stacks[pid]
+        if stack and until > last_time[pid]:
+            tree.add_excl(stack[-1][1], until - last_time[pid])
+
+    def pinned() -> set[int]:
+        return {cid for st in stacks.values() for _, cid in st}
+
+    size = chunk_records or max(len(arr), 1)
+    rows = list(zip(arr["kind"].tolist(), arr["addr"].tolist(), times,
+                    arr["pid"].tolist(), arr["value"].tolist()))
+    for lo in range(0, len(rows), size):
+        for kind, addr, t, pid, value in rows[lo:lo + size]:
+            if kind == REC_TEMP:
+                for cid in sorted({st[-1][1] for st in stacks.values()
+                                   if st}):
+                    tree.push_sample(cid, addr, value)
+                continue
+            if kind not in (REC_ENTER, REC_EXIT):
+                continue
+            stack = stacks.setdefault(pid, [])
+            t = max(t, last_time.get(pid, t))
+            name = symtab.name_of(addr)
+            if kind == REC_ENTER:
+                if stack:
+                    credit_top(pid, t)
+                cid = tree.intern(stack[-1][1] if stack else 0, name)
+                tree.record_call(cid)
+                stack.append((name, cid))
+            elif stack:
+                credit_top(pid, t)
+                if any(n == name for n, _ in stack):
+                    while stack[-1][0] != name:
+                        stack.pop()
+                    stack.pop()
+                else:
+                    stack.clear()
+            last_time[pid] = t
+        tree.end_chunk(pinned=pinned())
+    for pid, stack in stacks.items():
+        if stack:
+            credit_top(pid, last_time[pid])
+            stack.clear()
+    tree.end_chunk()
+    return tree
+
+
 def compute_sensor_stats(values) -> SensorStats:
     """The Figure 2(a) statistic set over one sensor's samples, exactly:
     numpy two-pass moments, ``np.median``, and a Counter mode (ties to

@@ -26,8 +26,8 @@ from tests.core.test_streamprof import make_acc
 REL = 1e-9
 
 
-def tree_of(trace, symtab, *, budget=0, chunk=512, vectorized=True):
-    acc = make_acc(trace, symtab, hcct_budget=budget, vectorized=vectorized)
+def tree_of(trace, symtab, *, budget=0, chunk=512):
+    acc = make_acc(trace, symtab, hcct_budget=budget)
     arr = trace.columns.array
     for lo in range(0, len(arr), chunk):
         acc.consume(arr[lo:lo + chunk])

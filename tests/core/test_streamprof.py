@@ -233,14 +233,31 @@ def assert_profiles_equivalent(a, b):
         assert sa.sdv == pytest.approx(sb.sdv, rel=1e-9, abs=1e-12)
 
 
-def stream_profile(trace, symtab, chunk_records, **kw):
+def assert_per_process_fields_equal(a, b):
+    """Calls, exclusive time and arcs: the fields every process decides
+    on its own, which no chunking can change (late records included)."""
+    assert set(a.functions) == set(b.functions)
+    for name, fa in a.functions.items():
+        fb = b.functions[name]
+        assert fa.n_calls == fb.n_calls, name
+        assert fa.exclusive_time_s == pytest.approx(fb.exclusive_time_s,
+                                                    rel=1e-12), name
+    assert a.timeline.arcs == b.timeline.arcs
+
+
+def stream_acc(trace, symtab, chunk_records, **kw):
+    """(accumulator, final profile) after feeding *trace* in chunks."""
     acc = make_acc(trace, symtab, **kw)
     if chunk_records is None:
         acc.consume(trace.columns.array)
     else:
         for chunk in trace.iter_column_chunks(chunk_records):
             acc.consume(chunk)
-    return acc.finalize()
+    return acc, acc.finalize()
+
+
+def stream_profile(trace, symtab, chunk_records, **kw):
+    return stream_acc(trace, symtab, chunk_records, **kw)[1]
 
 
 def batch_profile(trace, symtab, *, strict=False, min_samples_for_stats=1):
@@ -263,16 +280,20 @@ def test_chunk_size_invariance(chunk):
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_chunk_size_invariance_lossy(chunk):
-    """Invariance holds on damaged streams too: the repair decisions are
-    per-record, so chunk boundaries cannot change them."""
+    """Damaged streams: the repairs are per-process, so calls, exclusive
+    time and arcs are chunking-invariant whatever the damage.  Every
+    field is, unless a forward-jittered record left later records of
+    other processes behind an earlier chunk (``late-records``)."""
     plan = FaultPlan(
         FaultConfig(record_loss_rate=0.05, record_corrupt_rate=0.05),
         seed=3, node_names=["node1"])
     lossy = LossyNodeTrace("node1", TSC_HZ, ["S0", "S1"], plan)
     trace, symtab = synth_trace(trace=lossy)
     whole = stream_profile(trace, symtab, None)
-    chunked = stream_profile(trace, symtab, chunk)
-    assert_profiles_equivalent(chunked, whole)
+    acc, chunked = stream_acc(trace, symtab, chunk)
+    assert_per_process_fields_equal(chunked, whole)
+    if "late-records" not in acc.fallbacks:
+        assert_profiles_equivalent(chunked, whole)
 
 
 @pytest.mark.parametrize("chunk", [2, 1021])
@@ -311,14 +332,6 @@ def test_vectorized_takes_no_fallbacks_on_clean_trace():
     acc.finalize()
     assert acc.fallbacks == {}
 
-
-def test_forced_scalar_matches_vectorized():
-    """vectorized=False routes every chunk through the scalar replay; the
-    two engines must agree field-by-field (the differential baseline)."""
-    trace, symtab = synth_trace(n_quads=300, seed=29)
-    fast = stream_profile(trace, symtab, 128)
-    slow = stream_profile(trace, symtab, 128, vectorized=False)
-    assert_profiles_equivalent(fast, slow)
 
 
 # ----------------------------------------------------------------------
@@ -469,6 +482,126 @@ def test_negative_start_time_stays_on_fast_path():
     assert prof.functions["a"].total_time_s == pytest.approx(110e-6)
 
 
+# ----------------------------------------------------------------------
+# The pre-pass: time order, repairs, late records
+
+def disordered_trace():
+    """Every repair the pre-pass makes, plus cross-process disorder:
+    pid 2's records reach the node ahead of pid 1's."""
+    trace, symtab = mini_events([
+        ("a", REC_ENTER, 1_000, 1),
+        ("b", REC_ENTER, 2_000, 1),
+        ("x", REC_ENTER, 5_000, 2),      # pid 2 ahead of pid 1
+        ("x", REC_EXIT, 6_000, 2),
+        ("c", REC_ENTER, 3_000, 1),
+        ("c", REC_EXIT, 2_500, 1),       # regression: takes 3_000
+        ("a", REC_EXIT, 4_000, 1),       # crossed: unwinds b
+        ("z", REC_EXIT, 4_500, 1),       # empty stack: dropped
+        ("y", REC_ENTER, 7_000, 2),
+        ("q", REC_EXIT, 8_000, 2),       # matches nothing: unwinds y
+        ("d", REC_ENTER, 9_000, 1),
+        ("d", REC_EXIT, 9_500, 1),
+    ])
+    for tsc, value in ((2_200, 47.0), (3_000, 48.0), (5_500, 49.0),
+                       (7_500, 50.0), (9_200, 51.0)):
+        trace.append_event(REC_TEMP, 0, tsc, 3, 999, value)
+    return trace, symtab
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_read_only_input_is_never_written(chunk):
+    """The pre-pass sorts, clamps and rewrites copies: a read-only chunk
+    (the aggregator hands in views of decoded frames) is consumed
+    without a write and profiles like a writable copy."""
+    trace, symtab = disordered_trace()
+    frozen = trace.columns.array.copy()
+    frozen.setflags(write=False)
+    before = frozen.tobytes()
+    size = chunk or len(frozen)
+
+    def feed(arr):
+        acc = make_acc(trace, symtab)
+        for lo in range(0, len(arr), size):
+            acc.consume(arr[lo:lo + size])
+        return acc, acc.finalize()
+
+    acc, from_frozen = feed(frozen)
+    _, from_copy = feed(frozen.copy())
+    assert frozen.tobytes() == before
+    assert profile_key(from_frozen) == profile_key(from_copy)
+    if chunk is None:
+        assert {"time-regression", "frame-mismatch"} <= set(acc.fallbacks)
+        assert_stream_matches_batch(from_frozen,
+                                    batch_profile(trace, symtab))
+
+
+def test_record_a_whole_chunk_late_is_counted():
+    """pid 2's calls reach the engine a chunk after pid 1's, all below
+    the time pid 1 reached: counted as late, folded at their own time,
+    and calls, exclusive time and arcs equal the whole-stream result."""
+    early, symtab = mini_events([
+        ("f", REC_ENTER, 1_000_000_000, 1),
+        ("g", REC_ENTER, 2_000_000_000, 1),
+        ("g", REC_EXIT, 3_000_000_000, 1),
+        ("f", REC_EXIT, 4_000_000_000, 1),
+    ])
+    for tsc in (1_200_000_000, 2_200_000_000, 3_200_000_000):
+        early.append_event(REC_TEMP, 0, tsc, 3, 999, 50.0)
+    late = NodeTrace("n", TSC_HZ, ["S0"])
+    for name, kind, tsc in (("f", REC_ENTER, 1_500_000_000),
+                            ("h", REC_ENTER, 1_600_000_000),
+                            ("h", REC_EXIT, 2_500_000_000),
+                            ("f", REC_EXIT, 2_600_000_000)):
+        late.append_event(kind, symtab.address_of(name), tsc, 0, 2)
+    acc = make_acc(early, symtab, strict=True)
+    acc.consume(early.columns.array)
+    acc.consume(late.columns.array)
+    chunked = acc.finalize()
+    assert acc.fallbacks == {"late-records": 1}
+    whole = np.concatenate((early.columns.array, late.columns.array))
+    whole_acc = make_acc(early, symtab, strict=True)
+    whole_acc.consume(whole)
+    assert whole_acc.fallbacks == {}
+    assert_per_process_fields_equal(chunked, whole_acc.finalize())
+    assert chunked.functions["h"].total_time_s == pytest.approx(0.9)
+
+
+def interleave(block, rng):
+    """*block* with its processes' records randomly interleaved, each
+    process's own order kept."""
+    pids = block["pid"]
+    owner = pids[rng.permutation(len(block))]
+    out = np.empty_like(block)
+    for pid in np.unique(pids).tolist():
+        out[owner == pid] = block[pids == pid]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_local_disorder_within_a_chunk_equals_oracle(seed, chunk):
+    """Per-process streams interleaved at random inside each chunk (the
+    disorder a node sees between its processes' buffered writes):
+    the engine puts every chunk back in time order, so the profile
+    equals the oracle's on the time-sorted trace, with no late
+    records and no repairs."""
+    from tests.core.difftrace import generate_trace
+
+    trace, symtab = generate_trace(seed)
+    arr = trace.columns.array
+    size = chunk or len(arr)
+    rng = np.random.default_rng(seed)
+    shuffled = np.concatenate([interleave(arr[lo:lo + size], rng)
+                               for lo in range(0, len(arr), size)])
+    if size > 1:
+        assert (shuffled["tsc"][1:] < shuffled["tsc"][:-1]).any()
+    acc = make_acc(trace, symtab)
+    for lo in range(0, len(shuffled), size):
+        acc.consume(shuffled[lo:lo + size])
+    assert_stream_matches_batch(acc.finalize(), batch_profile(trace, symtab))
+    assert acc.fallbacks == {}
+
+
 def test_empty_trace_finalizes_empty():
     trace = NodeTrace("n", TSC_HZ, ["S0"])
     acc = make_acc(trace, SymbolTable())
@@ -494,17 +627,17 @@ def test_streaming_bad_sensor_index_raises():
 
 
 def test_consume_samples_direct_feed():
-    """tempd sweeps fed directly (no trace records) attribute like TEMP
-    records at the same stream position."""
+    """A tempd sweep consumed as a chunk of its own, between a
+    function's ENTER and EXIT chunks, attributes to the open frame."""
     trace, symtab = mini_events([
         ("f", REC_ENTER, 0, 1), ("f", REC_EXIT, 2_000_000_000, 1)])
-    via_records = NodeTrace("n", TSC_HZ, ["S0"])
-    for name, kind, tsc, pid in [("f", REC_ENTER, 0, 1)]:
-        via_records.append_event(kind, symtab.address_of("f"), tsc, 0, pid)
+    sweep = NodeTrace("n", TSC_HZ, ["S0"])
+    for value in (48.0, 49.0):
+        sweep.append_event(REC_TEMP, 0, 1_000_000_000, 3, 999, value)
     acc = make_acc(trace, symtab)
     arr = trace.columns.array
     acc.consume(arr[:1])
-    acc.consume_samples(1.0, [(0, 48.0), (0, 49.0)])
+    acc.consume(sweep.columns.array)
     acc.consume(arr[1:])
     prof = acc.finalize()
     st = prof.functions["f"].sensor_stats["S0"]

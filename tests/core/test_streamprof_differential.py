@@ -1,24 +1,24 @@
-"""Differential harness: the vectorized profile engine against its two
-references.
+"""Differential harness: the profile engine against the post-mortem
+oracle.
 
-Three-way check per seeded adversarial trace (see
-:mod:`tests.core.difftrace`):
+Per seeded adversarial trace (see :mod:`tests.core.difftrace`):
 
-* vectorized engine vs **forced-scalar** engine — the exact contract:
-  every field bit-equal except the Chan-merged moments
-  (``avg``/``var``/``sdv``, 1e-9 relative);
-* vectorized engine vs the **post-mortem oracle**
+* engine vs the **post-mortem oracle**
   (:func:`tests.core.oracle.oracle_profile`) — every field exact except
   the moments and exclusive time (``assert_stream_matches_batch``);
+* on corrupt seeds, whose forward TSC jitter leaves records of other
+  processes behind an earlier chunk, the whole-trace engine matches the
+  oracle, and any chunking keeps calls, exclusive time and arcs — and
+  every field when no ``late-records`` occur;
+* calling-context trees vs :func:`tests.core.oracle.oracle_tree` at the
+  same chunk boundaries, budgeted ones included;
 * the TL018 comparator on fault-injected bundles — the lint-level
   restatement of the same contract must stay green.
 
-Clean traces must additionally take zero scalar fallbacks (the fast
-path covering them is the point of the vectorization), and the fallback
+Clean traces must additionally take zero repairs, and the repair
 registry must stay in sync with docs/INTERNALS.md.  A real NPB run
-closes the loop: the parser on BT class W takes no fallbacks and
-matches the oracle on every node, and the same run pins how far a spool,
-profiled in written order, departs from its time-sorted bundle.
+closes the loop: on BT class W the parser, the spool at several chunk
+sizes and the live wire summary all take no repairs and match.
 """
 
 from pathlib import Path
@@ -26,40 +26,31 @@ from pathlib import Path
 import pytest
 
 from repro.check.tracelint import compare_profiles
-from repro.core import TempestSession
+from repro.cluster import CollectorClient, CollectorConfig, LoopbackHub
+from repro.core import TempestSession, streamprof
 from repro.core import parser as parser_mod
 from repro.core.parser import TempestParser
 from repro.core.profilemodel import RunProfile
 from repro.core.spool import spool_to_bundle
 from repro.core.streamprof import (
-    FALLBACK_REASONS,
+    REPAIR_REASONS,
     ProfileAccumulator,
     stream_spool_profile,
 )
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.workloads.npb import bt
 from tests.core.difftrace import generate_trace
-from tests.core.oracle import oracle_profile
+from tests.core.oracle import oracle_profile, oracle_tree
 from tests.core.test_streamprof import (
+    assert_per_process_fields_equal,
     assert_profiles_equivalent,
     assert_stream_matches_batch,
     batch_profile,
-    make_acc,
+    stream_acc,
 )
 
 SEEDS = range(24)
 CHUNK_SIZES = (1, 7, 64, 1021)
-
-
-def stream(trace, symtab, chunk_records, **kw):
-    acc = make_acc(trace, symtab, **kw)
-    arr = trace.columns.array
-    if chunk_records is None:
-        acc.consume(arr)
-    else:
-        for lo in range(0, len(arr), chunk_records):
-            acc.consume(arr[lo:lo + chunk_records])
-    return acc, acc.finalize()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -73,20 +64,21 @@ def test_differential_three_way(seed):
     chunk = CHUNK_SIZES[seed % len(CHUNK_SIZES)]
     trace, symtab = generate_trace(seed, adversarial=adversarial,
                                    corrupt=corrupt)
-    acc, fast = stream(trace, symtab, chunk)
-    _, slow = stream(trace, symtab, chunk, vectorized=False)
-    assert_profiles_equivalent(fast, slow)
+    acc, fast = stream_acc(trace, symtab, chunk)
     if not corrupt:
-        # Loss-only faults keep timestamps globally non-decreasing — the
-        # precondition of the stream-vs-batch contract.  Corrupt seeds
-        # jitter TSCs forward, so their batch agreement is only
-        # skew-bounded (documented divergence); for them the
-        # vectorized==scalar and chunking-invariance checks above and
-        # below are the binding ones.
+        # Loss-only faults keep timestamps globally non-decreasing, so
+        # no chunk can hold late records.
+        assert "late-records" not in acc.fallbacks
         assert_stream_matches_batch(fast, batch_profile(trace, symtab))
     else:
-        _, whole = stream(trace, symtab, None)
-        assert_profiles_equivalent(fast, whole)
+        # A jittered record raises its process's clock past records of
+        # other processes that later chunks still hold: those arrive
+        # late.  In one chunk there is nothing to be late for.
+        _, whole = stream_acc(trace, symtab, None)
+        assert_stream_matches_batch(whole, batch_profile(trace, symtab))
+        assert_per_process_fields_equal(fast, whole)
+        if "late-records" not in acc.fallbacks:
+            assert_profiles_equivalent(fast, whole)
     if not adversarial:
         assert acc.fallbacks == {}
 
@@ -95,9 +87,8 @@ def test_differential_three_way(seed):
 def test_differential_chunk_sweep_one_seed(chunk):
     """One fixed shape across every chunk size, including whole-trace."""
     trace, symtab = generate_trace(1234, adversarial=True)
-    _, fast = stream(trace, symtab, chunk)
-    _, slow = stream(trace, symtab, chunk, vectorized=False)
-    assert_profiles_equivalent(fast, slow)
+    _, fast = stream_acc(trace, symtab, chunk)
+    assert_stream_matches_batch(fast, batch_profile(trace, symtab))
 
 
 @pytest.mark.parametrize("seed", [2, 5, 8])
@@ -105,7 +96,7 @@ def test_tl018_green_on_fault_injected_bundles(seed):
     """The lint-level TL018 comparator agrees with the harness."""
     trace, symtab = generate_trace(seed, adversarial=True)
     chunk = CHUNK_SIZES[seed % len(CHUNK_SIZES)]
-    _, fast = stream(trace, symtab, chunk)
+    _, fast = stream_acc(trace, symtab, chunk)
     batch = batch_profile(trace, symtab)
     wrap = lambda prof: RunProfile(nodes={prof.node_name: prof},
                                    sampling_hz=4.0, meta={})
@@ -124,13 +115,8 @@ def bt_class_w(tmp_path_factory):
     return session.collect(), spools
 
 
-def test_parser_on_bt_class_w_takes_no_fallbacks_and_matches_oracle(
-        bt_class_w, monkeypatch):
-    """BT class W on 4 ranks: every node's tsc column is out of order
-    (tempd's sweeps land ahead of the rank's buffered records) and three
-    nodes start at negative converted times.  The parser still keeps
-    every chunk on the fast path and matches the oracle."""
-    bundle, _ = bt_class_w
+def recording_accumulators(monkeypatch, module):
+    """Every ProfileAccumulator *module* builds from now on."""
     accs = []
 
     class Recording(ProfileAccumulator):
@@ -138,7 +124,18 @@ def test_parser_on_bt_class_w_takes_no_fallbacks_and_matches_oracle(
             super().__init__(*args, **kw)
             accs.append(self)
 
-    monkeypatch.setattr(parser_mod, "ProfileAccumulator", Recording)
+    monkeypatch.setattr(module, "ProfileAccumulator", Recording)
+    return accs
+
+
+def test_parser_on_bt_class_w_takes_no_fallbacks_and_matches_oracle(
+        bt_class_w, monkeypatch):
+    """BT class W on 4 ranks: every node's tsc column is out of order
+    (tempd's sweeps land ahead of the rank's buffered records) and three
+    nodes start at negative converted times.  The parser still keeps
+    every chunk free of repairs and matches the oracle."""
+    bundle, _ = bt_class_w
+    accs = recording_accumulators(monkeypatch, parser_mod)
     parsed = TempestParser(bundle).parse()
     assert len(accs) == 4
     assert [acc.fallbacks for acc in accs] == [{}] * 4
@@ -150,46 +147,70 @@ def test_parser_on_bt_class_w_takes_no_fallbacks_and_matches_oracle(
             oracle_profile(trace, bundle.symtab, strict=True))
 
 
-def test_spool_is_profiled_in_written_order(bt_class_w):
-    """Limit, pinned: only a resident node is time-sorted; a spool is
-    profiled in the order it was written.  On BT class W calls and times
-    still agree exactly with the bundle saved from the spool (they are
-    per-process), but a sweep that reached the spool ahead of a rank's
-    buffered records is credited to the stack as it stood on arrival,
-    so sample counts and sensor statistics move.  If this starts to
-    fail, spools are time-ordered: update INTERNALS "Time order" and the
-    `parse` help."""
+def assert_run_profiles_equal(got: RunProfile, want: RunProfile):
+    """Every field of every node, moments within 1e-9."""
+    assert got.node_names() == want.node_names()
+    for name in want.node_names():
+        assert_profiles_equivalent(got.node(name), want.node(name))
+
+
+@pytest.mark.parametrize("chunk_records", [512, 4096, None])
+def test_spool_profile_equals_bundle_profile(bt_class_w, monkeypatch,
+                                             chunk_records):
+    """A spool holds each node's records in written order — tempd's
+    sweeps ahead of a rank's buffered records — but every chunk is put
+    in time order as it is consumed, and no record is a whole chunk
+    late: the spool profiles exactly like the bundle saved from it,
+    with no repairs."""
     _, spools = bt_class_w
-    spooled = stream_spool_profile(spools)
     resident = TempestParser(spool_to_bundle(spools)).parse()
-    moved = 0
+    accs = recording_accumulators(monkeypatch, streamprof)
+    spooled = stream_spool_profile(spools, chunk_records=chunk_records,
+                                   strict=True)
+    assert len(accs) == 4
+    assert [acc.fallbacks for acc in accs] == [{}] * 4
+    assert_run_profiles_equal(spooled, resident)
+
+
+def test_live_wire_summary_equals_bundle_profile(bt_class_w, monkeypatch):
+    """The same spools pushed over a live loopback in 4096-record
+    frames: the aggregator's final summary renders the parser's
+    profile of the saved bundle, with no repairs."""
+    _, spools = bt_class_w
+    resident = TempestParser(spool_to_bundle(spools)).parse()
+    accs = recording_accumulators(monkeypatch, streamprof)
+    hub = LoopbackHub(live=True)
     for name in resident.node_names():
-        for fn, want in resident.node(name).functions.items():
-            got = spooled.node(name).function(fn)
-            assert ((got.n_calls, got.total_time_s, got.exclusive_time_s)
-                    == (want.n_calls, want.total_time_s,
-                        want.exclusive_time_s)), (name, fn)
-            moved += got.n_samples != want.n_samples
-    assert moved > 0
+        client = CollectorClient.from_spool_header(
+            spools, name, hub.connect,
+            config=CollectorConfig(chunk_records=4096))
+        try:
+            client.push_spool(spools / f"{name}.spool")
+        finally:
+            client.close()
+    wired = hub.aggregator.run_summary(final=True).to_profile()
+    assert len(accs) == 4
+    assert [acc.fallbacks for acc in accs] == [{}] * 4
+    assert_run_profiles_equal(wired, resident)
 
 
-def test_fallback_reasons_documented():
-    """Drift test: every fallback counter key must be explained in the
-    INTERNALS streaming section, and vice versa nothing undocumented."""
+def test_repair_reasons_documented():
+    """Drift test: every repair counter key must be explained in the
+    INTERNALS streaming section."""
     doc = (Path(__file__).resolve().parents[2]
            / "docs" / "INTERNALS.md").read_text()
-    for key in FALLBACK_REASONS:
+    for key in REPAIR_REASONS:
         assert f"`{key}`" in doc, (
-            f"FALLBACK_REASONS[{key!r}] is not documented in INTERNALS.md")
+            f"REPAIR_REASONS[{key!r}] is not documented in INTERNALS.md")
 
 
 # --------------------------------------------------------------------- HCCT
-# The tree-construction contract mirrors the flat one: with the same
-# chunking, the vectorized and forced-scalar engines make identical
-# intern/evict decisions (pruning happens only at chunk boundaries), so
-# the resulting trees agree path-for-path — structure, times, calls and
-# error bounds bit-equal, per-context moments within the same 1e-9 the
-# flat profile allows for push vs push_many rounding.
+# The tree-construction contract mirrors the flat one: the engine and
+# the event-at-a-time oracle tree, pruned at the same chunk boundaries,
+# make identical intern/evict decisions, so the trees agree
+# path-for-path — structure, times, calls and error bounds equal,
+# per-context moments within the same 1e-9 the flat profile allows for
+# push vs push_many rounding.
 
 from tests.core.difftrace import generate_deep_trace
 from tests.core.test_cct import assert_trees_match
@@ -201,36 +222,34 @@ def test_differential_tree_construction(seed, budget):
     adversarial = seed % 3 == 2
     chunk = CHUNK_SIZES[seed % len(CHUNK_SIZES)]
     trace, symtab = generate_trace(seed, adversarial=adversarial)
-    a_fast, fast = stream(trace, symtab, chunk, hcct_budget=budget)
-    a_slow, slow = stream(trace, symtab, chunk, vectorized=False,
-                          hcct_budget=budget)
-    assert a_fast._tree is not None and a_slow._tree is not None
-    assert a_fast._tree.validate() == []
-    assert a_slow._tree.validate() == []
-    assert_trees_match(a_fast._tree, a_slow._tree,
-                       ctx=f"seed={seed} budget={budget}")
-    assert_profiles_equivalent(fast, slow)
+    acc, prof = stream_acc(trace, symtab, chunk, hcct_budget=budget)
+    ref = oracle_tree(trace, symtab, budget=budget, chunk_records=chunk)
+    assert acc._tree is not None
+    assert acc._tree.validate() == []
+    assert ref.validate() == []
+    assert_trees_match(acc._tree, ref, ctx=f"seed={seed} budget={budget}")
+    assert_stream_matches_batch(prof, batch_profile(trace, symtab))
 
 
 @pytest.mark.parametrize("seed", [3, 17])
 @pytest.mark.parametrize("budget", [0, 48])
 def test_differential_tree_deep_recursive(seed, budget):
-    """Recursion-heavy CCTs (depth ~40) through both engines."""
+    """Recursion-heavy CCTs (depth ~40): engine vs oracle tree."""
     trace, symtab = generate_deep_trace(seed)
     for chunk in (7, 1021):
-        a_fast, _ = stream(trace, symtab, chunk, hcct_budget=budget)
-        a_slow, _ = stream(trace, symtab, chunk, vectorized=False,
-                           hcct_budget=budget)
-        assert a_fast._tree.validate() == []
-        assert_trees_match(a_fast._tree, a_slow._tree,
-                           ctx=f"seed={seed} budget={budget} chunk={chunk}")
+        acc, _ = stream_acc(trace, symtab, chunk, hcct_budget=budget)
+        assert acc._tree.validate() == []
+        assert_trees_match(
+            acc._tree,
+            oracle_tree(trace, symtab, budget=budget, chunk_records=chunk),
+            ctx=f"seed={seed} budget={budget} chunk={chunk}")
 
 
 def test_tree_flat_projection_matches_profile():
     """At budget 0 (exact CCT) the tree's flat projection reproduces the
     flat profile's exclusive times and call counts exactly."""
     trace, symtab = generate_trace(4)
-    acc, prof = stream(trace, symtab, 64, hcct_budget=0)
+    acc, prof = stream_acc(trace, symtab, 64, hcct_budget=0)
     flat = acc._tree.flat_projection()
     for fp in prof.functions_by_time():
         excl, calls = flat[fp.name]
@@ -243,7 +262,7 @@ def test_tree_chunking_invariance():
     """Same engine, different chunk sizes, unbounded budget: identical
     trees (eviction-free construction is chunking-independent)."""
     trace, symtab = generate_trace(7, adversarial=True)
-    ref, _ = stream(trace, symtab, 1021, hcct_budget=0)
+    ref, _ = stream_acc(trace, symtab, 1021, hcct_budget=0)
     for chunk in (1, 64, None):
-        acc, _ = stream(trace, symtab, chunk, hcct_budget=0)
+        acc, _ = stream_acc(trace, symtab, chunk, hcct_budget=0)
         assert_trees_match(acc._tree, ref._tree, ctx=f"chunk={chunk}")
