@@ -24,14 +24,19 @@ execution from the comm records PR 9 added to the trace format
   inter-node TSC skew from below — the paper's §3.3 hazard turned into
   a measurement.
 * **CM006 comm-stream-malformed** — internal incoherence (clock
-  regressions, dangling references, causal cycles in the clock-reference
-  graph, unbalanced collective brackets); verdicts degrade to best-effort.
+  regressions, malformed completion pairings, dangling references,
+  causal cycles in the clock-reference graph, unbalanced collective
+  brackets); verdicts degrade to best-effort.
 
 The analyzer is streaming: feed it per-node record chunks in file order
 (:meth:`CausalAnalyzer.consume`); only comm events are retained, so memory
 is proportional to communication volume and independent of how many
 function/temperature records surround it — the same constant-memory
-contract as ``streamprof``.
+contract as ``streamprof``.  They are retained as per-rank numpy columns
+(kind, clock, tsc, value, peer, tag, flags), never as per-event Python
+objects; finalize concatenates them in ascending rank order, which makes
+every ``(rank, clock)`` key column already sorted, so pairing sends,
+posts and completions is a ``searchsorted`` join.
 
 Vector clocks are stored as per-rank *join rows*: between receive
 completions a rank's knowledge of other ranks is constant and its own
@@ -43,7 +48,6 @@ causal-cycle detector.
 
 from __future__ import annotations
 
-import gc
 import json
 from bisect import bisect_right
 from pathlib import Path
@@ -57,10 +61,10 @@ from repro.core.commrec import (
     FLAG_RENDEZVOUS,
     FLAG_WILD_SOURCE,
     FLAG_WILD_TAG,
+    MAX_RANK,
     OP_NAMES,
     PAIR_LIMIT,
     decode_comm_addrs,
-    unpack_recv_value,
 )
 from repro.core.records import RECORD_DTYPE, RECORD_SIZE
 from repro.core.spool import STREAM_CHUNK_RECORDS, iter_spool_chunks
@@ -72,27 +76,58 @@ from repro.core.trace import (
 )
 from repro.util.errors import ConfigError
 
+#: one rank's kept columns, in ``_RankState.chunks`` tuple order — kind,
+#: clock, tsc, value, peer, tag, flags — empty and typed as ``consume``
+#: produces them, so finalize never concatenates an empty list
+_EMPTY = (np.empty(0, np.uint8), np.empty(0, np.int32),
+          np.empty(0, np.int64), np.empty(0, np.float64),
+          np.empty(0, np.int64), np.empty(0, np.int64),
+          np.empty(0, np.int64))
+#: (rank, clock) keys pack as ``rank << 32 | clock``; clocks are int32
+_KEY_SHIFT = 32
+#: rank slots for dense per-rank lookup arrays
+_RANK_SLOTS = MAX_RANK + 1
+
+
+def _keys(rank: np.ndarray, clock: np.ndarray) -> np.ndarray:
+    return (rank.astype(np.int64) << _KEY_SHIFT) + clock
+
+
+def _lookup(sorted_keys: np.ndarray,
+            keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(found, index)`` of each key in an ascending key column."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool), np.zeros(len(keys), int)
+    idx = np.minimum(np.searchsorted(sorted_keys, keys),
+                     len(sorted_keys) - 1)
+    return sorted_keys[idx] == keys, idx
+
+
+def _pairing_ok(value: np.ndarray) -> np.ndarray:
+    """Completion values that unpack to ``(post_clock, send_clock)`` with
+    both halves in ``(0, PAIR_LIMIT)`` — the band ``pack_recv_value``
+    enforces.  NaN, infinities and fractions all fail."""
+    ok = ((value >= PAIR_LIMIT) & (value < float(PAIR_LIMIT) ** 2)
+          & (value == np.floor(value)))
+    packed = np.where(ok, value, 0.0).astype(np.int64)
+    return ok & (packed % PAIR_LIMIT != 0)
+
+
+def _bytes_txt(nbytes: float) -> str:
+    return f"{int(nbytes) if np.isfinite(nbytes) else nbytes} bytes"
+
 
 class _RankState:
-    """Everything the analyzer retains about one rank's comm stream."""
+    """Everything the analyzer retains about one rank's comm stream: the
+    node that owns it, the highest clock seen, and its kept events as
+    column tuples (``_EMPTY`` order) in stream order."""
 
-    __slots__ = ("rank", "node", "last_clock", "sends", "posts",
-                 "completions", "colls", "n_events")
+    __slots__ = ("node", "last_clock", "chunks")
 
-    def __init__(self, rank: int, node: str):
-        self.rank = rank
+    def __init__(self, node: str):
         self.node = node
         self.last_clock = 0
-        #: clock -> (peer, tag, flags, nbytes, tsc)
-        self.sends: dict[int, tuple] = {}
-        #: clock -> (peer, tag, flags)
-        self.posts: dict[int, tuple] = {}
-        #: (clock, post_clock, src_rank, src_clock, tag, flags, tsc),
-        #: in clock order
-        self.completions: list[tuple] = []
-        #: (kind, op, root, tag) in stream order
-        self.colls: list[tuple] = []
-        self.n_events = 0
+        self.chunks: list[tuple[np.ndarray, ...]] = []
 
 
 class CausalAnalyzer:
@@ -116,15 +151,18 @@ class CausalAnalyzer:
                  skew_tolerance_s: Optional[float] = None):
         self.path = path
         self.live = live
-        self.skew_tolerance_s = (self.SKEW_TOLERANCE_S
-                                 if skew_tolerance_s is None
-                                 else float(skew_tolerance_s))
+        tol = (self.SKEW_TOLERANCE_S if skew_tolerance_s is None
+               else float(skew_tolerance_s))
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ConfigError(f"skew tolerance {skew_tolerance_s!r} must be "
+                              "a finite, non-negative number of seconds")
+        self.skew_tolerance_s = tol
         self.n_comm_events = 0
         self._ranks: dict[int, _RankState] = {}
         self._node_hz: dict[str, float] = {}
         self._node_truncated: dict[str, bool] = {}
         self._stream_diags: list[Diagnostic] = []
-        self._malformed_hits: dict[tuple, int] = {}
+        self._malformed_seen: set[tuple] = set()
         self._finalized = False
 
     # -- ingest ----------------------------------------------------------
@@ -138,7 +176,12 @@ class CausalAnalyzer:
         self._node_truncated[node] = bool(truncated)
 
     def consume(self, node: str, arr: np.ndarray) -> None:
-        """Fold one chunk of *node*'s record stream (comm kinds only)."""
+        """Fold one chunk of *node*'s record stream (comm kinds only).
+
+        The chunk's comm events are split by rank with one stable sort, so
+        ranks are visited in ascending order and each rank's rows stay in
+        stream order; every rank slice then takes the same masked checks.
+        """
         if node not in self._node_hz:
             raise ConfigError(f"consume() for undeclared node {node!r}; "
                               "call add_node first")
@@ -147,109 +190,73 @@ class CausalAnalyzer:
         if not mask.any():
             return
         sub = arr[mask]
-        dec = decode_comm_addrs(sub["addr"])
         self.n_comm_events += len(sub)
-        rank_col = dec["rank"]
-        for rank in np.unique(rank_col).tolist():
-            sel = rank_col == rank
-            self._consume_rank(node, rank, sub[sel],
-                               {k: v[sel] for k, v in dec.items()})
+        dec = decode_comm_addrs(sub["addr"])
+        order = np.argsort(dec["rank"], kind="stable")
+        rank = dec["rank"][order]
+        cols = (sub["kind"][order], sub["core"][order], sub["tsc"][order],
+                sub["value"][order], dec["peer"][order], dec["tag"][order],
+                dec["flags"][order])
+        comp = (cols[0] == REC_MSG_RECV) & (cols[6] & FLAG_COMPLETE != 0)
+        bad_pair = comp & ~_pairing_ok(cols[3])
+        bounds = np.flatnonzero(np.diff(rank)) + 1
+        for lo, hi in zip([0, *bounds.tolist()],
+                          [*bounds.tolist(), len(rank)]):
+            self._consume_rank(node, int(rank[lo]),
+                               tuple(c[lo:hi] for c in cols),
+                               bad_pair[lo:hi])
 
-    def _consume_rank(self, node: str, rank: int, sub: np.ndarray,
-                      dec: dict[str, np.ndarray]) -> None:
-        """Fold one rank's slice of a chunk, vectorized when well-formed.
+    def _consume_rank(self, node: str, rank: int,
+                      cols: tuple[np.ndarray, ...],
+                      bad_pair: np.ndarray) -> None:
+        """Fold one rank's slice of a chunk.
 
-        The fast path requires the slice to already satisfy the stream
-        invariants (one node per rank, strictly advancing clocks,
-        non-negative completion pairings); any violation drops to the
-        per-row loop, which re-checks every row and emits the CM006
-        malformed-stream diagnostics.
+        The first node to show a rank owns it; rows from any other node
+        are dropped.  A row is kept only if its clock is above every
+        earlier clock of the rank (a dropped row is never above that
+        maximum, so it cannot raise it), and a completion only if its
+        pairing value is well-formed.  Each problem is one CM006 on its
+        first hit per rank, in stream order.
         """
         st = self._ranks.get(rank)
         if st is None:
-            st = self._ranks[rank] = _RankState(rank, node)
-        clocks = sub["core"]
-        kind = sub["kind"]
-        flags = dec["flags"]
-        comp = (kind == REC_MSG_RECV) & (flags & FLAG_COMPLETE != 0)
-        fast = (st.node == node
-                and int(clocks[0]) > st.last_clock
-                and bool(np.all(clocks[1:] > clocks[:-1]))
-                and (not comp.any()
-                     or bool(np.all(sub["value"][comp] >= 1.0))))
-        if not fast:
-            self._consume_rows(node, sub, dec)
+            st = self._ranks[rank] = _RankState(node)
+        elif st.node != node:
+            self._malformed(("split-rank", rank),
+                            f"rank {rank} appears on nodes "
+                            f"{st.node!r} and {node!r}", node)
             return
-        st.last_clock = int(clocks[-1])
-        st.n_events += len(sub)
-        sends = kind == REC_MSG_SEND
-        if sends.any():
-            st.sends.update(zip(
-                clocks[sends].tolist(),
-                zip(dec["peer"][sends].tolist(), dec["tag"][sends].tolist(),
-                    flags[sends].tolist(), sub["value"][sends].tolist(),
-                    sub["tsc"][sends].tolist())))
-        posts = (kind == REC_MSG_RECV) & ~comp
-        if posts.any():
-            st.posts.update(zip(
-                clocks[posts].tolist(),
-                zip(dec["peer"][posts].tolist(), dec["tag"][posts].tolist(),
-                    flags[posts].tolist())))
-        if comp.any():
-            packed = sub["value"][comp].astype(np.int64)
-            st.completions.extend(zip(
-                clocks[comp].tolist(), (packed // PAIR_LIMIT).tolist(),
-                dec["peer"][comp].tolist(), (packed % PAIR_LIMIT).tolist(),
-                dec["tag"][comp].tolist(), flags[comp].tolist(),
-                sub["tsc"][comp].tolist()))
-        colls = kind > REC_MSG_RECV
-        if colls.any():
-            st.colls.extend(zip(
-                kind[colls].tolist(),
-                sub["value"][colls].astype(np.int64).tolist(),
-                dec["peer"][colls].tolist(), dec["tag"][colls].tolist()))
-
-    def _consume_rows(self, node: str, sub: np.ndarray,
-                      dec: dict[str, np.ndarray]) -> None:
-        rows = zip(sub["kind"].tolist(), dec["rank"].tolist(),
-                   dec["peer"].tolist(), dec["tag"].tolist(),
-                   dec["flags"].tolist(), sub["core"].tolist(),
-                   sub["value"].tolist(), sub["tsc"].tolist())
-        ranks = self._ranks
-        for kind, rank, peer, tag, flags, clock, value, tsc in rows:
-            st = ranks.get(rank)
-            if st is None:
-                st = ranks[rank] = _RankState(rank, node)
-            elif st.node != node:
-                self._malformed(("split-rank", rank),
-                                f"rank {rank} appears on nodes "
-                                f"{st.node!r} and {node!r}", node)
-                continue
-            if clock <= st.last_clock:
-                self._malformed(("clock", rank),
-                                f"rank {rank} clock {clock} does not "
-                                f"advance past {st.last_clock} (duplicate "
-                                "or reordered record)", node)
-                continue
-            st.last_clock = clock
-            st.n_events += 1
-            if kind == REC_MSG_SEND:
-                st.sends[clock] = (peer, tag, flags, value, tsc)
-            elif kind == REC_MSG_RECV:
-                if flags & FLAG_COMPLETE:
-                    post_clock, send_clock = unpack_recv_value(value)
-                    st.completions.append(
-                        (clock, post_clock, peer, send_clock, tag, flags,
-                         tsc))
-                else:
-                    st.posts[clock] = (peer, tag, flags)
-            else:   # COLL_ENTER / COLL_EXIT
-                st.colls.append((kind, int(value), peer, tag))
+        clock = cols[1]
+        prior = np.maximum.accumulate(
+            np.concatenate(([st.last_clock], clock[:-1])))
+        clock_ok = clock > prior
+        bad_pair = bad_pair & clock_ok
+        first_bad = {}
+        if not clock_ok.all():
+            i = int(np.argmin(clock_ok))
+            first_bad[i] = (("clock", rank),
+                            f"rank {rank} clock {int(clock[i])} does not "
+                            f"advance past {int(prior[i])} (duplicate or "
+                            "reordered record)")
+        if bad_pair.any():
+            i = int(np.argmax(bad_pair))
+            first_bad[i] = (("pairing", rank),
+                            f"rank {rank} completion at clock "
+                            f"{int(clock[i])} has malformed completion "
+                            f"pairing {float(cols[3][i])!r} (post and send "
+                            f"clocks must both be in (0, {PAIR_LIMIT}))")
+        for i in sorted(first_bad):
+            self._malformed(*first_bad[i], node)
+        st.last_clock = max(st.last_clock, int(clock.max()))
+        keep = clock_ok & ~bad_pair
+        if keep.all():
+            st.chunks.append(cols)
+        elif keep.any():
+            st.chunks.append(tuple(c[keep] for c in cols))
 
     def _malformed(self, key: tuple, detail: str, node: str) -> None:
-        n = self._malformed_hits.get(key, 0)
-        self._malformed_hits[key] = n + 1
-        if n == 0:
+        if key not in self._malformed_seen:
+            self._malformed_seen.add(key)
             self._stream_diags.append(self._diag("CM006", detail,
                                                  node=node))
 
@@ -271,105 +278,170 @@ class CausalAnalyzer:
         self._finalized = True
         if not self._ranks:
             return []
-        # The retained state is acyclic (dicts/tuples/ints/ndarrays), so
-        # the cycle collector can reclaim nothing here — but with millions
-        # of tracked tuples at 1M-event scale its periodic full scans
-        # dominate the analysis.  Pause it for the duration.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            consumed = self._reference_maps()
-            diags: list[Diagnostic] = []
-            diags.extend(self._check_skew())
-            vcs = self._build_join_rows(consumed)
-            diags.extend(self._check_races(consumed, vcs))
-            diags.extend(self._check_collectives())
-            diags.extend(self._check_unmatched(consumed))
-            diags.extend(self._check_wait_cycles(consumed))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        # every pass visits ranks in ascending order, whatever order the
+        # chunks introduced them in
+        self._ranks = dict(sorted(self._ranks.items()))
+        sends, posts, comps, colls = self._tables()
+        comps = self._reference_maps(sends, posts, comps)
+        diags: list[Diagnostic] = []
+        diags.extend(self._check_skew(sends, comps))
+        vcs = self._build_join_rows(comps)
+        diags.extend(self._check_races(sends, comps, vcs))
+        diags.extend(self._check_collectives(colls))
+        diags.extend(self._check_unmatched(sends, posts))
+        diags.extend(self._check_wait_cycles(sends, posts))
         # stream-coherence findings (CM006) accumulate in _stream_diags
         # through every pass above; surface them first so a reader sees
         # "the stream itself is suspect" before the causal verdicts.
         return self._stream_diags + diags
 
-    # The per-rank maps everything downstream shares: which sends were
-    # consumed by a completion (and at what receiver clock), keyed
-    # ``consumed[sender][send_clock] -> (receiver, receiver_clock)``, and
-    # which receive posts completed.  Dangling references become CM006 and
-    # the offending completions are dropped from causal reasoning.
-    def _reference_maps(self) -> dict[int, dict[int, tuple[int, int]]]:
-        consumed: dict[int, dict[int, tuple[int, int]]] = {}
-        for r, st in self._ranks.items():
-            kept = []
-            for comp in st.completions:
-                clock, post_clock, src, src_clock, tag, flags, tsc = comp
-                src_st = self._ranks.get(src)
-                if src_st is None or src_clock not in src_st.sends:
-                    self._malformed(("dangling-send", r),
-                                    f"rank {r} completion at clock {clock} "
-                                    f"references unknown send "
-                                    f"(rank {src}, clock {src_clock})",
-                                    st.node)
-                    continue
-                if post_clock not in st.posts:
-                    self._malformed(("dangling-post", r),
-                                    f"rank {r} completion at clock {clock} "
-                                    f"references unknown receive post "
-                                    f"clock {post_clock}", st.node)
-                    continue
-                per_sender = consumed.setdefault(src, {})
-                if src_clock in per_sender:
-                    self._malformed(("double-consume", r),
-                                    f"send (rank {src}, clock {src_clock}) "
-                                    "is consumed by two completions",
-                                    st.node)
-                    continue
-                per_sender[src_clock] = (r, clock)
-                kept.append(comp)
-            st.completions = kept
-        return consumed
+    def _tables(self):
+        """Concatenate every rank's kept columns once (ascending rank,
+        then clock) and split them into the send, receive-post, completion
+        and collective tables: dicts of equal-length columns, rows in
+        (rank, clock) order, so the send and post ``key`` columns —
+        ``(rank, clock)`` packed — are ascending.
+        """
+        pieces = [_EMPTY]
+        counts = []
+        for st in self._ranks.values():
+            pieces.extend(st.chunks)
+            counts.append(sum(len(c[0]) for c in st.chunks))
+            st.chunks = []
+        kind, clock, tsc, value, peer, tag, flags = (
+            np.concatenate([p[j] for p in pieces])
+            for j in range(len(_EMPTY)))
+        rank = np.repeat(np.fromiter(self._ranks, dtype=np.int64,
+                                     count=len(self._ranks)), counts)
+        recv = kind == REC_MSG_RECV
+        comp = recv & (flags & FLAG_COMPLETE != 0)
+
+        def table(sel, **extra):
+            cols = {"rank": rank[sel], "clock": clock[sel],
+                    "peer": peer[sel], "tag": tag[sel], "flags": flags[sel]}
+            cols.update((k, v[sel]) for k, v in extra.items())
+            return cols
+
+        sends = table(kind == REC_MSG_SEND, tsc=tsc, nbytes=value)
+        sends["key"] = _keys(sends["rank"], sends["clock"])
+        # receiver (rank, clock) of the completion that consumed each
+        # send; -1 while unconsumed
+        sends["to_rank"] = np.full(len(sends["key"]), -1, dtype=np.int64)
+        sends["at_clock"] = np.full(len(sends["key"]), -1, dtype=np.int64)
+        posts = table(recv & ~comp)
+        posts["key"] = _keys(posts["rank"], posts["clock"])
+        posts["done"] = np.zeros(len(posts["key"]), dtype=bool)
+        comps = table(comp, tsc=tsc)
+        packed = value[comp].astype(np.int64)
+        comps["post_clock"] = packed // PAIR_LIMIT
+        comps["src_clock"] = packed % PAIR_LIMIT
+        coll = kind > REC_MSG_RECV
+        colls = table(coll, kind=kind)
+        with np.errstate(invalid="ignore"):
+            colls["op"] = value[coll].astype(np.int64)
+        return sends, posts, comps, colls
+
+    @staticmethod
+    def _rank_bounds(table: dict, ranks) -> list[tuple[int, int]]:
+        """Row range of each rank in a table sorted by rank."""
+        r = np.asarray(ranks, dtype=np.int64)
+        lo = np.searchsorted(table["rank"], r, side="left").tolist()
+        hi = np.searchsorted(table["rank"], r, side="right").tolist()
+        return list(zip(lo, hi))
+
+    # Pair every completion with the send and the receive post it names.
+    # A dangling reference becomes CM006 and the completion is dropped
+    # from causal reasoning; when two completions consume one send, the
+    # first in (rank, clock) order keeps it.  Marks the consumed sends
+    # (``to_rank``/``at_clock``) and completed posts (``done``) and returns
+    # the kept completions with their send's row (``send_idx``).
+    def _reference_maps(self, sends: dict, posts: dict,
+                        comps: dict) -> dict:
+        send_found, send_idx = _lookup(
+            sends["key"], _keys(comps["peer"], comps["src_clock"]))
+        post_found, post_idx = _lookup(
+            posts["key"], _keys(comps["rank"], comps["post_clock"]))
+        ok = send_found & post_found
+        ok_rows = np.flatnonzero(ok)
+        _, first = np.unique(send_idx[ok_rows], return_index=True)
+        dup = ok.copy()
+        dup[ok_rows[first]] = False
+        # 0 kept, 1 dangling send, 2 dangling post, 3 double consume
+        code = np.where(~send_found, 1, np.where(~post_found, 2,
+                                                 np.where(dup, 3, 0)))
+        bad = np.flatnonzero(code)
+        if len(bad):
+            _, first = np.unique(code[bad] * _RANK_SLOTS
+                                 + comps["rank"][bad], return_index=True)
+            for i in np.sort(bad[first]).tolist():
+                self._dangling(comps, i, int(code[i]))
+        kept = code == 0
+        comps = {k: v[kept] for k, v in comps.items()}
+        comps["send_idx"] = send_idx[kept]
+        sends["to_rank"][comps["send_idx"]] = comps["rank"]
+        sends["at_clock"][comps["send_idx"]] = comps["clock"]
+        posts["done"][post_idx[kept]] = True
+        return comps
+
+    def _dangling(self, comps: dict, i: int, code: int) -> None:
+        r = int(comps["rank"][i])
+        clock = int(comps["clock"][i])
+        src = int(comps["peer"][i])
+        src_clock = int(comps["src_clock"][i])
+        node = self._node_of(r)
+        if code == 1:
+            self._malformed(("dangling-send", r),
+                            f"rank {r} completion at clock {clock} "
+                            f"references unknown send "
+                            f"(rank {src}, clock {src_clock})", node)
+        elif code == 2:
+            self._malformed(("dangling-post", r),
+                            f"rank {r} completion at clock {clock} "
+                            f"references unknown receive post "
+                            f"clock {int(comps['post_clock'][i])}", node)
+        else:
+            self._malformed(("double-consume", r),
+                            f"send (rank {src}, clock {src_clock}) "
+                            "is consumed by two completions", node)
 
     # -- CM005 -----------------------------------------------------------
 
-    def _check_skew(self) -> list[Diagnostic]:
+    def _check_skew(self, sends: dict, comps: dict) -> list[Diagnostic]:
         out: list[Diagnostic] = []
-        worst: dict[str, tuple[float, int, int, int]] = {}
-        counts: dict[str, int] = {}
+        names = sorted(self._node_hz)
+        hz = np.array([self._node_hz[n] for n in names])
+        node_ix = np.full(_RANK_SLOTS, -1, dtype=np.int64)
         for r, st in self._ranks.items():
-            hz_r = self._node_hz[st.node]
-            for clock, post_clock, src, src_clock, tag, flags, tsc in \
-                    st.completions:
-                src_st = self._ranks[src]
-                if src_st.node == st.node:
-                    continue    # same clock domain: skew impossible
-                hz_s = self._node_hz[src_st.node]
-                t_recv = tsc / hz_r
-                t_send = src_st.sends[src_clock][4] / hz_s
-                skew = t_send - t_recv
-                if skew > self.skew_tolerance_s:
-                    counts[st.node] = counts.get(st.node, 0) + 1
-                    prev = worst.get(st.node)
-                    if prev is None or skew > prev[0]:
-                        worst[st.node] = (skew, r, src, clock)
-        for node, (skew, r, src, clock) in sorted(worst.items()):
-            n = counts[node]
+            node_ix[r] = names.index(st.node)
+        recv_node = node_ix[comps["rank"]]
+        send_node = node_ix[comps["peer"]]
+        t_recv = comps["tsc"] / hz[recv_node]
+        t_send = sends["tsc"][comps["send_idx"]] / hz[send_node]
+        skew = t_send - t_recv
+        # same clock domain: skew impossible
+        late = (recv_node != send_node) & (skew > self.skew_tolerance_s)
+        for k in np.unique(recv_node[late]).tolist():
+            rows = np.flatnonzero(late & (recv_node == k))
+            i = int(rows[np.argmax(skew[rows])])
+            n = len(rows)
+            s = float(skew[i])
+            r, src = int(comps["rank"][i]), int(comps["peer"][i])
+            node = names[k]
             more = f" (+{n - 1} more)" if n > 1 else ""
             out.append(self._diag(
                 "CM005",
-                f"receive on rank {r} completes {skew * 1e6:.1f} us before "
+                f"receive on rank {r} completes {s * 1e6:.1f} us before "
                 f"its matching send on rank {src} was posted; inter-node "
                 f"TSC skew between {self._node_of(src)!r} and {node!r} is "
-                f"at least {skew * 1e6:.1f} us, beyond the "
+                f"at least {s * 1e6:.1f} us, beyond the "
                 f"{self.skew_tolerance_s * 1e6:.0f} us clock-error "
                 f"tolerance{more}",
-                node=node, location=f"clock[{clock}]"))
+                node=node, location=f"clock[{int(comps['clock'][i])}]"))
         return out
 
     # -- vector clocks ---------------------------------------------------
 
-    def _build_join_rows(self, consumed):
+    def _build_join_rows(self, comps: dict):
         """Fold completions into per-rank join rows, worklist order.
 
         Returns ``(index_of, clocks, rows)`` where ``clocks[i]`` is the
@@ -378,21 +450,33 @@ class CausalAnalyzer:
         completions exist — every downstream consumer of happens-before
         is race detection, so the (possibly large) fold is skipped.
         """
-        if not any(flags & FLAG_WILD_SOURCE
-                   for st in self._ranks.values()
-                   for (_, _, _, _, _, flags, _) in st.completions):
+        if not (comps["flags"] & FLAG_WILD_SOURCE).any():
             return None
-        order = sorted(self._ranks)
+        order = list(self._ranks)
         index_of = {r: i for i, r in enumerate(order)}
         n = len(order)
-        comps_by = [self._ranks[r].completions for r in order]
-        counts = [len(c) for c in comps_by]
-        # clocks as plain int lists (bisect-friendly), rows as one dense
-        # int64 matrix per rank: a row is written in place with
-        # np.maximum, so the fold allocates nothing per completion —
-        # per-row Python lists fall over at ~1M events (GC tracking plus
-        # pointer-chasing through scattered int objects)
-        clocks = [[c[0] for c in comps] for comps in comps_by]
+        dense = np.zeros(_RANK_SLOTS, dtype=np.int64)
+        dense[order] = np.arange(n)
+        bounds = self._rank_bounds(comps, order)
+        first = np.zeros(_RANK_SLOTS, dtype=np.int64)
+        first[order] = [lo for lo, _ in bounds]
+        # the sender's row at src_clock: its last completion at or before
+        # src_clock (negative: none), one searchsorted over the (rank, clock)
+        # keys of all completions
+        base_row = (np.searchsorted(_keys(comps["rank"], comps["clock"]),
+                                    _keys(comps["peer"], comps["src_clock"]),
+                                    side="right") - 1
+                    - first[comps["peer"]])
+        # clocks, sender dense indices, sender clocks and sender rows as
+        # plain int lists (bisect-friendly), rows as one dense int64
+        # matrix per rank: a row is written in place with np.maximum, so
+        # the fold allocates nothing per completion
+        clocks = [comps["clock"][lo:hi].tolist() for lo, hi in bounds]
+        srcs = [dense[comps["peer"][lo:hi]].tolist() for lo, hi in bounds]
+        src_clocks = [comps["src_clock"][lo:hi].tolist()
+                      for lo, hi in bounds]
+        base_rows = [base_row[lo:hi].tolist() for lo, hi in bounds]
+        counts = [hi - lo for lo, hi in bounds]
         rows = [np.zeros((cnt, n), dtype=np.int64) for cnt in counts]
         frontier = [0] * n
         zeros = np.zeros(n, dtype=np.int64)
@@ -401,30 +485,32 @@ class CausalAnalyzer:
         while progress:
             progress = False
             for i in range(n):
-                comps = comps_by[i]
+                my_clocks = clocks[i]
+                my_srcs = srcs[i]
+                my_src_clocks = src_clocks[i]
+                my_base_rows = base_rows[i]
                 cnt = counts[i]
                 my_rows = rows[i]
                 fi = frontier[i]
                 while fi < cnt:
-                    comp = comps[fi]
-                    clock, src, src_clock = comp[0], comp[2], comp[3]
-                    si = index_of[src]
+                    si = my_srcs[fi]
+                    src_clock = my_src_clocks[fi]
                     # the sender's VC at src_clock is known once every
                     # sender completion at or before src_clock is folded
                     fsi = frontier[si]
                     if si != i and fsi < counts[si] \
-                            and comps_by[si][fsi][0] <= src_clock:
+                            and clocks[si][fsi] <= src_clock:
                         break
                     # fused max(prev row, sender row at src_clock) with the
                     # sender's own component lifted to src_clock
                     prev = my_rows[fi - 1] if fi else zeros
-                    j = bisect_right(clocks[si], src_clock) - 1
+                    j = my_base_rows[fi]
                     base = rows[si][j] if j >= 0 else zeros
                     vc = my_rows[fi]
                     np.maximum(prev, base, out=vc)
                     if src_clock > vc[si]:
                         vc[si] = src_clock
-                    vc[i] = clock
+                    vc[i] = my_clocks[fi]
                     fi += 1
                     progress = True
                 frontier[i] = fi
@@ -458,37 +544,54 @@ class CausalAnalyzer:
 
     # -- CM001 -----------------------------------------------------------
 
-    def _check_races(self, consumed, vcs) -> list[Diagnostic]:
+    def _inbox(self, sends: dict, wild_dests: np.ndarray) -> dict:
+        """Sends addressed to each wildcard-receiving rank, grouped by
+        sender: ``inbox[dest][sender] = (clock, tag, delivered_at)``
+        columns, delivered_at -1 when the send never reached *dest*.
+
+        Each group is ordered for the retirement sweep — never-delivered
+        sends first (clock order), then delivered ones by descending
+        delivery clock, so the next send to retire is always last.
+        """
+        is_dest = np.zeros(_RANK_SLOTS, dtype=bool)
+        is_dest[wild_dests] = True
+        dest = sends["peer"]
+        sel = np.flatnonzero((dest >= 0) & (dest < _RANK_SLOTS)
+                             & is_dest[np.clip(dest, 0, MAX_RANK)])
+        if not len(sel):
+            return {}
+        dest = dest[sel]
+        cr = np.where(sends["to_rank"][sel] == dest,
+                      sends["at_clock"][sel], -1)
+        order = np.lexsort((sends["clock"][sel], -cr, cr >= 0,
+                            sends["rank"][sel], dest))
+        dest, cr, sel = dest[order], cr[order], sel[order]
+        q = sends["rank"][sel]
+        cq, tag = sends["clock"][sel], sends["tag"][sel]
+        cuts = np.flatnonzero((np.diff(dest) != 0) | (np.diff(q) != 0)) + 1
+        inbox: dict[int, dict[int, tuple]] = {}
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(sel)]):
+            inbox.setdefault(int(dest[lo]), {})[int(q[lo])] = (
+                cq[lo:hi], tag[lo:hi], cr[lo:hi])
+        return inbox
+
+    def _check_races(self, sends: dict, comps: dict,
+                     vcs) -> list[Diagnostic]:
         if vcs is None:
             return []
         out: list[Diagnostic] = []
         hb = self._happens_before
         per_rank: dict[int, tuple[int, str]] = {}
-        # Sends addressed to each rank, grouped by sender and annotated
-        # with the receiver-side clock at which the send was delivered
-        # (None if never delivered to that rank).  Grouping matters: every
-        # candidate from the *matched* sender is program-ordered against
-        # the matched send (same-rank order is total), so whole groups are
-        # skipped instead of scanned.
-        wild_dests = {r for r, st in self._ranks.items()
-                      if any(comp[5] & FLAG_WILD_SOURCE
-                             for comp in st.completions)}
-        inbox: dict[int, dict[int, list[tuple]]] = {}
-        for q, st in self._ranks.items():
-            delivered = consumed.get(q, {})
-            for cq, (dest, tag, flags, nbytes, tsc) in st.sends.items():
-                if dest not in wild_dests:
-                    continue
-                used = delivered.get(cq)
-                cr = used[1] if used is not None and used[0] == dest \
-                    else None
-                inbox.setdefault(dest, {}).setdefault(q, []).append(
-                    (cq, tag, cr))
-        for r, st in self._ranks.items():
+        wild_rows = np.flatnonzero(comps["flags"] & FLAG_WILD_SOURCE)
+        # Grouping by sender matters: every candidate from the *matched*
+        # sender is program-ordered against the matched send (same-rank
+        # order is total), so whole groups are skipped instead of scanned
+        # — and a group is only turned into Python tuples when scanned.
+        inbox = self._inbox(sends, np.unique(comps["rank"][wild_rows]))
+        for r in self._ranks:
             groups = inbox.get(r)
-            wild = [comp for comp in st.completions
-                    if comp[5] & FLAG_WILD_SOURCE]
-            if not groups or not wild:
+            mine = wild_rows[comps["rank"][wild_rows] == r]
+            if not groups or not len(mine):
                 continue
             # Sweep the wildcard completions in receive-post order and
             # *retire* each delivered candidate once the post clock moves
@@ -496,17 +599,22 @@ class CausalAnalyzer:
             # post.  Per completion the scan is then the in-flight depth,
             # not the whole trace — race-free 1M-event streams stay
             # linear instead of O(completions x sends).
-            wild.sort(key=lambda comp: comp[1])
-            # never-delivered candidates first, then delivered ones by
-            # descending delivery clock: the next send to retire is
-            # always at the end of the list
-            for g in groups.values():
-                g.sort(key=lambda e: (e[2] is not None, -(e[2] or 0)))
-            for clock, post_clock, src, src_clock, tag, flags, tsc in wild:
+            mine = mine[np.argsort(comps["post_clock"][mine], kind="stable")]
+            scanned: dict[int, list] = {}
+            for clock, post_clock, src, src_clock, tag, flags in zip(
+                    *(comps[k][mine].tolist() for k in (
+                        "clock", "post_clock", "peer", "src_clock", "tag",
+                        "flags"))):
                 racer = None
-                for q, g in groups.items():
+                for q in groups:
                     if q == src:
                         continue    # ordered against the matched send
+                    g = scanned.get(q)
+                    if g is None:
+                        cq, qtag, cr = groups[q]
+                        g = scanned[q] = [
+                            (c, t, d if d >= 0 else None) for c, t, d in
+                            zip(cq.tolist(), qtag.tolist(), cr.tolist())]
                     while g and g[-1][2] is not None \
                             and g[-1][2] < post_clock:
                         g.pop()     # delivered before the post
@@ -545,13 +653,16 @@ class CausalAnalyzer:
 
     # -- CM003 -----------------------------------------------------------
 
-    def _check_collectives(self) -> list[Diagnostic]:
+    def _check_collectives(self, colls: dict) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         enters: dict[int, list[tuple[int, int, int]]] = {}
-        for r, st in self._ranks.items():
+        bounds = self._rank_bounds(colls, list(self._ranks))
+        for (r, st), (lo, hi) in zip(self._ranks.items(), bounds):
             seq: list[tuple[int, int, int]] = []
             stack: list[tuple[int, int, int]] = []
-            for kind, op, root, tag in st.colls:
+            for kind, op, root, tag in zip(
+                    *(colls[k][lo:hi].tolist()
+                      for k in ("kind", "op", "peer", "tag"))):
                 if kind == REC_COLL_ENTER:
                     seq.append((op, root, tag))
                     stack.append((op, root, tag))
@@ -598,34 +709,40 @@ class CausalAnalyzer:
 
     # -- CM004 -----------------------------------------------------------
 
-    def _check_unmatched(self, consumed) -> list[Diagnostic]:
+    @staticmethod
+    def _first_per_rank(table: dict, sel: np.ndarray) -> dict:
+        """``rank -> (first selected row, selected count)``."""
+        rows = np.flatnonzero(sel)
+        ranks, first, n = np.unique(table["rank"][rows], return_index=True,
+                                    return_counts=True)
+        return dict(zip(ranks.tolist(),
+                        zip(rows[first].tolist(), n.tolist())))
+
+    def _check_unmatched(self, sends: dict,
+                         posts: dict) -> list[Diagnostic]:
         out: list[Diagnostic] = []
-        for r in sorted(self._ranks):
-            st = self._ranks[r]
+        loose_sends = self._first_per_rank(sends, sends["to_rank"] < 0)
+        loose_posts = self._first_per_rank(posts, ~posts["done"])
+        for r, st in self._ranks.items():
             truncated = self._node_truncated.get(st.node, False)
             severity = "warning" if (truncated or self.live) else None
-            delivered = consumed.get(r, {})
-            loose_sends = [(c, s) for c, s in st.sends.items()
-                           if c not in delivered]
-            done_posts = {pc for (_, pc, *_rest) in st.completions}
-            loose_posts = [(c, p) for c, p in st.posts.items()
-                           if c not in done_posts]
-            if loose_sends:
-                c, (dest, tag, flags, nbytes, tsc) = min(loose_sends)
-                more = (f" (+{len(loose_sends) - 1} more)"
-                        if len(loose_sends) > 1 else "")
+            if r in loose_sends:
+                i, n = loose_sends[r]
+                more = f" (+{n - 1} more)" if n > 1 else ""
                 out.append(self._diag(
                     "CM004",
-                    f"send from rank {r} to rank {dest} (tag {tag}, "
-                    f"{int(nbytes)} bytes) was never received{more}",
+                    f"send from rank {r} to rank {int(sends['peer'][i])} "
+                    f"(tag {int(sends['tag'][i])}, "
+                    f"{_bytes_txt(sends['nbytes'][i])}) was never "
+                    f"received{more}",
                     node=st.node, location=f"rank[{r}]",
                     severity=severity))
-            if loose_posts:
-                c, (peer, tag, flags) = min(loose_posts)
+            if r in loose_posts:
+                i, n = loose_posts[r]
+                peer, tag = int(posts["peer"][i]), int(posts["tag"][i])
                 src_txt = "any source" if peer < 0 else f"source {peer}"
                 tag_txt = "any tag" if tag < 0 else f"tag {tag}"
-                more = (f" (+{len(loose_posts) - 1} more)"
-                        if len(loose_posts) > 1 else "")
+                more = f" (+{n - 1} more)" if n > 1 else ""
                 out.append(self._diag(
                     "CM004",
                     f"receive posted on rank {r} ({src_txt}, {tag_txt}) "
@@ -636,23 +753,33 @@ class CausalAnalyzer:
 
     # -- CM002 -----------------------------------------------------------
 
-    def _check_wait_cycles(self, consumed) -> list[Diagnostic]:
+    def _check_wait_cycles(self, sends: dict,
+                           posts: dict) -> list[Diagnostic]:
+        # One edge per (rank, peer): a rank's blocked specific-source
+        # receives first, then its unmatched rendezvous sends, each in
+        # clock order; the first of them names the edge.
+        p = np.flatnonzero(~posts["done"] & (posts["peer"] >= 0))
+        s = np.flatnonzero((sends["to_rank"] < 0)
+                           & (sends["flags"] & FLAG_RENDEZVOUS != 0))
+        rank = np.concatenate((posts["rank"][p], sends["rank"][s]))
+        peer = np.concatenate((posts["peer"][p], sends["peer"][s]))
+        is_send = np.r_[np.zeros(len(p), bool), np.ones(len(s), bool)]
+        row = np.concatenate((p, s))
+        order = np.lexsort((is_send, rank))
+        _, first = np.unique((rank * _RANK_SLOTS + peer + 2)[order],
+                             return_index=True)
         edges: dict[int, dict[int, str]] = {}
-        for r, st in self._ranks.items():
-            done_posts = {pc for (_, pc, *_rest) in st.completions}
-            for c, (peer, tag, flags) in st.posts.items():
-                if c in done_posts or peer < 0:
-                    continue
-                edges.setdefault(r, {}).setdefault(
-                    peer, f"rank {r} blocked receiving from rank {peer} "
-                          f"(tag {'any' if tag < 0 else tag})")
-            delivered = consumed.get(r, {})
-            for c, (dest, tag, flags, nbytes, tsc) in st.sends.items():
-                if c in delivered or not flags & FLAG_RENDEZVOUS:
-                    continue
-                edges.setdefault(r, {}).setdefault(
-                    dest, f"rank {r} blocked in rendezvous send to rank "
-                          f"{dest} (tag {tag}, {int(nbytes)} bytes)")
+        for k in order[np.sort(first)].tolist():
+            r, v, i = int(rank[k]), int(peer[k]), int(row[k])
+            if is_send[k]:
+                why = (f"rank {r} blocked in rendezvous send to rank {v} "
+                       f"(tag {int(sends['tag'][i])}, "
+                       f"{_bytes_txt(sends['nbytes'][i])})")
+            else:
+                tag = int(posts["tag"][i])
+                why = (f"rank {r} blocked receiving from rank {v} "
+                       f"(tag {'any' if tag < 0 else tag})")
+            edges.setdefault(r, {})[v] = why
         # DFS cycle search over <= n_ranks nodes; ranks with no outgoing
         # edge cannot be on a cycle and are skipped as dead ends
         GREY, BLACK = 1, 2
@@ -719,14 +846,14 @@ def causal_check_bundle(path, *, label: str = "",
     """
     path = Path(path)
     label = label or str(path)
+    analyzer = CausalAnalyzer(path=label,
+                              skew_tolerance_s=skew_tolerance_s)
     try:
         header = json.loads((path / "meta.json").read_text())
         nodes = header["nodes"]
         assert isinstance(nodes, dict)
     except (OSError, json.JSONDecodeError, KeyError, AssertionError):
         return []
-    analyzer = CausalAnalyzer(path=label,
-                              skew_tolerance_s=skew_tolerance_s)
     for node, info in nodes.items():
         try:
             hz = float(info["tsc_hz"])
@@ -750,14 +877,14 @@ def causal_check_spool(path, *, label: str = "",
     directory (finalize-dependent rules downgrade to warnings)."""
     path = Path(path)
     label = label or str(path)
+    analyzer = CausalAnalyzer(path=label, live=True,
+                              skew_tolerance_s=skew_tolerance_s)
     try:
         header = json.loads((path / "header.json").read_text())
         nodes = header["nodes"]
         assert isinstance(nodes, dict)
     except (OSError, json.JSONDecodeError, KeyError, AssertionError):
         return []
-    analyzer = CausalAnalyzer(path=label, live=True,
-                              skew_tolerance_s=skew_tolerance_s)
     for node, info in nodes.items():
         try:
             hz = float(info["tsc_hz"])

@@ -1072,7 +1072,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the tempest-check-v1 JSON report here")
     p.add_argument("--skew-tolerance", type=float, default=None,
                    metavar="SECONDS",
-                   help="CM005 clock-error slack (default 1e-3 s)")
+                   help="CM005 clock-error slack, finite and >= 0 "
+                        "(default 1e-3 s)")
     p.set_defaults(fn=cmd_race)
 
     p = sub.add_parser(

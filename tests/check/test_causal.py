@@ -8,6 +8,9 @@ their builder/CLI contract, while this file asserts the *sanitizer's*
 verdicts on their output.
 """
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.check.causal import (
 from repro.check.tracelint import check_bundle_dir, check_records
 from repro.core.commrec import (
     FLAG_COMPLETE,
+    FLAG_RENDEZVOUS,
     FLAG_WILD_SOURCE,
     FLAG_WILD_TAG,
     MAX_PEER,
@@ -27,6 +31,7 @@ from repro.core.commrec import (
     MAX_TAG,
     NO_PEER,
     OP_NAMES,
+    PAIR_LIMIT,
     decode_comm_addrs,
     pack_comm_addr,
     pack_recv_value,
@@ -197,6 +202,18 @@ def test_ordered_sends_do_not_race():
     assert run_analyzer(rows) == []
 
 
+def test_wildcard_completion_of_a_send_addressed_elsewhere():
+    """A wildcard receive on rank 1 consumes a send addressed to rank 2.
+    No send names rank 1, so the race sweep has nothing to scan."""
+    rows = {"node1": [
+        comm_rec(REC_MSG_SEND, 0, 2, 7, 0, 1, 8.0, 100),
+        comm_rec(REC_MSG_RECV, 1, -1, 7, FLAG_WILD_SOURCE, 1, 0.0, 110),
+        comm_rec(REC_MSG_RECV, 1, 0, 7, FLAG_WILD_SOURCE | FLAG_COMPLETE,
+                 2, pack_recv_value(1, 1), 200),
+    ]}
+    assert run_analyzer(rows) == []
+
+
 def test_clock_regression_is_cm006():
     rows = clean_exchange()
     rows["node1"].append(
@@ -267,6 +284,136 @@ def test_live_spool_downgrades_finalize_rules():
     diags = run_analyzer(rows, live=True)
     assert rules_of(diags) == ["CM004"]
     assert diags[0].severity == "warning"
+
+
+def test_double_consume_winner_does_not_depend_on_chunking():
+    """Two completions consume one send.  The lower rank keeps it whether
+    the node's chunks introduce rank 2 first (one record per chunk) or
+    rank 1 first (the whole stream as one chunk, split in rank order)."""
+    rows = {
+        "node1": [comm_rec(REC_MSG_SEND, 0, 1, 5, 0, 1, 64.0, 100)],
+        "node2": [
+            comm_rec(REC_MSG_RECV, 2, 0, 5, 0, 1, 0.0, 110),
+            comm_rec(REC_MSG_RECV, 2, 0, 5, FLAG_COMPLETE, 2,
+                     pack_recv_value(1, 1), 200),
+            comm_rec(REC_MSG_RECV, 1, 0, 5, 0, 1, 0.0, 120),
+            comm_rec(REC_MSG_RECV, 1, 0, 5, FLAG_COMPLETE, 2,
+                     pack_recv_value(1, 1), 210),
+        ],
+    }
+    by_chunk = []
+    for chunk in (1, None):
+        a = CausalAnalyzer()
+        for node, recs in rows.items():
+            a.add_node(node, 2.0e9)
+            arr = records_array(recs)
+            step = chunk or len(arr)
+            for lo in range(0, len(arr), step):
+                a.consume(node, arr[lo:lo + step])
+        by_chunk.append([(d.rule, d.message) for d in a.finalize()])
+    assert by_chunk[0] == by_chunk[1] == [
+        ("CM006", "send (rank 0, clock 1) is consumed by two completions"),
+        ("CM004", "receive posted on rank 2 (source 0, tag 5) never "
+                  "completed"),
+    ]
+
+
+# ----------------------------------------------------------------------
+# Malformed inputs: completion pairings and the skew tolerance
+
+#: completion values outside the packed (post, send) band: non-finite,
+#: too large, negative, fractional, zero, a zero send half, and a post
+#: half of exactly PAIR_LIMIT
+MALFORMED_PAIRINGS = [float("nan"), float("inf"), float("-inf"), 1e300,
+                      -3.0, 2.5, 0.0, float(PAIR_LIMIT),
+                      float(PAIR_LIMIT) ** 2]
+
+
+def malformed_completion(value):
+    rows = clean_exchange()
+    rows["node1"][2] = comm_rec(REC_MSG_RECV, 1, 0, 5, FLAG_COMPLETE, 2,
+                                value, 2000)
+    return rows
+
+
+@pytest.mark.parametrize("value", MALFORMED_PAIRINGS, ids=repr)
+def test_malformed_completion_pairing_is_cm006(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diags = run_analyzer(malformed_completion(value))
+    # the completion is dropped, so its send and its post stay unmatched
+    assert [d.rule for d in diags] == ["CM006", "CM004", "CM004"]
+    assert "malformed completion pairing" in diags[0].message
+
+
+def test_malformed_completion_pairing_reported_once_per_rank():
+    rows = malformed_completion(float("nan"))
+    rows["node1"].append(comm_rec(REC_MSG_RECV, 1, 0, 5, FLAG_COMPLETE, 3,
+                                  -3.0, 2100))
+    diags = run_analyzer(rows)
+    assert [d.rule for d in diags].count("CM006") == 1
+
+
+def save_comm_bundle(path, rows_by_node, hz=2.0e9):
+    from repro.core.symtab import SymbolTable
+    from repro.core.trace import NodeTrace
+
+    bundle = TraceBundle(SymbolTable())
+    for node, rows in rows_by_node.items():
+        trace = NodeTrace(node, hz, ["S0"])
+        trace.extend_columns(records_array(rows))
+        bundle.add_node(trace)
+    bundle.save(path)
+    return path
+
+
+@pytest.mark.parametrize("value", MALFORMED_PAIRINGS, ids=repr)
+@pytest.mark.parametrize("command", ["race", "check"])
+def test_malformed_completion_pairing_cli(tmp_path, capsys, command, value):
+    from repro.cli import main
+
+    bundle = save_comm_bundle(tmp_path / "bundle",
+                              malformed_completion(value))
+    report = tmp_path / "report.json"
+    assert main([command, str(bundle), "--json", str(report)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads(report.read_text())
+    assert any(d["rule"] == "CM006"
+               and "malformed completion pairing" in d["message"]
+               for d in doc["diagnostics"])
+
+
+def test_non_finite_payload_size_is_reported():
+    rows = {"node1": [comm_rec(REC_MSG_SEND, 0, 1, 5, FLAG_RENDEZVOUS, 1,
+                               float("nan"), 100),
+                      comm_rec(REC_MSG_SEND, 1, 0, 5, FLAG_RENDEZVOUS, 1,
+                               64.0, 100)]}
+    diags = run_analyzer(rows)
+    assert rules_of(diags) == ["CM002", "CM004"]
+    assert "nan bytes" in diags[0].message
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf"),
+                                       float("-inf")], ids=repr)
+def test_skew_tolerance_rejects_nonsense(tolerance):
+    with pytest.raises(ConfigError):
+        CausalAnalyzer(skew_tolerance_s=tolerance)
+
+
+def test_skew_tolerance_zero_is_accepted():
+    assert run_analyzer(clean_exchange(), skew_tolerance_s=0.0) == []
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_race_cli_rejects_bad_skew_tolerance(tmp_path, capsys, tolerance):
+    from repro.cli import main
+
+    bundle = save_comm_bundle(tmp_path / "bundle", clean_exchange())
+    assert main(["race", str(bundle),
+                 f"--skew-tolerance={tolerance}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "skew tolerance" in err
+    assert main(["race", str(bundle), "--skew-tolerance=0.1"]) == 0
 
 
 # ----------------------------------------------------------------------
