@@ -7,11 +7,17 @@ three stages the refactor targets, each implemented both ways:
 * **save** — per-record ``struct.pack`` loop (seed object path) vs one
   ``RecordColumns.to_bytes`` buffer;
 * **load** — per-record ``struct.unpack_from`` loop materializing
-  :class:`TraceRecord` objects vs one ``np.frombuffer`` reinterpret;
+  one record object each vs one ``np.frombuffer`` reinterpret;
 * **parse** — regression pre-scan + call-timeline replay + sensor-series
   split over a list of objects (the post-mortem oracle's event-at-a-time
   replay, ``tests/core/oracle.py``) vs ``TempestParser`` over the
   structured columns (the profile engine).
+
+``src/`` has no per-record object type any more, so the object path —
+the frozen record class with its ``pack``/``unpack``, the per-object
+regression scan, and the per-object timeline extraction — is defined
+here, unchanged from the code it was measured against, so the gate keeps
+measuring the same baseline.
 
 Results land in ``BENCH_columnar.json`` at the repo root (and a rendered
 table in ``benchmarks/results/trace_scale.txt``).  The acceptance gate —
@@ -31,6 +37,7 @@ import json
 import os
 import struct
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +51,9 @@ from repro.core.trace import (
     REC_TEMP,
     NodeTrace,
     TraceBundle,
-    TraceRecord,
 )
-from repro.core.tsc import detect_regressions
-from tests.core.oracle import build_timeline
+from repro.core.tsc import RegressionReport
+from tests.core.oracle import replay_timeline
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_JSON = REPO_ROOT / "BENCH_columnar.json"
@@ -58,6 +64,70 @@ N_RECORDS = int(os.environ.get("TEMPEST_BENCH_RECORDS", "1000000"))
 BENCH_SEED = int(os.environ.get("TEMPEST_BENCH_SEED", "2007"))
 TSC_HZ = 1.8e9
 _REC_STRUCT = struct.Struct("<Bqqiid")
+
+
+# ----------------------------------------------------------------------
+# The per-object baseline: one Python object per record
+
+@dataclass(frozen=True, slots=True)
+class TraceRecord:
+    """One trace event (the object-path baseline's record type)."""
+
+    kind: int
+    addr: int        # function address (ENTER/EXIT) or sensor index (TEMP)
+    tsc: int         # raw timestamp-counter value
+    core: int        # core the event was recorded on
+    pid: int         # recording process
+    value: float = 0.0  # temperature in degC for TEMP records
+
+    def pack(self) -> bytes:
+        """Serialize to the fixed-width binary layout."""
+        return _REC_STRUCT.pack(
+            self.kind, self.addr, self.tsc, self.core, self.pid, self.value
+        )
+
+    @classmethod
+    def unpack(cls, blob: bytes, offset: int = 0) -> "TraceRecord":
+        """Deserialize one record from *blob* at *offset*."""
+        kind, addr, tsc, core, pid, value = _REC_STRUCT.unpack_from(blob, offset)
+        return cls(kind, addr, tsc, core, pid, value)
+
+
+def iter_records(arr: np.ndarray):
+    """Yield :class:`TraceRecord` objects from a structured array."""
+    for row in arr:
+        yield TraceRecord(
+            int(row["kind"]), int(row["addr"]), int(row["tsc"]),
+            int(row["core"]), int(row["pid"]), float(row["value"]),
+        )
+
+
+def detect_regressions_objects(records) -> list[RegressionReport]:
+    """The per-object regression scan over an iterable of records."""
+    last: dict[int, int] = {}
+    out: list[RegressionReport] = []
+    for i, rec in enumerate(records):
+        if rec.kind not in (REC_ENTER, REC_EXIT):
+            continue
+        prev = last.get(rec.pid)
+        if prev is not None and rec.tsc < prev:
+            out.append(
+                RegressionReport(pid=rec.pid, index=i,
+                                 back_step_ticks=prev - rec.tsc)
+            )
+        last[rec.pid] = max(prev or rec.tsc, rec.tsc)
+    return out
+
+
+def build_timeline_objects(records, symtab: SymbolTable, seconds_fn, *,
+                           strict: bool = True):
+    """The oracle's timeline replay fed from a list of record objects."""
+    func = [r for r in records if r.kind in (REC_ENTER, REC_EXIT)]
+    kinds = [r.kind for r in func]
+    names = [symtab.name_of(r.addr) for r in func]
+    times = [seconds_fn(r.tsc) for r in func]
+    pids = [r.pid for r in func]
+    return replay_timeline(kinds, names, times, pids, strict=strict)
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +208,8 @@ def _seconds(tsc):
 
 def parse_objects(records: list[TraceRecord], symtab: SymbolTable):
     func = [r for r in records if r.kind in (REC_ENTER, REC_EXIT)]
-    detect_regressions(func)
-    timeline = build_timeline(func, symtab, _seconds, strict=False)
+    detect_regressions_objects(func)
+    timeline = build_timeline_objects(func, symtab, _seconds, strict=False)
     per_sensor: dict[int, list[tuple[float, float]]] = {}
     for r in records:
         if r.kind == REC_TEMP:
@@ -169,7 +239,7 @@ def _warmup(symtab_n: int = 20_000) -> None:
     numpy imports, allocator warm-up) don't land in either timing."""
     arr, symtab = synthesize_columns(symtab_n)
     cols = RecordColumns.from_array(arr)
-    records = list(cols.iter_records())
+    records = list(iter_records(cols.array))
     parse_objects(load_objects(save_objects(records)), symtab)
     parse_columnar(load_columnar(save_columnar(cols)), symtab)
 
@@ -178,7 +248,7 @@ def run_scale_benchmark(n_records: int = N_RECORDS) -> dict:
     _warmup()
     arr, symtab = synthesize_columns(n_records)
     cols = RecordColumns.from_array(arr)
-    t_materialize, records = _timed(lambda: list(cols.iter_records()))
+    t_materialize, records = _timed(lambda: list(iter_records(cols.array)))
 
     obj: dict[str, float] = {}
     col: dict[str, float] = {}

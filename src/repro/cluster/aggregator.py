@@ -85,7 +85,7 @@ from repro.core.records import RECORD_SIZE, records_from_buffer
 from repro.core.streamprof import StreamingRunProfiler
 from repro.core.summary import RunSummary
 from repro.core.symtab import SymbolTable
-from repro.core.trace import NodeTrace, TraceBundle
+from repro.core.trace import NodeTrace, TraceBundle, check_tsc_hz
 from repro.util.errors import TraceError
 
 _log = logging.getLogger(__name__)
@@ -264,11 +264,12 @@ class Aggregator:
             )
         try:
             name = str(obj["node"])
-            tsc_hz = float(obj["tsc_hz"])
+            tsc_hz = check_tsc_hz(obj["tsc_hz"], f"node {name!r}")
             sensor_names = [str(s) for s in obj["sensor_names"]]
             symtab = {str(k): int(v) for k, v in obj["symtab"].items()}
             meta = dict(obj.get("meta", {}))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                TraceError) as exc:
             raise WireError(f"malformed HELLO: {exc}")
         with self._lock:
             try:

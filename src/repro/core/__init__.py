@@ -23,7 +23,6 @@ on a real Linux hwmon tree.
 """
 
 from repro.core.trace import (
-    TraceRecord,
     NodeTrace,
     TraceBundle,
     REC_ENTER,
@@ -64,7 +63,6 @@ from repro.core.session import TempestSession
 from repro.core.perblk import block
 
 __all__ = [
-    "TraceRecord",
     "NodeTrace",
     "TraceBundle",
     "REC_ENTER",

@@ -92,7 +92,7 @@ class NodeTracer:
 
     # -- hooks -----------------------------------------------------------
     # The hooks emit straight into the trace's columnar sink
-    # (``append_event``) — no per-event TraceRecord object on the hot path.
+    # (``append_event``) — six scalars per event, no per-event object.
 
     def on_enter(self, proc: SimProcess, name: str) -> None:
         """Function-entry hook: record and charge."""

@@ -36,7 +36,6 @@ from repro.core.trace import (
     REC_EXIT,
     REC_TEMP,
     TraceBundle,
-    TraceRecord,
 )
 from repro.util.errors import ConfigError
 
@@ -81,10 +80,8 @@ class RealTempest:
             samples = self.reader.read_all(0.0)
             with self._lock:
                 for idx, value in samples:
-                    self.trace.append(
-                        TraceRecord(REC_TEMP, idx, tsc, -1, self._pid + 1,
-                                    float(value))
-                    )
+                    self.trace.append_event(REC_TEMP, idx, tsc, -1,
+                                            self._pid + 1, float(value))
             self._stop.wait(period)
 
     def _make_profiler(self, target_file: str):
@@ -100,9 +97,9 @@ class RealTempest:
                 return
             kind = REC_ENTER if event == "call" else REC_EXIT
             addr = self.symtab.address_of(code.co_name)
-            rec = TraceRecord(kind, addr, time.perf_counter_ns(), 0, self._pid)
+            tsc = time.perf_counter_ns()
             with self._lock:
-                self.trace.append(rec)
+                self.trace.append_event(kind, addr, tsc, 0, self._pid)
 
         return hook
 
@@ -119,20 +116,16 @@ class RealTempest:
         main_addr = self.symtab.address_of("main")
         hook = self._make_profiler(target_file)
         with self._lock:
-            self.trace.append(
-                TraceRecord(REC_ENTER, main_addr, time.perf_counter_ns(),
-                            0, self._pid)
-            )
+            self.trace.append_event(REC_ENTER, main_addr,
+                                    time.perf_counter_ns(), 0, self._pid)
         sys.setprofile(hook)
         try:
             result = fn(*args, **kwargs)
         finally:
             sys.setprofile(None)
             with self._lock:
-                self.trace.append(
-                    TraceRecord(REC_EXIT, main_addr, time.perf_counter_ns(),
-                                0, self._pid)
-                )
+                self.trace.append_event(REC_EXIT, main_addr,
+                                        time.perf_counter_ns(), 0, self._pid)
             self._stop.set()
             sampler.join(timeout=2.0)
         return result

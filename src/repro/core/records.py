@@ -1,31 +1,23 @@
 """Columnar trace-record storage.
 
-The record path used to shuttle every event as an individual
-:class:`~repro.core.trace.TraceRecord` dataclass instance: one Python
-object per hook firing, one ``struct.pack`` call per record on save, one
-``struct.unpack_from`` per record on load.  At the paper's event rates
-(two function hooks per call plus a 4 Hz sensor sweep per node) a modest
-run produces millions of records, and the per-object overhead dominates
-every stage of the pipeline.
-
-:class:`RecordColumns` replaces the object list with a single numpy
-structured array whose dtype (:data:`RECORD_DTYPE`) is byte-identical to
-the historical ``struct`` layout ``<Bqqiid``:
+At the paper's event rates (two function hooks per call plus a 4 Hz
+sensor sweep per node) a modest run produces millions of records, so
+records are never Python objects: every producer and reader works on one
+numpy structured array whose dtype (:data:`RECORD_DTYPE`) is
+byte-identical to the ``struct`` layout ``<Bqqiid``:
 
 * appends go into a chunked, amortized-doubling backing array (no Python
   object per record);
 * (de)serialization is ``tobytes`` / ``np.frombuffer`` on the whole
   buffer — zero per-record Python work, and byte-compatible with every
   ``tempest-trace-v1`` bundle and spool written before this existed;
-* kind/pid/sensor filters are vectorized boolean masks over the columns;
-* :class:`RecordSeq` provides a list-of-:class:`TraceRecord` view for
-  callers (and tests) that still want per-record objects — the compat
-  shim, not the hot path.
+* kind/pid/sensor filters are vectorized boolean masks over the columns.
+
+:class:`RecordColumns` is the append-side store; a single event enters
+through :meth:`RecordColumns.append_row` as six scalars.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,14 +101,6 @@ class RecordColumns:
         """Deserialize packed record bytes (one bulk copy, no per-record work)."""
         return cls.from_array(records_from_buffer(blob))
 
-    @classmethod
-    def from_records(cls, records: Iterable) -> "RecordColumns":
-        """Build from an iterable of :class:`TraceRecord`-shaped objects."""
-        cols = cls()
-        for r in records:
-            cols.append_row(r.kind, r.addr, r.tsc, r.core, r.pid, r.value)
-        return cols
-
     # -- appends --------------------------------------------------------
     def _grow_to(self, need: int) -> None:
         cap = len(self._arr)
@@ -130,7 +114,7 @@ class RecordColumns:
 
     def append_row(self, kind: int, addr: int, tsc: int, core: int,
                    pid: int, value: float = 0.0) -> None:
-        """Append one record without constructing a TraceRecord object."""
+        """Append one record from its six fields."""
         n = self._n
         self._grow_to(n + 1)
         self._arr[n] = (kind, addr, tsc, core, pid, value)
@@ -163,97 +147,3 @@ class RecordColumns:
     def to_bytes(self) -> bytes:
         """Single-buffer serialization of every record."""
         return records_to_bytes(self.array)
-
-    # -- vectorized masks ----------------------------------------------
-    def kind_mask(self, *kinds: int) -> np.ndarray:
-        """Boolean mask selecting records of the given kinds."""
-        col = self.array["kind"]
-        mask = np.zeros(self._n, dtype=bool)
-        for k in kinds:
-            mask |= col == k
-        return mask
-
-    def pid_mask(self, pid: int) -> np.ndarray:
-        """Boolean mask selecting one process's records."""
-        return self.array["pid"] == pid
-
-    def select(self, mask: np.ndarray) -> np.ndarray:
-        """Records matching *mask*, as a fresh structured array."""
-        return self.array[mask]
-
-    # -- object shims ---------------------------------------------------
-    def record_at(self, i: int):
-        """Materialize record *i* as a :class:`TraceRecord` (compat path)."""
-        return _to_record(self.array[i])
-
-    def iter_records(self) -> Iterator:
-        """Yield :class:`TraceRecord` objects (compat path, not the hot one)."""
-        from repro.core.trace import TraceRecord
-
-        for row in self.array:
-            yield TraceRecord(
-                int(row["kind"]), int(row["addr"]), int(row["tsc"]),
-                int(row["core"]), int(row["pid"]), float(row["value"]),
-            )
-
-
-def _to_record(row):
-    from repro.core.trace import TraceRecord
-
-    return TraceRecord(
-        int(row["kind"]), int(row["addr"]), int(row["tsc"]),
-        int(row["core"]), int(row["pid"]), float(row["value"]),
-    )
-
-
-class RecordSeq(Sequence):
-    """Read-only list-like view over a structured record array.
-
-    Indexing materializes :class:`TraceRecord` objects on demand;
-    equality against another :class:`RecordSeq` compares the underlying
-    arrays directly (no object materialization), and against any other
-    sequence element-wise — so legacy ``trace.records == [rec, ...]``
-    assertions keep working unchanged.
-    """
-
-    __slots__ = ("_arr",)
-
-    def __init__(self, arr: np.ndarray):
-        if isinstance(arr, RecordColumns):
-            arr = arr.array
-        self._arr = arr
-
-    @property
-    def array(self) -> np.ndarray:
-        """The underlying structured array (no copy)."""
-        return self._arr
-
-    def __len__(self) -> int:
-        return len(self._arr)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [_to_record(row) for row in self._arr[i]]
-        return _to_record(self._arr[i])
-
-    def __iter__(self) -> Iterator:
-        for row in self._arr:
-            yield _to_record(row)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RecordSeq):
-            return np.array_equal(self._arr, other._arr)
-        if isinstance(other, (list, tuple)):
-            if len(other) != len(self._arr):
-                return False
-            return all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __repr__(self) -> str:
-        return f"RecordSeq({len(self._arr)} records)"

@@ -3,7 +3,7 @@
 The real Tempest appends trace records to a file *during* execution — a
 long run must not hold its whole trace in memory.  A :class:`TraceSpool`
 attaches to a :class:`~repro.core.trace.NodeTrace` and sinks each record
-as it is appended; :func:`read_spool` recovers the records later
+as it is appended; :func:`read_spool_columns` recovers the records later
 (tolerating a truncated tail, e.g. after a crash), and
 :func:`spool_to_bundle` reassembles a full
 :class:`~repro.core.trace.TraceBundle` from a directory of spools plus the
@@ -16,7 +16,7 @@ of one ``struct.pack`` + ``write`` per record.  The flush contract is:
 after ``flush()`` or ``close()`` every accepted record is on disk; a
 crash between flushes loses at most one chunk, and a crash mid-write
 loses at most one torn record at the tail — both are what
-:func:`read_spool`'s tolerant mode recovers from.
+:func:`read_spool_columns`'s tolerant mode recovers from.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ import numpy as np
 from repro.core.records import (
     RECORD_SIZE,
     RecordColumns,
-    RecordSeq,
     records_from_buffer,
     records_to_bytes,
 )
 from repro.core.symtab import SymbolTable
-from repro.core.trace import NodeTrace, TraceBundle, TraceRecord
+from repro.core.trace import NodeTrace, TraceBundle
 from repro.util.canonjson import dump_canonical
 from repro.util.errors import TraceError
 
@@ -72,11 +71,6 @@ class TraceSpool:
         self.records_written += 1
         if len(self._chunk) >= self._chunk_records:
             self._drain()
-
-    def write(self, record: TraceRecord) -> None:
-        """Buffer one record (compat wrapper over :meth:`write_event`)."""
-        self.write_event(record.kind, record.addr, record.tsc, record.core,
-                         record.pid, record.value)
 
     def write_array(self, arr: np.ndarray) -> None:
         """Sink a whole structured record array in one write."""
@@ -188,13 +182,6 @@ def read_spool_columns(path: Path, *, tolerate_truncation: bool = True
             )
         blob = blob[: len(blob) - remainder]
     return records_from_buffer(blob)
-
-
-def read_spool(path: Path, *, tolerate_truncation: bool = True) -> RecordSeq:
-    """Read all records from a spool file, as a list-like record view."""
-    return RecordSeq(
-        read_spool_columns(path, tolerate_truncation=tolerate_truncation)
-    )
 
 
 def iter_spool_chunks(path: Path, *, chunk_records: int = SPOOL_CHUNK_RECORDS,

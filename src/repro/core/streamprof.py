@@ -70,7 +70,7 @@ import numpy as np
 from repro.core.profilemodel import NodeProfile, RunProfile
 from repro.core.records import RECORD_DTYPE
 from repro.core.symtab import SymbolTable
-from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP
+from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP, check_tsc_hz
 from repro.util.errors import TraceError
 
 __all__ = [
@@ -1592,13 +1592,18 @@ class StreamingRunProfiler:
 
     def add_node(self, node_name: str, tsc_hz: float,
                  sensor_names: list[str]) -> ProfileAccumulator:
-        """Register a node (idempotent); returns its accumulator."""
+        """Register a node (idempotent); returns its accumulator.
+
+        ``tsc_hz`` must be finite and positive (:class:`TraceError`
+        otherwise), as for :class:`~repro.core.trace.NodeTrace`.
+        """
+        hz = check_tsc_hz(tsc_hz, f"node {node_name!r}")
         acc = self.accumulators.get(node_name)
         if acc is None:
             acc = ProfileAccumulator(
                 node_name,
                 self.symtab,
-                lambda tsc, hz=float(tsc_hz): tsc / hz,
+                lambda tsc, hz=hz: tsc / hz,
                 sensor_names,
                 sampling_hz=self.sampling_hz,
                 strict=self.strict,

@@ -15,33 +15,28 @@ bundle — exactly the division of labour in the paper.
 
 Storage is columnar: a :class:`NodeTrace` holds one
 :class:`~repro.core.records.RecordColumns` (a numpy structured array in the
-exact ``<Bqqiid`` byte layout) rather than a list of per-record objects.
-:class:`TraceRecord` remains the one-record value type for point appends,
-tests, and iteration, but the hot paths — save, load, spooling, parsing —
-move whole arrays.  ``tempest-trace-v1`` bundles written by the old
-per-object code load byte-identically, and bundles written here are
-byte-identical to what the old code would have produced.
+exact ``<Bqqiid`` byte layout); there is no per-record object type.  A
+single event enters through :meth:`NodeTrace.append_event` as six
+scalars, a batch through :meth:`NodeTrace.extend_columns`, and every
+reader — save, spooling, parsing, diagnostics — moves whole arrays.
 
 A :class:`TraceBundle` round-trips to disk as a directory containing a
 JSON header (symbol table, node metadata, calibration) plus one compact
-binary record file per node, or as human-readable JSONL for debugging.
+binary record file per node.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.core.records import (
-    RECORD_DTYPE,
     RECORD_SIZE,
     RecordColumns,
-    RecordSeq,
     records_from_buffer,
 )
 from repro.core.symtab import SymbolTable
@@ -62,16 +57,6 @@ REC_MSG_RECV = 5
 REC_COLL_ENTER = 6
 REC_COLL_EXIT = 7
 
-_KIND_NAMES = {
-    REC_ENTER: "ENTER",
-    REC_EXIT: "EXIT",
-    REC_TEMP: "TEMP",
-    REC_MSG_SEND: "MSG_SEND",
-    REC_MSG_RECV: "MSG_RECV",
-    REC_COLL_ENTER: "COLL_ENTER",
-    REC_COLL_EXIT: "COLL_EXIT",
-}
-
 #: kinds introduced by the communication sanitizer; readers that predate
 #: them must skip-with-warning rather than reject the stream (the
 #: forward-compat contract TL005 encodes)
@@ -87,44 +72,28 @@ _REC_STRUCT = struct.Struct("<Bqqiid")
 assert _REC_STRUCT.size == RECORD_SIZE, "columnar dtype diverged from <Bqqiid"
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One trace event."""
+def check_tsc_hz(tsc_hz, where: str) -> float:
+    """*tsc_hz* as a float; :class:`TraceError` unless finite and positive.
 
-    kind: int
-    addr: int        # function address (ENTER/EXIT) or sensor index (TEMP)
-    tsc: int         # raw timestamp-counter value
-    core: int        # core the event was recorded on
-    pid: int         # recording process
-    value: float = 0.0  # temperature in degC for TEMP records
-
-    def kind_name(self) -> str:
-        """Human-readable record kind."""
-        return _KIND_NAMES.get(self.kind, f"?{self.kind}")
-
-    def pack(self) -> bytes:
-        """Serialize to the fixed-width binary layout."""
-        return _REC_STRUCT.pack(
-            self.kind, self.addr, self.tsc, self.core, self.pid, self.value
-        )
-
-    @classmethod
-    def unpack(cls, blob: bytes, offset: int = 0) -> "TraceRecord":
-        """Deserialize one record from *blob* at *offset*."""
-        kind, addr, tsc, core, pid, value = _REC_STRUCT.unpack_from(blob, offset)
-        return cls(kind, addr, tsc, core, pid, value)
-
-    @staticmethod
-    def packed_size() -> int:
-        """Bytes per packed record."""
-        return _REC_STRUCT.size
+    Every ``tsc_hz`` a reader is handed (bundle header, spool header,
+    wire HELLO, API call) passes here: a NaN or infinite calibration
+    would otherwise turn every time in the profile into NaN or 0.0.
+    """
+    try:
+        hz = float(tsc_hz)
+    except (TypeError, ValueError):
+        hz = math.nan
+    if not (math.isfinite(hz) and hz > 0):
+        raise TraceError(
+            f"{where}: tsc_hz must be finite and positive, got {tsc_hz!r}")
+    return hz
 
 
 class NodeTrace:
     """Append-only record stream for one node, plus calibration metadata.
 
-    Records live in :attr:`columns`; ``records`` is a list-like
-    :class:`~repro.core.records.RecordSeq` view for per-object consumers.
+    Records live in :attr:`columns`, one structured array; readers take
+    :meth:`func_columns` / :meth:`temp_columns` or ``columns.array``.
     Subclasses that intercept the record stream (spooling, fault
     injection) override :meth:`append_event` — every append funnels
     through it.
@@ -132,29 +101,19 @@ class NodeTrace:
 
     def __init__(self, node_name: str, tsc_hz: float,
                  sensor_names: list[str]):
-        if tsc_hz <= 0:
-            raise TraceError(f"tsc_hz must be positive, got {tsc_hz}")
         self.node_name = node_name
-        self.tsc_hz = float(tsc_hz)       # calibrated nominal TSC frequency
+        # calibrated nominal TSC frequency
+        self.tsc_hz = check_tsc_hz(tsc_hz, f"node {node_name!r}")
         self.sensor_names = list(sensor_names)
         self.columns = RecordColumns()
         #: set by tolerant loaders when this trace lost its tail on disk
         self.truncated = False
 
-    @property
-    def records(self) -> RecordSeq:
-        """List-like view of the records (materializes objects on demand)."""
-        return RecordSeq(self.columns.array)
-
     def append_event(self, kind: int, addr: int, tsc: int, core: int,
                      pid: int, value: float = 0.0) -> None:
-        """Append one event straight into the columns (the canonical sink)."""
+        """Append one event straight into the columns (the canonical sink;
+        events arrive in per-core time order)."""
         self.columns.append_row(kind, addr, tsc, core, pid, value)
-
-    def append(self, record: TraceRecord) -> None:
-        """Append one record (records arrive in per-core time order)."""
-        self.append_event(record.kind, record.addr, record.tsc, record.core,
-                          record.pid, record.value)
 
     def extend_columns(self, arr: np.ndarray) -> None:
         """Bulk-append a structured record array (vectorized sink).
@@ -198,14 +157,6 @@ class NodeTrace:
         arr = self.columns.array
         for lo in range(0, len(arr), chunk_records):
             yield arr[lo:lo + chunk_records]
-
-    def temp_records(self) -> RecordSeq:
-        """Just the temperature samples, in arrival order (object view)."""
-        return RecordSeq(self.temp_columns())
-
-    def func_records(self) -> RecordSeq:
-        """Just the function ENTER/EXIT events, in arrival order (object view)."""
-        return RecordSeq(self.func_columns())
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -341,28 +292,3 @@ class TraceBundle:
             trace.extend_columns(records_from_buffer(blob))
             bundle.add_node(trace)
         return bundle
-
-    # ------------------------------------------------------------------
-    # JSONL debugging format
-
-    def dump_jsonl(self, path: Path) -> None:
-        """Write a human-readable one-record-per-line dump."""
-        path = Path(path)
-        with path.open("w") as fh:
-            fh.write(json.dumps({"symtab": self.symtab.to_dict()}) + "\n")
-            for name, t in self.nodes.items():
-                for r in t.records:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "node": name,
-                                "kind": r.kind_name(),
-                                "addr": r.addr,
-                                "tsc": r.tsc,
-                                "core": r.core,
-                                "pid": r.pid,
-                                "value": r.value,
-                            }
-                        )
-                        + "\n"
-                    )

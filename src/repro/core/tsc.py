@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.records import RecordSeq
-from repro.core.trace import REC_ENTER, REC_EXIT, TraceRecord
+from repro.core.trace import REC_ENTER, REC_EXIT
 from repro.util.errors import ConfigError
 
 
@@ -82,43 +81,22 @@ class RegressionReport:
         )
 
 
-def detect_regressions(records) -> list[RegressionReport]:
+def detect_regressions(records: np.ndarray) -> list[RegressionReport]:
     """Scan function records for per-pid non-monotonic timestamps.
 
     A clean (bound) trace returns an empty list; an unbound process that
     migrated across skewed cores shows up here before the timeline builder
     rejects it, so tools can report *which* process broke the binding rule.
 
-    *records* is either a structured record array (vectorized per-pid
-    running-max scan) or any iterable of :class:`TraceRecord`; reported
-    indices refer to positions in the stream passed in, either way.
+    *records* is a structured record array; one running-max pass per pid
+    finds every record below its pid's earlier maximum.  Reported indices
+    refer to positions in the array passed in.
     """
-    if isinstance(records, RecordSeq):
-        records = records.array
-    if isinstance(records, np.ndarray):
-        return _detect_regressions_columns(records)
-    last: dict[int, int] = {}
-    out: list[RegressionReport] = []
-    for i, rec in enumerate(records):
-        if rec.kind not in (REC_ENTER, REC_EXIT):
-            continue
-        prev = last.get(rec.pid)
-        if prev is not None and rec.tsc < prev:
-            out.append(
-                RegressionReport(pid=rec.pid, index=i,
-                                 back_step_ticks=prev - rec.tsc)
-            )
-        last[rec.pid] = max(prev or rec.tsc, rec.tsc)
-    return out
-
-
-def _detect_regressions_columns(arr: np.ndarray) -> list[RegressionReport]:
-    """Columnar :func:`detect_regressions`: one running-max pass per pid."""
-    kind = arr["kind"]
+    kind = records["kind"]
     mask = (kind == REC_ENTER) | (kind == REC_EXIT)
     positions = np.nonzero(mask)[0]
-    tsc = arr["tsc"][mask]
-    pids = arr["pid"][mask]
+    tsc = records["tsc"][mask]
+    pids = records["pid"][mask]
     out: list[RegressionReport] = []
     for pid in np.unique(pids):
         sel = pids == pid
@@ -139,23 +117,25 @@ def _detect_regressions_columns(arr: np.ndarray) -> list[RegressionReport]:
     return out
 
 
-def cross_core_skew(records: list[TraceRecord]) -> dict[tuple[int, int], int]:
+def cross_core_skew(records: np.ndarray) -> dict[tuple[int, int], int]:
     """Rough per-core-pair skew estimate from adjacent cross-core records.
 
-    For each pid whose consecutive records moved between cores, the tick
-    difference bounds the skew between those two cores (plus the genuine
-    elapsed time, so this is an upper-bound diagnostic, not a measurement).
-    Returns ``{(core_a, core_b): max observed |delta|}``.
+    For each pid whose consecutive function records moved between cores,
+    the tick difference bounds the skew between those two cores (plus the
+    genuine elapsed time, so this is an upper-bound diagnostic, not a
+    measurement).  *records* is a structured record array.  Returns
+    ``{(core_a, core_b): max observed |delta|}``.
     """
-    last: dict[int, TraceRecord] = {}
+    kind = records["kind"]
+    func = records[(kind == REC_ENTER) | (kind == REC_EXIT)]
+    # Stable: each pid's records keep their stream order.
+    func = func[np.argsort(func["pid"], kind="stable")]
+    pid, core, tsc = func["pid"], func["core"], func["tsc"]
+    moved = (pid[1:] == pid[:-1]) & (core[1:] != core[:-1])
+    lo = np.minimum(core[1:], core[:-1])[moved]
+    hi = np.maximum(core[1:], core[:-1])[moved]
+    delta = np.abs(tsc[1:] - tsc[:-1])[moved]
     out: dict[tuple[int, int], int] = {}
-    for rec in records:
-        if rec.kind not in (REC_ENTER, REC_EXIT):
-            continue
-        prev = last.get(rec.pid)
-        if prev is not None and prev.core != rec.core:
-            key = (min(prev.core, rec.core), max(prev.core, rec.core))
-            delta = abs(rec.tsc - prev.tsc)
-            out[key] = max(out.get(key, 0), delta)
-        last[rec.pid] = rec
+    for a, b, d in zip(lo.tolist(), hi.tolist(), delta.tolist()):
+        out[(a, b)] = max(out.get((a, b), 0), d)
     return out

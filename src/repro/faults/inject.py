@@ -65,10 +65,10 @@ class FaultInjector:
         if node_name not in self.plan.affected:
             return
         old = tracer.trace
-        if len(old.records):
+        if len(old):
             raise ConfigError(
                 f"cannot inject into {node_name}: trace already has "
-                f"{len(old.records)} records"
+                f"{len(old)} records"
             )
         lossy = LossyNodeTrace(old.node_name, old.tsc_hz, old.sensor_names,
                                self.plan)

@@ -11,18 +11,20 @@ Two sinks inject those failures under a :class:`~repro.faults.plan.FaultPlan`:
 * :class:`LossyTraceSpool` — a :class:`~repro.core.spool.TraceSpool`
   subclass applying the same fault model on the buffered path to disk.
 
-Per-record appends draw each record's fate individually; bulk columnar
-appends (:meth:`LossyNodeTrace.extend_columns`) draw one uniform vector
-from the same per-node substream and apply loss as a boolean mask and
-skew as a vectorized cumulative-sum lookup — bit-identical to the
-per-record path for the same record stream, because a size-*n* uniform
-draw consumes the generator state exactly like *n* single draws.
+Both sinks take records as columns.  A row append (``append_event`` /
+``write_event``: six scalars, one event as a hook fires it) draws that
+record's fate individually; a bulk append
+(:meth:`LossyNodeTrace.extend_columns`) draws one uniform vector from the
+same per-node substream and applies loss as a boolean mask and skew as a
+vectorized cumulative-sum lookup — bit-identical to the row path for the
+same record stream, because a size-*n* uniform draw consumes the
+generator state exactly like *n* single draws.
 
 Corruption is payload-level, never framing-level: a corrupted record still
 unpacks, it just carries a wrong temperature (TEMP) or a forward-jittered
 timestamp (ENTER/EXIT).  Framing damage — a truncated tail — is exercised
 separately through :meth:`repro.core.trace.TraceBundle.load` and
-:func:`repro.core.spool.read_spool`.
+:func:`repro.core.spool.read_spool_columns`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.spool import TraceSpool
-from repro.core.trace import NodeTrace, REC_TEMP, TraceRecord
+from repro.core.trace import NodeTrace, REC_TEMP
 from repro.faults.plan import ACT_CORRUPT, ACT_DROP, FaultPlan
 
 
@@ -101,14 +103,6 @@ class _FaultingSink:
             self.n_records_skewed += int(skewed.sum())
             out["tsc"] += skew
         return out
-
-    def _apply_faults(self, record: TraceRecord):
-        """Return the (possibly corrupted) record, or None to drop it."""
-        fields = self._apply_faults_row(record.kind, record.addr, record.tsc,
-                                        record.core, record.pid, record.value)
-        if fields is None:
-            return None
-        return TraceRecord(*fields)
 
 
 class LossyNodeTrace(_FaultingSink, NodeTrace):

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.core.summary import RunSummary
 from repro.lab.laboratory import Laboratory
 from repro.lab.manifest import RunManifest
@@ -124,17 +126,6 @@ class CampaignRegression:
             f"{self.run_id} regressed {self.delta:+.3f} vs {self.best_value:.3f} "
             f"in {self.best_run_id}"
         )
-
-
-class _PseudoRecord:
-    """A metric sample disguised as a trace record for the §3.3 scanner."""
-
-    __slots__ = ("kind", "pid", "tsc")
-
-    def __init__(self, kind: int, pid: int, tsc: int):
-        self.kind = kind
-        self.pid = pid
-        self.tsc = tsc
 
 
 class CampaignStore:
@@ -293,14 +284,15 @@ class CampaignStore:
         """Cross-run regressions of a metric over the campaign series.
 
         Every (node, function) pair selected by the filters becomes one
-        pseudo-pid whose "timestamps" are the negated metric values,
-        quantized to milli-units; the per-pid running-max scan of
-        :func:`repro.core.tsc.detect_regressions` then reports exactly
-        the runs whose metric rose above the best (lowest) value seen
-        earlier in the campaign.  ``min_delta`` suppresses sub-threshold
-        noise (default 0.5 — two 0.25 °C quantization steps of a thermal
-        reading).
+        pseudo-pid of a record array whose "timestamps" are the negated
+        metric values, quantized to milli-units; the per-pid running-max
+        scan of :func:`repro.core.tsc.detect_regressions` then reports
+        exactly the runs whose metric rose above the best (lowest) value
+        seen earlier in the campaign — a best value of 0.0 included.
+        ``min_delta`` suppresses sub-threshold noise (default 0.5 — two
+        0.25 °C quantization steps of a thermal reading).
         """
+        from repro.core.records import RECORD_DTYPE
         from repro.core.trace import REC_ENTER
         from repro.core.tsc import detect_regressions
 
@@ -309,7 +301,8 @@ class CampaignStore:
         ids = self.run_ids()
         pairs = self._selected_pairs(ids, node=node, function=function,
                                      sensor=sensor)
-        records: list[_PseudoRecord] = []
+        pids: list[int] = []
+        ticks: list[int] = []
         index_map: list[tuple[str, str, str, float]] = []
         values: dict[tuple[str, str], list[Optional[float]]] = {}
         for pid, (n, f) in enumerate(pairs):
@@ -322,9 +315,13 @@ class CampaignStore:
             for rid, value in zip(ids, series):
                 if value is None:
                     continue
-                records.append(_PseudoRecord(
-                    REC_ENTER, pid, -int(round(value * _METRIC_SCALE))))
+                pids.append(pid)
+                ticks.append(-int(round(value * _METRIC_SCALE)))
                 index_map.append((n, f, rid, value))
+        records = np.zeros(len(ticks), dtype=RECORD_DTYPE)
+        records["kind"] = REC_ENTER
+        records["pid"] = pids
+        records["tsc"] = ticks
         out: list[CampaignRegression] = []
         for report in detect_regressions(records):
             if report.back_step_ticks < min_delta * _METRIC_SCALE:

@@ -10,7 +10,6 @@ from repro.core.trace import (
     REC_EXIT,
     REC_TEMP,
     TraceBundle,
-    TraceRecord,
 )
 
 
@@ -19,17 +18,17 @@ def fill_trace(trace, symtab, *, n_pairs=20, tsc0=0):
     main = symtab.address_of("main")
     kern = symtab.address_of("kernel")
     tsc = tsc0
-    trace.append(TraceRecord(REC_ENTER, main, tsc, 0, 1))
+    trace.append_event(REC_ENTER, main, tsc, 0, 1)
     for _ in range(n_pairs):
         tsc += 50_000_000
-        trace.append(TraceRecord(REC_ENTER, kern, tsc, 0, 1))
+        trace.append_event(REC_ENTER, kern, tsc, 0, 1)
         tsc += 10_000_000
-        trace.append(TraceRecord(REC_TEMP, 0, tsc, 3, 2, 44.5))
-        trace.append(TraceRecord(REC_TEMP, 1, tsc, 3, 2, 41.0))
+        trace.append_event(REC_TEMP, 0, tsc, 3, 2, 44.5)
+        trace.append_event(REC_TEMP, 1, tsc, 3, 2, 41.0)
         tsc += 40_000_000
-        trace.append(TraceRecord(REC_EXIT, kern, tsc, 0, 1))
+        trace.append_event(REC_EXIT, kern, tsc, 0, 1)
     tsc += 1_000_000
-    trace.append(TraceRecord(REC_EXIT, main, tsc, 0, 1))
+    trace.append_event(REC_EXIT, main, tsc, 0, 1)
     return tsc
 
 

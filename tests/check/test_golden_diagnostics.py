@@ -17,7 +17,6 @@ from repro.core.trace import (
     NodeTrace,
     REC_TEMP,
     TraceBundle,
-    TraceRecord,
 )
 from repro.faults import (
     FaultConfig,
@@ -134,8 +133,8 @@ def test_dead_sensors_leave_empty_trace_tl015(tmp_path):
         t = sweep * 0.25
         try:
             for idx, value in reader.read_all(t):
-                trace.append(TraceRecord(REC_TEMP, idx, int(t * 1.8e9),
-                                         0, 2, value))
+                trace.append_event(REC_TEMP, idx, int(t * 1.8e9), 0, 2,
+                                   value)
         except SensorError:
             continue
     assert reader.n_dropout_failures == 8

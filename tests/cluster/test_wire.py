@@ -1,12 +1,14 @@
 """Unit tests for the ``tempest-wire-v1`` frame codec."""
 
+import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cluster.aggregator import METRIC_NAMES
+from repro.cluster.aggregator import METRIC_NAMES, Aggregator
 from repro.cluster.wire import (
     FRAME_TYPES,
     FT_CHUNK,
@@ -140,6 +142,18 @@ def test_hello_payload_shape():
     # It must round-trip through the JSON frame codec unchanged.
     frames = FrameDecoder().feed(encode_json_frame(FT_HELLO, obj))
     assert decode_json(frames[0][1]) == obj
+
+
+@pytest.mark.parametrize("hz", [math.nan, math.inf, 0.0, -1.0])
+def test_hello_with_bad_tsc_hz_refused_at_handshake(hz):
+    # A calibration that cannot convert ticks to seconds is refused when
+    # the node announces itself, not after all its data has arrived.
+    agg = Aggregator(live=True)
+    payload = json.dumps(hello_payload("node1", hz, ["S0"], {"main": 4096},
+                                       {"sampling_hz": 4.0})).encode()
+    with pytest.raises(WireError, match="finite and positive"):
+        agg.on_hello(payload)
+    assert agg.nodes == {}
 
 
 def test_decode_json_rejects_garbage():

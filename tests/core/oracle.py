@@ -220,25 +220,16 @@ def replay_timeline(ev_kinds, ev_names, ev_times, ev_pids, *,
     return OracleTimeline(intervals, segments, exclusive, calls, arcs)
 
 
-def build_timeline(records, symtab: SymbolTable, seconds_fn, *,
+def build_timeline(records: np.ndarray, symtab: SymbolTable, seconds_fn, *,
                    strict: bool = True) -> OracleTimeline:
-    """Replay *records* — a structured record array or any iterable of
-    :class:`~repro.core.trace.TraceRecord` — into an
-    :class:`OracleTimeline`; ``seconds_fn`` converts TSC ticks (whole
-    columns at once for an array)."""
-    if isinstance(records, np.ndarray):
-        arr = records[(records["kind"] == REC_ENTER)
-                      | (records["kind"] == REC_EXIT)]
-        kinds = arr["kind"].tolist()
-        names = [symtab.name_of(a) for a in arr["addr"].tolist()]
-        times = np.asarray(seconds_fn(arr["tsc"]), dtype=float).tolist()
-        pids = arr["pid"].tolist()
-    else:
-        func = [r for r in records if r.kind in (REC_ENTER, REC_EXIT)]
-        kinds = [r.kind for r in func]
-        names = [symtab.name_of(r.addr) for r in func]
-        times = [seconds_fn(r.tsc) for r in func]
-        pids = [r.pid for r in func]
+    """Replay a structured record array into an :class:`OracleTimeline`;
+    ``seconds_fn`` converts a column of TSC ticks to seconds."""
+    arr = records[(records["kind"] == REC_ENTER)
+                  | (records["kind"] == REC_EXIT)]
+    kinds = arr["kind"].tolist()
+    names = [symtab.name_of(a) for a in arr["addr"].tolist()]
+    times = np.asarray(seconds_fn(arr["tsc"]), dtype=float).tolist()
+    pids = arr["pid"].tolist()
     return replay_timeline(kinds, names, times, pids, strict=strict)
 
 

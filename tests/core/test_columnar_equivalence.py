@@ -1,21 +1,23 @@
-"""Property tests: the object path and the columnar path are the same
-pipeline.
+"""Property tests: row appends and bulk appends are the same pipeline.
 
-Satellite of the columnar-core refactor: for random record streams —
-TEMP/ENTER/EXIT interleavings, unbalanced tails, torn record files — the
-per-record object path and the bulk columnar path must produce
-byte-identical ``.trace`` files that parse to the same
-:class:`~repro.core.profilemodel.RunProfile`.
+For random record streams — TEMP/ENTER/EXIT interleavings, unbalanced
+tails, torn record files — a trace filled one event at a time
+(``append_event``, what the hooks do) and one filled in bulk
+(``extend_columns``, what loaders do) must produce byte-identical
+``.trace`` files, identical to the reference ``struct`` layout, that parse
+to the same :class:`~repro.core.profilemodel.RunProfile`.
 """
 
+import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.parser import TempestParser
-from repro.core.records import RECORD_SIZE, RecordColumns
+from repro.core.records import RECORD_SIZE
 from repro.core.symtab import SymbolTable
 from repro.core.trace import (
     NodeTrace,
@@ -23,8 +25,8 @@ from repro.core.trace import (
     REC_EXIT,
     REC_TEMP,
     TraceBundle,
-    TraceRecord,
 )
+from tests.rows import Row, to_array
 
 TSC_HZ = 1e9
 SENSORS = ["CPU0", "MB"]
@@ -49,37 +51,36 @@ def record_streams(draw):
             idx = draw(st.integers(min_value=0, max_value=len(SENSORS) - 1))
             temp = draw(st.floats(min_value=20.0, max_value=90.0,
                                   allow_nan=False))
-            records.append(TraceRecord(REC_TEMP, idx, tsc, 3, 999, temp))
+            records.append(Row(REC_TEMP, idx, tsc, 3, 999, temp))
             continue
         pid = draw(st.integers(min_value=1, max_value=n_pids))
         stack = stacks[pid]
         if stack and draw(st.booleans()):
-            records.append(TraceRecord(REC_EXIT,
-                                       sym.address_of(stack.pop()), tsc,
-                                       0, pid))
+            records.append(Row(REC_EXIT, sym.address_of(stack.pop()), tsc,
+                               0, pid))
         else:
             name = draw(st.sampled_from(FUNCS))
             stack.append(name)
-            records.append(TraceRecord(REC_ENTER, sym.address_of(name),
-                                       tsc, 0, pid))
+            records.append(Row(REC_ENTER, sym.address_of(name), tsc, 0,
+                               pid))
     # Usually close every open frame; sometimes leave a truncated tail of
     # dangling ENTERs (the lenient parser must repair both identically).
     if draw(st.booleans()):
         for pid, stack in stacks.items():
             while stack:
                 tsc += 1000
-                records.append(TraceRecord(
-                    REC_EXIT, sym.address_of(stack.pop()), tsc, 0, pid))
+                records.append(Row(REC_EXIT, sym.address_of(stack.pop()),
+                                   tsc, 0, pid))
     return sym, records
 
 
 def make_traces(records):
-    """The same stream stored per-record and stored in bulk."""
+    """The same stream stored one row at a time and stored in bulk."""
     obj = NodeTrace("n0", TSC_HZ, SENSORS)
     for r in records:
-        obj.append(r)
+        obj.append_event(*r)
     col = NodeTrace("n0", TSC_HZ, SENSORS)
-    col.extend_columns(RecordColumns.from_records(records).array)
+    col.extend_columns(to_array(records))
     return obj, col
 
 
@@ -107,7 +108,8 @@ def test_property_object_and_columnar_paths_identical(stream):
 
     # 1. Serialization is byte-identical, and identical to the historical
     #    per-record struct.pack loop.
-    packed = b"".join(r.pack() for r in records)
+    rec = struct.Struct("<Bqqiid")
+    packed = b"".join(rec.pack(*r) for r in records)
     assert obj_trace.columns.to_bytes() == packed
     assert col_trace.columns.to_bytes() == packed
 
@@ -132,7 +134,7 @@ def test_property_object_and_columnar_paths_identical(stream):
 @given(record_streams(), st.integers(min_value=1, max_value=2 * RECORD_SIZE))
 def test_property_torn_tail_recovers_identically(stream, torn_bytes):
     """A torn record file recovers to the same truncated trace whether the
-    bundle was written per-record or in bulk."""
+    bundle was written row by row or in bulk."""
     sym, records = stream
     obj_trace, col_trace = make_traces(records)
     loaded = []
@@ -148,7 +150,7 @@ def test_property_torn_tail_recovers_identically(stream, torn_bytes):
             loaded.append(
                 TraceBundle.load(td / tag, tolerate_truncation=True))
     ta, tb = loaded[0].node("n0"), loaded[1].node("n0")
-    assert ta.records == tb.records
+    assert np.array_equal(ta.columns.array, tb.columns.array)
     assert ta.truncated == tb.truncated
     if records:
         assert ta.truncated

@@ -53,18 +53,20 @@ def run_traced(program, tracer):
 def test_enter_exit_records_emitted():
     tracer = make_tracer()
     _, p = run_traced(leaf, tracer)
-    kinds = [r.kind for r in tracer.trace.records]
+    kinds = tracer.trace.columns.array["kind"].tolist()
     assert kinds == [REC_ENTER, REC_EXIT]
     assert p.result == "leaf-done"
-    name = tracer.symtab.name_of(tracer.trace.records[0].addr)
+    name = tracer.symtab.name_of(int(tracer.trace.columns.array["addr"][0]))
     assert name == "leaf"
 
 
 def test_nested_instrumentation_order():
     tracer = make_tracer()
     run_traced(outer, tracer)
+    arr = tracer.trace.columns.array
     names = [
-        (r.kind, tracer.symtab.name_of(r.addr)) for r in tracer.trace.records
+        (kind, tracer.symtab.name_of(addr))
+        for kind, addr in zip(arr["kind"].tolist(), arr["addr"].tolist())
     ]
     assert names == [
         (REC_ENTER, "outer"),
@@ -117,7 +119,7 @@ def test_exit_emitted_on_exception():
 
     p = m.spawn(body, "node1", 0)
     m.run_to_completion([p])
-    kinds = [r.kind for r in tracer.trace.records]
+    kinds = tracer.trace.columns.array["kind"].tolist()
     assert kinds == [REC_ENTER, REC_EXIT]
     assert p.result == "survived"
 
@@ -126,16 +128,16 @@ def test_stopped_tracer_records_nothing():
     tracer = make_tracer()
     tracer.stop()
     _, p = run_traced(leaf, tracer)
-    assert len(tracer.trace.records) == 0
+    assert len(tracer.trace) == 0
     assert p.overhead_charged == 0.0
 
 
 def test_timestamps_are_core_tsc():
     tracer = make_tracer()
     _, p = run_traced(leaf, tracer)
-    enter, exit_ = tracer.trace.records
+    enter, exit_ = tracer.trace.columns.array["tsc"].tolist()
     # leaf computes 1.0 s at 1.8 GHz nominal TSC.
-    assert exit_.tsc - enter.tsc == pytest.approx(1.8e9, rel=1e-6)
+    assert exit_ - enter == pytest.approx(1.8e9, rel=1e-6)
 
 
 def test_negative_hook_cost_rejected():
@@ -203,5 +205,6 @@ def not_a_generator(x):
 
     p = m.spawn(body, "node1", 0)
     m.run_to_completion([p])
-    names = [tracer.symtab.name_of(r.addr) for r in tracer.trace.records]
+    names = [tracer.symtab.name_of(a)
+             for a in tracer.trace.columns.array["addr"].tolist()]
     assert names == ["phase_two", "phase_one", "phase_one", "phase_two"]

@@ -1,4 +1,4 @@
-"""Tests for the columnar record store (RecordColumns / RecordSeq).
+"""Tests for the columnar record store (RecordColumns).
 
 The columnar core's load-bearing promise is byte-compatibility: the
 structured dtype must match the historical ``<Bqqiid`` struct layout
@@ -7,36 +7,43 @@ per-object code loads unchanged, and bundles written by the columnar code
 load under the old reader.
 """
 
-import numpy as np
+import struct
+
 import pytest
 
 from repro.core.records import (
     RECORD_DTYPE,
     RECORD_SIZE,
     RecordColumns,
-    RecordSeq,
     empty_records,
     records_from_buffer,
     records_to_bytes,
 )
-from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP, TraceRecord
+from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP
 from repro.util.errors import TraceError
+from tests.rows import Row, rows, to_array
+
+_REC = struct.Struct("<Bqqiid")
+
+
+def pack(r) -> bytes:
+    """The reference per-record layout, packed independently of numpy."""
+    return _REC.pack(*r)
 
 
 def some_records(n=10):
     out = []
     for i in range(n):
         kind = (REC_ENTER, REC_EXIT, REC_TEMP)[i % 3]
-        out.append(TraceRecord(kind, i, i * 1000, i % 4, 1 + i % 2,
-                               float(i) / 2))
+        out.append(Row(kind, i, i * 1000, i % 4, 1 + i % 2, float(i) / 2))
     return out
 
 
 def test_dtype_matches_struct_layout():
-    assert RECORD_SIZE == TraceRecord.packed_size() == 33
+    assert RECORD_SIZE == _REC.size == 33
     assert RECORD_DTYPE.itemsize == 33  # packed: no padding inserted
-    r = TraceRecord(REC_TEMP, 3, 123456789012, 2, 41, 47.5)
-    arr = records_from_buffer(r.pack())
+    r = Row(REC_TEMP, 3, 123456789012, 2, 41, 47.5)
+    arr = records_from_buffer(pack(r))
     assert arr["kind"][0] == r.kind
     assert arr["addr"][0] == r.addr
     assert arr["tsc"][0] == r.tsc
@@ -47,21 +54,21 @@ def test_dtype_matches_struct_layout():
 
 def test_to_bytes_matches_per_record_pack():
     recs = some_records(50)
-    cols = RecordColumns.from_records(recs)
-    assert cols.to_bytes() == b"".join(r.pack() for r in recs)
+    cols = RecordColumns.from_array(to_array(recs))
+    assert cols.to_bytes() == b"".join(pack(r) for r in recs)
 
 
 def test_from_buffer_roundtrip():
     recs = some_records(7)
-    blob = b"".join(r.pack() for r in recs)
+    blob = b"".join(pack(r) for r in recs)
     cols = RecordColumns.from_buffer(blob)
     assert len(cols) == 7
-    assert list(cols.iter_records()) == recs
+    assert rows(cols.array) == recs
     assert cols.to_bytes() == blob
 
 
 def test_from_buffer_rejects_torn_tail():
-    blob = b"".join(r.pack() for r in some_records(3))
+    blob = b"".join(pack(r) for r in some_records(3))
     with pytest.raises(TraceError):
         records_from_buffer(blob[:-1])
 
@@ -69,14 +76,13 @@ def test_from_buffer_rejects_torn_tail():
 def test_append_grows_past_initial_capacity():
     cols = RecordColumns(capacity=2)
     for r in some_records(100):
-        cols.append_row(r.kind, r.addr, r.tsc, r.core, r.pid, r.value)
+        cols.append_row(*r)
     assert len(cols) == 100
-    assert list(cols.iter_records()) == some_records(100)
+    assert rows(cols.array) == some_records(100)
 
 
 def test_extend_array_bulk_append():
-    recs = some_records(20)
-    bulk = RecordColumns.from_records(recs).array
+    bulk = to_array(some_records(20))
     cols = RecordColumns(capacity=4)
     cols.extend_array(bulk[:10])
     cols.extend_array(bulk[10:])
@@ -85,43 +91,7 @@ def test_extend_array_bulk_append():
 
 
 def test_clear_retains_nothing_live():
-    cols = RecordColumns.from_records(some_records(5))
+    cols = RecordColumns.from_array(to_array(some_records(5)))
     cols.clear()
     assert len(cols) == 0
     assert cols.to_bytes() == b""
-
-
-def test_kind_and_pid_masks():
-    cols = RecordColumns.from_records(some_records(12))
-    temp = cols.select(cols.kind_mask(REC_TEMP))
-    assert (temp["kind"] == REC_TEMP).all()
-    func = cols.select(cols.kind_mask(REC_ENTER, REC_EXIT))
-    assert len(temp) + len(func) == 12
-    p1 = cols.select(cols.pid_mask(1))
-    assert (p1["pid"] == 1).all()
-
-
-def test_record_at_materializes_one():
-    recs = some_records(4)
-    cols = RecordColumns.from_records(recs)
-    assert cols.record_at(2) == recs[2]
-
-
-def test_recordseq_list_semantics():
-    recs = some_records(6)
-    seq = RecordSeq(RecordColumns.from_records(recs).array)
-    assert len(seq) == 6
-    assert seq[0] == recs[0]
-    assert seq[-1] == recs[-1]
-    assert seq[1:3] == recs[1:3]
-    assert list(seq) == recs
-    assert seq == recs                      # vs list: elementwise
-    assert seq == RecordSeq(seq.array)      # vs RecordSeq: array compare
-    assert seq != recs[:-1]
-    assert not (seq == recs[:-1] + [recs[0]])
-
-
-def test_recordseq_array_view_is_zero_copy():
-    cols = RecordColumns.from_records(some_records(3))
-    seq = RecordSeq(cols.array)
-    assert seq.array.base is not None  # a view, not an owning copy

@@ -111,7 +111,7 @@ def run_tempd(duration_s, config=TempdConfig(), costs=HookCosts()):
 
 def test_tempd_samples_at_4hz():
     _, tracer, _ = run_tempd(10.0)
-    temp_recs = [r for r in tracer.trace.records if r.kind == REC_TEMP]
+    temp_recs = tracer.trace.temp_columns()
     sweeps = len(temp_recs) / 3  # three sensors per sweep
     assert 38 <= sweeps <= 46  # ~4 Hz over ~10.5 s
 
@@ -133,9 +133,9 @@ def test_tempd_cpu_share_below_one_percent():
 
 def test_tempd_first_sample_precedes_workload_activity():
     _, tracer, _ = run_tempd(2.0)
-    first = tracer.trace.records[0]
-    assert first.kind == REC_TEMP
-    assert tracer.trace.seconds(first.tsc) < 0.01
+    first = tracer.trace.columns.array[0]
+    assert first["kind"] == REC_TEMP
+    assert tracer.trace.seconds(first["tsc"]) < 0.01
 
 
 def test_tempd_custom_rate():

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import TempestSession
 from repro.core.spool import TraceSpool, spool_to_bundle
-from repro.core.trace import REC_ENTER, TraceRecord
+from repro.core.trace import REC_ENTER
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.util.errors import TraceError
 from repro.workloads.microbench import micro_d
@@ -20,14 +20,14 @@ from repro.workloads.microbench import micro_d
 
 def test_flush_after_close_is_a_noop(tmp_path):
     spool = TraceSpool(tmp_path / "x.spool")
-    spool.write(TraceRecord(REC_ENTER, 0x400000, 1, 0, 1))
+    spool.write_event(REC_ENTER, 0x400000, 1, 0, 1)
     spool.close()
     spool.flush()                      # must not raise on the closed file
     spool.flush()
     assert spool.records_written == 1
     # Writes stay rejected — idempotent flush is not a reopened spool.
     with pytest.raises(TraceError):
-        spool.write(TraceRecord(REC_ENTER, 0x400000, 2, 0, 1))
+        spool.write_event(REC_ENTER, 0x400000, 2, 0, 1)
 
 
 def test_finalize_spools_is_idempotent(tmp_path):
@@ -39,7 +39,7 @@ def test_finalize_spools_is_idempotent(tmp_path):
     session.finalize_spools()
     assert (tmp_path / "spools" / "header.json").read_bytes() == header
     bundle = spool_to_bundle(tmp_path / "spools")
-    assert len(bundle.nodes["node1"].records) > 0
+    assert len(bundle.nodes["node1"]) > 0
 
 
 def test_stop_after_emergency_flush_does_not_raise(tmp_path):
@@ -59,4 +59,4 @@ def test_stop_after_emergency_flush_does_not_raise(tmp_path):
     session.stop()
     session.stop()
     assert (tmp_path / "spools" / "header.json").read_bytes() == header
-    assert len(spool_to_bundle(tmp_path / "spools").nodes["node1"].records)
+    assert len(spool_to_bundle(tmp_path / "spools").nodes["node1"])

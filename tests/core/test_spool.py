@@ -8,58 +8,56 @@ from repro.core.spool import (
     SpoolingNodeTrace,
     TraceSpool,
     iter_spool_chunks,
-    read_spool,
     read_spool_columns,
     spool_to_bundle,
     write_spool_header,
 )
 from repro.core.symtab import SymbolTable
-from repro.core.trace import REC_ENTER, REC_TEMP, TraceRecord
+from repro.core.trace import REC_ENTER, REC_TEMP
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.util.errors import TraceError
 from repro.workloads.microbench import micro_d
+from tests.rows import Row, rows
 
 
 def test_spool_write_read_roundtrip(tmp_path):
     spool = TraceSpool(tmp_path / "n1.spool")
-    records = [
-        TraceRecord(REC_ENTER, 0x400000, 1000 + i, 0, 1) for i in range(50)
-    ]
+    records = [Row(REC_ENTER, 0x400000, 1000 + i, 0, 1) for i in range(50)]
     with spool:
         for r in records:
-            spool.write(r)
+            spool.write_event(*r)
     assert spool.records_written == 50
-    assert read_spool(tmp_path / "n1.spool") == records
+    assert rows(read_spool_columns(tmp_path / "n1.spool")) == records
 
 
 def test_spool_rejects_writes_after_close(tmp_path):
     spool = TraceSpool(tmp_path / "x.spool")
     spool.close()
     with pytest.raises(TraceError):
-        spool.write(TraceRecord(REC_ENTER, 1, 1, 0, 1))
+        spool.write_event(REC_ENTER, 1, 1, 0, 1)
 
 
 def test_truncated_tail_tolerated(tmp_path):
     spool = TraceSpool(tmp_path / "t.spool")
     with spool:
         for i in range(10):
-            spool.write(TraceRecord(REC_TEMP, 0, i, 0, 2, 40.0))
+            spool.write_event(REC_TEMP, 0, i, 0, 2, 40.0)
     f = tmp_path / "t.spool"
     f.write_bytes(f.read_bytes()[:-7])  # crash mid-record
-    recs = read_spool(f)
+    recs = read_spool_columns(f)
     assert len(recs) == 9
     with pytest.raises(TraceError):
-        read_spool(f, tolerate_truncation=False)
+        read_spool_columns(f, tolerate_truncation=False)
 
 
 def test_spooling_node_trace_writes_through(tmp_path):
     spool = TraceSpool(tmp_path / "n.spool")
     trace = SpoolingNodeTrace("n1", 1.8e9, ["s0"], spool)
-    rec = TraceRecord(REC_ENTER, 0x400000, 42, 0, 1)
-    trace.append(rec)
+    rec = Row(REC_ENTER, 0x400000, 42, 0, 1)
+    trace.append_event(*rec)
     spool.close()
-    assert trace.records == [rec]          # in memory
-    assert read_spool(tmp_path / "n.spool") == [rec]  # and on disk
+    assert rows(trace.columns.array) == [rec]                    # in memory
+    assert rows(read_spool_columns(tmp_path / "n.spool")) == [rec]  # on disk
 
 
 def test_constant_memory_mode(tmp_path):
@@ -67,10 +65,10 @@ def test_constant_memory_mode(tmp_path):
     trace = SpoolingNodeTrace("n1", 1.8e9, ["s0"], spool,
                               keep_in_memory=False)
     for i in range(100):
-        trace.append(TraceRecord(REC_ENTER, 0x400000, i, 0, 1))
+        trace.append_event(REC_ENTER, 0x400000, i, 0, 1)
     spool.close()
-    assert trace.records == []
-    assert len(read_spool(tmp_path / "n.spool")) == 100
+    assert len(trace) == 0
+    assert len(read_spool_columns(tmp_path / "n.spool")) == 100
 
 
 def test_session_spooling_end_to_end(tmp_path):
@@ -96,20 +94,20 @@ def test_context_manager_flushes_buffered_chunk_on_exception(tmp_path):
     with pytest.raises(RuntimeError, match="workload died"):
         with TraceSpool(path) as spool:
             for i in range(100):                    # < one 4096-record chunk
-                spool.write(TraceRecord(REC_ENTER, 7, i, 0, 1))
+                spool.write_event(REC_ENTER, 7, i, 0, 1)
             raise RuntimeError("workload died")
     assert spool.closed
-    assert len(read_spool(path)) == 100             # nothing dropped
+    assert len(read_spool_columns(path)) == 100            # nothing dropped
 
 
 def test_tail_records_cursor_reads(tmp_path):
     spool = TraceSpool(tmp_path / "c.spool")
     for i in range(10):
-        spool.write(TraceRecord(REC_ENTER, 1, i, 0, 1))
+        spool.write_event(REC_ENTER, 1, i, 0, 1)
     first = spool.tail_records(0)                   # flushes, reads all 10
     assert len(first) == 10
     for i in range(10, 17):
-        spool.write(TraceRecord(REC_ENTER, 1, i, 0, 1))
+        spool.write_event(REC_ENTER, 1, i, 0, 1)
     rest = spool.tail_records(10)                   # only the new records
     assert len(rest) == 7
     assert rest["tsc"].tolist() == list(range(10, 17))
@@ -121,7 +119,7 @@ def test_iter_spool_chunks_sizes_and_content(tmp_path):
     path = tmp_path / "i.spool"
     with TraceSpool(path) as spool:
         for i in range(1000):
-            spool.write(TraceRecord(REC_TEMP, 0, i, 0, 2, 40.0))
+            spool.write_event(REC_TEMP, 0, i, 0, 2, 40.0)
     chunks = list(iter_spool_chunks(path, chunk_records=256))
     assert [len(c) for c in chunks] == [256, 256, 256, 232]
     whole = np.concatenate(chunks)
@@ -134,7 +132,7 @@ def test_iter_spool_chunks_truncated_tail(tmp_path):
     path = tmp_path / "t2.spool"
     with TraceSpool(path) as spool:
         for i in range(10):
-            spool.write(TraceRecord(REC_TEMP, 0, i, 0, 2, 40.0))
+            spool.write_event(REC_TEMP, 0, i, 0, 2, 40.0)
     path.write_bytes(path.read_bytes()[:-5])        # torn final record
     chunks = list(iter_spool_chunks(path, chunk_records=4))
     assert sum(len(c) for c in chunks) == 9         # tolerated by default

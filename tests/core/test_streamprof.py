@@ -787,6 +787,14 @@ def test_streaming_run_profiler_unknown_node():
         profiler.consume("ghost", np.empty(0))
 
 
+@pytest.mark.parametrize("hz", [math.nan, math.inf, 0.0, -1.0])
+def test_streaming_run_profiler_rejects_bad_tsc_hz(hz):
+    profiler = StreamingRunProfiler(SymbolTable())
+    with pytest.raises(TraceError, match="finite and positive"):
+        profiler.add_node("n", hz, ["S0"])
+    assert profiler.accumulators == {}
+
+
 # ----------------------------------------------------------------------
 # min_samples_for_stats=0: explicit SensorStats.empty() instead of a crash
 

@@ -5,37 +5,35 @@ Aggregates (times, calls, arcs, span) and strict errors are asserted on
 the parser; per-interval output — activations, depths, top-of-stack
 segments, point queries — on the post-mortem oracle, which keeps it."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.parser import TempestParser
-from repro.core.records import RecordColumns
 from repro.core.symtab import SymbolTable
 from repro.core.trace import (
     REC_ENTER,
     REC_EXIT,
     NodeTrace,
     TraceBundle,
-    TraceRecord,
 )
 from repro.util.errors import TraceError
 from tests.core.oracle import build_timeline
+from tests.rows import Row, to_array
 
 
 def make_records(events, sym, pid=1, hz=1e9):
-    """events: list of (kind, name, seconds)."""
-    out = []
-    for kind, name, t in events:
-        out.append(
-            TraceRecord(kind, sym.address_of(name), int(t * hz), 0, pid)
-        )
-    return out
+    """events: list of (kind, name, seconds) -> a record array."""
+    return to_array(
+        Row(kind, sym.address_of(name), int(t * hz), 0, pid)
+        for kind, name, t in events
+    )
 
 
 def parse_records(recs, sym, strict=True):
     """The parser's timeline of one node holding *recs*."""
     trace = NodeTrace("n", 1e9, [])
-    trace.extend_columns(RecordColumns.from_records(recs).array)
+    trace.extend_columns(recs)
     parser = TempestParser(TraceBundle(sym), strict=strict)
     return parser.parse_node(trace).timeline
 
@@ -145,11 +143,11 @@ def test_top_segments_sequence():
 
 def test_multiple_pids_are_independent():
     sym = SymbolTable()
-    recs = make_records(
+    recs = np.concatenate([make_records(
         [(REC_ENTER, "main", 0.0), (REC_EXIT, "main", 5.0)], sym, pid=1
-    ) + make_records(
+    ), make_records(
         [(REC_ENTER, "worker", 1.0), (REC_EXIT, "worker", 9.0)], sym, pid=2
-    )
+    )])
     tl = parse_records(recs, sym)
     assert tl.inclusive_time("main") == pytest.approx(5.0)
     assert tl.inclusive_time("worker") == pytest.approx(8.0)
@@ -326,8 +324,8 @@ def test_lenient_unmatched_exit_clears_top_since():
 
 
 # ----------------------------------------------------------------------
-# The parser (columnar records through the profile engine) against the
-# oracle (object records through the event-at-a-time replay).
+# The parser (records through the profile engine) against the oracle
+# (the same records through the event-at-a-time replay).
 
 def _timeline_pair(events, pid=1):
     """The oracle's timeline and the parser's, of the same stream."""
@@ -378,14 +376,15 @@ def test_columnar_matches_replay_recursion():
 
 def test_columnar_matches_replay_multi_pid():
     sym = SymbolTable()
-    recs = make_records(
+    recs = np.concatenate([make_records(
         [(REC_ENTER, "main", 0.0), (REC_ENTER, "foo", 2.0),
          (REC_EXIT, "foo", 4.0), (REC_EXIT, "main", 6.0)], sym, pid=1,
-    ) + make_records(
+    ), make_records(
         [(REC_ENTER, "worker", 1.0), (REC_ENTER, "foo", 3.0),
          (REC_EXIT, "foo", 5.0), (REC_EXIT, "worker", 9.0)], sym, pid=2,
-    )
-    recs.sort(key=lambda r: r.tsc)  # interleave the two pids' events
+    )])
+    # interleave the two pids' events
+    recs = recs[np.argsort(recs["tsc"], kind="stable")]
     _assert_timelines_match(
         build_timeline(recs, sym, lambda tsc: tsc / 1e9),
         parse_records(recs, sym),
@@ -423,19 +422,18 @@ def test_property_columnar_matches_replay_random_streams(data):
         stack = stacks[pid]
         tsc += data.draw(st.integers(min_value=0, max_value=1000))
         if stack and data.draw(st.booleans()):
-            events.append(TraceRecord(REC_EXIT,
-                                      sym.address_of(stack.pop()), tsc, 0,
-                                      pid))
+            events.append(Row(REC_EXIT, sym.address_of(stack.pop()), tsc, 0,
+                              pid))
         else:
             name = data.draw(st.sampled_from(names))
             stack.append(name)
-            events.append(TraceRecord(REC_ENTER, sym.address_of(name), tsc,
-                                      0, pid))
+            events.append(Row(REC_ENTER, sym.address_of(name), tsc, 0, pid))
     for pid, stack in stacks.items():  # close everything: well-formed
         while stack:
             tsc += 10
-            events.append(TraceRecord(REC_EXIT, sym.address_of(stack.pop()),
-                                      tsc, 0, pid))
+            events.append(Row(REC_EXIT, sym.address_of(stack.pop()), tsc, 0,
+                              pid))
+    events = to_array(events)
     _assert_timelines_match(
         build_timeline(events, sym, lambda t: t / 1e9),
         parse_records(events, sym),

@@ -1,10 +1,13 @@
-"""Tests for trace records, node traces, and bundle round-trips."""
+"""Tests for node traces and bundle round-trips."""
 
 import json
+import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.records import records_from_buffer
 from repro.core.symtab import SymbolTable
 from repro.core.trace import (
     NodeTrace,
@@ -12,15 +15,20 @@ from repro.core.trace import (
     REC_EXIT,
     REC_TEMP,
     TraceBundle,
-    TraceRecord,
 )
 from repro.util.errors import TraceError
+from tests.rows import Row, rows, to_array
+
+_REC = struct.Struct("<Bqqiid")
 
 
 def test_record_pack_unpack_roundtrip():
-    r = TraceRecord(REC_TEMP, 3, 123456789012, 2, 41, 47.5)
-    r2 = TraceRecord.unpack(r.pack())
-    assert r2 == r
+    r = Row(REC_TEMP, 3, 123456789012, 2, 41, 47.5)
+    t = NodeTrace("n1", tsc_hz=1e9, sensor_names=["s0"])
+    t.append_event(*r)
+    blob = t.columns.to_bytes()
+    assert blob == _REC.pack(*r)
+    assert Row(*_REC.unpack(blob)) == r
 
 
 @settings(max_examples=100, deadline=None)
@@ -33,17 +41,20 @@ def test_record_pack_unpack_roundtrip():
     value=st.floats(allow_nan=False, allow_infinity=False, width=32),
 )
 def test_property_record_roundtrip(kind, addr, tsc, core, pid, value):
-    r = TraceRecord(kind, addr, tsc, core, pid, float(value))
-    assert TraceRecord.unpack(r.pack()) == r
+    r = Row(kind, addr, tsc, core, pid, float(value))
+    blob = to_array([r]).tobytes()
+    assert blob == _REC.pack(*r)
+    assert rows(records_from_buffer(blob)) == [r]
 
 
 def test_node_trace_filters_and_seconds():
     t = NodeTrace("n1", tsc_hz=2e9, sensor_names=["s0"])
-    t.append(TraceRecord(REC_ENTER, 1, 2_000_000_000, 0, 1))
-    t.append(TraceRecord(REC_TEMP, 0, 3_000_000_000, 0, 2, 40.0))
-    t.append(TraceRecord(REC_EXIT, 1, 4_000_000_000, 0, 1))
-    assert len(t.func_records()) == 2
-    assert len(t.temp_records()) == 1
+    t.append_event(REC_ENTER, 1, 2_000_000_000, 0, 1)
+    t.append_event(REC_TEMP, 0, 3_000_000_000, 0, 2, 40.0)
+    t.append_event(REC_EXIT, 1, 4_000_000_000, 0, 1)
+    assert len(t) == 3
+    assert t.func_columns()["kind"].tolist() == [REC_ENTER, REC_EXIT]
+    assert t.temp_columns()["value"].tolist() == [40.0]
     assert t.seconds(2_000_000_000) == pytest.approx(1.0)
 
 
@@ -52,16 +63,23 @@ def test_invalid_tsc_hz_rejected():
         NodeTrace("n1", tsc_hz=0.0, sensor_names=[])
 
 
+@pytest.mark.parametrize("hz", [math.nan, math.inf, -1.0, "fast"])
+def test_non_finite_or_non_positive_tsc_hz_rejected(hz):
+    # NaN passes a bare ``hz <= 0`` test; it must be refused all the same.
+    with pytest.raises(TraceError, match="finite and positive"):
+        NodeTrace("n1", tsc_hz=hz, sensor_names=[])
+
+
 def make_bundle():
     sym = SymbolTable()
     a_main = sym.address_of("main")
     bundle = TraceBundle(sym)
     bundle.meta = {"sampling_hz": 4.0}
     t = NodeTrace("node1", tsc_hz=1.8e9, sensor_names=["CPU0", "MB"])
-    t.append(TraceRecord(REC_ENTER, a_main, 0, 0, 1))
-    t.append(TraceRecord(REC_TEMP, 0, 450_000_000, 3, 2, 45.0))
-    t.append(TraceRecord(REC_TEMP, 1, 450_000_000, 3, 2, 31.0))
-    t.append(TraceRecord(REC_EXIT, a_main, 1_800_000_000, 0, 1))
+    t.append_event(REC_ENTER, a_main, 0, 0, 1)
+    t.append_event(REC_TEMP, 0, 450_000_000, 3, 2, 45.0)
+    t.append_event(REC_TEMP, 1, 450_000_000, 3, 2, 31.0)
+    t.append_event(REC_EXIT, a_main, 1_800_000_000, 0, 1)
     bundle.add_node(t)
     return bundle
 
@@ -75,7 +93,7 @@ def test_bundle_save_load_roundtrip(tmp_path):
     t = loaded.node("node1")
     assert t.tsc_hz == 1.8e9
     assert t.sensor_names == ["CPU0", "MB"]
-    assert t.records == bundle.node("node1").records
+    assert t.columns.to_bytes() == bundle.node("node1").columns.to_bytes()
     assert loaded.symtab.name_of(loaded.symtab.address_of("main")) == "main"
 
 
@@ -110,17 +128,6 @@ def test_load_rejects_unknown_format(tmp_path):
     (tmp_path / "meta.json").write_text(json.dumps({"format": "v999"}))
     with pytest.raises(TraceError):
         TraceBundle.load(tmp_path)
-
-
-def test_jsonl_dump_readable(tmp_path):
-    bundle = make_bundle()
-    out = tmp_path / "dump.jsonl"
-    bundle.dump_jsonl(out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 + 4  # header + records
-    first = json.loads(lines[1])
-    assert first["kind"] == "ENTER"
-    assert first["node"] == "node1"
 
 
 def test_total_records():

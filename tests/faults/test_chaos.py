@@ -77,8 +77,8 @@ def test_chaos_run_is_reproducible():
     byte for byte, and therefore an identical profile."""
     s1, p1 = run_ft(chaos_injector(seed=99))
     s2, p2 = run_ft(chaos_injector(seed=99))
-    r1 = s1.tracers["node1"].trace.records
-    r2 = s2.tracers["node1"].trace.records
+    r1 = s1.tracers["node1"].trace.columns.to_bytes()
+    r2 = s2.tracers["node1"].trace.columns.to_bytes()
     assert r1 == r2
     assert rank_hot_functions(p1) == rank_hot_functions(p2)
 

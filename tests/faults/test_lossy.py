@@ -1,11 +1,15 @@
 """Lossy/corrupting trace sinks: drop, corrupt, skew — never torn framing."""
 
+import struct
+
+import numpy as np
 import pytest
 
-from repro.core.spool import read_spool
-from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP, TraceRecord
+from repro.core.spool import read_spool_columns
+from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP
 from repro.faults import FaultConfig, FaultPlan, LossyNodeTrace, LossyTraceSpool
 from repro.util.errors import TraceError
+from tests.rows import Row, rows, to_array
 
 TSC_HZ = 1e9
 
@@ -14,8 +18,8 @@ def records(n=1000):
     out = []
     for i in range(n):
         kind = REC_TEMP if i % 3 == 0 else (REC_ENTER if i % 2 else REC_EXIT)
-        out.append(TraceRecord(kind, i % 7, i * 1_000_000, 0, 1,
-                               45.0 if kind == REC_TEMP else 0.0))
+        out.append(Row(kind, i % 7, i * 1_000_000, 0, 1,
+                       45.0 if kind == REC_TEMP else 0.0))
     return out
 
 
@@ -27,8 +31,8 @@ def make_trace(cfg, seed=1):
 def test_loss_rate_approximate():
     trace = make_trace(FaultConfig(record_loss_rate=0.2))
     for r in records():
-        trace.append(r)
-    assert trace.n_records_dropped + len(trace.records) == 1000
+        trace.append_event(*r)
+    assert trace.n_records_dropped + len(trace) == 1000
     assert 120 < trace.n_records_dropped < 280
 
 
@@ -36,12 +40,14 @@ def test_corruption_keeps_records_parseable():
     trace = make_trace(FaultConfig(record_corrupt_rate=0.3))
     original = records()
     for r in original:
-        trace.append(r)
-    assert len(trace.records) == 1000          # corruption never drops
+        trace.append_event(*r)
+    assert len(trace) == 1000                  # corruption never drops
     assert trace.n_records_corrupted > 200
-    changed = sum(1 for a, b in zip(original, trace.records) if a != b)
+    stored = rows(trace.columns.array)
+    changed = sum(1 for a, b in zip(original, stored) if a != b)
     assert changed == trace.n_records_corrupted
-    for a, b in zip(original, trace.records):
+    rec = struct.Struct("<Bqqiid")
+    for a, b in zip(original, stored):
         assert b.kind == a.kind and b.pid == a.pid
         if a.kind == REC_TEMP:
             assert b.tsc == a.tsc              # TEMP corruption hits value
@@ -49,7 +55,7 @@ def test_corruption_keeps_records_parseable():
             assert b.tsc >= a.tsc              # func corruption jitters fwd
             assert b.value == a.value
         # Round-trips through the binary layout regardless.
-        assert TraceRecord.unpack(b.pack()) == b
+        assert Row(*rec.unpack(rec.pack(*b))) == b
 
 
 def test_tsc_skew_steps_shift_later_records():
@@ -58,12 +64,13 @@ def test_tsc_skew_steps_shift_later_records():
     plan = FaultPlan(cfg, seed=4, node_names=["n"])
     (ev,) = plan.events_for("n", "tsc_skew")
     trace = LossyNodeTrace("n", TSC_HZ, ["S0"], plan)
-    before = TraceRecord(REC_ENTER, 1, int((ev.t_s - 0.01) * TSC_HZ), 0, 1)
-    after = TraceRecord(REC_EXIT, 1, int((ev.t_s + 0.01) * TSC_HZ), 0, 1)
-    trace.append(before)
-    trace.append(after)
-    assert trace.records[0].tsc == before.tsc
-    assert trace.records[1].tsc == after.tsc + int(ev.magnitude)
+    before = Row(REC_ENTER, 1, int((ev.t_s - 0.01) * TSC_HZ), 0, 1)
+    after = Row(REC_EXIT, 1, int((ev.t_s + 0.01) * TSC_HZ), 0, 1)
+    trace.append_event(*before)
+    trace.append_event(*after)
+    tsc = trace.columns.array["tsc"].tolist()
+    assert tsc[0] == before.tsc
+    assert tsc[1] == after.tsc + int(ev.magnitude)
     assert trace.n_records_skewed == 1
 
 
@@ -73,8 +80,8 @@ def test_lossy_spool_round_trip(tmp_path):
     spool = LossyTraceSpool(tmp_path / "n.spool", plan, "n", TSC_HZ)
     with spool:
         for r in records(500):
-            spool.write(r)
-    survived = read_spool(tmp_path / "n.spool")
+            spool.write_event(*r)
+    survived = read_spool_columns(tmp_path / "n.spool")
     assert len(survived) == 500 - spool.n_records_dropped
     assert spool.records_written == len(survived)
     assert 20 < spool.n_records_dropped < 90
@@ -85,12 +92,12 @@ def test_lossy_spool_truncate_tail_then_recover(tmp_path):
     spool = LossyTraceSpool(tmp_path / "n.spool", plan, "n", TSC_HZ)
     with spool:
         for r in records(10):
-            spool.write(r)
+            spool.write_event(*r)
     spool.truncate_tail(5)                      # mid-record crash
-    survived = read_spool(tmp_path / "n.spool")
+    survived = read_spool_columns(tmp_path / "n.spool")
     assert len(survived) == 9                   # torn record dropped
     with pytest.raises(TraceError):
-        read_spool(tmp_path / "n.spool", tolerate_truncation=False)
+        read_spool_columns(tmp_path / "n.spool", tolerate_truncation=False)
 
 
 def test_deterministic_surviving_stream():
@@ -100,20 +107,18 @@ def test_deterministic_surviving_stream():
             seed=31,
         )
         for r in records(300):
-            trace.append(r)
-        return list(trace.records)
+            trace.append_event(*r)
+        return rows(trace.columns.array)
 
     assert run() == run()
 
 
 # ----------------------------------------------------------------------
-# Bulk columnar fault application must be bit-identical to the per-record
+# Bulk columnar fault application must be bit-identical to the row
 # path: a size-n uniform draw consumes the generator state exactly like n
 # single draws, so both paths see the same fault schedule.
 
 def test_bulk_uniform_draw_matches_single_draws():
-    import numpy as np
-
     a = np.random.default_rng(123)
     b = np.random.default_rng(123)
     assert np.array_equal(a.random(500),
@@ -133,8 +138,6 @@ def test_record_actions_match_per_record_draws():
 
 
 def test_skew_cycles_array_matches_scalar():
-    import numpy as np
-
     cfg = FaultConfig(tsc_skew_steps=3, tsc_skew_max_cycles=100_000,
                       horizon_s=10.0)
     plan = FaultPlan(cfg, seed=11, node_names=["n"])
@@ -144,16 +147,14 @@ def test_skew_cycles_array_matches_scalar():
 
 
 def test_bulk_extend_equals_per_record_appends():
-    from repro.core.records import RecordColumns
-
     cfg = FaultConfig(record_loss_rate=0.1, record_corrupt_rate=0.15,
                       tsc_skew_steps=2, horizon_s=2.0)
     original = records(600)
     per_record = make_trace(cfg, seed=5)
     for r in original:
-        per_record.append(r)
+        per_record.append_event(*r)
     bulk = make_trace(cfg, seed=5)
-    bulk.extend_columns(RecordColumns.from_records(original).array)
-    assert bulk.records == per_record.records
+    bulk.extend_columns(to_array(original))
+    assert np.array_equal(bulk.columns.array, per_record.columns.array)
     assert bulk.n_records_dropped == per_record.n_records_dropped
     assert bulk.n_records_corrupted == per_record.n_records_corrupted

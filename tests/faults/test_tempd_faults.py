@@ -165,8 +165,8 @@ def test_kill_then_relaunch_resumes_sampling():
     tracer.stop()
     m.sim.run(until=m.sim.now + 1.0)
 
-    times = sorted(tracer.trace.seconds(r.tsc)
-                   for r in tracer.trace.temp_records())
+    times = sorted(tracer.trace.seconds(
+        tracer.trace.temp_columns()["tsc"]).tolist())
     assert times, "no samples at all"
     gaps = [b - a for a, b in zip(times, times[1:])]
     # The ~2 s dead window shows up as the largest inter-sample gap.

@@ -8,9 +8,11 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.records import RECORD_SIZE as REC_SIZE
 from repro.core.symtab import SymbolTable
 from repro.core.trace import (
     NodeTrace,
@@ -18,11 +20,8 @@ from repro.core.trace import (
     REC_EXIT,
     REC_TEMP,
     TraceBundle,
-    TraceRecord,
 )
 from repro.util.errors import TraceError
-
-REC_SIZE = TraceRecord.packed_size()
 
 
 def build_bundle(n_pairs=6):
@@ -31,17 +30,17 @@ def build_bundle(n_pairs=6):
     kern = symtab.address_of("kernel")
     trace = NodeTrace("node1", 1.8e9, ["S0", "S1"])
     tsc = 0
-    trace.append(TraceRecord(REC_ENTER, main, tsc, 0, 1))
+    trace.append_event(REC_ENTER, main, tsc, 0, 1)
     for _ in range(n_pairs):
         tsc += 50_000_000
-        trace.append(TraceRecord(REC_ENTER, kern, tsc, 0, 1))
+        trace.append_event(REC_ENTER, kern, tsc, 0, 1)
         tsc += 10_000_000
-        trace.append(TraceRecord(REC_TEMP, 0, tsc, 3, 2, 44.5))
-        trace.append(TraceRecord(REC_TEMP, 1, tsc, 3, 2, 41.0))
+        trace.append_event(REC_TEMP, 0, tsc, 3, 2, 44.5)
+        trace.append_event(REC_TEMP, 1, tsc, 3, 2, 41.0)
         tsc += 40_000_000
-        trace.append(TraceRecord(REC_EXIT, kern, tsc, 0, 1))
+        trace.append_event(REC_EXIT, kern, tsc, 0, 1)
     tsc += 1_000_000
-    trace.append(TraceRecord(REC_EXIT, main, tsc, 0, 1))
+    trace.append_event(REC_EXIT, main, tsc, 0, 1)
     bundle = TraceBundle(symtab)
     bundle.add_node(trace)
     bundle.meta = {"sampling_hz": 4.0, "workload": "unit"}
@@ -57,7 +56,7 @@ def test_save_load_round_trip(tmp_path):
     assert list(loaded.nodes) == ["node1"]
     got = loaded.node("node1")
     want = bundle.node("node1")
-    assert got.records == want.records
+    assert np.array_equal(got.columns.array, want.columns.array)
     assert got.tsc_hz == want.tsc_hz
     assert got.sensor_names == want.sensor_names
     assert not got.truncated
@@ -69,7 +68,7 @@ def test_any_chop_never_escapes_as_struct_error(chop):
     """Chop K bytes off the tail: strict load raises TraceError; tolerant
     load recovers exactly the surviving whole records, flagged truncated."""
     bundle = build_bundle()
-    total = len(bundle.node("node1").records) * REC_SIZE
+    total = len(bundle.node("node1")) * REC_SIZE
     chop = 1 + chop % (total - 1)               # 1..total-1
     with tempfile.TemporaryDirectory() as td:
         path = Path(td) / "b"
@@ -85,7 +84,8 @@ def test_any_chop_never_escapes_as_struct_error(chop):
         got = loaded.node("node1")
         assert got.truncated
         n_survive = (total - chop) // REC_SIZE
-        assert got.records == bundle.node("node1").records[:n_survive]
+        assert np.array_equal(got.columns.array,
+                              bundle.node("node1").columns.array[:n_survive])
 
 
 def test_extra_records_rejected_even_tolerant(tmp_path):
@@ -110,7 +110,7 @@ def test_missing_record_file(tmp_path):
     loaded = TraceBundle.load(tmp_path / "b", tolerate_truncation=True)
     got = loaded.node("node1")
     assert got.truncated
-    assert got.records == []
+    assert len(got) == 0
     assert got.sensor_names == ["S0", "S1"]     # metadata still usable
 
 

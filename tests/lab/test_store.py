@@ -157,3 +157,21 @@ def test_detect_regressions_synthetic(lab):
         assert r.delta >= 0.5
         assert r.best_run_id in store.run_ids()
         assert "regressed" in r.describe()
+
+
+def test_detect_regressions_after_zero_metric(lab, monkeypatch):
+    """A best value of exactly 0.0 stays the best: the series
+    0.0 -> 5.0 -> 3.0 regresses at both later runs."""
+    runs = [record_run(lab, micro_spec(seed=seed))[0] for seed in (1, 2, 3)]
+    store = CampaignStore.create(lab, "exp")
+    for m in runs:
+        store.add_run(m.run_id)
+    function = sorted(store.load_summary(runs[0].run_id).nodes["node1"].calls)[0]
+    by_summary = {id(store.load_summary(m.run_id)): v
+                  for m, v in zip(runs, (0.0, 5.0, 3.0))}
+    monkeypatch.setattr("repro.lab.store.summary_metric",
+                        lambda summary, **_: by_summary[id(summary)])
+    regs = store.detect_regressions(node="node1", function=function)
+    assert [(r.run_id, r.value, r.best_run_id, r.best_value) for r in regs] \
+        == [(runs[1].run_id, 5.0, runs[0].run_id, 0.0),
+            (runs[2].run_id, 3.0, runs[0].run_id, 0.0)]

@@ -1,6 +1,7 @@
 """Tests for the tempest CLI."""
 
 import json
+import math
 
 import pytest
 
@@ -149,3 +150,44 @@ def test_verify_command_subset(capsys):
 
 def test_verify_unknown_bench(capsys):
     assert main(["verify", "ZZ"]) == 2
+
+
+def _set_tsc_hz(header_path, hz):
+    header = json.loads(header_path.read_text())
+    for info in header["nodes"].values():
+        info["tsc_hz"] = hz
+    header_path.write_text(json.dumps(header))   # NaN/Infinity literals
+
+
+@pytest.mark.parametrize("hz", [math.nan, math.inf, 0.0, -1.0])
+def test_parse_refuses_bad_tsc_hz(tmp_path, capsys, hz):
+    """A NaN or infinite calibration used to print NaN or 0.0 times with
+    exit 0; a bundle and a spool directory both exit 2 now."""
+    from repro.core.spool import TraceSpool, write_spool_header
+    from repro.core.symtab import SymbolTable
+    from repro.core.trace import REC_ENTER, REC_EXIT, NodeTrace, TraceBundle
+
+    symtab = SymbolTable()
+    main_addr = symtab.address_of("main")
+    trace = NodeTrace("node1", 1e9, ["S0"])
+    trace.append_event(REC_ENTER, main_addr, 0, 0, 1)
+    trace.append_event(REC_EXIT, main_addr, 1_000_000, 0, 1)
+    bundle = TraceBundle(symtab)
+    bundle.meta = {"sampling_hz": 4.0}
+    bundle.add_node(trace)
+    bundle.save(tmp_path / "bundle")
+    _set_tsc_hz(tmp_path / "bundle" / "meta.json", hz)
+
+    spools = tmp_path / "spools"
+    write_spool_header(spools, symtab,
+                       {"node1": {"tsc_hz": 1e9, "sensor_names": ["S0"]}},
+                       {"sampling_hz": 4.0})
+    with TraceSpool(spools / "node1.spool") as spool:
+        spool.write_array(trace.columns.array)
+    _set_tsc_hz(spools / "header.json", hz)
+
+    for path in (tmp_path / "bundle", spools):
+        assert main(["parse", str(path), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert "finite and positive" in captured.err
+        assert "NaN" not in captured.out

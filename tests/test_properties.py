@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.symtab import SymbolTable
-from repro.core.trace import REC_ENTER, REC_EXIT, TraceRecord
+from repro.core.trace import REC_ENTER, REC_EXIT
 from repro.mpisim.network import Network, NetworkParams
 from repro.mpisim.runtime import mpi_spawn
 from repro.simmachine.machine import ClusterConfig, Machine
 from tests.core.oracle import build_timeline
+from tests.rows import Row, rows, to_array
 
 
 # ----------------------------------------------------------------------
@@ -49,10 +50,10 @@ def build(events):
     # Quantize event times exactly as the TSC does (integer ticks), so the
     # test's expectations and the timeline see identical timestamps.
     events = [(kind, name, int(t * 1e9) / 1e9) for kind, name, t in events]
-    recs = [
-        TraceRecord(kind, sym.address_of(name), int(round(t * 1e9)), 0, 1)
+    recs = to_array(
+        Row(kind, sym.address_of(name), int(round(t * 1e9)), 0, 1)
         for kind, name, t in events
-    ]
+    )
     return build_timeline(recs, sym, lambda tsc: tsc / 1e9), events
 
 
@@ -216,15 +217,14 @@ def test_property_nic_serialization_never_overlaps_per_node(transfers):
     )
 )
 def test_property_spool_roundtrip(records_spec, tmp_path_factory):
-    from repro.core.spool import TraceSpool, read_spool
-    from repro.core.trace import TraceRecord
+    from repro.core.spool import TraceSpool, read_spool_columns
 
     tmp = tmp_path_factory.mktemp("spool")
-    records = [TraceRecord(*spec) for spec in records_spec]
+    records = [Row(*spec) for spec in records_spec]
     with TraceSpool(tmp / "x.spool") as spool:
         for r in records:
-            spool.write(r)
-    assert read_spool(tmp / "x.spool") == records
+            spool.write_event(*r)
+    assert rows(read_spool_columns(tmp / "x.spool")) == records
 
 
 @settings(max_examples=50, deadline=None)
