@@ -21,7 +21,11 @@ Gates asserted here (so CI fails if the tree machinery regresses):
   the advertised ``error_s`` bound;
 * the exact tree re-derives the flat profile: its flat projection's
   call counts match the accumulator's per-function counts exactly
-  (the budgeted tree's are a lower bound — evictions take counts).
+  (the budgeted tree's are a lower bound — evictions take counts);
+* the budgeted run costs at most ``OVERHEAD_GATE_X`` times the flat
+  one (``hcct_overhead_x``): the two run alternately ``REPEATS`` times
+  and the ratio is taken between their medians, so it is a same-run
+  ratio, not an absolute time.
 
 Results land in ``BENCH_hcct.json`` at the repo root (plus a rendered
 table in ``benchmarks/results/hcct_scale.txt``).  ``TEMPEST_BENCH_RECORDS``
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -50,6 +55,10 @@ BENCH_SEED = int(os.environ.get("TEMPEST_BENCH_SEED", "2007"))
 TSC_HZ = 1.8e9
 BUDGET = 1024
 CHUNK = 8192
+#: flat/budgeted timing pairs; the gate compares the medians
+REPEATS = 3
+#: most the budgeted tree may cost, as a multiple of the flat profile
+OVERHEAD_GATE_X = 1.75
 
 
 def synthesize_skewed_columns(n_records: int, *, n_pids: int = 4,
@@ -133,8 +142,6 @@ def run_hcct_benchmark(n_records: int = N_RECORDS) -> dict:
 
     arr, symtab = synthesize_skewed_columns(n_records)
 
-    base_s, _, base_prof = _stream(arr, symtab, hcct_budget=None)
-
     max_live = 0
 
     def check_budget(acc):
@@ -146,8 +153,17 @@ def run_hcct_benchmark(n_records: int = N_RECORDS) -> dict:
             f"(> budget {BUDGET})"
         )
 
-    budget_s, b_acc, b_prof = _stream(arr, symtab, hcct_budget=BUDGET,
-                                      per_chunk_check=check_budget)
+    # Flat and budgeted runs alternate, so drift on a shared machine
+    # hits both alike; the gate compares their medians.
+    base_runs, budget_runs = [], []
+    for _ in range(REPEATS):
+        base_s, _, base_prof = _stream(arr, symtab, hcct_budget=None)
+        base_runs.append(base_s)
+        budget_s, b_acc, b_prof = _stream(arr, symtab, hcct_budget=BUDGET,
+                                          per_chunk_check=check_budget)
+        budget_runs.append(budget_s)
+    base_s = statistics.median(base_runs)
+    budget_s = statistics.median(budget_runs)
     exact_s, e_acc, _ = _stream(arr, symtab, hcct_budget=0)
 
     b_tree, e_tree = b_acc._tree, e_acc._tree
@@ -189,12 +205,16 @@ def run_hcct_benchmark(n_records: int = N_RECORDS) -> dict:
         "peak_live": b_tree.peak_live,
         "n_evicted": b_tree.n_evicted,
         "epsilon_s": b_tree.epsilon_s,
+        "repeats": REPEATS,
+        "baseline_runs_s": base_runs,
+        "budgeted_runs_s": budget_runs,
         "baseline_s": base_s,
         "budgeted_s": budget_s,
         "exact_s": exact_s,
         "baseline_records_per_s": n_records / base_s,
         "budgeted_records_per_s": n_records / budget_s,
         "hcct_overhead_x": budget_s / base_s,
+        "hcct_overhead_gate_x": OVERHEAD_GATE_X,
         "n_functions_flat": len(base_prof.functions),
     }
 
@@ -227,4 +247,8 @@ def test_hcct_scale(benchmark, results_dir):
     assert result["budget_max_live_mid_stream"] <= result["budget"]
     assert result["exact_contexts"] > result["budget"], (
         "workload no longer exceeds the budget; raise n_funcs or the skew"
+    )
+    assert result["hcct_overhead_x"] <= OVERHEAD_GATE_X, (
+        f"budgeted tree costs {result['hcct_overhead_x']:.2f}x the flat "
+        f"profile (gate {OVERHEAD_GATE_X}x)"
     )

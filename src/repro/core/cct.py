@@ -57,14 +57,33 @@ is intentionally not additive across contexts (recursive functions
 appear in nested contexts whose subtree times overlap), so inclusive
 queries go through paths, not the projection.
 
+**Batched updates.**  The streaming engine interns a chunk's contexts
+one depth level at a time: a round takes the ENTERs whose parent
+context is known and calls :meth:`ContextTree.intern` once per
+distinct ``(parent, name)``; the chunk's calls count in one
+``bincount``.  :meth:`ContextTree.prune_to_budget` heaps only the
+eviction candidates: a prune evicting ``k`` contexts pops exactly ``k``
+times, and a leaf heavier than the k-th lightest leaf has ``k``
+strictly smaller keys ahead of it from the start, so leaving it off
+the heap cannot change the pop order.
+
+**Context ids are internal.**  Which cid a context gets depends on the
+interning order (and on which freed slot is recycled), so the batched
+commit and an event-at-a-time replay may number the same tree
+differently.  Nothing observable depends on it: eviction and every
+ranking tie on the path, never the cid, and ``to_dict`` renumbers.
+
 Serialization (``to_dict``/``from_dict``) round-trips bit-exactly:
 nodes are renumbered into a dense breadth-first order and every float
-crosses JSON via ``repr``.  The node row layout is drift-documented in
-``docs/INTERNALS.md``.
+crosses JSON via ``repr``.  ``from_dict`` refuses a document that
+repeats a node id or a context, or carries a negative call count or a
+NaN/inf time, error or epsilon.  The node row layout is
+drift-documented in ``docs/INTERNALS.md``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -89,6 +108,14 @@ NODE_ROW_FIELDS = ("id", "parent", "name", "excl_s", "calls", "error_s",
                    "stats")
 
 _INITIAL_CIDS = 64
+
+
+def _finite(value, what: str) -> float:
+    """*value* as a float, or ``ValueError`` when it is NaN or infinite."""
+    v = float(value)
+    if not np.isfinite(v):
+        raise ValueError(f"{what} is non-finite: {v!r}")
+    return v
 
 
 class ContextNode:
@@ -266,24 +293,6 @@ class ContextTree:
             cid = self._parents[cid]
         return tuple(reversed(parts))
 
-    def _evict(self, cid: int) -> None:
-        w = float(self._excl[cid] + self._error[cid])
-        if w > self.epsilon_s:
-            self.epsilon_s = w
-        parent = self._parents[cid]
-        self._children[parent].pop(self._names[cid], None)
-        self._names[cid] = None
-        self._parents[cid] = -1
-        self._children[cid] = None
-        self._excl[cid] = 0.0
-        self._calls[cid] = 0
-        self._error[cid] = 0.0
-        for sidx in range(len(self.sensor_names)):
-            self.stats.pop((cid, sidx), None)
-        self._free.append(cid)
-        self._n_live -= 1
-        self.n_evicted += 1
-
     def prune_to_budget(self, *, pinned: Optional[set[int]] = None,
                         budget: Optional[int] = None) -> int:
         """Evict coldest unpinned leaves until ≤ *budget* contexts live.
@@ -292,6 +301,12 @@ class ContextTree:
         path)``.  Pinned cids (contexts still open on some process's
         stack) are never evicted — their ancestors are interior nodes
         and therefore safe automatically.  Returns the eviction count.
+
+        Only the ``k = live − budget`` pops can happen, so only leaves
+        weighing at most the k-th lightest leaf go on the heap: each
+        other leaf has at least ``k`` strictly smaller keys ahead of it
+        from the start, and cannot surface before they are all popped.
+        A parent left childless is pushed when it becomes a leaf.
         """
         limit = self.budget if budget is None else budget
         if limit is None or self._n_live <= limit:
@@ -299,29 +314,48 @@ class ContextTree:
         pinned = pinned or set()
         import heapq
 
-        heap = []
-        for cid in range(1, len(self._names)):
-            if (self._names[cid] is not None and not self._children[cid]
-                    and cid not in pinned):
-                heapq.heappush(heap, (
-                    float(self._excl[cid] + self._error[cid]),
-                    self.path_of(cid), cid,
-                ))
-        evicted = 0
-        while self._n_live > limit and heap:
-            w, path, cid = heapq.heappop(heap)
-            if self._names[cid] is None or self._children[cid]:
-                continue        # stale entry: already evicted or grew kids
-            parent = self._parents[cid]
-            self._evict(cid)
-            evicted += 1
-            if (parent > 0 and not self._children[parent]
-                    and parent not in pinned):
-                heapq.heappush(heap, (
-                    float(self._excl[parent] + self._error[parent]),
-                    self.path_of(parent), parent,
-                ))
-        return evicted
+        k = self._n_live - limit
+        names, parents, children = self._names, self._parents, self._children
+        n = len(names)
+        par = np.array(parents, dtype=np.int64)
+        live = par >= 0
+        leaf = live & (np.bincount(par[live], minlength=n) == 0)
+        if pinned:
+            leaf[list(pinned)] = False
+        weight = self._excl[:n] + self._error[:n]
+        leaves = np.nonzero(leaf)[0]
+        if len(leaves) > k:
+            lw = weight[leaves]
+            leaves = leaves[lw <= np.partition(lw, k - 1)[k - 1]]
+        heap = [(float(weight[cid]), self.path_of(cid), cid)
+                for cid in leaves.tolist()]
+        heapq.heapify(heap)
+        evicted: list[int] = []
+        while len(evicted) < k and heap:
+            _w, _path, cid = heapq.heappop(heap)
+            parent = parents[cid]
+            kids = children[parent]
+            del kids[names[cid]]
+            names[cid] = None
+            parents[cid] = -1
+            children[cid] = None
+            evicted.append(cid)
+            if parent > 0 and not kids and parent not in pinned:
+                heapq.heappush(heap, (float(weight[parent]),
+                                      self.path_of(parent), parent))
+        if evicted:
+            gone = np.array(evicted, dtype=np.int64)
+            self.epsilon_s = max(self.epsilon_s, float(weight[gone].max()))
+            self._excl[gone] = 0.0
+            self._calls[gone] = 0
+            self._error[gone] = 0.0
+            for cid in evicted:
+                for sidx in range(len(self.sensor_names)):
+                    self.stats.pop((cid, sidx), None)
+            self._free.extend(evicted)
+            self._n_live -= len(evicted)
+            self.n_evicted += len(evicted)
+        return len(evicted)
 
     def end_chunk(self, *, pinned: Optional[set[int]] = None) -> None:
         """Chunk-boundary bookkeeping: prune to budget, track the peak.
@@ -341,9 +375,9 @@ class ContextTree:
     def live_cids(self) -> list[int]:
         """Live context ids in deterministic breadth-first path order."""
         out: list[int] = []
-        queue = [0]
+        queue = deque([0])
         while queue:
-            cid = queue.pop(0)
+            cid = queue.popleft()
             if cid:
                 out.append(cid)
             kids = self._children[cid]
@@ -465,9 +499,9 @@ class ContextTree:
         touched = {0}
         # BFS over the other tree (parents before children — required,
         # since recycled cids break numeric ordering).
-        queue = [(0, 0)]
+        queue = deque([(0, 0)])
         while queue:
-            o_cid, s_parent = queue.pop(0)
+            o_cid, s_parent = queue.popleft()
             kids = other._children[o_cid]
             if kids:
                 for name, o_kid in sorted(kids.items()):
@@ -508,7 +542,7 @@ class ContextTree:
         """Invariant violations, empty when the tree is sound.
 
         Checks structure (linkage, live accounting), value sanity
-        (non-negative times/calls/errors), the derived-inclusive
+        (finite, non-negative times/calls/errors), the derived-inclusive
         relations (inclusive ≥ exclusive; children's inclusive ≤
         parent's), and the budget (live contexts ≤ budget).
         """
@@ -530,18 +564,21 @@ class ContextTree:
                 problems.append(
                     f"context {'>'.join(self.path_of(cid))!r}: parent "
                     "does not link back to it")
-            if self._excl[cid] < 0:
-                problems.append(
-                    f"context {'>'.join(self.path_of(cid))!r}: negative "
-                    f"exclusive time {float(self._excl[cid])!r}")
+            for label, v in (("exclusive time", float(self._excl[cid])),
+                             ("error bound", float(self._error[cid]))):
+                if not 0.0 <= v < np.inf:
+                    problems.append(
+                        f"context {'>'.join(self.path_of(cid))!r}: "
+                        f"{'negative' if v < 0 else 'non-finite'} "
+                        f"{label} {v!r}")
             if self._calls[cid] < 0:
                 problems.append(
                     f"context {'>'.join(self.path_of(cid))!r}: negative "
                     f"call count {int(self._calls[cid])}")
-            if self._error[cid] < 0:
-                problems.append(
-                    f"context {'>'.join(self.path_of(cid))!r}: negative "
-                    f"error bound {float(self._error[cid])!r}")
+        for label, v in (("epsilon_s", self.epsilon_s),
+                         ("total_excl_s", self.total_excl_s)):
+            if not np.isfinite(v):
+                problems.append(f"tree {label} is non-finite: {v!r}")
         if seen != self._n_live:
             problems.append(f"live-context accounting off: counted {seen}, "
                             f"recorded {self._n_live}")
@@ -606,22 +643,31 @@ class ContextTree:
         try:
             out = cls([str(s) for s in obj.get("sensor_names", [])],
                       budget=obj.get("budget"))
-            out.epsilon_s = float(obj.get("epsilon_s", 0.0))
-            out.total_excl_s = float(obj.get("total_excl_s", 0.0))
+            out.epsilon_s = _finite(obj.get("epsilon_s", 0.0), "epsilon_s")
             out.n_evicted = int(obj.get("n_evicted", 0))
             remap = {0: 0}
             for row in obj.get("nodes", []):
                 nid, parent, name, excl, calls, error, per = row
-                cid = out.intern(remap[int(parent)], str(name))
-                remap[int(nid)] = cid
-                out._excl[cid] = float(excl)
+                nid, parent, name = int(nid), remap[int(parent)], str(name)
+                if nid in remap:
+                    raise ValueError(f"duplicate node id {nid}")
+                if name in out._children[parent]:
+                    raise ValueError(
+                        f"node {nid} repeats context "
+                        f"{'>'.join(out.path_of(parent) + (name,))!r}")
+                if int(calls) < 0:
+                    raise ValueError(f"node {nid}: negative call count "
+                                     f"{int(calls)}")
+                cid = out.intern(parent, name)
+                remap[nid] = cid
+                out._excl[cid] = _finite(excl, f"node {nid} excl_s")
                 out._calls[cid] = int(calls)
-                out._error[cid] = float(error)
+                out._error[cid] = _finite(error, f"node {nid} error_s")
                 for sname, state in per.items():
                     sidx = out.sensor_index(str(sname))
                     out.stats[(cid, sidx)] = OnlineStats.from_state(state)
-            out.total_excl_s = float(obj.get("total_excl_s",
-                                             out._excl.sum()))
+            out.total_excl_s = _finite(
+                obj.get("total_excl_s", out._excl.sum()), "total_excl_s")
             return out
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise TraceError(f"malformed hcct document: {exc}")

@@ -1031,7 +1031,9 @@ class ProfileAccumulator:
 
         Context ids derive from the per-pid matched-frame machinery the
         flat commit already ran: each chunk ENTER interns under its
-        parent ENTER's context (``parent_ext``), carried frames keep the
+        parent ENTER's context (``parent_ext``), a depth level at a time
+        with one ``intern`` per distinct context, and the chunk's calls
+        count in one ``bincount``; carried frames keep the
         context-stack prefix, exclusive segments map their top ENTER's
         ext index (``top_src``) onto context ids and reduce with the
         same time-ordered ``np.add.at`` as the flat profile — so the
@@ -1047,22 +1049,51 @@ class ProfileAccumulator:
         pids_in_chunk = {pid for pid, _ns, _tl, _ti in per_pid}
         const_cids = sorted({st[-1] for pid, st in ctx_stacks.items()
                              if st and pid not in pids_in_chunk})
+        # One context-id column over every pid's ext indices; each pid's
+        # ``ecid`` is a view into it, so scattering cids into the column
+        # fills the per-pid views too.
+        offs = np.cumsum([0] + [len(ti[4]) for _p, _ns, _tl, ti in per_pid])
+        ecid_all = np.full(int(offs[-1]), -1, dtype=np.int64)
         ecid_by_pid: dict[int, np.ndarray] = {}
         carry_by_pid: dict[int, list[int]] = {}
-        for pid, _ns, _tl, ti in per_pid:
+        e_at, e_par, e_fid = [], [], []
+        for (pid, _ns, _tl, ti), off in zip(per_pid, offs.tolist()):
             base, _open_pos, ce, parent_ext, top_src, _gg, ext_ni = ti
             cstack = ctx_stacks.get(pid) or []
             carry_by_pid[pid] = cstack
-            ecid = np.full(len(top_src), -1, dtype=np.int64)
+            ecid = ecid_by_pid[pid] = ecid_all[off:off + len(top_src)]
             if base:
                 ecid[:base] = cstack
-            for j, e in enumerate(ce.tolist()):
-                p = int(parent_ext[j])
-                cid = tree.intern(int(ecid[p]) if p >= 0 else 0,
-                                  fnames[int(ext_ni[e])])
-                tree.record_call(cid)
-                ecid[e] = cid
-            ecid_by_pid[pid] = ecid
+            e_at.append(ce + off)
+            e_par.append(np.where(parent_ext >= 0, parent_ext + off, -1))
+            e_fid.append(ext_ni[ce])
+        if e_at:
+            # Intern in rounds, one per depth level: a round takes the
+            # ENTERs whose parent context is known (carried, the root,
+            # or interned by an earlier round — ``parent_ext`` always
+            # points earlier), and interns each distinct (parent, name)
+            # once.
+            e_at = np.concatenate(e_at)
+            e_par = np.concatenate(e_par)
+            e_fid = np.concatenate(e_fid)
+            n_names = len(fnames)
+            pending = np.arange(len(e_at))
+            while len(pending):
+                par = e_par[pending]
+                pcid = np.where(par >= 0, ecid_all[np.maximum(par, 0)], 0)
+                ready = pcid >= 0
+                now = pending[ready]
+                uniq, inv = np.unique(pcid[ready] * n_names + e_fid[now],
+                                      return_inverse=True)
+                cids = np.fromiter(
+                    (tree.intern(p, fnames[f]) for p, f in zip(
+                        (uniq // n_names).tolist(),
+                        (uniq % n_names).tolist())),
+                    dtype=np.int64, count=len(uniq))
+                ecid_all[e_at[now]] = cids[inv]
+                pending = pending[~ready]
+            calls = np.bincount(ecid_all[e_at])
+            tree._calls[:len(calls)] += calls
         if seg_ctx_parts:
             parts = []
             for pid, src in seg_ctx_parts:

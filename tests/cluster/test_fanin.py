@@ -22,6 +22,7 @@ from repro.cluster import (
 from repro.cluster.wire import (
     FT_EOF,
     FT_EOF_ACK,
+    FT_ERROR,
     FT_HELLO,
     FT_HELLO_ACK,
     FT_SUMMARY,
@@ -155,6 +156,33 @@ def test_root_applies_last_write_wins_by_seq(four_node_spool):
     assert ftype == FT_EOF_ACK
     assert decode_json(payload)["last_seq"] == 2
     assert root.all_drained()
+
+
+def test_summary_with_duplicate_context_rows_is_refused():
+    """A SUMMARY whose tree repeats a context row would silently keep
+    only one row's time; the root refuses the frame and counts it."""
+    from tests.core.test_streamprof import make_acc, synth_trace
+
+    trace, symtab = synth_trace(n_quads=60, seed=31)
+    acc = make_acc(trace, symtab, hcct_budget=16)
+    acc.consume(trace.columns.array)
+    node = acc.summary(final=True)
+    doc = RunSummary(nodes={"node1": node}, sampling_hz=4.0,
+                     meta={}).to_dict()
+    rows = doc["nodes"]["node1"]["hcct"]["nodes"]
+    rows.append([len(rows) + 1] + list(rows[0][1:]))
+
+    root_hub = LoopbackHub()
+    t, _ack = _leaf_session(root_hub)
+    t.send(encode_json_frame(FT_SUMMARY, summary_payload(
+        "leaf1", "default", 1, node.n_records, doc)))
+    ftype, payload = t.recv_frame()
+    assert ftype == FT_ERROR
+    assert b"repeats context" in payload
+    root = root_hub.aggregator
+    assert root.metrics.errors == 1
+    assert root.metrics.summaries_in == 0
+    assert root.leaves["leaf1"].summary is None
 
 
 def test_unsatisfied_leaf_eof_allows_resend_on_same_connection(

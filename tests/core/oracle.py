@@ -303,6 +303,65 @@ def oracle_tree(trace: NodeTrace, symtab: SymbolTable, *, budget: int,
     return tree
 
 
+def oracle_prune(tree, *, pinned=None, budget=None) -> int:
+    """Evict a tree's coldest unpinned leaves, one heap over every leaf.
+
+    The straightforward space-saving prune: every live unpinned leaf
+    goes on a heap keyed ``(excl + error, path)``, and contexts are
+    evicted one at a time, each with its full bookkeeping, pushing a
+    parent the moment it becomes a leaf.
+    :meth:`~repro.core.cct.ContextTree.prune_to_budget` must make the
+    same evictions in the same order.  Returns the eviction count.
+    """
+    import heapq
+
+    def evict(cid: int) -> None:
+        w = float(tree._excl[cid] + tree._error[cid])
+        if w > tree.epsilon_s:
+            tree.epsilon_s = w
+        parent = tree._parents[cid]
+        tree._children[parent].pop(tree._names[cid], None)
+        tree._names[cid] = None
+        tree._parents[cid] = -1
+        tree._children[cid] = None
+        tree._excl[cid] = 0.0
+        tree._calls[cid] = 0
+        tree._error[cid] = 0.0
+        for sidx in range(len(tree.sensor_names)):
+            tree.stats.pop((cid, sidx), None)
+        tree._free.append(cid)
+        tree._n_live -= 1
+        tree.n_evicted += 1
+
+    limit = tree.budget if budget is None else budget
+    if limit is None or tree._n_live <= limit:
+        return 0
+    pinned = pinned or set()
+    heap = []
+    for cid in range(1, len(tree._names)):
+        if (tree._names[cid] is not None and not tree._children[cid]
+                and cid not in pinned):
+            heapq.heappush(heap, (
+                float(tree._excl[cid] + tree._error[cid]),
+                tree.path_of(cid), cid,
+            ))
+    evicted = 0
+    while tree._n_live > limit and heap:
+        w, path, cid = heapq.heappop(heap)
+        if tree._names[cid] is None or tree._children[cid]:
+            continue        # stale entry: already evicted or grew kids
+        parent = tree._parents[cid]
+        evict(cid)
+        evicted += 1
+        if (parent > 0 and not tree._children[parent]
+                and parent not in pinned):
+            heapq.heappush(heap, (
+                float(tree._excl[parent] + tree._error[parent]),
+                tree.path_of(parent), parent,
+            ))
+    return evicted
+
+
 def compute_sensor_stats(values) -> SensorStats:
     """The Figure 2(a) statistic set over one sensor's samples, exactly:
     numpy two-pass moments, ``np.median``, and a Counter mode (ties to

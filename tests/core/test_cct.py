@@ -13,6 +13,7 @@ most its ``error_s``, and no context whose true weight exceeds
 """
 
 import math
+import random
 
 import pytest
 
@@ -100,6 +101,49 @@ def test_validate_catches_corruption():
     assert any("negative exclusive" in p for p in t.validate())
 
 
+def test_validate_flags_non_finite_values():
+    t = ContextTree(["TEMP"])
+    a = t.intern(0, "main")
+    b = t.intern(a, "fft")
+    t._excl[a] = math.nan
+    t._error[b] = math.inf
+    t.epsilon_s = math.nan
+    problems = t.validate()
+    assert any("non-finite exclusive time nan" in p for p in problems)
+    assert any("non-finite error bound inf" in p for p in problems)
+    assert any("epsilon_s is non-finite" in p for p in problems)
+    # TL024 is keyed on "budget"; these are TL023 findings
+    assert not any("budget" in p for p in problems)
+
+
+def _tree_doc(*rows, **fields):
+    return {"sensor_names": [], "budget": None, "epsilon_s": 0.0,
+            "n_evicted": 0, "nodes": [list(r) for r in rows], **fields}
+
+
+_A1 = (1, 0, "a", 1.0, 1, 0.0, {})
+_B2 = (2, 1, "b", 2.0, 1, 0.0, {})
+
+
+@pytest.mark.parametrize("doc, match", [
+    (_tree_doc(_A1, (2, 0, "a", 2.0, 1, 0.0, {})), "repeats context 'a'"),
+    (_tree_doc(_A1, _B2, (3, 1, "b", 0.5, 2, 0.0, {})),
+     "repeats context 'a>b'"),
+    (_tree_doc(_A1, (1, 0, "c", 2.0, 1, 0.0, {})), "duplicate node id 1"),
+    (_tree_doc((1, 0, "a", math.nan, 1, 0.0, {})), "node 1 excl_s"),
+    (_tree_doc((1, 0, "a", 1.0, 1, math.inf, {})), "node 1 error_s"),
+    (_tree_doc(_A1, epsilon_s=math.nan), "epsilon_s"),
+    (_tree_doc(_A1, total_excl_s=-math.inf), "total_excl_s"),
+    (_tree_doc((1, 0, "a", 1.0, -1, 0.0, {})), "negative call count"),
+], ids=["dup-sibling", "dup-nested-sibling", "dup-id", "nan-excl",
+        "inf-error", "nan-epsilon", "inf-total", "negative-calls"])
+def test_from_dict_rejects_lossy_or_non_finite_documents(doc, match):
+    """Two rows for one context would keep only the last one's time,
+    and NaN/inf would poison every sum downstream: both are refused."""
+    with pytest.raises(TraceError, match=match):
+        ContextTree.from_dict(doc)
+
+
 def test_budget_below_one_rejected():
     with pytest.raises(TraceError):
         ContextTree(["TEMP"], budget=0)
@@ -183,7 +227,7 @@ def test_clone_is_independent():
     tree = tree_of(trace, symtab, budget=32)
     dup = tree.clone()
     assert dup.to_comparable() == tree.to_comparable()
-    dup.add_excl(1, 99.0)
+    dup.add_excl(dup.live_cids()[0], 99.0)
     assert dup.to_comparable() != tree.to_comparable()
 
 
@@ -351,6 +395,65 @@ def test_prune_is_deterministic():
     assert a.to_comparable() == b.to_comparable()
     assert a.epsilon_s == b.epsilon_s
     assert a.n_evicted == b.n_evicted
+
+
+def _random_tree(rng):
+    """A small tree built for eviction edge cases: weights drawn from a
+    few values (ties on different paths, zero-weight leaves, zero-weight
+    parents that turn into the lightest leaf once their children go),
+    and half the time a first prune and regrowth, so recycled cids and
+    contexts born with ``error_s = epsilon_s`` are in it too."""
+    tree = ContextTree(["S0", "S1"])
+    names = "abcde"[: rng.randint(2, 5)]
+    for round_ in range(rng.choice((1, 2))):
+        if round_:
+            tree.prune_to_budget(budget=rng.randint(1, max(1, len(tree))))
+        live = [0] + tree.live_cids()
+        for _ in range(rng.randint(4, 60)):
+            cid = tree.intern(rng.choice(live), rng.choice(names))
+            if cid not in live:
+                live.append(cid)
+            if rng.random() < 0.7:
+                tree.add_excl(cid, rng.choice((0.0, 0.25, 1.0, 1.0, 2.0)))
+            tree.record_call(cid)
+            if rng.random() < 0.3:
+                tree.push_sample(cid, rng.randrange(2),
+                                 rng.choice((40.0, 41.5)))
+    return tree
+
+
+def test_prune_matches_full_heap_oracle():
+    """``prune_to_budget`` heaps only the eviction candidates; the
+    oracle heaps every leaf.  Same evictions, same order, same tree."""
+    from tests.core.oracle import oracle_prune
+
+    rng = random.Random(2007)
+    seen = dict.fromkeys(("tie", "zero", "pinned_leaf", "cascade",
+                          "pins_over_budget"), 0)
+    for _ in range(400):
+        tree = _random_tree(rng)
+        live = tree.live_cids()
+        pinned = set(rng.sample(live, rng.randint(0, min(len(live), 6))))
+        budget = rng.randint(0, len(live))
+        leaves = {c: tree.path_of(c) for c in live if not tree._children[c]}
+        weights = [float(tree._excl[c] + tree._error[c]) for c in leaves]
+        seen["tie"] += len(set(weights)) < len(weights)
+        seen["zero"] += 0.0 in weights
+        seen["pinned_leaf"] += bool(pinned & set(leaves))
+        seen["pins_over_budget"] += len(pinned) > budget
+
+        fast, slow = tree.clone(), tree.clone()
+        got = fast.prune_to_budget(pinned=pinned, budget=budget)
+        want = oracle_prune(slow, pinned=pinned, budget=budget)
+        assert got == want
+        assert fast.to_comparable() == slow.to_comparable()
+        assert fast.epsilon_s == slow.epsilon_s
+        assert fast.n_evicted == slow.n_evicted
+        assert len(fast) == len(slow)
+        assert fast.validate() == []
+        gone = set(tree.to_comparable()) - set(fast.to_comparable())
+        seen["cascade"] += bool(gone - set(leaves.values()))
+    assert all(seen.values()), seen
 
 
 # ----------------------------------------------------------------------

@@ -478,6 +478,37 @@ def test_tree_summary_roundtrip_is_bit_exact():
             == acc._tree.to_comparable())
 
 
+def _copy_first_row(hcct, *, nid=None, name=None):
+    """Append a copy of the first node row, under a fresh id unless
+    *nid* is given, and renamed when *name* is given."""
+    row = list(hcct["nodes"][0])
+    row[0] = max(r[0] for r in hcct["nodes"]) + 1 if nid is None else nid
+    row[2] = row[2] if name is None else name
+    hcct["nodes"].append(row)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: _copy_first_row(h),
+    lambda h: _copy_first_row(h, nid=h["nodes"][0][0], name="fresh"),
+    lambda h: h["nodes"][0].__setitem__(3, float("nan")),
+    lambda h: h["nodes"][0].__setitem__(5, float("inf")),
+    lambda h: h.update(epsilon_s=float("nan")),
+    lambda h: h.update(total_excl_s=float("inf")),
+    lambda h: h["nodes"][0].__setitem__(4, -1),
+], ids=["dup-sibling", "dup-id", "nan-excl", "inf-error", "nan-epsilon",
+        "inf-total", "negative-calls"])
+def test_malformed_tree_summary_is_a_trace_error(mutate):
+    trace, symtab = synth_trace(n_quads=60, seed=31)
+    acc = make_acc(trace, symtab, hcct_budget=16)
+    acc.consume(trace.columns.array)
+    doc = json.loads(json.dumps(RunSummary(
+        nodes={"node1": acc.summary(final=True)}, sampling_hz=4.0,
+        meta={}).to_dict()))
+    mutate(doc["nodes"]["node1"]["hcct"])
+    with pytest.raises(TraceError, match="malformed hcct document"):
+        RunSummary.from_dict(doc)
+
+
 def test_split_tree_summaries_merge_to_whole():
     """Segment summaries with exact CCTs merge to the whole-stream tree
     (the closure contract extended to the hcct payload)."""
