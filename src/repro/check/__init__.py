@@ -8,8 +8,8 @@ physically sane.  ``repro.check`` makes those invariants *checkable*:
 * :mod:`repro.check.diagnostics` — the typed diagnostic model (rule id,
   severity, location, fix hint) with machine-readable JSON output, plus
   the registry of every codified rule.
-* :mod:`repro.check.tracelint` — TraceLint, the validator for
-  ``tempest-trace-v1`` bundles, spool directories, and
+* :mod:`repro.check.tracelint` — TraceLint, the validator for trace
+  directories (bundles and spools) and
   :class:`~repro.core.profilemodel.RunProfile` objects.
 * :mod:`repro.check.determinism` — the DES determinism ("race")
   detector for :mod:`repro.simmachine.events`: unstable same-timestamp
@@ -37,12 +37,10 @@ from repro.check.diagnostics import (
     rule,
 )
 from repro.check.tracelint import (
-    check_bundle_dir,
     check_layout,
     check_path,
     check_profile,
     check_records,
-    check_spool_dir,
     compare_bundle_dirs,
     compare_profiles,
 )
@@ -54,7 +52,6 @@ from repro.check.determinism import (
 from repro.check.causal import (
     CausalAnalyzer,
     causal_check_bundle,
-    causal_check_spool,
 )
 from repro.check.labcheck import check_lab_dir
 
@@ -67,12 +64,10 @@ __all__ = [
     "Rule",
     "RULES",
     "rule",
-    "check_bundle_dir",
     "check_layout",
     "check_path",
     "check_profile",
     "check_records",
-    "check_spool_dir",
     "compare_bundle_dirs",
     "compare_profiles",
     "DeterminismReport",
@@ -80,6 +75,5 @@ __all__ = [
     "run_tie_scramble",
     "CausalAnalyzer",
     "causal_check_bundle",
-    "causal_check_spool",
     "check_lab_dir",
 ]

@@ -48,7 +48,6 @@ causal-cycle detector.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from pathlib import Path
 from typing import Optional
@@ -66,13 +65,13 @@ from repro.core.commrec import (
     PAIR_LIMIT,
     decode_comm_addrs,
 )
-from repro.core.records import RECORD_DTYPE, RECORD_SIZE
-from repro.core.spool import STREAM_CHUNK_RECORDS, iter_spool_chunks
+from repro.core.spool import STREAM_CHUNK_RECORDS
 from repro.core.trace import (
     REC_COLL_ENTER,
     REC_COLL_EXIT,
     REC_MSG_RECV,
     REC_MSG_SEND,
+    read_trace_header,
 )
 from repro.util.errors import ConfigError
 
@@ -818,83 +817,29 @@ class CausalAnalyzer:
 
 
 # ----------------------------------------------------------------------
-# Streaming drivers over on-disk artifacts
-
-
-def _iter_trace_chunks(path: Path,
-                       chunk_records: int = STREAM_CHUNK_RECORDS):
-    """Yield a ``.trace`` file's records in bounded structured chunks."""
-    chunk_bytes = max(1, int(chunk_records)) * RECORD_SIZE
-    with open(path, "rb") as fh:
-        while True:
-            buf = fh.read(chunk_bytes)
-            usable = len(buf) - (len(buf) % RECORD_SIZE)
-            if usable <= 0:
-                return
-            yield np.frombuffer(buf[:usable], dtype=RECORD_DTYPE)
+# Streaming driver over trace directories
 
 
 def causal_check_bundle(path, *, label: str = "",
                         chunk_records: int = STREAM_CHUNK_RECORDS,
                         skew_tolerance_s: Optional[float] = None
                         ) -> list[Diagnostic]:
-    """Run the communication sanitizer over a ``tempest-trace-v1`` bundle.
+    """Run the communication sanitizer over a trace directory.
 
-    Returns ``[]`` for bundles without comm records.  Header problems are
-    TraceLint's (TL001) business, so a malformed header simply yields no
-    causal findings here.
+    Each node's record file streams through the analyzer in bounded
+    chunks; traces without comm records yield ``[]``.  A spool is live,
+    so the analyzer runs in live mode: finalize-dependent findings
+    (CM002/CM004) downgrade to warnings because the matching tail may
+    not have been written yet.  A malformed header raises
+    :class:`~repro.util.errors.TraceError`.
     """
     path = Path(path)
-    label = label or str(path)
-    analyzer = CausalAnalyzer(path=label,
+    header = read_trace_header(path)
+    analyzer = CausalAnalyzer(path=label or str(path),
+                              live=not header.closed,
                               skew_tolerance_s=skew_tolerance_s)
-    try:
-        header = json.loads((path / "meta.json").read_text())
-        nodes = header["nodes"]
-        assert isinstance(nodes, dict)
-    except (OSError, json.JSONDecodeError, KeyError, AssertionError):
-        return []
-    for node, info in nodes.items():
-        try:
-            hz = float(info["tsc_hz"])
-        except (TypeError, KeyError, ValueError):
-            continue
-        analyzer.add_node(node, hz,
-                          truncated=bool(info.get("truncated", False)))
-        rec_path = path / f"{node}.trace"
-        if not rec_path.exists():
-            continue
-        for chunk in _iter_trace_chunks(rec_path, chunk_records):
-            analyzer.consume(node, chunk)
-    return analyzer.finalize()
-
-
-def causal_check_spool(path, *, label: str = "",
-                       chunk_records: int = STREAM_CHUNK_RECORDS,
-                       skew_tolerance_s: Optional[float] = None
-                       ) -> list[Diagnostic]:
-    """Run the communication sanitizer over a live ``tempest-spool-v1``
-    directory (finalize-dependent rules downgrade to warnings)."""
-    path = Path(path)
-    label = label or str(path)
-    analyzer = CausalAnalyzer(path=label, live=True,
-                              skew_tolerance_s=skew_tolerance_s)
-    try:
-        header = json.loads((path / "header.json").read_text())
-        nodes = header["nodes"]
-        assert isinstance(nodes, dict)
-    except (OSError, json.JSONDecodeError, KeyError, AssertionError):
-        return []
-    for node, info in nodes.items():
-        try:
-            hz = float(info["tsc_hz"])
-        except (TypeError, KeyError, ValueError):
-            continue
-        analyzer.add_node(node, hz)
-        spool_file = path / f"{node}.spool"
-        if not spool_file.exists():
-            continue
-        for chunk in iter_spool_chunks(spool_file,
-                                       chunk_records=chunk_records):
-            analyzer.consume(node, chunk)
+    for node in header.nodes.values():
+        analyzer.add_node(node.name, node.tsc_hz, truncated=node.truncated)
+        for chunk in node.iter_chunks(chunk_records):
+            analyzer.consume(node.name, chunk)
     return analyzer.finalize()

@@ -49,9 +49,10 @@ def _r(id: str, name: str, severity: str, invariant: str,
 RULES: dict[str, Rule] = {r.id: r for r in [
     # ------------------------------------------------------------- TraceLint
     _r("TL001", "bundle-header", SEV_ERROR,
-       "meta.json / header.json exists, parses, declares a known format, "
-       "and every node entry carries tsc_hz, sensor_names, and (bundles) "
-       "n_records"),
+       "the trace directory header (a bundle's or a spool's) reads: "
+       "parses, declares its layout's format, has a well-formed symbol "
+       "table, meta and nodes mapping, and every node entry carries a "
+       "numeric tsc_hz, a list of sensor names, and (bundles) n_records"),
     _r("TL002", "record-file-torn", SEV_ERROR,
        "each node's record file is readable and a whole multiple of the "
        "33-byte record size (torn tails only survive a crash; spool files "

@@ -10,11 +10,10 @@ stay possible.
 
 Entry points, coarse to fine:
 
-* :func:`check_path` — dispatch on what a directory is (bundle / spool).
-* :func:`check_bundle_dir` / :func:`check_spool_dir` — header + per-node
-  record-stream checks, plus (bundles, ``deep=True``) the
-  chunking-invariance cross-validation of TL018 and the profile-level
-  rules via :func:`check_profile`.
+* :func:`check_path` — a trace directory, bundle or spool: header +
+  per-node record-stream checks, plus (closed bundles, ``deep=True``)
+  the chunking-invariance cross-validation of TL018 and the
+  profile-level rules via :func:`check_profile`.
 * :func:`check_records` — one record stream: kinds, stack balance, TSC
   monotonicity, sensor index/range/quantization, symbol resolution.
 * :func:`check_profile` — a finished :class:`RunProfile`: coverage
@@ -22,14 +21,13 @@ Entry points, coarse to fine:
 * :func:`compare_profiles` — TL018, agreement of two profiles of the
   same trace within the tolerances documented in ``docs/INTERNALS.md``.
 * :func:`compare_bundle_dirs` — TL022, a wire-reassembled bundle is
-  byte-identical to the locally saved baseline.
+  byte-identical to the local baseline (a spool or a bundle).
 * :func:`check_layout` — TL017, the ``RECORD_DTYPE`` vs ``<Bqqiid``
   byte-layout self-check.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from pathlib import Path
@@ -45,6 +43,8 @@ from repro.core.trace import (
     REC_ENTER,
     REC_EXIT,
     REC_TEMP,
+    is_trace_dir,
+    read_trace_header,
 )
 from repro.util.errors import ConfigError, TraceError
 
@@ -335,171 +335,124 @@ def check_records(arr: np.ndarray, *, path: str = "", node: str = "",
 # Header / metadata checks shared by bundles and spools
 
 
-def _check_node_meta(info, node: str, path: str) -> list[Diagnostic]:
+def _check_node_meta(node, path: str) -> list[Diagnostic]:
     """TL012 (calibration) + TL013 (sensor names) for one header entry."""
     diags: list[Diagnostic] = []
-    tsc_hz = info.get("tsc_hz")
+    tsc_hz = node.tsc_hz
     lo, hi = TSC_HZ_BAND
-    if (not isinstance(tsc_hz, (int, float)) or isinstance(tsc_hz, bool)
-            or not math.isfinite(tsc_hz) or not (lo <= tsc_hz <= hi)):
+    if not (math.isfinite(tsc_hz) and lo <= tsc_hz <= hi):
         diags.append(_diag("TL012",
                            f"tsc_hz {tsc_hz!r} is not a plausible "
                            f"calibration in [{lo:g}, {hi:g}] Hz",
-                           path=path, node=node))
-    names = info.get("sensor_names")
-    if not isinstance(names, list):
+                           path=path, node=node.name))
+    names = node.sensor_names
+    empties = sum(1 for n in names if not n.strip())
+    if empties:
         diags.append(_diag("TL013",
-                           f"sensor_names {names!r} is not a list",
-                           path=path, node=node))
-    else:
-        empties = sum(1 for n in names if not str(n).strip())
-        if empties:
-            diags.append(_diag("TL013",
-                               f"{empties} sensor name(s) are empty",
-                               path=path, node=node))
-        dupes = {n for n in names if names.count(n) > 1}
-        if dupes:
-            diags.append(_diag("TL013",
-                               f"duplicate sensor name(s): "
-                               f"{sorted(map(str, dupes))}",
-                               path=path, node=node))
+                           f"{empties} sensor name(s) are empty",
+                           path=path, node=node.name))
+    dupes = {n for n in names if names.count(n) > 1}
+    if dupes:
+        diags.append(_diag("TL013",
+                           f"duplicate sensor name(s): {sorted(dupes)}",
+                           path=path, node=node.name))
     return diags
 
 
 def _check_sampling_hz(meta, path: str) -> list[Diagnostic]:
     """TL016: ``meta['sampling_hz']``, when present, is finite positive."""
-    hz = meta.get("sampling_hz") if isinstance(meta, dict) else None
+    hz = meta.get("sampling_hz")
     if hz is None:
         return []
-    if (not isinstance(hz, (int, float)) or isinstance(hz, bool)
-            or not math.isfinite(hz) or hz <= 0):
+    if not math.isfinite(hz) or hz <= 0:
         return [_diag("TL016",
                       f"sampling_hz {hz!r} is not a finite positive rate",
                       path=path)]
     return []
 
 
-def _load_header(header_path: Path, expected_format: str,
-                 path: str) -> tuple[Optional[dict], list[Diagnostic]]:
-    """TL001: the header file exists, parses, and declares its format."""
-    if not header_path.exists():
-        return None, [_diag("TL001",
-                            f"no {header_path.name} — not a "
-                            f"{expected_format} artifact", path=path)]
-    try:
-        header = json.loads(header_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return None, [_diag("TL001",
-                            f"{header_path.name} is unreadable: {exc}",
-                            path=path)]
-    if not isinstance(header, dict):
-        return None, [_diag("TL001",
-                            f"{header_path.name} is not a JSON object",
-                            path=path)]
-    if header.get("format") != expected_format:
-        return None, [_diag("TL001",
-                            f"format {header.get('format')!r} is not "
-                            f"{expected_format!r}", path=path)]
-    if not isinstance(header.get("nodes"), dict):
-        return None, [_diag("TL001", "header has no nodes mapping",
-                            path=path)]
-    return header, []
-
-
-def _load_symtab(header: dict, path: str):
-    from repro.core.symtab import SymbolTable
-
-    try:
-        return SymbolTable.from_dict(header["symtab"]), []
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        return None, [_diag("TL001",
-                            f"symbol table is malformed: {exc}",
-                            path=path)]
-
-
 # ----------------------------------------------------------------------
-# Bundle / spool directory checks
+# Trace directory checks
 
 
-def check_bundle_dir(path, *, deep: bool = True) -> list[Diagnostic]:
-    """Validate a ``tempest-trace-v1`` bundle directory.
+def check_path(path, *, deep: bool = True) -> list[Diagnostic]:
+    """Validate a trace directory: a closed bundle or a live spool.
 
-    Header and per-node record checks always run; with ``deep`` the
-    bundle is additionally parsed twice — by the parser, in
-    ``STREAM_CHUNK_RECORDS`` chunks, and as one whole-stream chunk per
-    node — and the two profiles cross-validated (TL018) plus
+    One walk for both layouts; every difference follows from the header
+    (:func:`~repro.core.trace.read_trace_header`).  A header the reader
+    rejects is TL001.  TL003/TL004 apply where the header declares a
+    record count (bundles).  A live spool's torn tail is recoverable by
+    design (the writer may have crashed mid-chunk), so its TL002 is a
+    warning, and its missing record file is TL015: the node has not
+    spooled yet.  The causal pass runs in live mode on a spool.  Only a
+    closed bundle, with ``deep``, is additionally parsed twice — by the
+    parser, in ``STREAM_CHUNK_RECORDS`` chunks, and as one whole-stream
+    chunk per node — and the two profiles cross-validated (TL018) plus
     profile-level rules (TL019-TL021) — skipped whenever structural
     errors or timestamp disorder would make the comparison meaningless.
     """
     path = Path(path)
+    if not is_trace_dir(path):
+        raise ConfigError(f"{path} is neither a trace bundle nor a spool "
+                          "directory")
     label = str(path)
     diags = check_layout(path=label)
-    header, header_diags = _load_header(path / "meta.json",
-                                        "tempest-trace-v1", label)
-    diags.extend(header_diags)
-    if header is None:
-        return diags
-    symtab, symtab_diags = _load_symtab(header, label)
-    diags.extend(symtab_diags)
-    diags.extend(_check_sampling_hz(header.get("meta", {}), label))
+    try:
+        header = read_trace_header(path)
+    except TraceError as exc:
+        return diags + [_diag("TL001", str(exc), path=label)]
+    live = not header.closed
+    diags.extend(_check_sampling_hz(header.meta, label))
 
     orderly = True   # every node's stream globally time-ordered
-    for node, info in header["nodes"].items():
-        if not isinstance(info, dict):
-            diags.append(_diag("TL001",
-                               f"node entry is not an object: {info!r}",
-                               path=label, node=node))
-            continue
-        diags.extend(_check_node_meta(info, node, label))
-        declared = info.get("n_records")
-        if not isinstance(declared, int) or isinstance(declared, bool):
-            diags.append(_diag("TL001",
-                               f"n_records {declared!r} is not an integer",
-                               path=label, node=node))
-            declared = None
-        truncated = bool(info.get("truncated", False))
-        rec_path = path / f"{node}.trace"
+    for node in header.nodes.values():
+        diags.extend(_check_node_meta(node, label))
         try:
-            blob = rec_path.read_bytes()
+            blob = node.path.read_bytes()
         except OSError as exc:
-            diags.append(_diag("TL002",
-                               f"record file is unreadable: {exc}",
-                               path=label, node=node))
+            if live and not node.path.exists():
+                diags.append(_diag("TL015",
+                                   "declared node has no spool file yet",
+                                   path=label, node=node.name))
+            else:
+                diags.append(_diag("TL002",
+                                   f"record file is unreadable: {exc}",
+                                   path=label, node=node.name))
             continue
         remainder = len(blob) % RECORD_SIZE
-        torn = bool(remainder)
-        if torn:
-            diags.append(_diag("TL002",
-                               f"{len(blob)} bytes is not a multiple of "
-                               f"the {RECORD_SIZE}-byte record size "
-                               f"({remainder} trailing bytes)",
-                               path=label, node=node))
+        if remainder:
+            detail = (f"{remainder} trailing bytes are not a whole record "
+                      "(torn tail; recoverable)" if live else
+                      f"{len(blob)} bytes is not a multiple of the "
+                      f"{RECORD_SIZE}-byte record size ({remainder} "
+                      "trailing bytes)")
+            diags.append(_diag("TL002", detail, path=label, node=node.name,
+                               severity="warning" if live else None))
             blob = blob[: len(blob) - remainder]
         n = len(blob) // RECORD_SIZE
+        declared = node.n_records
         if declared is not None and n != declared:
-            if not (truncated and n < declared):
+            if not (node.truncated and n < declared):
                 diags.append(_diag("TL003",
                                    f"record file holds {n} records, "
                                    f"header says {declared}",
-                                   path=label, node=node))
-        elif truncated and not torn:
+                                   path=label, node=node.name))
+        elif declared is not None and node.truncated and not remainder:
             diags.append(_diag("TL004",
                                "truncated flag is set but the record file "
                                "is intact and count-matching",
-                               path=label, node=node))
+                               path=label, node=node.name))
         arr = np.frombuffer(blob, dtype=RECORD_DTYPE)
-        diags.extend(check_records(arr, path=label, node=node,
-                                   sensor_names=info.get("sensor_names")
-                                   if isinstance(info.get("sensor_names"),
-                                                 list) else None,
-                                   symtab=symtab))
+        diags.extend(check_records(arr, path=label, node=node.name,
+                                   sensor_names=node.sensor_names,
+                                   symtab=header.symtab))
         if len(arr) and not bool(
                 np.all(arr["tsc"][1:] >= arr["tsc"][:-1])):
             orderly = False
 
     # Communication sanitizer (CM0xx): rebuild vector clocks from the
     # comm-event stream and check races/deadlocks/collectives/skew.
-    # Streams the record files in chunks; a no-op for bundles without
+    # Streams the record files in chunks; a no-op for traces without
     # comm records.  Skipped when structural errors already make the
     # stream untrustworthy.
     if not any(d.severity == "error" for d in diags):
@@ -507,7 +460,8 @@ def check_bundle_dir(path, *, deep: bool = True) -> list[Diagnostic]:
 
         diags.extend(causal_check_bundle(path, label=label))
 
-    if deep and orderly and not any(d.severity == "error" for d in diags) \
+    if deep and header.closed and orderly \
+            and not any(d.severity == "error" for d in diags) \
             and not any(d.rule == "TL008" for d in diags):
         diags.extend(_deep_check_bundle(path, label))
     return diags
@@ -537,85 +491,6 @@ def _deep_check_bundle(path: Path, label: str) -> list[Diagnostic]:
         acc.consume(trace.columns.array)
     diags.extend(compare_profiles(batch, profiler.finalize(), path=label))
     return diags
-
-
-def check_spool_dir(path) -> list[Diagnostic]:
-    """Validate a ``tempest-spool-v1`` directory.
-
-    A spool's torn tail is recoverable by design (the writer may have
-    crashed mid-chunk), so TL002 downgrades to a warning here; spool
-    headers carry no ``n_records``, so TL003/TL004 do not apply.
-    """
-    path = Path(path)
-    label = str(path)
-    diags = check_layout(path=label)
-    header, header_diags = _load_header(path / "header.json",
-                                        "tempest-spool-v1", label)
-    diags.extend(header_diags)
-    if header is None:
-        return diags
-    symtab, symtab_diags = _load_symtab(header, label)
-    diags.extend(symtab_diags)
-    diags.extend(_check_sampling_hz(header.get("meta", {}), label))
-
-    for node, info in header["nodes"].items():
-        if not isinstance(info, dict):
-            diags.append(_diag("TL001",
-                               f"node entry is not an object: {info!r}",
-                               path=label, node=node))
-            continue
-        diags.extend(_check_node_meta(info, node, label))
-        spool_file = path / f"{node}.spool"
-        if not spool_file.exists():
-            diags.append(_diag("TL015",
-                               "declared node has no spool file yet",
-                               path=label, node=node))
-            continue
-        try:
-            blob = spool_file.read_bytes()
-        except OSError as exc:
-            diags.append(_diag("TL002",
-                               f"spool file is unreadable: {exc}",
-                               path=label, node=node))
-            continue
-        remainder = len(blob) % RECORD_SIZE
-        if remainder:
-            diags.append(_diag("TL002",
-                               f"{remainder} trailing bytes are not a "
-                               "whole record (torn tail; recoverable)",
-                               path=label, node=node,
-                               severity="warning"))
-            blob = blob[: len(blob) - remainder]
-        arr = np.frombuffer(blob, dtype=RECORD_DTYPE)
-        diags.extend(check_records(arr, path=label, node=node,
-                                   sensor_names=info.get("sensor_names")
-                                   if isinstance(info.get("sensor_names"),
-                                                 list) else None,
-                                   symtab=symtab))
-
-    # A spool is usually a live, still-growing stream, so the causal pass
-    # runs in live mode: finalize-dependent findings (CM002/CM004)
-    # downgrade to warnings because the matching tail may not have been
-    # written yet.
-    if not any(d.severity == "error" for d in diags):
-        from repro.check.causal import causal_check_spool
-
-        diags.extend(causal_check_spool(path, label=label))
-    return diags
-
-
-def check_path(path, *, deep: bool = True) -> list[Diagnostic]:
-    """Dispatch on what *path* is: trace bundle or spool directory."""
-    p = Path(path)
-    if p.is_dir():
-        if (p / "meta.json").exists():
-            return check_bundle_dir(p, deep=deep)
-        if (p / "header.json").exists():
-            return check_spool_dir(p)
-    raise ConfigError(
-        f"{p} is neither a trace bundle (meta.json) nor a spool "
-        "directory (header.json)"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -807,46 +682,55 @@ def compare_profiles(batch, stream, *, rel: float = 1e-9,
 # TL022: wire reassembly byte-identity
 
 
-#: per-node header fields the wire is allowed to derive rather than copy
-_DERIVABLE_NODE_FIELDS = frozenset({"n_records", "truncated"})
+def _record_bytes(header, node) -> bytes:
+    """The record bytes a reader takes from *node*: a bundle's whole
+    file; a live spool's whole records so far (none if not spooled yet)."""
+    if header.closed:
+        return node.path.read_bytes()
+    if not node.path.exists():
+        return b""
+    blob = node.path.read_bytes()
+    return blob[: len(blob) - len(blob) % RECORD_SIZE]
 
 
 def compare_bundle_dirs(local, wire) -> list[Diagnostic]:
     """TL022: a wire-reassembled bundle matches the local baseline.
 
-    *local* is the bundle saved in-process (the baseline), *wire* the
-    bundle an :class:`~repro.cluster.Aggregator` persisted from
-    ``tempest-wire-v1`` chunks.  The contract is byte-identity where it
-    matters: the same node set, each node's ``.trace`` file byte-for-byte
-    equal, and equivalent header metadata — symbol table, calibration,
-    sensor names, run meta.  JSON key order and the derivable
-    ``n_records`` / ``truncated`` fields are exempt (the aggregator
-    recomputes them from what it received).
+    *local* is the baseline — the session's spool directory or a bundle
+    saved in-process — and *wire* the bundle an
+    :class:`~repro.cluster.Aggregator` persisted from ``tempest-wire-v1``
+    chunks; either may be any trace directory.  The contract is
+    byte-identity where it matters: the same node set, each node's record
+    bytes equal (a live spool's as :meth:`TraceBundle.load
+    <repro.core.trace.TraceBundle.load>` takes them), and equivalent
+    header metadata — symbol table, calibration, sensor names, run meta.
+    JSON key order and the record counts and ``truncated`` flags are
+    exempt (the aggregator recomputes them from what it received).
     """
     local, wire = Path(local), Path(wire)
     label = f"{local} vs {wire}"
     diags: list[Diagnostic] = []
     headers = []
     for p in (local, wire):
-        header, header_diags = _load_header(p / "meta.json",
-                                            "tempest-trace-v1", str(p))
-        diags.extend(header_diags)
-        headers.append(header)
-    if headers[0] is None or headers[1] is None:
+        try:
+            headers.append(read_trace_header(p))
+        except TraceError as exc:
+            diags.append(_diag("TL001", str(exc), path=str(p)))
+    if diags:
         return diags
     lhead, whead = headers
 
-    if lhead.get("symtab") != whead.get("symtab"):
+    if lhead.symtab.to_dict() != whead.symtab.to_dict():
         diags.append(_diag("TL022",
                            "symbol tables differ between the local and "
                            "wire-reassembled bundles", path=label))
-    if lhead.get("meta") != whead.get("meta"):
+    if lhead.meta != whead.meta:
         diags.append(_diag("TL022",
                            f"run meta differs: local "
-                           f"{lhead.get('meta')!r} vs wire "
-                           f"{whead.get('meta')!r}", path=label))
+                           f"{lhead.meta!r} vs wire "
+                           f"{whead.meta!r}", path=label))
 
-    lnodes, wnodes = set(lhead["nodes"]), set(whead["nodes"])
+    lnodes, wnodes = set(lhead.nodes), set(whead.nodes)
     for node in sorted(lnodes - wnodes):
         diags.append(_diag("TL022",
                            "node is missing from the wire-reassembled "
@@ -857,21 +741,16 @@ def compare_bundle_dirs(local, wire) -> list[Diagnostic]:
                            "bundle", path=label, node=node))
 
     for node in sorted(lnodes & wnodes):
-        linfo, winfo = lhead["nodes"][node], whead["nodes"][node]
-        if isinstance(linfo, dict) and isinstance(winfo, dict):
-            lkeep = {k: v for k, v in linfo.items()
-                     if k not in _DERIVABLE_NODE_FIELDS}
-            wkeep = {k: v for k, v in winfo.items()
-                     if k not in _DERIVABLE_NODE_FIELDS}
-            if lkeep != wkeep:
-                diff = sorted(k for k in set(lkeep) | set(wkeep)
-                              if lkeep.get(k) != wkeep.get(k))
-                diags.append(_diag("TL022",
-                                   f"node header fields differ: {diff}",
-                                   path=label, node=node))
+        linfo, winfo = lhead.nodes[node], whead.nodes[node]
+        diff = [k for k in ("sensor_names", "tsc_hz")
+                if getattr(linfo, k) != getattr(winfo, k)]
+        if diff:
+            diags.append(_diag("TL022",
+                               f"node header fields differ: {diff}",
+                               path=label, node=node))
         try:
-            lblob = (local / f"{node}.trace").read_bytes()
-            wblob = (wire / f"{node}.trace").read_bytes()
+            lblob = _record_bytes(lhead, linfo)
+            wblob = _record_bytes(whead, winfo)
         except OSError as exc:
             diags.append(_diag("TL022",
                                f"record file is unreadable: {exc}",

@@ -32,7 +32,7 @@ from pathlib import Path
 from repro.core import TempestParser, TempestSession, render_stdout_report
 from repro.core.ascii_plot import render_cluster_profile, render_function_profile
 from repro.core.report import dump_csv, dump_json
-from repro.core.trace import TraceBundle
+from repro.core.trace import TraceBundle, is_trace_dir, read_trace_header
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.util.canonjson import canon_dumps
 from repro.util.errors import ConfigError, ReproError
@@ -349,10 +349,10 @@ def cmd_hotpaths(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    """Profile a saved trace bundle (``meta.json``) or, chunk by chunk in
-    constant memory, a spool directory (``header.json``)."""
+    """Profile a trace directory: a closed bundle through the parser, a
+    live spool chunk by chunk in constant memory."""
     path = args.bundle
-    if (path / "meta.json").is_file():
+    if read_trace_header(path).closed:
         if args.chunk_records is not None or args.hcct_budget is not None:
             raise ConfigError(
                 f"{path} is a trace bundle; --chunk-records and "
@@ -360,7 +360,7 @@ def cmd_parse(args) -> int:
             )
         bundle = TraceBundle.load(path, tolerate_truncation=args.lenient)
         profile = TempestParser(bundle, strict=not args.lenient).parse()
-    elif (path / "header.json").is_file():
+    else:
         from repro.core.streamprof import stream_spool_profile
 
         profile = stream_spool_profile(
@@ -368,11 +368,6 @@ def cmd_parse(args) -> int:
             chunk_records=args.chunk_records,
             strict=not args.lenient,
             hcct_budget=args.hcct_budget,
-        )
-    else:
-        raise ConfigError(
-            f"{path} is neither a trace bundle (meta.json) nor a spool "
-            "directory (header.json)"
         )
     _emit(profile, args)
     return 0
@@ -612,16 +607,16 @@ def cmd_serve(args) -> int:
 
 
 def cmd_push(args) -> int:
-    """Push a finalized spool directory's nodes to a running aggregator."""
+    """Push a trace directory's nodes (usually a finalized spool) to a
+    running aggregator."""
     from repro.cluster import CollectorClient, CollectorConfig, SocketTransport
     from repro.core.records import RECORD_SIZE
-    from repro.core.spool import read_spool_header
 
     host, port = _parse_hostport(args.connect)
-    header = read_spool_header(args.spool_dir)
-    node_names = sorted(header["nodes"])
+    header = read_trace_header(args.spool_dir)
+    node_names = sorted(header.nodes)
     if args.node:
-        if args.node not in header["nodes"]:
+        if args.node not in header.nodes:
             print(f"tempest push: {args.spool_dir} has no node "
                   f"{args.node!r}; have {node_names}", file=sys.stderr)
             return 2
@@ -635,7 +630,7 @@ def cmd_push(args) -> int:
     report = {}
     complete = True
     for name in node_names:
-        spool_file = args.spool_dir / f"{name}.spool"
+        spool_file = header.nodes[name].path
         if not spool_file.exists():
             print(f"tempest push: {spool_file} missing, skipping",
                   file=sys.stderr)
@@ -681,23 +676,19 @@ def _print_rules_catalogue() -> None:
 
 
 def cmd_check(args) -> int:
-    """Static analysis: TraceLint bundles/spools, LabLint laboratories,
-    repo-lint Python sources.
+    """Static analysis: TraceLint trace directories, LabLint
+    laboratories, repo-lint Python sources.
 
-    Each path is dispatched by inspection: a directory holding
-    ``meta.json`` is a trace bundle, one holding ``header.json`` is a
-    spool directory, one holding ``lab.json`` is an experiment
+    Each path is dispatched by inspection: a trace directory (a bundle
+    or a spool, :func:`~repro.core.trace.is_trace_dir`) goes through
+    TraceLint, a directory holding ``lab.json`` is an experiment
     laboratory (TL025-TL027), and ``.py`` files or directories
     containing them go through :mod:`repro.devtools.lint`.  Anything
     else is a usage error.
     """
     from repro.check import CheckReport
     from repro.check.labcheck import check_lab_dir
-    from repro.check.tracelint import (
-        check_bundle_dir,
-        check_spool_dir,
-        compare_bundle_dirs,
-    )
+    from repro.check.tracelint import check_path, compare_bundle_dirs
     from repro.devtools.lint import _iter_py_files, lint_paths
 
     if args.rules:
@@ -707,25 +698,22 @@ def cmd_check(args) -> int:
         print("tempest check: give at least one path (or --rules)",
               file=sys.stderr)
         return 2
-    if args.baseline is not None and not (args.baseline / "meta.json").is_file():
+    if args.baseline is not None and not is_trace_dir(args.baseline):
         print(f"tempest check: --baseline {args.baseline}: not a trace "
-              "bundle", file=sys.stderr)
+              "bundle or spool directory", file=sys.stderr)
         return 2
 
     report = CheckReport()
     lint_targets: list[Path] = []
     for raw in args.paths:
         p = Path(raw)
-        if p.is_dir() and (p / "meta.json").is_file():
+        if is_trace_dir(p):
             report.add_checked(str(p))
-            report.extend(check_bundle_dir(p, deep=not args.no_deep))
+            report.extend(check_path(p, deep=not args.no_deep))
             if args.baseline is not None:
                 # TL022: the reassembled bundle (e.g. from wire chunks)
-                # must be byte-identical to the locally saved baseline.
+                # must hold the baseline's record bytes.
                 report.extend(compare_bundle_dirs(args.baseline, p))
-        elif p.is_dir() and (p / "header.json").is_file():
-            report.add_checked(str(p))
-            report.extend(check_spool_dir(p))
         elif p.is_dir() and (p / "lab.json").is_file():
             report.add_checked(str(p))
             report.extend(check_lab_dir(p))
@@ -753,13 +741,15 @@ def cmd_check(args) -> int:
 def cmd_race(args) -> int:
     """Communication sanitizer: vector-clock analysis of recorded MPI traces.
 
-    Each path must be a trace bundle (``meta.json``) or a spool directory
-    (``header.json``); the causal analyzer streams its comm records and
-    reports message races, wait-for cycles, collective mismatches,
-    unmatched requests, and causal TSC-skew violations (CM0xx).
+    Each path must be a trace directory, a bundle or a spool (run in
+    live mode); the causal analyzer streams its comm records and reports
+    message races, wait-for cycles, collective mismatches, unmatched
+    requests, and causal TSC-skew violations (CM0xx).  A path that is
+    not a trace directory, or whose header is malformed, is an error
+    (exit 2).
     """
     from repro.check import CheckReport
-    from repro.check.causal import causal_check_bundle, causal_check_spool
+    from repro.check.causal import causal_check_bundle
 
     if not args.paths:
         print("tempest race: give at least one trace bundle or spool "
@@ -768,16 +758,9 @@ def cmd_race(args) -> int:
     report = CheckReport()
     for raw in args.paths:
         p = Path(raw)
-        if p.is_dir() and (p / "meta.json").is_file():
-            checker = causal_check_bundle
-        elif p.is_dir() and (p / "header.json").is_file():
-            checker = causal_check_spool
-        else:
-            print(f"tempest race: {p}: not a trace bundle or spool "
-                  "directory", file=sys.stderr)
-            return 2
         report.add_checked(str(p))
-        report.extend(checker(p, skew_tolerance_s=args.skew_tolerance))
+        report.extend(causal_check_bundle(
+            p, skew_tolerance_s=args.skew_tolerance))
     print(report.render())
     if args.json:
         args.json.write_text(report.to_json())
@@ -920,11 +903,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse",
                        help="parse a saved trace bundle or spool directory")
     p.add_argument("bundle", type=Path,
-                   help="a trace bundle (meta.json) or a spool directory "
-                        "(header.json), told apart by inspection; each "
-                        "spool chunk is put in time order, so a spool "
-                        "profiles like the bundle saved from it unless a "
-                        "record arrives more than one chunk late")
+                   help="a trace directory: a closed bundle (--save-trace) "
+                        "is parsed whole, a live spool (spool_dir) chunk "
+                        "by chunk; each spool chunk is put in time order, "
+                        "so a spool profiles like the bundle loaded from "
+                        "it unless a record arrives more than one chunk "
+                        "late; a malformed header is an error (exit 2)")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--chunk-records", type=int, default=None,
                    help="spools only: records per streaming chunk "
@@ -1019,7 +1003,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "push",
         help="push a finalized spool directory to a running aggregator")
-    p.add_argument("spool_dir", type=Path)
+    p.add_argument("spool_dir", type=Path,
+                   help="a trace directory, usually a finalized spool; a "
+                        "malformed header is an error (exit 2)")
     p.add_argument("--connect", required=True, metavar="HOST:PORT",
                    help="aggregator address")
     p.add_argument("--node", default=None,
@@ -1042,8 +1028,9 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="run TraceLint / repo lint over bundles, spools, and sources")
     p.add_argument("paths", nargs="*", type=Path,
-                   help="trace bundles, spool directories, .py files, or "
-                        "source directories")
+                   help="trace directories (bundles or spools; a "
+                        "malformed header is TL001), laboratories, .py "
+                        "files, or source directories")
     p.add_argument("--strict", action="store_true",
                    help="also fail (exit 1) on warnings")
     p.add_argument("--json", type=Path, default=None, metavar="FILE",
@@ -1054,9 +1041,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the chunking-invariance cross-validation "
                         "pass (TL018)")
     p.add_argument("--baseline", type=Path, default=None, metavar="DIR",
-                   help="cross-validate each checked bundle against this "
-                        "locally saved bundle (TL022: byte-identical "
-                        "records, equivalent metadata)")
+                   help="cross-validate each checked trace directory "
+                        "against this local one, a spool or a bundle "
+                        "(TL022: byte-identical records, equivalent "
+                        "metadata)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser(
@@ -1064,8 +1052,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="communication sanitizer: races, deadlocks, collective "
              "mismatches, causal skew (CM0xx)")
     p.add_argument("paths", nargs="*", type=Path,
-                   help="trace bundles or spool directories with recorded "
-                        "comm events")
+                   help="trace directories (bundles, or spools checked "
+                        "in live mode) with recorded comm events; a "
+                        "malformed header is an error (exit 2)")
     p.add_argument("--strict", action="store_true",
                    help="also fail (exit 1) on warnings")
     p.add_argument("--json", type=Path, default=None, metavar="FILE",

@@ -226,8 +226,9 @@ class LeafState:
 class Aggregator:
     """Protocol-and-merge core: frames in, per-node record buffers out.
 
-    Thread-safe (the socket server drives it from one thread per
-    connection); I/O-free (the loopback transport drives it directly).
+    Thread-safe (the socket server's selectors loop drives it from one
+    background thread while other threads read snapshots and metrics);
+    I/O-free (the loopback transport drives it directly).
     With ``live=True`` every accepted chunk is *also* folded into a
     streaming :class:`~repro.core.streamprof.ProfileAccumulator` per
     node, so :meth:`live_snapshot` yields a mid-run merged profile at

@@ -54,7 +54,8 @@ from repro.cluster.wire import (
     hello_payload,
 )
 from repro.core.records import RECORD_SIZE
-from repro.core.spool import SPOOL_CHUNK_RECORDS, read_spool_header
+from repro.core.spool import SPOOL_CHUNK_RECORDS
+from repro.core.trace import read_trace_header
 
 _log = logging.getLogger(__name__)
 
@@ -187,21 +188,21 @@ class CollectorClient:
     def from_spool_header(cls, spool_dir, node_name: str,
                           transport_factory: Callable,
                           **kwargs) -> "CollectorClient":
-        """Build a collector for one node of a finalized spool directory."""
-        header = read_spool_header(Path(spool_dir))
-        try:
-            info = header["nodes"][node_name]
-        except KeyError:
+        """Build a collector for one node of a trace directory (usually
+        a finalized spool)."""
+        header = read_trace_header(spool_dir)
+        node = header.nodes.get(node_name)
+        if node is None:
             raise WireError(
                 f"{spool_dir} has no node {node_name!r}; "
-                f"have {list(header.get('nodes', {}))}"
+                f"have {list(header.nodes)}"
             )
         return cls(
             node_name,
-            float(info["tsc_hz"]),
-            list(info["sensor_names"]),
-            header.get("symtab", {}),
-            header.get("meta", {}),
+            float(node.tsc_hz),
+            list(node.sensor_names),
+            header.symtab.to_dict(),
+            header.meta,
             transport_factory,
             **kwargs,
         )

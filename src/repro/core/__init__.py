@@ -37,7 +37,7 @@ from repro.core.instrument import (
     NodeTracer,
 )
 from repro.core.realprof import RealTempest
-from repro.core.spool import TraceSpool, iter_spool_chunks, spool_to_bundle
+from repro.core.spool import TraceSpool, iter_spool_chunks
 from repro.core.sensors import (
     SensorReader,
     SimSensorReader,
@@ -76,7 +76,6 @@ __all__ = [
     "RealTempest",
     "TraceSpool",
     "iter_spool_chunks",
-    "spool_to_bundle",
     "SensorReader",
     "SimSensorReader",
     "HwmonSensorReader",

@@ -110,11 +110,12 @@ NODE_ROW_FIELDS = ("id", "parent", "name", "excl_s", "calls", "error_s",
 _INITIAL_CIDS = 64
 
 
-def _finite(value, what: str) -> float:
-    """*value* as a float, or ``ValueError`` when it is NaN or infinite."""
+def _seconds(value, what: str) -> float:
+    """*value* as a float, or ``ValueError`` unless finite and >= 0."""
     v = float(value)
-    if not np.isfinite(v):
-        raise ValueError(f"{what} is non-finite: {v!r}")
+    if not 0.0 <= v < np.inf:
+        raise ValueError(f"{what} is {'negative' if v < 0 else 'non-finite'}"
+                         f": {v!r}")
     return v
 
 
@@ -579,6 +580,8 @@ class ContextTree:
                          ("total_excl_s", self.total_excl_s)):
             if not np.isfinite(v):
                 problems.append(f"tree {label} is non-finite: {v!r}")
+        if self.n_evicted < 0:
+            problems.append(f"tree n_evicted is negative: {self.n_evicted}")
         if seen != self._n_live:
             problems.append(f"live-context accounting off: counted {seen}, "
                             f"recorded {self._n_live}")
@@ -643,8 +646,10 @@ class ContextTree:
         try:
             out = cls([str(s) for s in obj.get("sensor_names", [])],
                       budget=obj.get("budget"))
-            out.epsilon_s = _finite(obj.get("epsilon_s", 0.0), "epsilon_s")
+            out.epsilon_s = _seconds(obj.get("epsilon_s", 0.0), "epsilon_s")
             out.n_evicted = int(obj.get("n_evicted", 0))
+            if out.n_evicted < 0:
+                raise ValueError(f"negative n_evicted {out.n_evicted}")
             remap = {0: 0}
             for row in obj.get("nodes", []):
                 nid, parent, name, excl, calls, error, per = row
@@ -660,13 +665,13 @@ class ContextTree:
                                      f"{int(calls)}")
                 cid = out.intern(parent, name)
                 remap[nid] = cid
-                out._excl[cid] = _finite(excl, f"node {nid} excl_s")
+                out._excl[cid] = _seconds(excl, f"node {nid} excl_s")
                 out._calls[cid] = int(calls)
-                out._error[cid] = _finite(error, f"node {nid} error_s")
+                out._error[cid] = _seconds(error, f"node {nid} error_s")
                 for sname, state in per.items():
                     sidx = out.sensor_index(str(sname))
                     out.stats[(cid, sidx)] = OnlineStats.from_state(state)
-            out.total_excl_s = _finite(
+            out.total_excl_s = _seconds(
                 obj.get("total_excl_s", out._excl.sum()), "total_excl_s")
             return out
         except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -260,8 +260,10 @@ class TempestSession:
         )
 
     def finalize_spools(self) -> None:
-        """Close spools and write the header so the directory is loadable
-        with :func:`repro.core.spool.spool_to_bundle`.
+        """Close spools and write the header, which makes the spool
+        directory a trace directory: :meth:`TraceBundle.load`, ``tempest
+        parse``/``check``/``race``/``push`` and the collectors all open
+        it through :func:`repro.core.trace.read_trace_header`.
 
         Idempotent: a session may finalize through ``stop()`` *and*
         through ``_emergency_flush`` (or an external collector may have

@@ -5,9 +5,10 @@ long run must not hold its whole trace in memory.  A :class:`TraceSpool`
 attaches to a :class:`~repro.core.trace.NodeTrace` and sinks each record
 as it is appended; :func:`read_spool_columns` recovers the records later
 (tolerating a truncated tail, e.g. after a crash), and
-:func:`spool_to_bundle` reassembles a full
-:class:`~repro.core.trace.TraceBundle` from a directory of spools plus the
-saved header.
+:meth:`TraceBundle.load <repro.core.trace.TraceBundle.load>` reads a
+directory of spools plus the header :func:`write_spool_header` saved,
+through the same header reader as a bundle
+(:func:`repro.core.trace.read_trace_header`).
 
 Spooling is buffered and columnar: records accumulate in a small
 structured-array chunk and hit the file as one ``write`` per
@@ -21,9 +22,7 @@ loses at most one torn record at the tail — both are what
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from repro.core.records import (
     records_to_bytes,
 )
 from repro.core.symtab import SymbolTable
-from repro.core.trace import NodeTrace, TraceBundle
+from repro.core.trace import NodeTrace
 from repro.util.canonjson import dump_canonical
 from repro.util.errors import TraceError
 
@@ -45,8 +44,8 @@ SPOOL_CHUNK_RECORDS = 4096
 #: Larger than the write granularity: the vectorized segment reduction
 #: amortizes per-chunk overhead over more records.  Its pipeline
 #: temporaries cost ~340 bytes/record at peak, so 32 Ki records ≈ 11 MB
-#: resident — inside the ≤25%-of-batch peak-memory gate even for the
-#: reduced 200k-record CI benchmark scale.
+#: resident whatever the trace length — the constant-memory property the
+#: streaming gate holds to 1.1x (``test_streaming_memory_gate``).
 STREAM_CHUNK_RECORDS = 32768
 
 
@@ -223,9 +222,10 @@ def iter_spool_chunks(path: Path, *, chunk_records: int = SPOOL_CHUNK_RECORDS,
 
 def write_spool_header(directory: Path, symtab: SymbolTable,
                        nodes: dict[str, dict], meta: dict) -> None:
-    """Persist the bundle header alongside per-node spools.
+    """Persist the header alongside per-node spools.
 
     ``nodes`` maps node name -> {"tsc_hz": ..., "sensor_names": [...]}.
+    The header declares no record counts: the spools may still grow.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -235,30 +235,3 @@ def write_spool_header(directory: Path, symtab: SymbolTable,
         "nodes": nodes,
         "meta": meta,
     })
-
-
-def read_spool_header(directory: Path) -> dict:
-    """Load and validate a spool directory's ``header.json``."""
-    directory = Path(directory)
-    header_path = directory / "header.json"
-    if not header_path.exists():
-        raise TraceError(f"{directory} has no header.json")
-    header = json.loads(header_path.read_text())
-    if header.get("format") != "tempest-spool-v1":
-        raise TraceError(f"unknown spool format {header.get('format')!r}")
-    return header
-
-
-def spool_to_bundle(directory: Path) -> TraceBundle:
-    """Reassemble a TraceBundle from ``header.json`` + ``<node>.spool`` files."""
-    directory = Path(directory)
-    header = read_spool_header(directory)
-    bundle = TraceBundle(SymbolTable.from_dict(header["symtab"]))
-    bundle.meta = header.get("meta", {})
-    for name, info in header["nodes"].items():
-        trace = NodeTrace(name, info["tsc_hz"], info["sensor_names"])
-        spool_file = directory / f"{name}.spool"
-        if spool_file.exists():
-            trace.extend_columns(read_spool_columns(spool_file))
-        bundle.add_node(trace)
-    return bundle

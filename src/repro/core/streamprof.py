@@ -60,7 +60,6 @@ of the run are unaffected.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Callable, Optional
 
 import logging
@@ -70,7 +69,13 @@ import numpy as np
 from repro.core.profilemodel import NodeProfile, RunProfile
 from repro.core.records import RECORD_DTYPE
 from repro.core.symtab import SymbolTable
-from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP, check_tsc_hz
+from repro.core.trace import (
+    REC_ENTER,
+    REC_EXIT,
+    REC_TEMP,
+    check_tsc_hz,
+    read_trace_header,
+)
 from repro.util.errors import TraceError
 
 __all__ = [
@@ -1692,43 +1697,36 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
                          strict: bool = False,
                          min_samples_for_stats: int = 1,
                          hcct_budget: Optional[int] = None) -> RunProfile:
-    """Constant-memory profile of a spool directory.
+    """Constant-memory profile of a trace directory (usually a spool).
 
-    Reads ``header.json`` plus each ``<node>.spool`` in fixed-size record
-    chunks and folds them straight into streaming accumulators — the
-    whole trace is never resident, so peak memory is O(chunk + functions
-    × sensors) however long the run was.  Each chunk is put in time
-    order as it is consumed, so a spool profiles like the bundle saved
-    from it unless a record arrives a whole chunk late (counted as
-    ``late-records``).  The default chunk size is
-    :data:`repro.core.spool.STREAM_CHUNK_RECORDS` — larger than the
-    spool write granularity, because the reduction amortizes per-chunk
-    overhead over more records at ~11 MB of peak residency.
+    Reads the header (:func:`~repro.core.trace.read_trace_header`) plus
+    each node's record file in fixed-size record chunks and folds them
+    straight into streaming accumulators — the whole trace is never
+    resident, so peak memory is O(chunk + functions × sensors) however
+    long the run was.  Each chunk is put in time order as it is
+    consumed, so a spool profiles like the bundle loaded from it unless
+    a record arrives a whole chunk late (counted as ``late-records``).
+    The default chunk size is :data:`repro.core.spool.STREAM_CHUNK_RECORDS`
+    — larger than the spool write granularity, because the reduction
+    amortizes per-chunk overhead over more records at ~11 MB of peak
+    residency.
     """
-    from repro.core.spool import (
-        STREAM_CHUNK_RECORDS,
-        iter_spool_chunks,
-        read_spool_header,
-    )
+    from repro.core.spool import STREAM_CHUNK_RECORDS
 
-    directory = Path(directory)
-    header = read_spool_header(directory)
-    meta = header.get("meta", {})
+    header = read_trace_header(directory)
     profiler = StreamingRunProfiler(
-        SymbolTable.from_dict(header["symtab"]),
-        sampling_hz=float(meta.get("sampling_hz", 4.0)),
+        header.symtab,
+        sampling_hz=float(header.meta.get("sampling_hz", 4.0)),
         strict=strict,
         min_samples_for_stats=min_samples_for_stats,
-        meta=meta,
+        meta=header.meta,
         hcct_budget=hcct_budget,
     )
     size = chunk_records or STREAM_CHUNK_RECORDS
-    for name, info in header["nodes"].items():
-        acc = profiler.add_node(name, info["tsc_hz"], info["sensor_names"])
-        spool_file = directory / f"{name}.spool"
-        if spool_file.exists():
-            for chunk in iter_spool_chunks(spool_file, chunk_records=size):
-                acc.consume(chunk)
+    for node in header.nodes.values():
+        acc = profiler.add_node(node.name, node.tsc_hz, node.sensor_names)
+        for chunk in node.iter_chunks(size):
+            acc.consume(chunk)
     return profiler.finalize()
 
 

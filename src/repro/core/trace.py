@@ -20,9 +20,15 @@ single event enters through :meth:`NodeTrace.append_event` as six
 scalars, a batch through :meth:`NodeTrace.extend_columns`, and every
 reader — save, spooling, parsing, diagnostics — moves whole arrays.
 
-A :class:`TraceBundle` round-trips to disk as a directory containing a
-JSON header (symbol table, node metadata, calibration) plus one compact
-binary record file per node.
+On disk a trace is a directory: a JSON header (symbol table, node
+metadata, calibration) plus one binary record file per node, in one of
+two layouts holding the same record bytes.  A *bundle*
+(:meth:`TraceBundle.save`: ``meta.json`` + ``<node>.trace``) is closed
+and declares each node's record count; a *spool*
+(:mod:`repro.core.spool`: ``header.json`` + ``<node>.spool``) is live —
+a session may still be appending to it.  :func:`read_trace_header` is
+the one reader of either header; everything that opens a trace
+directory goes through it.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -223,72 +231,188 @@ class TraceBundle:
     @classmethod
     def load(cls, path: Path, *,
              tolerate_truncation: bool = False) -> "TraceBundle":
-        """Read a bundle previously written by :meth:`save`.
+        """Read a trace directory: a bundle :meth:`save` wrote, or a spool.
 
-        Every malformation — unreadable or torn ``meta.json``, a bad symbol
-        table, a missing or truncated record file — surfaces as a clean
-        :class:`TraceError`, never a ``json`` or ``struct`` exception from
-        mid-record.  With ``tolerate_truncation`` a record file whose tail
-        was lost (node died mid-write, partial copy off the cluster) is
-        recovered instead: the torn partial record and anything the header
-        promised beyond it are dropped, and the node's trace is marked
+        Every malformation — unreadable or torn header, a bad symbol
+        table or node entry, a missing or truncated record file —
+        surfaces as a clean :class:`TraceError`, never a ``json`` or
+        ``struct`` exception from mid-record.  With
+        ``tolerate_truncation`` a bundle record file whose tail was lost
+        (node died mid-write, partial copy off the cluster) is recovered
+        instead: the torn partial record and anything the header promised
+        beyond it are dropped, and the node's trace is marked
         ``truncated`` so the parser's consumers know the coverage story.
         A ``truncated`` flag persisted by :meth:`save` (a trace that was
         itself recovered before re-saving) is restored on load.
+
+        A spool is live, so its torn tail is a record still being
+        written and a missing record file a node that has not spooled
+        yet: the tail is dropped, the node loads empty, and neither
+        marks the trace truncated.
         """
-        path = Path(path)
-        meta_path = path / "meta.json"
-        if not meta_path.exists():
-            raise TraceError(f"{path} is not a trace bundle (no meta.json)")
-        try:
-            header = json.loads(meta_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise TraceError(f"{meta_path} is unreadable: {exc}")
-        if not isinstance(header, dict):
-            raise TraceError(f"{meta_path} is not a JSON object")
-        if header.get("format") != "tempest-trace-v1":
-            raise TraceError(f"unknown trace format {header.get('format')!r}")
-        try:
-            bundle = cls(SymbolTable.from_dict(header["symtab"]))
-            node_infos = dict(header["nodes"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise TraceError(f"{meta_path} header is malformed: {exc}")
-        bundle.meta = header.get("meta", {})
-        for name, info in node_infos.items():
+        header = read_trace_header(path)
+        bundle = cls(header.symtab)
+        bundle.meta = header.meta
+        for node in header.nodes.values():
+            trace = NodeTrace(node.name, node.tsc_hz, node.sensor_names)
+            trace.truncated = node.truncated
+            bundle.add_node(trace)
             try:
-                trace = NodeTrace(name, info["tsc_hz"], info["sensor_names"])
-                trace.truncated = bool(info.get("truncated", False))
-                declared = int(info["n_records"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceError(
-                    f"node entry {name!r} in {meta_path} is malformed: {exc}"
-                )
-            rec_path = path / f"{name}.trace"
-            try:
-                blob = rec_path.read_bytes()
+                blob = node.path.read_bytes()
             except OSError as exc:
+                if not header.closed and not node.path.exists():
+                    continue
                 if not tolerate_truncation:
-                    raise TraceError(f"cannot read {rec_path}: {exc}")
+                    raise TraceError(f"cannot read {node.path}: {exc}")
                 trace.truncated = True
-                bundle.add_node(trace)
                 continue
             remainder = len(blob) % RECORD_SIZE
             if remainder:
-                if not tolerate_truncation:
+                if header.closed and not tolerate_truncation:
                     raise TraceError(
-                        f"{name}.trace is corrupt: {len(blob)} bytes is not "
-                        f"a multiple of {RECORD_SIZE}"
+                        f"{node.path.name} is corrupt: {len(blob)} bytes is "
+                        f"not a multiple of {RECORD_SIZE}"
                     )
                 blob = blob[: len(blob) - remainder]
-                trace.truncated = True
+                trace.truncated |= header.closed
             n = len(blob) // RECORD_SIZE
-            if n != declared:
-                if not (tolerate_truncation and n < declared):
+            if node.n_records is not None and n != node.n_records:
+                if not (tolerate_truncation and n < node.n_records):
                     raise TraceError(
-                        f"{name}.trace has {n} records, header says "
-                        f"{declared}"
+                        f"{node.path.name} has {n} records, header says "
+                        f"{node.n_records}"
                     )
                 trace.truncated = True
             trace.extend_columns(records_from_buffer(blob))
-            bundle.add_node(trace)
         return bundle
+
+
+# ----------------------------------------------------------------------
+# Trace directories: one header reader for both layouts
+
+#: (header file, format string, record-file suffix, closed) of each
+#: trace directory layout, in the order a reader looks for them
+_LAYOUTS = (
+    ("meta.json", "tempest-trace-v1", ".trace", True),
+    ("header.json", "tempest-spool-v1", ".spool", False),
+)
+
+
+@dataclass(frozen=True)
+class NodeHeader:
+    """One node's entry in a trace directory header, validated."""
+
+    name: str
+    #: the header's calibration, a number; TL012 judges its plausibility
+    tsc_hz: float
+    sensor_names: list
+    #: the record count a bundle declares; None for a spool, which
+    #: declares none because it may still grow
+    n_records: Optional[int]
+    truncated: bool
+    #: the node's record file (a spool's may not exist yet)
+    path: Path
+
+    def iter_chunks(self, chunk_records: int):
+        """The node's records as bounded chunks, a torn tail dropped;
+        nothing when the record file does not exist."""
+        from repro.core.spool import iter_spool_chunks
+
+        if self.path.exists():
+            yield from iter_spool_chunks(self.path,
+                                         chunk_records=chunk_records)
+
+
+@dataclass(frozen=True)
+class TraceHeader:
+    """A trace directory's header: what every reader needs before it
+    touches a record."""
+
+    #: True for a bundle, which :meth:`TraceBundle.save` wrote whole;
+    #: False for a spool a session may still be appending to
+    closed: bool
+    symtab: SymbolTable
+    meta: dict
+    nodes: dict[str, NodeHeader]
+
+
+def _is_number(x) -> bool:
+    """A JSON number that fits a float (a boolean is not a number here)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def is_trace_dir(path) -> bool:
+    """Whether *path* holds a bundle or a spool header."""
+    return any((Path(path) / name).is_file() for name, *_ in _LAYOUTS)
+
+
+def read_trace_header(path) -> TraceHeader:
+    """Read and validate the header of the trace directory *path*.
+
+    The format string, the symbol table, ``meta`` and every node entry
+    are checked here, once, for every reader; anything malformed raises
+    :class:`TraceError`.  Plausibility of well-typed values (a zero
+    ``tsc_hz``, duplicate sensor names) is left to TraceLint.
+    """
+    path = Path(path)
+    for name, fmt, suffix, closed in _LAYOUTS:
+        header_path = path / name
+        if header_path.is_file():
+            break
+    else:
+        raise TraceError(f"{path} is neither a trace bundle (meta.json) "
+                         "nor a spool directory (header.json)")
+    try:
+        doc = json.loads(header_path.read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise TraceError(f"{header_path} is unreadable: {exc}")
+    if not isinstance(doc, dict):
+        raise TraceError(f"{header_path} is not a JSON object")
+    if doc.get("format") != fmt:
+        raise TraceError(f"{header_path} declares format "
+                         f"{doc.get('format')!r}, not {fmt!r}")
+    meta, nodes = doc.get("meta", {}), doc.get("nodes")
+    if not isinstance(meta, dict) or not isinstance(nodes, dict):
+        raise TraceError(f"{header_path}: meta and nodes must be objects")
+    if not _is_number(meta.get("sampling_hz", 0)):
+        raise TraceError(f"{header_path}: sampling_hz "
+                         f"{meta['sampling_hz']!r} is not a number")
+    try:
+        symtab = SymbolTable.from_dict(doc["symtab"])
+    except (KeyError, TypeError, ValueError, OverflowError,
+            AttributeError) as exc:
+        raise TraceError(f"{header_path}: symbol table is malformed: {exc!r}")
+
+    def node_header(node: str, info) -> NodeHeader:
+        if not isinstance(info, dict):
+            problem = "it is not an object"
+        elif node in ("", ".", "..") or "/" in node or "\\" in node:
+            problem = "the name is not a file name"
+        elif not _is_number(info.get("tsc_hz")):
+            problem = f"tsc_hz {info.get('tsc_hz')!r} is not a number"
+        elif not (isinstance(info.get("sensor_names"), list) and all(
+                isinstance(s, str) for s in info["sensor_names"])):
+            problem = (f"sensor_names {info.get('sensor_names')!r} is not "
+                       "a list of names")
+        elif closed and not (type(info.get("n_records")) is int
+                             and info["n_records"] >= 0):
+            problem = f"n_records {info.get('n_records')!r} is not a count"
+        elif not isinstance(info.get("truncated", False), bool):
+            problem = f"truncated {info['truncated']!r} is not a boolean"
+        else:
+            return NodeHeader(node, info["tsc_hz"], info["sensor_names"],
+                              info["n_records"] if closed else None,
+                              info.get("truncated", False),
+                              path / f"{node}{suffix}")
+        raise TraceError(f"node entry {node!r} in {header_path} is "
+                         f"malformed: {problem}")
+
+    return TraceHeader(closed, symtab, meta,
+                       {node: node_header(node, info)
+                        for node, info in nodes.items()})

@@ -15,12 +15,8 @@ import numpy as np
 import pytest
 
 from repro.check import RULES
-from repro.check.causal import (
-    CausalAnalyzer,
-    causal_check_bundle,
-    causal_check_spool,
-)
-from repro.check.tracelint import check_bundle_dir, check_records
+from repro.check.causal import CausalAnalyzer, causal_check_bundle
+from repro.check.tracelint import check_path, check_records
 from repro.core.commrec import (
     FLAG_COMPLETE,
     FLAG_RENDEZVOUS,
@@ -495,7 +491,7 @@ def test_defect_bundle_passes_tracelint_and_reloads(tmp_path):
         int(np.isin(t.columns.array["kind"], sorted(COMM_KINDS)).sum())
         for t in reloaded.nodes.values())
     assert n_comm > 0
-    diags = [d for d in check_bundle_dir(out) if d.severity == "error"]
+    diags = [d for d in check_path(out) if d.severity == "error"]
     # causal findings are the *point* of this bundle; the container and
     # stream structure themselves must lint clean
     assert all(d.rule.startswith("CM") for d in diags)
@@ -508,7 +504,7 @@ def test_check_bundle_dir_includes_causal_findings(tmp_path):
     bundle = build_race_bundle(seed=0)
     out = tmp_path / "bundle"
     bundle.save(out)
-    assert "CM001" in rules_of(check_bundle_dir(out))
+    assert "CM001" in rules_of(check_path(out))
 
 
 def test_causal_check_spool_live(tmp_path):
@@ -529,7 +525,7 @@ def test_causal_check_spool_live(tmp_path):
     spool = tmp_path / "spool"
     session = TempestSession(machine, spool_dir=spool)
     session.run_mpi(program, 3, name="spool-race")
-    assert "CM001" in rules_of(causal_check_spool(spool))
+    assert "CM001" in rules_of(causal_check_bundle(spool))
 
 
 # ----------------------------------------------------------------------

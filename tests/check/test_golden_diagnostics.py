@@ -9,7 +9,7 @@ records were damaged.
 
 import pytest
 
-from repro.check.tracelint import check_bundle_dir, check_spool_dir
+from repro.check.tracelint import check_path
 from repro.core.sensors import SensorReader
 from repro.core.spool import write_spool_header
 from repro.core.symtab import SymbolTable
@@ -60,7 +60,7 @@ def test_corrupted_temps_fire_tl010_and_tl011_once_each(tmp_path):
         tsc_corrupt_max_cycles=0,
     ))
     assert trace.n_records_corrupted > 10
-    counts = rule_counts(check_bundle_dir(path))
+    counts = rule_counts(check_path(path))
     assert counts["TL010"] == 1
     assert counts["TL011"] == 1
     assert "TL006" not in counts and "TL008" not in counts
@@ -71,7 +71,7 @@ def test_record_loss_fires_stack_rules_once_each(tmp_path):
     # mismatch), dropped EXITs as TL007 (open frames at end of stream).
     path, trace = lossy_bundle(tmp_path, FaultConfig(record_loss_rate=0.5))
     assert trace.n_records_dropped > 10
-    counts = rule_counts(check_bundle_dir(path))
+    counts = rule_counts(check_path(path))
     fired = {r for r in ("TL006", "TL007") if r in counts}
     assert fired, f"record loss produced no stack findings: {counts}"
     for r in fired:
@@ -91,7 +91,7 @@ def test_torn_spool_fires_tl002_as_warning_exactly_once(tmp_path):
                        {"node1": {"tsc_hz": 1.8e9,
                                   "sensor_names": ["S0", "S1"]}},
                        {"sampling_hz": 4.0})
-    diags = check_spool_dir(tmp_path)
+    diags = check_path(tmp_path)
     torn = [d for d in diags if d.rule == "TL002"]
     assert len(torn) == 1
     assert torn[0].severity == "warning"   # downgraded: recoverable tail
@@ -109,7 +109,7 @@ def test_clean_spool_is_clean(tmp_path):
     write_spool_header(tmp_path, symtab,
                        {"node1": {"tsc_hz": 1.8e9, "sensor_names": ["S0"]}},
                        {"sampling_hz": 4.0})
-    assert check_spool_dir(tmp_path) == []
+    assert check_path(tmp_path) == []
 
 
 class _SteadyReader(SensorReader):
@@ -143,7 +143,7 @@ def test_dead_sensors_leave_empty_trace_tl015(tmp_path):
     bundle.meta = {"sampling_hz": 4.0}
     path = tmp_path / "bundle"
     bundle.save(path)
-    counts = rule_counts(check_bundle_dir(path))
+    counts = rule_counts(check_path(path))
     assert counts == {"TL015": 1}
 
 
@@ -152,4 +152,4 @@ def test_clean_fixture_stays_golden(tmp_path):
     the golden assertions above measure the faults, not the fixture."""
     path = tmp_path / "bundle"
     build_bundle(n_pairs=40).save(path)
-    assert check_bundle_dir(path) == []
+    assert check_path(path) == []

@@ -14,12 +14,10 @@ import numpy as np
 
 from repro.check import RULES, CheckReport
 from repro.check.tracelint import (
-    check_bundle_dir,
     check_layout,
     check_path,
     check_profile,
     check_records,
-    check_spool_dir,
     compare_profiles,
 )
 from repro.core.parser import TempestParser
@@ -157,7 +155,7 @@ def test_aggregation_folds_repeats_into_one_diagnostic():
 
 
 def test_clean_bundle_has_no_findings(clean_bundle_dir):
-    assert check_bundle_dir(clean_bundle_dir) == []
+    assert check_path(clean_bundle_dir) == []
 
 
 def test_header_tampering(tmp_path):
@@ -170,7 +168,7 @@ def test_header_tampering(tmp_path):
     header["nodes"]["node1"]["n_records"] += 3
     header["meta"]["sampling_hz"] = -4.0
     meta.write_text(json.dumps(header))
-    got = rules_of(check_bundle_dir(path))
+    got = rules_of(check_path(path))
     assert "TL012" in got     # calibration
     assert "TL013" in got     # duplicate sensor names
     assert "TL003" in got     # count mismatch
@@ -184,7 +182,7 @@ def test_truncated_flag_on_intact_file(tmp_path):
     header = json.loads(meta.read_text())
     header["nodes"]["node1"]["truncated"] = True
     meta.write_text(json.dumps(header))
-    assert "TL004" in rules_of(check_bundle_dir(path))
+    assert "TL004" in rules_of(check_path(path))
 
 
 def test_torn_bundle_record_file_is_error(tmp_path):
@@ -192,7 +190,7 @@ def test_torn_bundle_record_file_is_error(tmp_path):
     build_bundle().save(path)
     rec = path / "node1.trace"
     rec.write_bytes(rec.read_bytes()[:-5])
-    diags = check_bundle_dir(path)
+    diags = check_path(path)
     torn = [d for d in diags if d.rule == "TL002"]
     assert len(torn) == 1 and torn[0].severity == "error"
 
@@ -206,11 +204,11 @@ def test_check_path_dispatch_and_rejection(clean_bundle_dir, tmp_path):
 def test_missing_header_is_tl001(tmp_path):
     (tmp_path / "b").mkdir()
     (tmp_path / "b" / "meta.json").write_text("{not json")
-    assert rules_of(check_bundle_dir(tmp_path / "b")) == ["TL001"]
+    assert rules_of(check_path(tmp_path / "b")) == ["TL001"]
     (tmp_path / "b" / "meta.json").write_text(
         json.dumps({"format": "tempest-trace-v1", "symtab": {},
                     "nodes": "nope"}))
-    assert rules_of(check_bundle_dir(tmp_path / "b")) == ["TL001"]
+    assert rules_of(check_path(tmp_path / "b")) == ["TL001"]
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +267,7 @@ def test_compare_profiles_divergence_is_tl018(clean_bundle_dir):
 
 def test_report_exit_codes(clean_bundle_dir, tmp_path):
     clean = CheckReport()
-    clean.extend(check_bundle_dir(clean_bundle_dir))
+    clean.extend(check_path(clean_bundle_dir))
     assert clean.exit_code() == 0
     assert clean.exit_code(strict=True) == 0
 
@@ -280,7 +278,7 @@ def test_report_exit_codes(clean_bundle_dir, tmp_path):
     header["nodes"]["node1"]["truncated"] = True    # TL004, warning
     meta.write_text(json.dumps(header))
     warn = CheckReport()
-    warn.extend(check_bundle_dir(path, deep=False))
+    warn.extend(check_path(path, deep=False))
     assert warn.n_warnings and not warn.n_errors
     assert warn.exit_code() == 0
     assert warn.exit_code(strict=True) == 1
@@ -289,7 +287,7 @@ def test_report_exit_codes(clean_bundle_dir, tmp_path):
 def test_report_json_round_trip(clean_bundle_dir):
     report = CheckReport()
     report.add_checked(str(clean_bundle_dir))
-    report.extend(check_bundle_dir(clean_bundle_dir))
+    report.extend(check_path(clean_bundle_dir))
     data = json.loads(report.to_json())
     assert data["format"] == "tempest-check-v1"
     assert data["checked"] == [str(clean_bundle_dir)]

@@ -15,7 +15,7 @@ from repro.check.tracelint import compare_bundle_dirs
 from repro.cli import main
 from repro.cluster import CollectorClient, CollectorConfig, LoopbackHub
 from repro.core.records import RECORD_SIZE
-from repro.core.spool import read_spool_header, spool_to_bundle
+from repro.core.trace import TraceBundle, read_trace_header
 from repro.faults import LossyWire, WireFaultConfig
 
 from tests.cluster.conftest import build_spool_dir
@@ -37,7 +37,7 @@ def bundle_pair(tmp_path):
     spool_dir = build_spool_dir(tmp_path / "spools", ["node1", "node2"],
                                 n_pairs=25)
     hub = LoopbackHub()
-    for name in sorted(read_spool_header(spool_dir)["nodes"]):
+    for name in sorted(read_trace_header(spool_dir).nodes):
         wire = LossyWire(hub.connect, FAULTS, seed=13, node_name=name)
         client = CollectorClient.from_spool_header(
             spool_dir, name, wire,
@@ -48,7 +48,7 @@ def bundle_pair(tmp_path):
         client.push_spool(spool_dir / f"{name}.spool")
         client.close()
     local_dir, wire_dir = tmp_path / "local", tmp_path / "wire"
-    spool_to_bundle(spool_dir).save(local_dir)
+    TraceBundle.load(spool_dir).save(local_dir)
     hub.aggregator.save_bundle(wire_dir)
     return local_dir, wire_dir
 

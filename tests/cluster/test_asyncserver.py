@@ -14,7 +14,7 @@ from repro.cluster import (
     SocketTransport,
 )
 from repro.cluster.wire import FT_HELLO, encode_json_frame, hello_payload
-from repro.core.spool import read_spool_header
+from repro.core.trace import read_trace_header
 
 
 def push_over_socket(spool_dir, host, port, node, run=None):
@@ -33,12 +33,12 @@ def test_stale_collector_is_evicted_and_drain_unwedges(spool_dir):
         # node1 drains properly...
         push_over_socket(spool_dir, server.host, server.port, "node1")
         # ...node2 says HELLO and then dies silently (no EOF, no close).
-        header = read_spool_header(spool_dir)
-        info = header["nodes"]["node2"]
+        header = read_trace_header(spool_dir)
+        info = header.nodes["node2"]
         zombie = SocketTransport(server.host, server.port)
         zombie.send(encode_json_frame(FT_HELLO, hello_payload(
-            "node2", info["tsc_hz"], info["sensor_names"],
-            header["symtab"], header["meta"])))
+            "node2", info.tsc_hz, info.sensor_names,
+            header.symtab.to_dict(), header.meta)))
         zombie.recv_frame()                       # HELLO_ACK
         # Without eviction this would block until the timeout; with it,
         # the drain completes as soon as node2 goes stale.
@@ -90,7 +90,7 @@ def test_one_listener_hosts_concurrent_runs(spool_dir):
 
 
 def test_summary_fanin_over_real_tcp(spool_dir):
-    names = sorted(read_spool_header(spool_dir)["nodes"])
+    names = sorted(read_trace_header(spool_dir).nodes)
     single_hub = LoopbackHub()
     for name in names:
         client = CollectorClient.from_spool_header(

@@ -32,7 +32,7 @@ from repro.cluster.wire import (
     summary_payload,
 )
 from repro.core.parser import TempestParser
-from repro.core.spool import read_spool_header, spool_to_bundle
+from repro.core.trace import TraceBundle, read_trace_header
 from repro.core.summary import RunSummary
 from repro.faults import LossyWire, WireFaultConfig
 
@@ -67,10 +67,10 @@ def four_node_spool(tmp_path):
 
 
 def test_fanin_equals_single_aggregator_equals_local(four_node_spool):
-    names = sorted(read_spool_header(four_node_spool)["nodes"])
+    names = sorted(read_trace_header(four_node_spool).nodes)
 
     # Tier 0: the local batch parse of all records.
-    local = TempestParser(spool_to_bundle(four_node_spool)).parse()
+    local = TempestParser(TraceBundle.load(four_node_spool)).parse()
 
     # Tier 1: one aggregator sees every raw record.
     single_hub = LoopbackHub()
@@ -104,7 +104,7 @@ def test_fanin_equals_single_aggregator_equals_local(four_node_spool):
 def test_fanin_summary_survives_json_roundtrip(four_node_spool):
     # What actually crosses the wire is JSON; composing from the decoded
     # form must change nothing.
-    names = sorted(read_spool_header(four_node_spool)["nodes"])
+    names = sorted(read_trace_header(four_node_spool).nodes)
     leaf_hub = LoopbackHub(live=True)
     push_nodes(four_node_spool, leaf_hub, names)
     final = leaf_hub.aggregator.run_summary(final=True)
@@ -275,7 +275,7 @@ def test_summary_pump_ships_growing_snapshots(four_node_spool):
 
 
 def test_fanin_converges_under_wire_faults(four_node_spool):
-    names = sorted(read_spool_header(four_node_spool)["nodes"])
+    names = sorted(read_trace_header(four_node_spool).nodes)
     single_hub = LoopbackHub()
     push_nodes(four_node_spool, single_hub, names)
     single = single_hub.aggregator.merged_profile()

@@ -19,7 +19,7 @@ from repro.cluster.wire import (
     hello_payload,
 )
 from repro.core.records import RECORD_SIZE
-from repro.core.spool import read_spool_header, spool_to_bundle
+from repro.core.trace import TraceBundle, read_trace_header
 
 from tests.cluster.conftest import build_spool_dir
 
@@ -48,7 +48,7 @@ def push_all(spool_dir, hub, node_names, **cfg):
 
 def test_three_nodes_reassemble_byte_identical(spool_dir):
     hub = LoopbackHub()
-    names = sorted(read_spool_header(spool_dir)["nodes"])
+    names = sorted(read_trace_header(spool_dir).nodes)
     pushed = push_all(spool_dir, hub, names)
     agg = hub.aggregator
     assert agg.all_drained(expected_nodes=3)
@@ -64,11 +64,11 @@ def test_three_nodes_reassemble_byte_identical(spool_dir):
 
 def test_merged_profile_equals_local_parse(spool_dir):
     hub = LoopbackHub()
-    push_all(spool_dir, hub, sorted(read_spool_header(spool_dir)["nodes"]))
+    push_all(spool_dir, hub, sorted(read_trace_header(spool_dir).nodes))
     wire = hub.aggregator.merged_profile()
     from repro.core.parser import TempestParser
 
-    local = TempestParser(spool_to_bundle(spool_dir)).parse()
+    local = TempestParser(TraceBundle.load(spool_dir)).parse()
     assert set(wire.nodes) == {"node1", "node2", "node3"}
     # Same records, same batch parser: agreement must be exact, so the
     # TL018 comparator (which tolerates 1e-9) must find nothing at all.
@@ -77,7 +77,7 @@ def test_merged_profile_equals_local_parse(spool_dir):
 
 def test_live_snapshot_tracks_merged_profile(spool_dir):
     hub = LoopbackHub(live=True)
-    names = sorted(read_spool_header(spool_dir)["nodes"])
+    names = sorted(read_trace_header(spool_dir).nodes)
     push_all(spool_dir, hub, names[:2])
     snap = hub.aggregator.live_snapshot()
     assert set(snap.nodes) == {"node1", "node2"}
@@ -89,9 +89,9 @@ def test_live_snapshot_tracks_merged_profile(spool_dir):
 
 def test_saved_bundle_matches_local_bundle(spool_dir, tmp_path):
     hub = LoopbackHub()
-    push_all(spool_dir, hub, sorted(read_spool_header(spool_dir)["nodes"]))
+    push_all(spool_dir, hub, sorted(read_trace_header(spool_dir).nodes))
     local_dir, wire_dir = tmp_path / "local", tmp_path / "wire"
-    spool_to_bundle(spool_dir).save(local_dir)
+    TraceBundle.load(spool_dir).save(local_dir)
     hub.aggregator.save_bundle(wire_dir)
     for name in ("node1", "node2", "node3"):
         assert (wire_dir / f"{name}.trace").read_bytes() == \
@@ -103,11 +103,11 @@ def test_saved_bundle_matches_local_bundle(spool_dir, tmp_path):
 
 
 def _hello(spool_dir, node="node1"):
-    header = read_spool_header(spool_dir)
-    info = header["nodes"][node]
+    header = read_trace_header(spool_dir)
+    info = header.nodes[node]
     return encode_json_frame(FT_HELLO, hello_payload(
-        node, info["tsc_hz"], info["sensor_names"],
-        header["symtab"], header["meta"]))
+        node, info.tsc_hz, info.sensor_names,
+        header.symtab.to_dict(), header.meta))
 
 
 def _chunks(spool_dir, node="node1", chunk_records=16):
@@ -211,13 +211,13 @@ def test_symtab_conflict_rejected_at_hello(spool_dir):
     hub = LoopbackHub()
     t = hub.connect()
     t.send(_hello(spool_dir))
-    header = read_spool_header(spool_dir)
-    info = header["nodes"]["node2"]
-    clash = dict(header["symtab"])
+    header = read_trace_header(spool_dir)
+    info = header.nodes["node2"]
+    clash = header.symtab.to_dict()
     clash["main"] = 0x999999              # same name, different address
     t2 = hub.connect()
     t2.send(encode_json_frame(FT_HELLO, hello_payload(
-        "node2", info["tsc_hz"], info["sensor_names"], clash, {})))
+        "node2", info.tsc_hz, info.sensor_names, clash, {})))
     ftype, _ = t2.recv_frame()
     assert ftype == FT_ERROR
     assert "node2" not in hub.aggregator.nodes

@@ -17,7 +17,7 @@ from repro.cluster import (
 from repro.core import TempestSession
 from repro.core.parser import TempestParser
 from repro.core.records import RECORD_SIZE
-from repro.core.spool import read_spool_header, spool_to_bundle
+from repro.core.trace import TraceBundle, read_trace_header
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.workloads.microbench import micro_d
 
@@ -35,7 +35,7 @@ def push_over_socket(spool_dir, host, port, node):
 
 
 def test_socket_server_three_collectors_concurrently(spool_dir):
-    names = sorted(read_spool_header(spool_dir)["nodes"])
+    names = sorted(read_trace_header(spool_dir).nodes)
     with AggregatorServer(expected_nodes=len(names)) as server:
         threads = [
             threading.Thread(target=push_over_socket,
@@ -52,7 +52,7 @@ def test_socket_server_three_collectors_concurrently(spool_dir):
         raw = (spool_dir / f"{name}.spool").read_bytes()
         assert bytes(agg.nodes[name].buf) == raw
     wire = agg.merged_profile()
-    local = TempestParser(spool_to_bundle(spool_dir)).parse()
+    local = TempestParser(TraceBundle.load(spool_dir)).parse()
     assert compare_profiles(local, wire) == []
 
 
@@ -65,7 +65,7 @@ def test_session_spools_pushed_match_inprocess_profile(tmp_path):
     session.run_mpi(lambda ctx: micro_d(ctx, 1.5, 0.1), 3)
     local = session.profile(strict=True)
 
-    names = sorted(read_spool_header(spool_dir)["nodes"])
+    names = sorted(read_trace_header(spool_dir).nodes)
     assert len(names) == 3
     with AggregatorServer(expected_nodes=3) as server:
         for name in names:
@@ -125,7 +125,7 @@ def test_cli_serve_emits_profile_and_bundle(spool_dir, tmp_path, capsys):
             break
         time.sleep(0.05)
     assert port is not None, "serve never reported its port"
-    for name in sorted(read_spool_header(spool_dir)["nodes"]):
+    for name in sorted(read_trace_header(spool_dir).nodes):
         push_over_socket(spool_dir, "127.0.0.1", port, name)
     t.join(timeout=30)
     assert result["rc"] == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import CollectorClient, CollectorConfig, LoopbackHub
 from repro.core.records import RECORD_SIZE
-from repro.core.spool import read_spool_header
+from repro.core.trace import TraceBundle, read_trace_header
 from repro.faults import LossyWire, WireFaultConfig
 
 from tests.cluster.conftest import build_spool_dir
@@ -63,16 +63,15 @@ def test_chaos_is_deterministic_under_one_seed(tmp_path):
 def test_three_node_chaos_cluster_matches_clean_profile(tmp_path):
     from repro.check.tracelint import compare_profiles
     from repro.core.parser import TempestParser
-    from repro.core.spool import spool_to_bundle
 
     names = ["node1", "node2", "node3"]
     spool_dir = build_spool_dir(tmp_path / "s", names, n_pairs=25)
     hub = LoopbackHub()
-    for name in sorted(read_spool_header(spool_dir)["nodes"]):
+    for name in sorted(read_trace_header(spool_dir).nodes):
         chaos_push(spool_dir, seed=2007, node=name, hub=hub)
     assert hub.aggregator.all_drained(expected_nodes=3)
     wire = hub.aggregator.merged_profile()
-    local = TempestParser(spool_to_bundle(spool_dir)).parse()
+    local = TempestParser(TraceBundle.load(spool_dir)).parse()
     # Chaos on the wire must not shift the profile at all: delivery is
     # exactly-once, so agreement is exact, not within-tolerance.
     assert compare_profiles(local, wire) == []

@@ -99,6 +99,8 @@ def test_validate_catches_corruption():
     a = t.intern(0, "main")
     t._excl[a] = -1.0
     assert any("negative exclusive" in p for p in t.validate())
+    t.n_evicted = -5
+    assert "tree n_evicted is negative: -5" in t.validate()
 
 
 def test_validate_flags_non_finite_values():
@@ -135,8 +137,16 @@ _B2 = (2, 1, "b", 2.0, 1, 0.0, {})
     (_tree_doc(_A1, epsilon_s=math.nan), "epsilon_s"),
     (_tree_doc(_A1, total_excl_s=-math.inf), "total_excl_s"),
     (_tree_doc((1, 0, "a", 1.0, -1, 0.0, {})), "negative call count"),
+    (_tree_doc((1, 0, "a", -2.0, 1, 0.0, {})), "node 1 excl_s is negative"),
+    (_tree_doc((1, 0, "a", 1.0, 1, -0.5, {})),
+     "node 1 error_s is negative"),
+    (_tree_doc(_A1, epsilon_s=-1.0), "epsilon_s is negative"),
+    (_tree_doc(_A1, total_excl_s=-1.0), "total_excl_s is negative"),
+    (_tree_doc(_A1, n_evicted=-5), "negative n_evicted -5"),
 ], ids=["dup-sibling", "dup-nested-sibling", "dup-id", "nan-excl",
-        "inf-error", "nan-epsilon", "inf-total", "negative-calls"])
+        "inf-error", "nan-epsilon", "inf-total", "negative-calls",
+        "negative-excl", "negative-error", "negative-epsilon",
+        "negative-total", "negative-evicted"])
 def test_from_dict_rejects_lossy_or_non_finite_documents(doc, match):
     """Two rows for one context would keep only the last one's time,
     and NaN/inf would poison every sum downstream: both are refused."""

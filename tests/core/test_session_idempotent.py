@@ -11,8 +11,8 @@ the header is written exactly once.
 import pytest
 
 from repro.core import TempestSession
-from repro.core.spool import TraceSpool, spool_to_bundle
-from repro.core.trace import REC_ENTER
+from repro.core.spool import TraceSpool
+from repro.core.trace import REC_ENTER, TraceBundle
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.util.errors import TraceError
 from repro.workloads.microbench import micro_d
@@ -38,7 +38,7 @@ def test_finalize_spools_is_idempotent(tmp_path):
     session.finalize_spools()          # the second call must be a no-op
     session.finalize_spools()
     assert (tmp_path / "spools" / "header.json").read_bytes() == header
-    bundle = spool_to_bundle(tmp_path / "spools")
+    bundle = TraceBundle.load(tmp_path / "spools")
     assert len(bundle.nodes["node1"]) > 0
 
 
@@ -59,4 +59,4 @@ def test_stop_after_emergency_flush_does_not_raise(tmp_path):
     session.stop()
     session.stop()
     assert (tmp_path / "spools" / "header.json").read_bytes() == header
-    assert len(spool_to_bundle(tmp_path / "spools").nodes["node1"])
+    assert len(TraceBundle.load(tmp_path / "spools").nodes["node1"])

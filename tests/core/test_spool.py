@@ -9,11 +9,10 @@ from repro.core.spool import (
     TraceSpool,
     iter_spool_chunks,
     read_spool_columns,
-    spool_to_bundle,
     write_spool_header,
 )
 from repro.core.symtab import SymbolTable
-from repro.core.trace import REC_ENTER, REC_TEMP
+from repro.core.trace import REC_ENTER, REC_TEMP, TraceBundle
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.util.errors import TraceError
 from repro.workloads.microbench import micro_d
@@ -78,7 +77,7 @@ def test_session_spooling_end_to_end(tmp_path):
     session.run_serial(micro_d, "node1", 0, 5.0, 0.05)
     in_memory = session.profile()
 
-    bundle = spool_to_bundle(tmp_path / "spools")
+    bundle = TraceBundle.load(tmp_path / "spools")
     from_disk = TempestParser(bundle).parse()
 
     a = in_memory.node("node1").function("foo1")
@@ -155,7 +154,7 @@ def test_session_emergency_flush_preserves_spool(tmp_path):
     with pytest.raises(RuntimeError, match="segfault"):
         session.run_serial(crashing, "node1", 0)
 
-    bundle = spool_to_bundle(tmp_path / "spools")   # header was written
+    bundle = TraceBundle.load(tmp_path / "spools")   # header was written
     trace = bundle.node("node1")
     assert len(trace) > 0                           # buffered chunk flushed
     assert trace.temp_columns() is not None
@@ -163,10 +162,10 @@ def test_session_emergency_flush_preserves_spool(tmp_path):
 
 def test_spool_to_bundle_validation(tmp_path):
     with pytest.raises(TraceError):
-        spool_to_bundle(tmp_path)  # no header
+        TraceBundle.load(tmp_path)  # no header
     write_spool_header(tmp_path, SymbolTable(), {}, {})
-    bundle = spool_to_bundle(tmp_path)
+    bundle = TraceBundle.load(tmp_path)
     assert bundle.nodes == {}
     (tmp_path / "header.json").write_text('{"format": "v999"}')
     with pytest.raises(TraceError):
-        spool_to_bundle(tmp_path)
+        TraceBundle.load(tmp_path)

@@ -761,14 +761,12 @@ def test_live_profile_constant_memory_spooled(tmp_path):
 # Spool-directory streaming
 
 def test_stream_spool_profile_matches_batch(tmp_path):
-    from repro.core.spool import spool_to_bundle
-
     m = Machine(ClusterConfig(n_nodes=2, vary_nodes=False, seed=9))
     s = TempestSession(m, spool_dir=tmp_path)
     s.run_mpi(lambda ctx: _workload(ctx), 2)
     streamed = stream_spool_profile(tmp_path, chunk_records=333,
                                     strict=False)
-    batch = TempestParser(spool_to_bundle(tmp_path), strict=False).parse()
+    batch = TempestParser(TraceBundle.load(tmp_path), strict=False).parse()
     assert set(streamed.nodes) == set(batch.nodes)
     for name in batch.nodes:
         sn = streamed.node(name)

@@ -31,12 +31,12 @@ from repro.core import TempestSession, streamprof
 from repro.core import parser as parser_mod
 from repro.core.parser import TempestParser
 from repro.core.profilemodel import RunProfile
-from repro.core.spool import spool_to_bundle
 from repro.core.streamprof import (
     REPAIR_REASONS,
     ProfileAccumulator,
     stream_spool_profile,
 )
+from repro.core.trace import TraceBundle
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.workloads.npb import bt
 from tests.core.difftrace import generate_trace
@@ -163,7 +163,7 @@ def test_spool_profile_equals_bundle_profile(bt_class_w, monkeypatch,
     late: the spool profiles exactly like the bundle saved from it,
     with no repairs."""
     _, spools = bt_class_w
-    resident = TempestParser(spool_to_bundle(spools)).parse()
+    resident = TempestParser(TraceBundle.load(spools)).parse()
     accs = recording_accumulators(monkeypatch, streamprof)
     spooled = stream_spool_profile(spools, chunk_records=chunk_records,
                                    strict=True)
@@ -177,7 +177,7 @@ def test_live_wire_summary_equals_bundle_profile(bt_class_w, monkeypatch):
     frames: the aggregator's final summary renders the parser's
     profile of the saved bundle, with no repairs."""
     _, spools = bt_class_w
-    resident = TempestParser(spool_to_bundle(spools)).parse()
+    resident = TempestParser(TraceBundle.load(spools)).parse()
     accs = recording_accumulators(monkeypatch, streamprof)
     hub = LoopbackHub(live=True)
     for name in resident.node_names():

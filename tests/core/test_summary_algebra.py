@@ -495,8 +495,14 @@ def _copy_first_row(hcct, *, nid=None, name=None):
     lambda h: h.update(epsilon_s=float("nan")),
     lambda h: h.update(total_excl_s=float("inf")),
     lambda h: h["nodes"][0].__setitem__(4, -1),
+    lambda h: h["nodes"][0].__setitem__(3, -2.0),
+    lambda h: h["nodes"][0].__setitem__(5, -0.5),
+    lambda h: h.update(epsilon_s=-1.0),
+    lambda h: h.update(total_excl_s=-1.0),
+    lambda h: h.update(n_evicted=-5),
 ], ids=["dup-sibling", "dup-id", "nan-excl", "inf-error", "nan-epsilon",
-        "inf-total", "negative-calls"])
+        "inf-total", "negative-calls", "negative-excl", "negative-error",
+        "negative-epsilon", "negative-total", "negative-evicted"])
 def test_malformed_tree_summary_is_a_trace_error(mutate):
     trace, symtab = synth_trace(n_quads=60, seed=31)
     acc = make_acc(trace, symtab, hcct_budget=16)

@@ -65,7 +65,7 @@ def test_save_and_parse_roundtrip(tmp_path, capsys):
 def _spooled_micro_d(tmp_path):
     """A 2-node spooled micro D run: (spool dir, bundle saved from it)."""
     from repro.core import TempestSession
-    from repro.core.spool import spool_to_bundle
+    from repro.core.trace import TraceBundle
     from repro.simmachine.machine import ClusterConfig, Machine
     from repro.workloads.microbench import micro_d
 
@@ -74,7 +74,7 @@ def _spooled_micro_d(tmp_path):
         Machine(ClusterConfig(n_nodes=2, vary_nodes=False, seed=11)),
         spool_dir=spools)
     session.run_mpi(lambda ctx: micro_d(ctx, 2.0, 0.1), 2)
-    spool_to_bundle(spools).save(bundle_dir)
+    TraceBundle.load(spools).save(bundle_dir)
     return spools, bundle_dir
 
 
