@@ -394,7 +394,6 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
         STREAM_CHUNK_RECORDS,
         TraceSpool,
         iter_spool_chunks,
-        read_spool_columns,
     )
 
     def write_spool(path, n):
@@ -419,7 +418,9 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
 
     def batch_once():
         trace = NodeTrace("bench", TSC_HZ, ["S0", "S1"])
-        trace.extend_columns(read_spool_columns(spool_path))
+        # the whole spool resident: one chunk of every record
+        for arr in iter_spool_chunks(spool_path, chunk_records=n_records):
+            trace.extend_columns(arr)
         return TempestParser(TraceBundle(spool_symtab),
                              strict=False).parse_node(trace)
 

@@ -49,14 +49,16 @@ def _r(id: str, name: str, severity: str, invariant: str,
 RULES: dict[str, Rule] = {r.id: r for r in [
     # ------------------------------------------------------------- TraceLint
     _r("TL001", "bundle-header", SEV_ERROR,
-       "the trace directory header (a bundle's or a spool's) reads: "
+       "the trace directory header (or a legacy bundle's) reads: "
        "parses, declares its layout's format, has a well-formed symbol "
        "table, meta and nodes mapping, and every node entry carries a "
-       "numeric tsc_hz, a list of sensor names, and (bundles) n_records"),
+       "numeric tsc_hz, a list of sensor names, and n_records in every "
+       "entry (closed) or in none (live)"),
     _r("TL002", "record-file-torn", SEV_ERROR,
        "each node's record file is readable and a whole multiple of the "
-       "33-byte record size (torn tails only survive a crash; spool files "
-       "downgrade to warning because their tail is recoverable by design)"),
+       "33-byte record size (torn tails only survive a crash; a live "
+       "spool's downgrade to warning because its tail is recoverable by "
+       "design)"),
     _r("TL003", "record-count-mismatch", SEV_ERROR,
        "on-disk record count equals the header's n_records, unless the "
        "trace is flagged truncated and the file is short"),

@@ -10,8 +10,8 @@ stay possible.
 
 Entry points, coarse to fine:
 
-* :func:`check_path` — a trace directory, bundle or spool: header +
-  per-node record-stream checks, plus (closed bundles, ``deep=True``)
+* :func:`check_path` — a trace directory, closed or live: header +
+  per-node record-stream checks, plus (closed directories, ``deep=True``)
   the chunking-invariance cross-validation of TL018 and the
   profile-level rules via :func:`check_profile`.
 * :func:`check_records` — one record stream: kinds, stack balance, TSC
@@ -65,7 +65,8 @@ _HINTS = {
              "write_spool_header",
     "TL002": "re-copy the file, or load with tolerate_truncation to drop "
              "the torn tail",
-    "TL003": "regenerate meta.json's n_records, or mark the trace truncated",
+    "TL003": "re-copy the record file, fix the header's n_records, or "
+             "mark the node truncated",
     "TL004": "clear the truncated flag, or investigate why the writer set it",
     "TL005": "the file is probably not a tempest record stream, or the "
              "stream is corrupt",
@@ -376,16 +377,20 @@ def _check_sampling_hz(meta, path: str) -> list[Diagnostic]:
 
 
 def check_path(path, *, deep: bool = True) -> list[Diagnostic]:
-    """Validate a trace directory: a closed bundle or a live spool.
+    """Validate a trace directory, closed or live.
 
-    One walk for both layouts; every difference follows from the header
+    One walk for every layout; every difference follows from the header
     (:func:`~repro.core.trace.read_trace_header`).  A header the reader
-    rejects is TL001.  TL003/TL004 apply where the header declares a
-    record count (bundles).  A live spool's torn tail is recoverable by
+    rejects is TL001.  TL003/TL004 apply where the header declares
+    record counts (a closed directory), by the rule every reader holds
+    to (:meth:`~repro.core.trace.NodeHeader.count_records`): a file short
+    of its count is TL003 unless the header marks the node truncated.
+    A live spool's torn tail is recoverable by
     design (the writer may have crashed mid-chunk), so its TL002 is a
     warning, and its missing record file is TL015: the node has not
-    spooled yet.  The causal pass runs in live mode on a spool.  Only a
-    closed bundle, with ``deep``, is additionally parsed twice — by the
+    spooled yet.  The causal pass runs in live mode on a spool, and not
+    at all after an error.  Only a
+    closed directory, with ``deep``, is additionally parsed twice — by the
     parser, in ``STREAM_CHUNK_RECORDS`` chunks, and as one whole-stream
     chunk per node — and the two profiles cross-validated (TL018) plus
     profile-level rules (TL019-TL021) — skipped whenever structural
@@ -393,8 +398,7 @@ def check_path(path, *, deep: bool = True) -> list[Diagnostic]:
     """
     path = Path(path)
     if not is_trace_dir(path):
-        raise ConfigError(f"{path} is neither a trace bundle nor a spool "
-                          "directory")
+        raise ConfigError(f"{path} is not a trace directory")
     label = str(path)
     diags = check_layout(path=label)
     try:

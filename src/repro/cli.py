@@ -349,14 +349,14 @@ def cmd_hotpaths(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    """Profile a trace directory: a closed bundle through the parser, a
+    """Profile a trace directory: a closed one through the parser, a
     live spool chunk by chunk in constant memory."""
     path = args.bundle
     if read_trace_header(path).closed:
         if args.chunk_records is not None or args.hcct_budget is not None:
             raise ConfigError(
-                f"{path} is a trace bundle; --chunk-records and "
-                "--hcct-budget apply to spool directories only"
+                f"{path} is a closed trace directory; --chunk-records "
+                "and --hcct-budget apply to live spool directories only"
             )
         bundle = TraceBundle.load(path, tolerate_truncation=args.lenient)
         profile = TempestParser(bundle, strict=not args.lenient).parse()
@@ -741,12 +741,13 @@ def cmd_check(args) -> int:
 def cmd_race(args) -> int:
     """Communication sanitizer: vector-clock analysis of recorded MPI traces.
 
-    Each path must be a trace directory, a bundle or a spool (run in
-    live mode); the causal analyzer streams its comm records and reports
+    Each path must be a trace directory, closed or live (run in live
+    mode); the causal analyzer streams its comm records and reports
     message races, wait-for cycles, collective mismatches, unmatched
     requests, and causal TSC-skew violations (CM0xx).  A path that is
-    not a trace directory, or whose header is malformed, is an error
-    (exit 2).
+    not a trace directory, whose header is malformed, or whose record
+    file does not hold the count a closed header declares, is an error
+    (exit 2): a verdict on records that are not all there is made up.
     """
     from repro.check import CheckReport
     from repro.check.causal import causal_check_bundle
@@ -903,12 +904,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse",
                        help="parse a saved trace bundle or spool directory")
     p.add_argument("bundle", type=Path,
-                   help="a trace directory: a closed bundle (--save-trace) "
+                   help="a trace directory: a closed one (--save-trace; "
+                        "its header declares every node's record count) "
                         "is parsed whole, a live spool (spool_dir) chunk "
                         "by chunk; each spool chunk is put in time order, "
                         "so a spool profiles like the bundle loaded from "
                         "it unless a record arrives more than one chunk "
-                        "late; a malformed header is an error (exit 2)")
+                        "late; a malformed header, or a record file torn "
+                        "or short of its count, is an error (exit 2; "
+                        "--lenient recovers a short file)")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--chunk-records", type=int, default=None,
                    help="spools only: records per streaming chunk "
@@ -994,7 +998,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="metrics snapshot cadence")
     p.add_argument("--out", type=Path, default=None, metavar="DIR",
-                   help="save the merged tempest-trace-v1 bundle here")
+                   help="save the merged trace here, a closed trace "
+                        "directory")
     p.add_argument("--json", type=Path, default=None, metavar="FILE",
                    help="write the tempest-serve-v1 JSON report here")
     _add_output_args(p)
@@ -1028,9 +1033,10 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="run TraceLint / repo lint over bundles, spools, and sources")
     p.add_argument("paths", nargs="*", type=Path,
-                   help="trace directories (bundles or spools; a "
-                        "malformed header is TL001), laboratories, .py "
-                        "files, or source directories")
+                   help="trace directories (closed or live; a "
+                        "malformed header is TL001, a torn record file "
+                        "TL002, one short of its declared count TL003), "
+                        "laboratories, .py files, or source directories")
     p.add_argument("--strict", action="store_true",
                    help="also fail (exit 1) on warnings")
     p.add_argument("--json", type=Path, default=None, metavar="FILE",
@@ -1052,9 +1058,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="communication sanitizer: races, deadlocks, collective "
              "mismatches, causal skew (CM0xx)")
     p.add_argument("paths", nargs="*", type=Path,
-                   help="trace directories (bundles, or spools checked "
-                        "in live mode) with recorded comm events; a "
-                        "malformed header is an error (exit 2)")
+                   help="trace directories with recorded comm events "
+                        "(a live spool is checked in live mode); a "
+                        "malformed header, or a closed directory whose "
+                        "record file is torn or short of its declared "
+                        "count, is an error (exit 2)")
     p.add_argument("--strict", action="store_true",
                    help="also fail (exit 1) on warnings")
     p.add_argument("--json", type=Path, default=None, metavar="FILE",

@@ -6,9 +6,9 @@ cluster profile offline; this package is the live path — collectors tail
 each node's :class:`~repro.core.spool.TraceSpool` and stream columnar
 record chunks to an aggregator, which maintains a merged
 :class:`~repro.core.profilemodel.RunProfile` (exactly equal to the
-in-process profile once drained) and can persist a byte-compatible
-``tempest-trace-v1`` bundle.  Above that sits the fan-in tier: leaf
-aggregators condense their accepted streams into mergeable
+in-process profile once drained) and can persist the accepted records,
+byte for byte, as a closed trace directory.  Above that sits the fan-in
+tier: leaf aggregators condense their accepted streams into mergeable
 ``tempest-summary-v3`` snapshots and ship them to a root, which composes
 the global profile without ever seeing a raw record.
 

@@ -235,11 +235,10 @@ class Aggregator:
     O(functions × sensors) extra memory.
     """
 
-    def __init__(self, *, live: bool = False, strict: bool = False,
+    def __init__(self, *, live: bool = False,
                  hcct_budget: Optional[int] = None,
                  now_fn: Callable[[], float] = time.monotonic):
         self.live = live
-        self.strict = strict
         #: HCCT budget for the live profiler (None = flat profiles only)
         self.hcct_budget = hcct_budget
         self.now_fn = now_fn
@@ -517,11 +516,11 @@ class Aggregator:
             return bundle
 
     def merged_profile(self) -> RunProfile:
-        """The cluster profile of everything accepted, via the parser —
-        the same pipeline the in-process path drives, so the
+        """The cluster profile of everything accepted, via the lenient
+        parser — the same pipeline the in-process path drives, so the
         result is *equal*, not approximately equal, when the streams
         arrived intact."""
-        return TempestParser(self.to_bundle(), strict=self.strict).parse()
+        return TempestParser(self.to_bundle(), strict=False).parse()
 
     def live_snapshot(self) -> RunProfile:
         """Mid-stream merged profile (requires ``live=True``)."""
@@ -603,7 +602,8 @@ class Aggregator:
             }
 
     def save_bundle(self, path) -> None:
-        """Persist a ``tempest-trace-v1`` bundle of the accepted streams."""
+        """Persist the accepted streams as a closed trace directory
+        (:meth:`TraceBundle.save <repro.core.trace.TraceBundle.save>`)."""
         self.to_bundle().save(Path(path))
 
 
@@ -616,11 +616,10 @@ class RunRegistry:
     metrics — so concurrent runs never contaminate each other.
     """
 
-    def __init__(self, *, live: bool = False, strict: bool = False,
+    def __init__(self, *, live: bool = False,
                  hcct_budget: Optional[int] = None,
                  now_fn: Callable[[], float] = time.monotonic):
         self.live = live
-        self.strict = strict
         self.hcct_budget = hcct_budget
         self.now_fn = now_fn
         self._lock = threading.Lock()
@@ -631,7 +630,7 @@ class RunRegistry:
         with self._lock:
             agg = self._runs.get(run_id)
             if agg is None:
-                agg = Aggregator(live=self.live, strict=self.strict,
+                agg = Aggregator(live=self.live,
                                  hcct_budget=self.hcct_budget,
                                  now_fn=self.now_fn)
                 self._runs[run_id] = agg

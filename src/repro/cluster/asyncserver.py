@@ -100,14 +100,13 @@ class AsyncAggregatorServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 live: bool = False, strict: bool = False,
+                 live: bool = False,
                  hcct_budget: Optional[int] = None,
                  expected_nodes: Optional[int] = None,
                  stale_timeout_s: Optional[float] = None,
                  metrics_json: Optional[str] = None,
                  metrics_interval_s: float = 1.0):
-        self.registry = RunRegistry(live=live, strict=strict,
-                                    hcct_budget=hcct_budget)
+        self.registry = RunRegistry(live=live, hcct_budget=hcct_budget)
         self.expected_nodes = expected_nodes
         self.stale_timeout_s = stale_timeout_s
         self.metrics_json = Path(metrics_json) if metrics_json else None

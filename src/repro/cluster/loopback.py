@@ -80,8 +80,8 @@ class LoopbackHub:
     multi-run and fan-in tests reach into :attr:`registry`.
     """
 
-    def __init__(self, *, live: bool = False, strict: bool = False):
-        self.registry = RunRegistry(live=live, strict=strict)
+    def __init__(self, *, live: bool = False):
+        self.registry = RunRegistry(live=live)
         self._live: list[LoopbackTransport] = []
         self.connections_made = 0
 

@@ -8,7 +8,7 @@ must stay light enough not to perturb what it measures — and carries the
 columnar record chunks in their on-disk ``<Bqqiid`` byte layout with
 **zero re-encoding**: a chunk's payload bytes are exactly what
 :class:`~repro.core.spool.TraceSpool` wrote and exactly what the
-aggregator appends to its ``tempest-trace-v1`` bundle.
+aggregator persists in its closed trace directory.
 
 Frame layout (little-endian)::
 

@@ -60,11 +60,9 @@ def _series_from(
 class TempestParser:
     """Post-processor turning a :class:`TraceBundle` into a :class:`RunProfile`."""
 
-    def __init__(self, bundle: TraceBundle, *, strict: bool = True,
-                 min_samples_for_stats: int = 1):
+    def __init__(self, bundle: TraceBundle, *, strict: bool = True):
         self.bundle = bundle
         self.strict = strict
-        self.min_samples_for_stats = min_samples_for_stats
         self.sampling_hz = float(bundle.meta.get("sampling_hz", 4.0))
 
     def parse(self) -> RunProfile:
@@ -100,7 +98,6 @@ class TempestParser:
             trace.sensor_names,
             sampling_hz=self.sampling_hz,
             strict=self.strict,
-            min_samples_for_stats=self.min_samples_for_stats,
         )
         arr = trace.columns.array
         feed_node(acc, arr)

@@ -10,7 +10,7 @@ byte-identical to the ``struct`` layout ``<Bqqiid``:
   object per record);
 * (de)serialization is ``tobytes`` / ``np.frombuffer`` on the whole
   buffer — zero per-record Python work, and byte-compatible with every
-  ``tempest-trace-v1`` bundle and spool written before this existed;
+  trace directory (legacy bundles included) written before this existed;
 * kind/pid/sensor filters are vectorized boolean masks over the columns.
 
 :class:`RecordColumns` is the append-side store; a single event enters

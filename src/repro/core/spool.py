@@ -3,12 +3,15 @@
 The real Tempest appends trace records to a file *during* execution — a
 long run must not hold its whole trace in memory.  A :class:`TraceSpool`
 attaches to a :class:`~repro.core.trace.NodeTrace` and sinks each record
-as it is appended; :func:`read_spool_columns` recovers the records later
-(tolerating a truncated tail, e.g. after a crash), and
-:meth:`TraceBundle.load <repro.core.trace.TraceBundle.load>` reads a
-directory of spools plus the header :func:`write_spool_header` saved,
-through the same header reader as a bundle
-(:func:`repro.core.trace.read_trace_header`).
+as it is appended; :func:`write_spool_header` saves the directory's
+header.  This is the only trace-directory layout written: a session's
+spools get a header without record counts (live, still growing), and
+:meth:`TraceBundle.save <repro.core.trace.TraceBundle.save>` writes the
+same files with a header, written last, that declares every node's
+count (closed).  Readers open either through
+:func:`repro.core.trace.read_trace_header` and read records through
+:meth:`NodeHeader.iter_chunks <repro.core.trace.NodeHeader.iter_chunks>`,
+which drops a torn tail (a crash mid-append) from a live spool.
 
 Spooling is buffered and columnar: records accumulate in a small
 structured-array chunk and hit the file as one ``write`` per
@@ -16,8 +19,8 @@ structured-array chunk and hit the file as one ``write`` per
 of one ``struct.pack`` + ``write`` per record.  The flush contract is:
 after ``flush()`` or ``close()`` every accepted record is on disk; a
 crash between flushes loses at most one chunk, and a crash mid-write
-loses at most one torn record at the tail — both are what
-:func:`read_spool_columns`'s tolerant mode recovers from.
+loses at most one torn record at the tail — which
+:func:`iter_spool_chunks` drops.
 """
 
 from __future__ import annotations
@@ -106,26 +109,6 @@ class TraceSpool:
                 self._fh.close()
                 self.closed = True
 
-    def tail_records(self, start_record: int = 0) -> np.ndarray:
-        """Everything accepted from *start_record* on, as a record array.
-
-        The incremental read API behind live profiling: flushes the
-        buffered chunk first (so "accepted" means *every* record, not just
-        the drained ones), then reads from the byte offset of
-        *start_record* — a caller keeping a cursor sees each record
-        exactly once across successive calls.  A torn trailing record is
-        dropped, mirroring :func:`read_spool_columns`.
-        """
-        if not self.closed:
-            self.flush()
-        with self.path.open("rb") as fh:
-            fh.seek(start_record * RECORD_SIZE)
-            blob = fh.read()
-        remainder = len(blob) % RECORD_SIZE
-        if remainder:
-            blob = blob[: len(blob) - remainder]
-        return records_from_buffer(blob)
-
     def __enter__(self) -> "TraceSpool":
         return self
 
@@ -165,35 +148,17 @@ class SpoolingNodeTrace(NodeTrace):
             super().extend_columns(arr)
 
 
-def read_spool_columns(path: Path, *, tolerate_truncation: bool = True
-                       ) -> np.ndarray:
-    """Read a spool file as one structured record array (vectorized).
-
-    A partially written final record (machine crashed mid-append) is
-    dropped when ``tolerate_truncation`` is set; otherwise it raises.
-    """
-    blob = Path(path).read_bytes()
-    remainder = len(blob) % RECORD_SIZE
-    if remainder:
-        if not tolerate_truncation:
-            raise TraceError(
-                f"{path}: {len(blob)} bytes is not a multiple of {RECORD_SIZE}"
-            )
-        blob = blob[: len(blob) - remainder]
-    return records_from_buffer(blob)
-
-
 def iter_spool_chunks(path: Path, *, chunk_records: int = SPOOL_CHUNK_RECORDS,
-                      start_record: int = 0,
-                      tolerate_truncation: bool = True):
+                      start_record: int = 0):
     """Yield a spool file's records as bounded structured-array chunks.
 
     The constant-memory read path: at most ``chunk_records`` records are
     resident per iteration regardless of file size, which is what lets
     the streaming engine profile arbitrarily long spools.  ``start_record``
     skips records already consumed (cursor-style tail reads).  A torn
-    trailing record is dropped when ``tolerate_truncation`` is set,
-    otherwise it raises :class:`TraceError`.
+    trailing record is dropped; whether a closed trace may have one is
+    :meth:`NodeHeader.count_records
+    <repro.core.trace.NodeHeader.count_records>`'s to decide.
     """
     path = Path(path)
     chunk_bytes = max(1, int(chunk_records)) * RECORD_SIZE
@@ -214,18 +179,17 @@ def iter_spool_chunks(path: Path, *, chunk_records: int = SPOOL_CHUNK_RECORDS,
                 blob = blob[: len(blob) - remainder]
             if blob:
                 yield records_from_buffer(blob)
-    if pending and not tolerate_truncation:
-        raise TraceError(
-            f"{path}: trailing {len(pending)} bytes are not a whole record"
-        )
 
 
 def write_spool_header(directory: Path, symtab: SymbolTable,
                        nodes: dict[str, dict], meta: dict) -> None:
-    """Persist the header alongside per-node spools.
+    """Persist the header alongside per-node spools (a tmp file renamed
+    into place).
 
-    ``nodes`` maps node name -> {"tsc_hz": ..., "sensor_names": [...]}.
-    The header declares no record counts: the spools may still grow.
+    ``nodes`` maps node name -> {"tsc_hz": ..., "sensor_names": [...]},
+    plus, when the directory is closed, every node's ``"n_records"``
+    (and ``"truncated": True`` when set).  A session's header declares
+    no record counts: its spools may still grow.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

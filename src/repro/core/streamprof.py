@@ -472,7 +472,6 @@ class ProfileAccumulator:
         *,
         sampling_hz: float = 4.0,
         strict: bool = False,
-        min_samples_for_stats: int = 1,
         hcct_budget: Optional[int] = None,
     ):
         self.node_name = node_name
@@ -481,7 +480,6 @@ class ProfileAccumulator:
         self.sensor_names = list(sensor_names)
         self.sampling_hz = float(sampling_hz)
         self.strict = strict
-        self.min_samples_for_stats = int(min_samples_for_stats)
         #: keep a hot calling-context tree alongside the flat profile:
         #: ``None`` disables it (the default — the flat engine pays
         #: nothing), a positive budget bounds tracked contexts by
@@ -1552,10 +1550,7 @@ class ProfileAccumulator:
         # "profile from accumulator" cannot drift apart.
         node = self._build_summary(totals, exclusive, span_hi,
                                    copy_stats=False, tree=tree)
-        return node.to_node_profile(
-            sampling_hz=self.sampling_hz,
-            min_samples_for_stats=self.min_samples_for_stats,
-        )
+        return node.to_node_profile(sampling_hz=self.sampling_hz)
 
     def _build_summary(self, totals: dict[int, float],
                        exclusive: dict[int, float], span_hi: float,
@@ -1614,13 +1609,11 @@ class StreamingRunProfiler:
     """
 
     def __init__(self, symtab: SymbolTable, *, sampling_hz: float = 4.0,
-                 strict: bool = False, min_samples_for_stats: int = 1,
-                 meta: Optional[dict] = None,
+                 strict: bool = False, meta: Optional[dict] = None,
                  hcct_budget: Optional[int] = None):
         self.symtab = symtab
         self.sampling_hz = float(sampling_hz)
         self.strict = strict
-        self.min_samples_for_stats = min_samples_for_stats
         self.meta = dict(meta or {})
         #: per-node hot calling-context tree budget (None = no trees)
         self.hcct_budget = hcct_budget
@@ -1643,7 +1636,6 @@ class StreamingRunProfiler:
                 sensor_names,
                 sampling_hz=self.sampling_hz,
                 strict=self.strict,
-                min_samples_for_stats=self.min_samples_for_stats,
                 hcct_budget=self.hcct_budget,
             )
             self.accumulators[node_name] = acc
@@ -1695,7 +1687,6 @@ class StreamingRunProfiler:
 
 def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
                          strict: bool = False,
-                         min_samples_for_stats: int = 1,
                          hcct_budget: Optional[int] = None) -> RunProfile:
     """Constant-memory profile of a trace directory (usually a spool).
 
@@ -1709,7 +1700,10 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
     The default chunk size is :data:`repro.core.spool.STREAM_CHUNK_RECORDS`
     — larger than the spool write granularity, because the reduction
     amortizes per-chunk overhead over more records at ~11 MB of peak
-    residency.
+    residency.  A closed directory's record files must hold the counts
+    its header declares (:meth:`~repro.core.trace.NodeHeader.iter_chunks`);
+    without ``strict`` a short one is read as far as it goes, as
+    ``parse --lenient`` does.
     """
     from repro.core.spool import STREAM_CHUNK_RECORDS
 
@@ -1718,21 +1712,19 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
         header.symtab,
         sampling_hz=float(header.meta.get("sampling_hz", 4.0)),
         strict=strict,
-        min_samples_for_stats=min_samples_for_stats,
         meta=header.meta,
         hcct_budget=hcct_budget,
     )
     size = chunk_records or STREAM_CHUNK_RECORDS
     for node in header.nodes.values():
         acc = profiler.add_node(node.name, node.tsc_hz, node.sensor_names)
-        for chunk in node.iter_chunks(size):
+        for chunk in node.iter_chunks(size, tolerate_truncation=not strict):
             acc.consume(chunk)
     return profiler.finalize()
 
 
 def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
                           strict: bool = True,
-                          min_samples_for_stats: int = 1,
                           hcct_budget: Optional[int] = None) -> RunProfile:
     """Profile an in-memory :class:`~repro.core.trace.TraceBundle`.
 
@@ -1745,7 +1737,6 @@ def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
         bundle.symtab,
         sampling_hz=float(bundle.meta.get("sampling_hz", 4.0)),
         strict=strict,
-        min_samples_for_stats=min_samples_for_stats,
         meta=dict(bundle.meta),
         hcct_budget=hcct_budget,
     )

@@ -184,8 +184,7 @@ class NodeSummary:
 
     # ------------------------------------------------------------------
 
-    def to_node_profile(self, *, sampling_hz: float,
-                        min_samples_for_stats: int = 1) -> NodeProfile:
+    def to_node_profile(self, *, sampling_hz: float) -> NodeProfile:
         """Build the :class:`NodeProfile` this summary describes.
 
         This *is* the streaming accumulator's profile construction — the
@@ -194,7 +193,6 @@ class NodeSummary:
         drift between the local and fan-in paths.
         """
         interval_s = 1.0 / sampling_hz
-        min_needed = max(1, min_samples_for_stats)
         functions: dict[str, FunctionProfile] = {}
         ordered = sorted(self.calls,
                          key=lambda n: self.total_s.get(n, 0.0),
@@ -208,13 +206,10 @@ class NodeSummary:
                 per = self.stats.get(name, {})
                 for sensor in self.sensor_names:
                     st = per.get(sensor)
-                    n = st.n if st is not None else 0
-                    if n >= min_needed:
+                    if st is not None and st.n:
                         stats[sensor] = SensorStats.from_accumulator(st)
-                        n_hits = max(n_hits, n)
-                    elif min_samples_for_stats == 0:
-                        stats[sensor] = SensorStats.empty()
-                if not any(s.n for s in stats.values()):
+                        n_hits = max(n_hits, st.n)
+                if not stats:
                     # Long function but no samples landed: degrade to
                     # insignificant rather than invent data.
                     significant = False
@@ -367,14 +362,11 @@ class RunSummary:
     def n_records(self) -> int:
         return sum(ns.n_records for ns in self.nodes.values())
 
-    def to_profile(self, *, min_samples_for_stats: int = 1) -> RunProfile:
+    def to_profile(self) -> RunProfile:
         hz = self.sampling_hz if self.sampling_hz is not None else 4.0
         return RunProfile(
             nodes={
-                name: ns.to_node_profile(
-                    sampling_hz=hz,
-                    min_samples_for_stats=min_samples_for_stats,
-                )
+                name: ns.to_node_profile(sampling_hz=hz)
                 for name, ns in self.nodes.items()
             },
             sampling_hz=hz,

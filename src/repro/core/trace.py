@@ -20,15 +20,17 @@ single event enters through :meth:`NodeTrace.append_event` as six
 scalars, a batch through :meth:`NodeTrace.extend_columns`, and every
 reader — save, spooling, parsing, diagnostics — moves whole arrays.
 
-On disk a trace is a directory: a JSON header (symbol table, node
-metadata, calibration) plus one binary record file per node, in one of
-two layouts holding the same record bytes.  A *bundle*
-(:meth:`TraceBundle.save`: ``meta.json`` + ``<node>.trace``) is closed
-and declares each node's record count; a *spool*
-(:mod:`repro.core.spool`: ``header.json`` + ``<node>.spool``) is live —
-a session may still be appending to it.  :func:`read_trace_header` is
-the one reader of either header; everything that opens a trace
-directory goes through it.
+On disk a trace is a directory: a JSON header, ``header.json`` (symbol
+table, node metadata, calibration), plus one binary record file per
+node, ``<node>.spool``.  A session appends to the record files while it
+runs (:mod:`repro.core.spool`) and writes a header without record
+counts: the directory is *live*.  :meth:`TraceBundle.save` writes the
+record files and then, last, a header that declares every node's
+record count: the directory is *closed*.  :func:`read_trace_header` is
+the one reader of a header, and :meth:`NodeHeader.iter_chunks` the one
+reader of a node's record file; everything that opens a trace
+directory goes through them.  Bundles written before the two layouts
+became one are still read (:func:`read_trace_header`), never written.
 """
 
 from __future__ import annotations
@@ -42,13 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.records import (
-    RECORD_SIZE,
-    RecordColumns,
-    records_from_buffer,
-)
+from repro.core.records import RECORD_SIZE, RecordColumns
 from repro.core.symtab import SymbolTable
-from repro.util.canonjson import dump_canonical
 from repro.util.errors import TraceError
 
 REC_ENTER = 1
@@ -197,105 +194,71 @@ class TraceBundle:
     # Binary directory round-trip
 
     def save(self, path: Path) -> None:
-        """Write the bundle to *path* (a directory, created if needed).
+        """Write the bundle to *path* (a directory, created if needed) as
+        a closed spool.
 
-        Each node's record file is one ``tobytes`` of its column array —
-        byte-identical to the per-record ``struct.pack`` loop this
-        replaced.  The optional per-node ``truncated`` key is only
-        emitted when set, so bundles of intact traces stay byte-identical
-        to pre-columnar writers.
+        Each node's records go through :meth:`TraceSpool.write_array
+        <repro.core.spool.TraceSpool.write_array>` to ``<node>.spool`` —
+        one ``tobytes`` of its column array.  The header is written
+        last (:func:`~repro.core.spool.write_spool_header`, a tmp file
+        renamed into place) and declares each node's ``n_records``; the
+        ``truncated`` key is only emitted when set.  Until the header
+        lands, a fresh directory is not a trace directory.
         """
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
+        from repro.core.spool import TraceSpool, write_spool_header
 
-        def node_info(t: NodeTrace) -> dict:
-            info = {
+        path = Path(path)
+        nodes = {}
+        for name, t in self.nodes.items():
+            with TraceSpool(path / f"{name}.spool") as spool:
+                spool.write_array(t.columns.array)
+            nodes[name] = {
                 "tsc_hz": t.tsc_hz,
                 "sensor_names": t.sensor_names,
                 "n_records": len(t),
             }
             if t.truncated:
-                info["truncated"] = True
-            return info
-
-        header = {
-            "format": "tempest-trace-v1",
-            "symtab": self.symtab.to_dict(),
-            "meta": self.meta,
-            "nodes": {name: node_info(t) for name, t in self.nodes.items()},
-        }
-        dump_canonical(path / "meta.json", header)
-        for name, t in self.nodes.items():
-            (path / f"{name}.trace").write_bytes(t.columns.to_bytes())
+                nodes[name]["truncated"] = True
+        write_spool_header(path, self.symtab, nodes, self.meta)
 
     @classmethod
     def load(cls, path: Path, *,
              tolerate_truncation: bool = False) -> "TraceBundle":
-        """Read a trace directory: a bundle :meth:`save` wrote, or a spool.
+        """Read a trace directory, closed or live.
 
         Every malformation — unreadable or torn header, a bad symbol
-        table or node entry, a missing or truncated record file —
-        surfaces as a clean :class:`TraceError`, never a ``json`` or
-        ``struct`` exception from mid-record.  With
-        ``tolerate_truncation`` a bundle record file whose tail was lost
-        (node died mid-write, partial copy off the cluster) is recovered
-        instead: the torn partial record and anything the header promised
-        beyond it are dropped, and the node's trace is marked
-        ``truncated`` so the parser's consumers know the coverage story.
-        A ``truncated`` flag persisted by :meth:`save` (a trace that was
-        itself recovered before re-saving) is restored on load.
+        table or node entry, a missing, torn or miscounted record file —
+        surfaces as a clean :class:`TraceError`; the record-file rules
+        are :meth:`NodeHeader.iter_chunks`'s.  With
+        ``tolerate_truncation`` a closed node whose record file lost its
+        tail (node died mid-write, partial copy off the cluster) is
+        recovered instead: the torn partial record is dropped, and the
+        node's trace is marked ``truncated`` so the parser's consumers
+        know the coverage story.  A ``truncated`` flag persisted by
+        :meth:`save` (a trace that was itself recovered before
+        re-saving) is restored on load.
 
-        A spool is live, so its torn tail is a record still being
-        written and a missing record file a node that has not spooled
-        yet: the tail is dropped, the node loads empty, and neither
-        marks the trace truncated.
+        A live node's torn tail is a record still being written and its
+        missing record file a node that has not spooled yet: the tail is
+        dropped, the node loads empty, and neither marks it truncated.
         """
         header = read_trace_header(path)
         bundle = cls(header.symtab)
         bundle.meta = header.meta
         for node in header.nodes.values():
             trace = NodeTrace(node.name, node.tsc_hz, node.sensor_names)
-            trace.truncated = node.truncated
+            n, lost = node.count_records(
+                tolerate_truncation=tolerate_truncation)
+            trace.truncated = node.truncated or lost
+            for chunk in node.iter_chunks(
+                    max(n, 1), tolerate_truncation=tolerate_truncation):
+                trace.extend_columns(chunk)
             bundle.add_node(trace)
-            try:
-                blob = node.path.read_bytes()
-            except OSError as exc:
-                if not header.closed and not node.path.exists():
-                    continue
-                if not tolerate_truncation:
-                    raise TraceError(f"cannot read {node.path}: {exc}")
-                trace.truncated = True
-                continue
-            remainder = len(blob) % RECORD_SIZE
-            if remainder:
-                if header.closed and not tolerate_truncation:
-                    raise TraceError(
-                        f"{node.path.name} is corrupt: {len(blob)} bytes is "
-                        f"not a multiple of {RECORD_SIZE}"
-                    )
-                blob = blob[: len(blob) - remainder]
-                trace.truncated |= header.closed
-            n = len(blob) // RECORD_SIZE
-            if node.n_records is not None and n != node.n_records:
-                if not (tolerate_truncation and n < node.n_records):
-                    raise TraceError(
-                        f"{node.path.name} has {n} records, header says "
-                        f"{node.n_records}"
-                    )
-                trace.truncated = True
-            trace.extend_columns(records_from_buffer(blob))
         return bundle
 
 
 # ----------------------------------------------------------------------
-# Trace directories: one header reader for both layouts
-
-#: (header file, format string, record-file suffix, closed) of each
-#: trace directory layout, in the order a reader looks for them
-_LAYOUTS = (
-    ("meta.json", "tempest-trace-v1", ".trace", True),
-    ("header.json", "tempest-spool-v1", ".spool", False),
-)
+# Trace directories: one header reader, one record reader
 
 
 @dataclass(frozen=True)
@@ -306,21 +269,68 @@ class NodeHeader:
     #: the header's calibration, a number; TL012 judges its plausibility
     tsc_hz: float
     sensor_names: list
-    #: the record count a bundle declares; None for a spool, which
-    #: declares none because it may still grow
+    #: the record count a closed header declares; None in a live one,
+    #: whose record file may still grow
     n_records: Optional[int]
     truncated: bool
-    #: the node's record file (a spool's may not exist yet)
+    #: the node's record file (a live node's may not exist yet)
     path: Path
 
-    def iter_chunks(self, chunk_records: int):
-        """The node's records as bounded chunks, a torn tail dropped;
-        nothing when the record file does not exist."""
+    def count_records(self, *, tolerate_truncation: bool = False
+                      ) -> tuple[int, bool]:
+        """The whole records in the node's record file (one ``stat``),
+        and whether a closed node lost records.
+
+        A live node's torn tail is dropped and a missing record file
+        holds no records.  A closed node's record file must hold exactly
+        the declared count, whole: a missing or torn file or a count
+        mismatch raises :class:`TraceError`.  A short file (missing, torn
+        or fewer records) is lost records instead when the caller
+        tolerates truncation, or when the header itself marks the node
+        ``truncated``; more records than declared is always an error.
+        """
+        try:
+            size = self.path.stat().st_size
+        except OSError as exc:
+            if self.n_records is None and not self.path.exists():
+                return 0, False
+            if not tolerate_truncation:
+                raise TraceError(f"cannot read {self.path}: {exc}")
+            return 0, True
+        n, torn = divmod(size, RECORD_SIZE)
+        if self.n_records is None:
+            return n, False
+        if torn and not tolerate_truncation:
+            raise TraceError(
+                f"{self.path.name} is corrupt: {size} bytes is "
+                f"not a multiple of {RECORD_SIZE}"
+            )
+        if n > self.n_records or (n < self.n_records and not (
+                tolerate_truncation or self.truncated)):
+            raise TraceError(
+                f"{self.path.name} has {n} records, header says "
+                f"{self.n_records}"
+            )
+        return n, bool(torn) or n < self.n_records
+
+    def iter_chunks(self, chunk_records: int, *,
+                    tolerate_truncation: bool = False):
+        """The node's records as bounded chunks: the one reader of a
+        record file.
+
+        :meth:`count_records` applies the header's count before any
+        chunk is yielded; a torn tail is dropped.
+        """
         from repro.core.spool import iter_spool_chunks
 
-        if self.path.exists():
+        if not self.count_records(
+                tolerate_truncation=tolerate_truncation)[0]:
+            return
+        try:
             yield from iter_spool_chunks(self.path,
                                          chunk_records=chunk_records)
+        except OSError as exc:
+            raise TraceError(f"cannot read {self.path}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -328,8 +338,9 @@ class TraceHeader:
     """A trace directory's header: what every reader needs before it
     touches a record."""
 
-    #: True for a bundle, which :meth:`TraceBundle.save` wrote whole;
-    #: False for a spool a session may still be appending to
+    #: True when every node declares its record count (the directory was
+    #: written whole by :meth:`TraceBundle.save`); False for a live spool
+    #: a session may still be appending to
     closed: bool
     symtab: SymbolTable
     meta: dict
@@ -348,8 +359,9 @@ def _is_number(x) -> bool:
 
 
 def is_trace_dir(path) -> bool:
-    """Whether *path* holds a bundle or a spool header."""
-    return any((Path(path) / name).is_file() for name, *_ in _LAYOUTS)
+    """Whether *path* holds a trace directory header (or a legacy one)."""
+    path = Path(path)
+    return (path / "header.json").is_file() or (path / "meta.json").is_file()
 
 
 def read_trace_header(path) -> TraceHeader:
@@ -357,17 +369,24 @@ def read_trace_header(path) -> TraceHeader:
 
     The format string, the symbol table, ``meta`` and every node entry
     are checked here, once, for every reader; anything malformed raises
-    :class:`TraceError`.  Plausibility of well-typed values (a zero
-    ``tsc_hz``, duplicate sensor names) is left to TraceLint.
+    :class:`TraceError`.  The directory is closed when every node
+    declares ``n_records`` and live when none does; a header declaring
+    counts for only some nodes is malformed.  Without ``header.json``, a
+    legacy ``meta.json`` bundle (format ``tempest-trace-v1``, records in
+    ``<node>.trace``, every count declared) is read as a closed
+    directory.  Plausibility of well-typed values (a zero ``tsc_hz``,
+    duplicate sensor names) is left to TraceLint.
     """
     path = Path(path)
-    for name, fmt, suffix, closed in _LAYOUTS:
-        header_path = path / name
-        if header_path.is_file():
-            break
-    else:
-        raise TraceError(f"{path} is neither a trace bundle (meta.json) "
-                         "nor a spool directory (header.json)")
+    header_path, fmt, suffix = path / "header.json", "tempest-spool-v1", ".spool"
+    legacy = not header_path.is_file()
+    if legacy:
+        # the layout bundles had before they became closed spools: read-only
+        header_path, fmt, suffix = (path / "meta.json", "tempest-trace-v1",
+                                    ".trace")
+        if not header_path.is_file():
+            raise TraceError(f"{path} is not a trace directory: it has "
+                             "no header.json (nor a legacy meta.json)")
     try:
         doc = json.loads(header_path.read_text())
     except (OSError, ValueError, RecursionError) as exc:
@@ -400,19 +419,24 @@ def read_trace_header(path) -> TraceHeader:
                 isinstance(s, str) for s in info["sensor_names"])):
             problem = (f"sensor_names {info.get('sensor_names')!r} is not "
                        "a list of names")
-        elif closed and not (type(info.get("n_records")) is int
-                             and info["n_records"] >= 0):
+        elif (legacy or "n_records" in info) and not (
+                type(info.get("n_records")) is int
+                and info["n_records"] >= 0):
             problem = f"n_records {info.get('n_records')!r} is not a count"
         elif not isinstance(info.get("truncated", False), bool):
             problem = f"truncated {info['truncated']!r} is not a boolean"
         else:
             return NodeHeader(node, info["tsc_hz"], info["sensor_names"],
-                              info["n_records"] if closed else None,
+                              info.get("n_records"),
                               info.get("truncated", False),
                               path / f"{node}{suffix}")
         raise TraceError(f"node entry {node!r} in {header_path} is "
                          f"malformed: {problem}")
 
-    return TraceHeader(closed, symtab, meta,
-                       {node: node_header(node, info)
-                        for node, info in nodes.items()})
+    headers = {node: node_header(node, info) for node, info in nodes.items()}
+    counted = [node for node, h in headers.items() if h.n_records is not None]
+    if counted and len(counted) < len(headers):
+        raise TraceError(f"{header_path} declares n_records for "
+                         f"{sorted(counted)} but not for "
+                         f"{sorted(set(headers) - set(counted))}")
+    return TraceHeader(len(counted) == len(headers), symtab, meta, headers)

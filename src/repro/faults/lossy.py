@@ -24,7 +24,7 @@ Corruption is payload-level, never framing-level: a corrupted record still
 unpacks, it just carries a wrong temperature (TEMP) or a forward-jittered
 timestamp (ENTER/EXIT).  Framing damage — a truncated tail — is exercised
 separately through :meth:`repro.core.trace.TraceBundle.load` and
-:func:`repro.core.spool.read_spool_columns`.
+:func:`repro.core.spool.iter_spool_chunks`.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import json
 from repro.cli import main
 
 from tests.check.fixtures import build_bundle
+from tests.legacy import LAYOUTS
 
 
 def test_clean_bundle_exits_zero(tmp_path, capsys):
@@ -16,26 +17,26 @@ def test_clean_bundle_exits_zero(tmp_path, capsys):
 
 
 def test_findings_exit_one(tmp_path, capsys):
-    path = tmp_path / "bundle"
-    build_bundle().save(path)
-    rec = path / "node1.trace"
-    rec.write_bytes(rec.read_bytes()[:-5])   # torn record file
-    assert main(["check", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "TL002" in out
+    for layout, (save, _, suffix) in LAYOUTS.items():
+        path = save(build_bundle(), tmp_path / layout)
+        rec = path / f"node1{suffix}"
+        rec.write_bytes(rec.read_bytes()[:-5])   # torn record file
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "TL002" in out
 
 
 def test_warnings_need_strict(tmp_path, capsys):
-    path = tmp_path / "bundle"
-    build_bundle().save(path)
-    meta = path / "meta.json"
-    header = json.loads(meta.read_text())
-    header["nodes"]["node1"]["truncated"] = True   # TL004: warning only
-    meta.write_text(json.dumps(header))
-    assert main(["check", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["check", "--strict", str(path)]) == 1
-    assert "TL004" in capsys.readouterr().out
+    for layout, (save, header_name, _) in LAYOUTS.items():
+        path = save(build_bundle(), tmp_path / layout)
+        meta = path / header_name
+        header = json.loads(meta.read_text())
+        header["nodes"]["node1"]["truncated"] = True   # TL004: warning only
+        meta.write_text(json.dumps(header))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--strict", str(path)]) == 1
+        assert "TL004" in capsys.readouterr().out
 
 
 def test_source_paths_go_through_repo_lint(tmp_path, capsys):

@@ -26,6 +26,7 @@ from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP, TraceBundle
 from repro.util.errors import ConfigError
 
 from tests.check.fixtures import build_bundle, records_array
+from tests.legacy import LAYOUTS
 
 import pytest
 
@@ -158,41 +159,49 @@ def test_clean_bundle_has_no_findings(clean_bundle_dir):
     assert check_path(clean_bundle_dir) == []
 
 
-def test_header_tampering(tmp_path):
-    path = tmp_path / "b"
-    build_bundle().save(path)
-    meta = path / "meta.json"
+def _edit_header(path, header_name, edit):
+    meta = path / header_name
     header = json.loads(meta.read_text())
-    header["nodes"]["node1"]["tsc_hz"] = 0.0
-    header["nodes"]["node1"]["sensor_names"] = ["S0", "S0"]
-    header["nodes"]["node1"]["n_records"] += 3
-    header["meta"]["sampling_hz"] = -4.0
+    edit(header)
     meta.write_text(json.dumps(header))
-    got = rules_of(check_path(path))
-    assert "TL012" in got     # calibration
-    assert "TL013" in got     # duplicate sensor names
-    assert "TL003" in got     # count mismatch
-    assert "TL016" in got     # sampling rate
+
+
+def test_header_tampering(tmp_path):
+    def tamper(header):
+        header["nodes"]["node1"]["tsc_hz"] = 0.0
+        header["nodes"]["node1"]["sensor_names"] = ["S0", "S0"]
+        header["nodes"]["node1"]["n_records"] += 3
+        header["meta"]["sampling_hz"] = -4.0
+
+    for layout, (save, header_name, _) in LAYOUTS.items():
+        path = save(build_bundle(), tmp_path / layout)
+        _edit_header(path, header_name, tamper)
+        got = rules_of(check_path(path))
+        assert "TL012" in got     # calibration
+        assert "TL013" in got     # duplicate sensor names
+        assert "TL003" in got     # count mismatch
+        assert "TL016" in got     # sampling rate
+
+
+def _mark_truncated(header):
+    header["nodes"]["node1"]["truncated"] = True
 
 
 def test_truncated_flag_on_intact_file(tmp_path):
-    path = tmp_path / "b"
-    build_bundle().save(path)
-    meta = path / "meta.json"
-    header = json.loads(meta.read_text())
-    header["nodes"]["node1"]["truncated"] = True
-    meta.write_text(json.dumps(header))
-    assert "TL004" in rules_of(check_path(path))
+    for layout, (save, header_name, _) in LAYOUTS.items():
+        path = save(build_bundle(), tmp_path / layout)
+        _edit_header(path, header_name, _mark_truncated)
+        assert "TL004" in rules_of(check_path(path))
 
 
 def test_torn_bundle_record_file_is_error(tmp_path):
-    path = tmp_path / "b"
-    build_bundle().save(path)
-    rec = path / "node1.trace"
-    rec.write_bytes(rec.read_bytes()[:-5])
-    diags = check_path(path)
-    torn = [d for d in diags if d.rule == "TL002"]
-    assert len(torn) == 1 and torn[0].severity == "error"
+    for layout, (save, _, suffix) in LAYOUTS.items():
+        path = save(build_bundle(), tmp_path / layout)
+        rec = path / f"node1{suffix}"
+        rec.write_bytes(rec.read_bytes()[:-5])
+        diags = check_path(path)
+        torn = [d for d in diags if d.rule == "TL002"]
+        assert len(torn) == 1 and torn[0].severity == "error"
 
 
 def test_check_path_dispatch_and_rejection(clean_bundle_dir, tmp_path):
@@ -202,13 +211,15 @@ def test_check_path_dispatch_and_rejection(clean_bundle_dir, tmp_path):
 
 
 def test_missing_header_is_tl001(tmp_path):
-    (tmp_path / "b").mkdir()
-    (tmp_path / "b" / "meta.json").write_text("{not json")
-    assert rules_of(check_path(tmp_path / "b")) == ["TL001"]
-    (tmp_path / "b" / "meta.json").write_text(
-        json.dumps({"format": "tempest-trace-v1", "symtab": {},
-                    "nodes": "nope"}))
-    assert rules_of(check_path(tmp_path / "b")) == ["TL001"]
+    for fmt, header_name in (("tempest-spool-v1", "header.json"),
+                             ("tempest-trace-v1", "meta.json")):
+        path = tmp_path / header_name
+        path.mkdir()
+        (path / header_name).write_text("{not json")
+        assert rules_of(check_path(path)) == ["TL001"]
+        (path / header_name).write_text(
+            json.dumps({"format": fmt, "symtab": {}, "nodes": "nope"}))
+        assert rules_of(check_path(path)) == ["TL001"]
 
 
 # ----------------------------------------------------------------------
@@ -271,17 +282,14 @@ def test_report_exit_codes(clean_bundle_dir, tmp_path):
     assert clean.exit_code() == 0
     assert clean.exit_code(strict=True) == 0
 
-    path = tmp_path / "warn"
-    build_bundle().save(path)
-    meta = path / "meta.json"
-    header = json.loads(meta.read_text())
-    header["nodes"]["node1"]["truncated"] = True    # TL004, warning
-    meta.write_text(json.dumps(header))
-    warn = CheckReport()
-    warn.extend(check_path(path, deep=False))
-    assert warn.n_warnings and not warn.n_errors
-    assert warn.exit_code() == 0
-    assert warn.exit_code(strict=True) == 1
+    for layout, (save, header_name, _) in LAYOUTS.items():
+        path = save(build_bundle(), tmp_path / layout)
+        _edit_header(path, header_name, _mark_truncated)   # TL004, warning
+        warn = CheckReport()
+        warn.extend(check_path(path, deep=False))
+        assert warn.n_warnings and not warn.n_errors
+        assert warn.exit_code() == 0
+        assert warn.exit_code(strict=True) == 1
 
 
 def test_report_json_round_trip(clean_bundle_dir):

@@ -60,9 +60,9 @@ def test_fault_injected_wire_bundle_is_clean(bundle_pair):
 
 def test_tampered_record_fires_tl022_once(bundle_pair):
     local, wire = bundle_pair
-    blob = bytearray((wire / "node2.trace").read_bytes())
+    blob = bytearray((wire / "node2.spool").read_bytes())
     blob[5 * RECORD_SIZE + 2] ^= 0x40
-    (wire / "node2.trace").write_bytes(bytes(blob))
+    (wire / "node2.spool").write_bytes(bytes(blob))
     diags = compare_bundle_dirs(local, wire)
     assert [d.rule for d in diags] == ["TL022"]
     assert diags[0].node == "node2"
@@ -72,8 +72,8 @@ def test_tampered_record_fires_tl022_once(bundle_pair):
 
 def test_truncated_record_file_fires_tl022(bundle_pair):
     local, wire = bundle_pair
-    blob = (wire / "node1.trace").read_bytes()
-    (wire / "node1.trace").write_bytes(blob[:-RECORD_SIZE])
+    blob = (wire / "node1.spool").read_bytes()
+    (wire / "node1.spool").write_bytes(blob[:-RECORD_SIZE])
     diags = compare_bundle_dirs(local, wire)
     tl22 = [d for d in diags if d.rule == "TL022"]
     assert len(tl22) == 1 and tl22[0].node == "node1"
@@ -82,9 +82,9 @@ def test_truncated_record_file_fires_tl022(bundle_pair):
 
 def test_missing_and_extra_nodes_fire_tl022(bundle_pair):
     local, wire = bundle_pair
-    meta = json.loads((wire / "meta.json").read_text())
+    meta = json.loads((wire / "header.json").read_text())
     meta["nodes"]["node9"] = meta["nodes"].pop("node2")
-    (wire / "meta.json").write_text(json.dumps(meta))
+    (wire / "header.json").write_text(json.dumps(meta))
     diags = compare_bundle_dirs(local, wire)
     by_node = {d.node: d.message for d in diags if d.rule == "TL022"}
     assert "node2" in by_node and "missing" in by_node["node2"]
@@ -93,9 +93,9 @@ def test_missing_and_extra_nodes_fire_tl022(bundle_pair):
 
 def test_metadata_divergence_fires_tl022(bundle_pair):
     local, wire = bundle_pair
-    meta = json.loads((wire / "meta.json").read_text())
+    meta = json.loads((wire / "header.json").read_text())
     meta["nodes"]["node1"]["tsc_hz"] = 2.4e9
-    (wire / "meta.json").write_text(json.dumps(meta))
+    (wire / "header.json").write_text(json.dumps(meta))
     diags = compare_bundle_dirs(local, wire)
     assert any(d.rule == "TL022" and d.node == "node1"
                and "tsc_hz" in d.message for d in diags)
@@ -103,9 +103,9 @@ def test_metadata_divergence_fires_tl022(bundle_pair):
 
 def test_derivable_fields_are_exempt(bundle_pair):
     local, wire = bundle_pair
-    meta = json.loads((wire / "meta.json").read_text())
+    meta = json.loads((wire / "header.json").read_text())
     meta["nodes"]["node1"]["truncated"] = False
-    (wire / "meta.json").write_text(json.dumps(meta, indent=2))
+    (wire / "header.json").write_text(json.dumps(meta, indent=2))
     # Key order was also scrambled by the rewrite; neither may fire.
     assert compare_bundle_dirs(local, wire) == []
 
@@ -114,9 +114,9 @@ def test_cli_check_baseline(bundle_pair, tmp_path, capsys):
     local, wire = bundle_pair
     assert main(["check", str(wire), "--baseline", str(local)]) == 0
     capsys.readouterr()
-    blob = bytearray((wire / "node1.trace").read_bytes())
+    blob = bytearray((wire / "node1.spool").read_bytes())
     blob[3] ^= 0x01
-    (wire / "node1.trace").write_bytes(bytes(blob))
+    (wire / "node1.spool").write_bytes(bytes(blob))
     report_json = tmp_path / "report.json"
     assert main(["check", str(wire), "--baseline", str(local),
                  "--json", str(report_json)]) == 1

@@ -94,8 +94,8 @@ def test_saved_bundle_matches_local_bundle(spool_dir, tmp_path):
     TraceBundle.load(spool_dir).save(local_dir)
     hub.aggregator.save_bundle(wire_dir)
     for name in ("node1", "node2", "node3"):
-        assert (wire_dir / f"{name}.trace").read_bytes() == \
-            (local_dir / f"{name}.trace").read_bytes()
+        assert (wire_dir / f"{name}.spool").read_bytes() == \
+            (local_dir / f"{name}.spool").read_bytes()
 
 
 # ----------------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_cli_serve_emits_profile_and_bundle(spool_dir, tmp_path, capsys):
     for name in report["nodes"]:
         raw = (spool_dir / f"{name}.spool").read_bytes()
         assert report["nodes"][name]["n_records"] == len(raw) // RECORD_SIZE
-        assert (out_dir / f"{name}.trace").read_bytes() == raw
+        assert (out_dir / f"{name}.spool").read_bytes() == raw
 
 
 def test_cli_serve_times_out_without_collectors(tmp_path, capsys):

@@ -401,8 +401,7 @@ def samples_in_spans(times: np.ndarray, values: np.ndarray,
 
 
 def oracle_profile(trace: NodeTrace, symtab: SymbolTable, *,
-                   strict: bool = False, min_samples_for_stats: int = 1,
-                   sampling_hz: float = 4.0) -> NodeProfile:
+                   strict: bool = False, sampling_hz: float = 4.0) -> NodeProfile:
     """One node's profile the post-mortem way: replay, union-span
     attribution, exact statistics."""
     arr = trace.columns.array
@@ -414,7 +413,6 @@ def oracle_profile(trace: NodeTrace, symtab: SymbolTable, *,
         series[name] = (np.asarray(trace.seconds(mine["tsc"]), dtype=float),
                         mine["value"].astype(float))
     interval_s = 1.0 / sampling_hz
-    min_needed = max(1, min_samples_for_stats)
     functions: dict[str, FunctionProfile] = {}
     for name in timeline.function_names():
         total = timeline.inclusive_time(name)
@@ -425,12 +423,10 @@ def oracle_profile(trace: NodeTrace, symtab: SymbolTable, *,
             spans = timeline.union_spans(name)
             for sensor, (times, values) in series.items():
                 hit = samples_in_spans(times, values, spans)
-                if len(hit) >= min_needed:
+                if len(hit):
                     stats[sensor] = compute_sensor_stats(hit)
                     n_hits = max(n_hits, len(hit))
-                elif min_samples_for_stats == 0:
-                    stats[sensor] = SensorStats.empty()
-            if not any(s.n for s in stats.values()):
+            if not stats:
                 significant = False
                 stats = {}
         functions[name] = FunctionProfile(

@@ -121,8 +121,8 @@ def test_property_object_and_columnar_paths_identical(stream):
             bundle.meta = {"sampling_hz": 4.0}
             bundle.add_node(trace)
             bundle.save(td / tag)
-        assert (td / "obj" / "n0.trace").read_bytes() \
-            == (td / "col" / "n0.trace").read_bytes()
+        assert (td / "obj" / "n0.spool").read_bytes() \
+            == (td / "col" / "n0.spool").read_bytes()
         profiles = [
             TempestParser(TraceBundle.load(td / tag), strict=False).parse()
             for tag in ("obj", "col")
@@ -144,7 +144,7 @@ def test_property_torn_tail_recovers_identically(stream, torn_bytes):
             bundle = TraceBundle(sym)
             bundle.add_node(trace)
             bundle.save(td / tag)
-            f = td / tag / "n0.trace"
+            f = td / tag / "n0.spool"
             blob = f.read_bytes()
             f.write_bytes(blob[: max(0, len(blob) - torn_bytes)])
             loaded.append(

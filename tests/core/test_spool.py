@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import TempestSession, TempestParser
+from repro.core.records import RECORD_DTYPE
 from repro.core.spool import (
     SpoolingNodeTrace,
     TraceSpool,
     iter_spool_chunks,
-    read_spool_columns,
     write_spool_header,
 )
 from repro.core.symtab import SymbolTable
@@ -16,7 +16,7 @@ from repro.core.trace import REC_ENTER, REC_TEMP, TraceBundle
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.util.errors import TraceError
 from repro.workloads.microbench import micro_d
-from tests.rows import Row, rows
+from tests.rows import Row, rows, spool_records
 
 
 def test_spool_write_read_roundtrip(tmp_path):
@@ -26,7 +26,7 @@ def test_spool_write_read_roundtrip(tmp_path):
         for r in records:
             spool.write_event(*r)
     assert spool.records_written == 50
-    assert rows(read_spool_columns(tmp_path / "n1.spool")) == records
+    assert rows(spool_records(tmp_path / "n1.spool")) == records
 
 
 def test_spool_rejects_writes_after_close(tmp_path):
@@ -36,6 +36,14 @@ def test_spool_rejects_writes_after_close(tmp_path):
         spool.write_event(REC_ENTER, 1, 1, 0, 1)
 
 
+def close_spool(directory, name, n_records):
+    """Write the header that closes *directory*'s one spool at
+    *n_records*, as ``TraceBundle.save`` would."""
+    write_spool_header(directory, SymbolTable(), {name: {
+        "tsc_hz": 1.8e9, "sensor_names": ["s0"], "n_records": n_records}},
+        {})
+
+
 def test_truncated_tail_tolerated(tmp_path):
     spool = TraceSpool(tmp_path / "t.spool")
     with spool:
@@ -43,10 +51,13 @@ def test_truncated_tail_tolerated(tmp_path):
             spool.write_event(REC_TEMP, 0, i, 0, 2, 40.0)
     f = tmp_path / "t.spool"
     f.write_bytes(f.read_bytes()[:-7])  # crash mid-record
-    recs = read_spool_columns(f)
+    recs = spool_records(f)
     assert len(recs) == 9
+    close_spool(tmp_path, "t", 10)      # a closed trace may not be torn
     with pytest.raises(TraceError):
-        read_spool_columns(f, tolerate_truncation=False)
+        TraceBundle.load(tmp_path)
+    loaded = TraceBundle.load(tmp_path, tolerate_truncation=True)
+    assert len(loaded.node("t")) == 9 and loaded.node("t").truncated
 
 
 def test_spooling_node_trace_writes_through(tmp_path):
@@ -56,7 +67,7 @@ def test_spooling_node_trace_writes_through(tmp_path):
     trace.append_event(*rec)
     spool.close()
     assert rows(trace.columns.array) == [rec]                    # in memory
-    assert rows(read_spool_columns(tmp_path / "n.spool")) == [rec]  # on disk
+    assert rows(spool_records(tmp_path / "n.spool")) == [rec]  # on disk
 
 
 def test_constant_memory_mode(tmp_path):
@@ -67,7 +78,7 @@ def test_constant_memory_mode(tmp_path):
         trace.append_event(REC_ENTER, 0x400000, i, 0, 1)
     spool.close()
     assert len(trace) == 0
-    assert len(read_spool_columns(tmp_path / "n.spool")) == 100
+    assert len(spool_records(tmp_path / "n.spool")) == 100
 
 
 def test_session_spooling_end_to_end(tmp_path):
@@ -96,22 +107,24 @@ def test_context_manager_flushes_buffered_chunk_on_exception(tmp_path):
                 spool.write_event(REC_ENTER, 7, i, 0, 1)
             raise RuntimeError("workload died")
     assert spool.closed
-    assert len(read_spool_columns(path)) == 100            # nothing dropped
+    assert len(spool_records(path)) == 100            # nothing dropped
 
 
-def test_tail_records_cursor_reads(tmp_path):
-    spool = TraceSpool(tmp_path / "c.spool")
+def test_spool_cursor_reads_after_flush(tmp_path):
+    path = tmp_path / "c.spool"
+    spool = TraceSpool(path)
     for i in range(10):
         spool.write_event(REC_ENTER, 1, i, 0, 1)
-    first = spool.tail_records(0)                   # flushes, reads all 10
-    assert len(first) == 10
+    spool.flush()                                   # every accepted record
+    assert len(spool_records(path)) == 10
     for i in range(10, 17):
         spool.write_event(REC_ENTER, 1, i, 0, 1)
-    rest = spool.tail_records(10)                   # only the new records
+    spool.flush()
+    rest = spool_records(path, start_record=10)     # only the new records
     assert len(rest) == 7
     assert rest["tsc"].tolist() == list(range(10, 17))
     spool.close()
-    assert len(spool.tail_records(0)) == 17         # works after close too
+    assert len(spool_records(path)) == 17           # works after close too
 
 
 def test_iter_spool_chunks_sizes_and_content(tmp_path):
@@ -122,7 +135,8 @@ def test_iter_spool_chunks_sizes_and_content(tmp_path):
     chunks = list(iter_spool_chunks(path, chunk_records=256))
     assert [len(c) for c in chunks] == [256, 256, 256, 232]
     whole = np.concatenate(chunks)
-    assert np.array_equal(whole, read_spool_columns(path))
+    assert np.array_equal(
+        whole, np.frombuffer(path.read_bytes(), dtype=RECORD_DTYPE))
     tail = list(iter_spool_chunks(path, chunk_records=256, start_record=900))
     assert sum(len(c) for c in tail) == 100
 
@@ -134,10 +148,10 @@ def test_iter_spool_chunks_truncated_tail(tmp_path):
             spool.write_event(REC_TEMP, 0, i, 0, 2, 40.0)
     path.write_bytes(path.read_bytes()[:-5])        # torn final record
     chunks = list(iter_spool_chunks(path, chunk_records=4))
-    assert sum(len(c) for c in chunks) == 9         # tolerated by default
-    with pytest.raises(TraceError, match="not a whole record"):
-        list(iter_spool_chunks(path, chunk_records=4,
-                               tolerate_truncation=False))
+    assert sum(len(c) for c in chunks) == 9         # the torn tail dropped
+    close_spool(tmp_path, "t2", 10)
+    with pytest.raises(TraceError, match="not a multiple"):
+        TraceBundle.load(tmp_path)
 
 
 def test_session_emergency_flush_preserves_spool(tmp_path):

@@ -260,10 +260,9 @@ def stream_profile(trace, symtab, chunk_records, **kw):
     return stream_acc(trace, symtab, chunk_records, **kw)[1]
 
 
-def batch_profile(trace, symtab, *, strict=False, min_samples_for_stats=1):
+def batch_profile(trace, symtab, *, strict=False):
     """The post-mortem oracle's profile of one node trace."""
-    return oracle_profile(trace, symtab, strict=strict,
-                          min_samples_for_stats=min_samples_for_stats)
+    return oracle_profile(trace, symtab, strict=strict)
 
 
 # ----------------------------------------------------------------------
@@ -794,7 +793,7 @@ def test_streaming_run_profiler_rejects_bad_tsc_hz(hz):
 
 
 # ----------------------------------------------------------------------
-# min_samples_for_stats=0: explicit SensorStats.empty() instead of a crash
+# A sensor no sample of a significant function reached carries no stats
 
 def uncovered_sensor_trace():
     """One long function; sensor S0 sampled inside it, S1 never sampled."""
@@ -805,24 +804,6 @@ def uncovered_sensor_trace():
     trace.append_event(REC_TEMP, 0, 500_000_000, 3, 999, 46.0)
     trace.append_event(REC_EXIT, f, 1_000_000_000, 0, 1)
     return trace, symtab
-
-
-@pytest.mark.parametrize("batch", [True, False])
-def test_min_samples_zero_yields_empty_stats(batch):
-    """Historically min_samples_for_stats=0 crashed in
-    compute_sensor_stats on the uncovered sensor; now it carries
-    SensorStats.empty() explicitly."""
-    trace, symtab = uncovered_sensor_trace()
-    if batch:
-        prof = batch_profile(trace, symtab, min_samples_for_stats=0)
-    else:
-        prof = stream_profile(trace, symtab, 2, min_samples_for_stats=0)
-    fp = prof.functions["f"]
-    assert fp.significant
-    assert fp.sensor_stats["S0"].n == 1
-    empty = fp.sensor_stats["S1"]
-    assert empty == SensorStats.empty()
-    assert empty.n == 0 and math.isnan(empty.avg)
 
 
 @pytest.mark.parametrize("batch", [True, False])

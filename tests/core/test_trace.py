@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.records import records_from_buffer
+from repro.core.records import RECORD_SIZE, records_from_buffer
 from repro.core.symtab import SymbolTable
 from repro.core.trace import (
     NodeTrace,
@@ -15,8 +15,11 @@ from repro.core.trace import (
     REC_EXIT,
     REC_TEMP,
     TraceBundle,
+    is_trace_dir,
+    read_trace_header,
 )
 from repro.util.errors import TraceError
+from tests.legacy import LAYOUTS, save_legacy_bundle
 from tests.rows import Row, rows, to_array
 
 _REC = struct.Struct("<Bqqiid")
@@ -111,12 +114,13 @@ def test_bundle_missing_node_lookup():
 
 def test_load_rejects_corrupt_blob(tmp_path):
     bundle = make_bundle()
-    bundle.save(tmp_path / "trace")
-    # Truncate the record file mid-record.
-    f = tmp_path / "trace" / "node1.trace"
-    f.write_bytes(f.read_bytes()[:-5])
-    with pytest.raises(TraceError):
-        TraceBundle.load(tmp_path / "trace")
+    for layout, (save, _, suffix) in LAYOUTS.items():
+        path = save(bundle, tmp_path / layout)
+        # Truncate the record file mid-record.
+        f = path / f"node1{suffix}"
+        f.write_bytes(f.read_bytes()[:-5])
+        with pytest.raises(TraceError):
+            TraceBundle.load(path)
 
 
 def test_load_rejects_missing_meta(tmp_path):
@@ -125,9 +129,12 @@ def test_load_rejects_missing_meta(tmp_path):
 
 
 def test_load_rejects_unknown_format(tmp_path):
-    (tmp_path / "meta.json").write_text(json.dumps({"format": "v999"}))
-    with pytest.raises(TraceError):
-        TraceBundle.load(tmp_path)
+    for header_name in ("header.json", "meta.json"):
+        (tmp_path / header_name).mkdir()
+        (tmp_path / header_name / header_name).write_text(
+            json.dumps({"format": "v999"}))
+        with pytest.raises(TraceError):
+            TraceBundle.load(tmp_path / header_name)
 
 
 def test_total_records():
@@ -142,29 +149,64 @@ def test_total_records():
 def test_truncated_flag_roundtrips_through_save(tmp_path):
     bundle = make_bundle()
     bundle.node("node1").truncated = True
-    bundle.save(tmp_path / "trace")
-    info = json.loads((tmp_path / "trace" / "meta.json").read_text())
-    assert info["nodes"]["node1"]["truncated"] is True
-    loaded = TraceBundle.load(tmp_path / "trace")
-    assert loaded.node("node1").truncated is True
+    for layout, (save, header_name, _) in LAYOUTS.items():
+        path = save(bundle, tmp_path / layout)
+        info = json.loads((path / header_name).read_text())
+        assert info["nodes"]["node1"]["truncated"] is True
+        loaded = TraceBundle.load(path)
+        assert loaded.node("node1").truncated is True
 
 
 def test_untruncated_bundle_header_omits_flag(tmp_path):
     # Intact traces keep the pre-columnar header shape: no "truncated" key.
-    make_bundle().save(tmp_path / "trace")
-    info = json.loads((tmp_path / "trace" / "meta.json").read_text())
-    assert "truncated" not in info["nodes"]["node1"]
-    assert TraceBundle.load(tmp_path / "trace").node("node1").truncated is False
+    for layout, (save, header_name, _) in LAYOUTS.items():
+        path = save(make_bundle(), tmp_path / layout)
+        info = json.loads((path / header_name).read_text())
+        assert "truncated" not in info["nodes"]["node1"]
+        assert TraceBundle.load(path).node("node1").truncated is False
 
 
 def test_recovered_bundle_stays_truncated_after_resave(tmp_path):
     bundle = make_bundle()
-    bundle.save(tmp_path / "torn")
-    f = tmp_path / "torn" / "node1.trace"
-    f.write_bytes(f.read_bytes()[:-5])  # tear the tail mid-record
-    recovered = TraceBundle.load(tmp_path / "torn", tolerate_truncation=True)
-    assert recovered.node("node1").truncated is True
-    recovered.save(tmp_path / "resaved")
-    reloaded = TraceBundle.load(tmp_path / "resaved")
-    assert reloaded.node("node1").truncated is True
-    assert len(reloaded.node("node1")) == 3  # torn record stayed dropped
+    for layout, (save, _, suffix) in LAYOUTS.items():
+        path = save(bundle, tmp_path / layout)
+        f = path / f"node1{suffix}"
+        f.write_bytes(f.read_bytes()[:-5])  # tear the tail mid-record
+        recovered = TraceBundle.load(path, tolerate_truncation=True)
+        assert recovered.node("node1").truncated is True
+        recovered.save(tmp_path / f"{layout}-resaved")
+        reloaded = TraceBundle.load(tmp_path / f"{layout}-resaved")
+        assert reloaded.node("node1").truncated is True
+        assert len(reloaded.node("node1")) == 3  # torn record stayed dropped
+
+
+# ----------------------------------------------------------------------
+# A bundle is a closed spool: one layout, records first, header last
+
+def test_save_writes_a_closed_spool(tmp_path):
+    bundle = make_bundle()
+    bundle.save(tmp_path / "new")
+    save_legacy_bundle(bundle, tmp_path / "old")
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == [
+        "header.json", "node1.spool"]
+    assert (tmp_path / "new" / "node1.spool").read_bytes() == \
+        (tmp_path / "old" / "node1.trace").read_bytes()
+    doc = json.loads((tmp_path / "new" / "header.json").read_text())
+    assert doc["format"] == "tempest-spool-v1"
+    assert doc["nodes"]["node1"]["n_records"] == 4
+    assert read_trace_header(tmp_path / "new").closed
+    assert read_trace_header(tmp_path / "old").closed
+
+
+def test_header_write_failure_leaves_no_trace_dir(tmp_path, monkeypatch):
+    """The header is written after every record file: a save that dies
+    writing it leaves records, but not a directory any reader opens."""
+    def fail(path, obj):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("repro.core.spool.dump_canonical", fail)
+    with pytest.raises(OSError):
+        make_bundle().save(tmp_path / "b")
+    assert (tmp_path / "b" / "node1.spool").stat().st_size == \
+        4 * RECORD_SIZE
+    assert not is_trace_dir(tmp_path / "b")

@@ -5,11 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.spool import read_spool_columns
-from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP
+from repro.core.spool import write_spool_header
+from repro.core.symtab import SymbolTable
+from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP, TraceBundle
 from repro.faults import FaultConfig, FaultPlan, LossyNodeTrace, LossyTraceSpool
 from repro.util.errors import TraceError
-from tests.rows import Row, rows, to_array
+from tests.rows import Row, rows, spool_records, to_array
 
 TSC_HZ = 1e9
 
@@ -81,7 +82,7 @@ def test_lossy_spool_round_trip(tmp_path):
     with spool:
         for r in records(500):
             spool.write_event(*r)
-    survived = read_spool_columns(tmp_path / "n.spool")
+    survived = spool_records(tmp_path / "n.spool")
     assert len(survived) == 500 - spool.n_records_dropped
     assert spool.records_written == len(survived)
     assert 20 < spool.n_records_dropped < 90
@@ -94,10 +95,12 @@ def test_lossy_spool_truncate_tail_then_recover(tmp_path):
         for r in records(10):
             spool.write_event(*r)
     spool.truncate_tail(5)                      # mid-record crash
-    survived = read_spool_columns(tmp_path / "n.spool")
+    survived = spool_records(tmp_path / "n.spool")
     assert len(survived) == 9                   # torn record dropped
-    with pytest.raises(TraceError):
-        read_spool_columns(tmp_path / "n.spool", tolerate_truncation=False)
+    write_spool_header(tmp_path, SymbolTable(), {"n": {
+        "tsc_hz": TSC_HZ, "sensor_names": ["S0"], "n_records": 10}}, {})
+    with pytest.raises(TraceError):             # closed at 10 records
+        TraceBundle.load(tmp_path)
 
 
 def test_deterministic_surviving_stream():

@@ -34,3 +34,12 @@ def to_array(rows_: Iterable[tuple]) -> np.ndarray:
 def rows(arr: np.ndarray) -> list[Row]:
     """The records of a structured array as :class:`Row` tuples."""
     return [Row(*r) for r in arr.tolist()]
+
+
+def spool_records(path, **kwargs) -> np.ndarray:
+    """A spool file's records as one array, read through
+    :func:`~repro.core.spool.iter_spool_chunks` (a torn tail dropped)."""
+    from repro.core.spool import iter_spool_chunks
+
+    chunks = list(iter_spool_chunks(path, **kwargs))
+    return np.concatenate(chunks) if chunks else np.empty(0, RECORD_DTYPE)

@@ -107,7 +107,7 @@ def test_parse_bundle_rejects_spool_only_flags(tmp_path, capsys, flag):
 
 def test_parse_rejects_unknown_directory(tmp_path, capsys):
     assert main(["parse", str(tmp_path)]) == 2
-    assert "neither a trace bundle" in capsys.readouterr().err
+    assert "not a trace directory" in capsys.readouterr().err
 
 
 def test_sensors_against_virtual_tree(tmp_path, capsys):
@@ -162,10 +162,12 @@ def _set_tsc_hz(header_path, hz):
 @pytest.mark.parametrize("hz", [math.nan, math.inf, 0.0, -1.0])
 def test_parse_refuses_bad_tsc_hz(tmp_path, capsys, hz):
     """A NaN or infinite calibration used to print NaN or 0.0 times with
-    exit 0; a bundle and a spool directory both exit 2 now."""
+    exit 0; a closed directory, a legacy bundle and a live spool
+    directory all exit 2 now."""
     from repro.core.spool import TraceSpool, write_spool_header
     from repro.core.symtab import SymbolTable
     from repro.core.trace import REC_ENTER, REC_EXIT, NodeTrace, TraceBundle
+    from tests.legacy import save_legacy_bundle
 
     symtab = SymbolTable()
     main_addr = symtab.address_of("main")
@@ -175,7 +177,9 @@ def test_parse_refuses_bad_tsc_hz(tmp_path, capsys, hz):
     bundle = TraceBundle(symtab)
     bundle.meta = {"sampling_hz": 4.0}
     bundle.add_node(trace)
-    bundle.save(tmp_path / "bundle")
+    bundle.save(tmp_path / "closed")
+    _set_tsc_hz(tmp_path / "closed" / "header.json", hz)
+    save_legacy_bundle(bundle, tmp_path / "bundle")
     _set_tsc_hz(tmp_path / "bundle" / "meta.json", hz)
 
     spools = tmp_path / "spools"
@@ -186,7 +190,7 @@ def test_parse_refuses_bad_tsc_hz(tmp_path, capsys, hz):
         spool.write_array(trace.columns.array)
     _set_tsc_hz(spools / "header.json", hz)
 
-    for path in (tmp_path / "bundle", spools):
+    for path in (tmp_path / "closed", tmp_path / "bundle", spools):
         assert main(["parse", str(path), "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert "finite and positive" in captured.err

@@ -16,7 +16,7 @@ from repro.mpisim.network import Network, NetworkParams
 from repro.mpisim.runtime import mpi_spawn
 from repro.simmachine.machine import ClusterConfig, Machine
 from tests.core.oracle import build_timeline
-from tests.rows import Row, rows, to_array
+from tests.rows import Row, rows, spool_records, to_array
 
 
 # ----------------------------------------------------------------------
@@ -217,14 +217,14 @@ def test_property_nic_serialization_never_overlaps_per_node(transfers):
     )
 )
 def test_property_spool_roundtrip(records_spec, tmp_path_factory):
-    from repro.core.spool import TraceSpool, read_spool_columns
+    from repro.core.spool import TraceSpool
 
     tmp = tmp_path_factory.mktemp("spool")
     records = [Row(*spec) for spec in records_spec]
     with TraceSpool(tmp / "x.spool") as spool:
         for r in records:
             spool.write_event(*r)
-    assert rows(read_spool_columns(tmp / "x.spool")) == records
+    assert rows(spool_records(tmp / "x.spool")) == records
 
 
 @settings(max_examples=50, deadline=None)
