@@ -1,13 +1,14 @@
 """Tests for the real-process profiling backend (against a virtual hwmon
 tree materialized on disk, so no physical sensors are required)."""
 
+import threading
 import time
 
 import pytest
 
 from repro.core.realprof import RealTempest
 from repro.core.report import render_stdout_report
-from repro.core.sensors import HwmonSensorReader
+from repro.core.sensors import HwmonSensorReader, SensorReader
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.simmachine.hwmon import VirtualHwmonTree
 from repro.util.errors import ConfigError
@@ -21,6 +22,34 @@ def _spin(seconds):
     while time.perf_counter() < end:
         x += 1
     return x
+
+
+def _spin_until(event, deadline_s):
+    end = time.perf_counter() + deadline_s
+    x = 0
+    while not event.is_set() and time.perf_counter() < end:
+        x += 1
+    return x
+
+
+class _CountingReader(SensorReader):
+    """Delegates to *inner* and sets ``twice`` once it has been read
+    twice (only the sampler thread reads it)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reads = 0
+        self.twice = threading.Event()
+
+    def sensor_names(self):
+        return self.inner.sensor_names()
+
+    def read_all(self, t=0.0):
+        samples = self.inner.read_all(t)
+        self.reads += 1
+        if self.reads >= 2:
+            self.twice.set()
+        return samples
 
 
 def busy_child(seconds=0.08):
@@ -62,8 +91,13 @@ def test_real_profile_captures_functions(reader):
 
 
 def test_real_profile_collects_temperature_samples(reader):
-    rt = RealTempest(reader, sampling_hz=30.0)
-    rt.run(lambda: _spin(0.15))
+    # spin until the sampler has swept the sensors twice, not for a fixed
+    # time: a loaded machine can starve the sampler thread
+    counting = _CountingReader(reader)
+    rt = RealTempest(counting, sampling_hz=30.0)
+    rt.run(lambda: _spin_until(counting.twice, deadline_s=10.0))
+    assert counting.twice.is_set(), (
+        f"sensor reader read {counting.reads} time(s) in 10 s")
     prof = rt.profile()
     node = prof.node("localhost")
     names = node.sensor_names()
