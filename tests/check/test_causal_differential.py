@@ -13,20 +13,26 @@ Two properties are checked over every seed and the chunk sizes 1, 7, 64
 and whole:
 
 * the columnar :class:`CausalAnalyzer` returns exactly the
-  :class:`CausalOracle`'s diagnostics, in order;
+  :class:`CausalOracle`'s diagnostics, in order, from exactly the
+  oracle's join rows (the vector clock at every receive completion);
 * the diagnostics do not depend on chunking, except for the order of
   CM006 findings, which follows chunk boundaries during ingest.
+
+Hand-built streams then reach each corner of the join-row fold, folded
+once with every ready run in bulk and once row by row.
 
 Completion values are always well-formed packed pairs: the oracle has no
 pairing check (``test_causal.py`` covers malformed values).
 """
 
 import random
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.check import causal
 from repro.check.causal import CausalAnalyzer
 from repro.core.commrec import (
     FLAG_COMPLETE,
@@ -68,10 +74,10 @@ class CommStreamGenerator:
     unless a node's offset says otherwise.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, n_ranks: int = 0, n_nodes: int = 0):
         rng = self.rng = random.Random(seed)
-        self.n_ranks = rng.randint(3, 6)
-        self.n_nodes = rng.randint(1, 3)
+        self.n_ranks = n_ranks or rng.randint(3, 6)
+        self.n_nodes = n_nodes or rng.randint(1, 3)
         self.node_of = [rng.randrange(self.n_nodes)
                         for _ in range(self.n_ranks)]
         self.offset = [0.0] + [rng.choice(OFFSETS)
@@ -215,9 +221,9 @@ class CommStreamGenerator:
                              if r not in (s, d)])
             self.complete(d2, self.post(d2, -1, tag), s, cs, tag)
 
-    def clock_cycle(self):
+    def clock_cycle(self, pair=None):
         """Two completions that each name the other rank's next send."""
-        a, b = self.pair()
+        a, b = pair or self.pair()
         pa, pb = self.post(a, b, GO_TAG), self.post(b, a, GO_TAG)
         ca, cb = self.clock[a], self.clock[b]
         self.complete(a, pa, b, cb + 2, GO_TAG, clock=ca + 1)
@@ -240,7 +246,8 @@ class CommStreamGenerator:
     # -- assembly ---------------------------------------------------------
 
     def build(self):
-        """Per-node record arrays, plus each node's tsc_hz."""
+        """A random mix of scenarios and stream defects, as
+        :meth:`streams`."""
         rng = self.rng
         scenarios = ([self.exchange] * 4 + [self.fanin] * 3
                      + [self.deadlock, self.collective, self.dangling])
@@ -260,6 +267,13 @@ class CommStreamGenerator:
             mine = [i for i, row in enumerate(self.rows) if row[0] == r]
             for i in mine[rng.randrange(len(mine) + 1):]:
                 node_of_row[i] = away
+        return self.streams(node_of_row)
+
+    def streams(self, node_of_row=None):
+        """Per-node record arrays, plus each node's tsc_hz; each event on
+        its rank's node unless *node_of_row* says otherwise."""
+        if node_of_row is None:
+            node_of_row = [self.node_of[row[0]] for row in self.rows]
         streams = {}
         for k in range(self.n_nodes):
             rows = [row for row, n in zip(self.rows, node_of_row) if n == k]
@@ -278,31 +292,59 @@ def generate(seed):
 
 
 def run(analyzer_cls, streams, chunk):
-    """Feed each node's stream in *chunk*-record pieces, node by node."""
-    a = analyzer_cls(path="gen")
+    """Feed each node's stream in *chunk*-record pieces, node by node.
+
+    Returns the diagnostics and the join rows the fold built, as
+    ``(index_of, clocks, one int64 matrix per rank)`` — ``None`` when
+    the fold was skipped.
+    """
+    folds = []
+
+    class Capture(analyzer_cls):
+        def _build_join_rows(self, *args):
+            folds.append(super()._build_join_rows(*args))
+            return folds[-1]
+
+    a = Capture(path="gen")
     for node, (hz, _) in streams.items():
         a.add_node(node, hz)
     for node, (_, arr) in streams.items():
         step = chunk or max(1, len(arr))
         for lo in range(0, len(arr), step):
             a.consume(node, arr[lo:lo + step])
-    return a.finalize()
+    diags = a.finalize()
+    if not folds or folds[0] is None:
+        return diags, None
+    index_of, clocks, rows = folds[0]
+    return diags, (index_of, [list(c) for c in clocks],
+                   [np.asarray(r, dtype=np.int64).reshape(-1, len(index_of))
+                    for r in rows])
+
+
+def assert_same_rows(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[:2] == want[:2]          # index_of, clocks
+        for i, (g, w) in enumerate(zip(got[2], want[2], strict=True)):
+            assert np.array_equal(g, w), f"rows of dense rank {i}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_finalize_equals_oracle(seed):
     streams = generate(seed)
     for chunk in CHUNKS:
-        assert run(CausalAnalyzer, streams, chunk) \
-            == run(CausalOracle, streams, chunk), f"chunk {chunk}"
+        diags, rows = run(CausalAnalyzer, streams, chunk)
+        want_diags, want_rows = run(CausalOracle, streams, chunk)
+        assert diags == want_diags, f"chunk {chunk}"
+        assert_same_rows(rows, want_rows)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_diagnostics_are_chunking_invariant(seed):
     streams = generate(seed)
-    whole = run(CausalAnalyzer, streams, None)
+    whole, _ = run(CausalAnalyzer, streams, None)
     for chunk in CHUNKS[:-1]:
-        diags = run(CausalAnalyzer, streams, chunk)
+        diags, _ = run(CausalAnalyzer, streams, chunk)
         assert [d for d in diags if d.rule != "CM006"] \
             == [d for d in whole if d.rule != "CM006"], f"chunk {chunk}"
         assert Counter(diags) == Counter(whole), f"chunk {chunk}"
@@ -322,7 +364,7 @@ def test_generator_reaches_every_rule_and_happens_before(monkeypatch):
     monkeypatch.setattr(CausalAnalyzer, "_happens_before",
                         staticmethod(counting))
     diags = [d for seed in SEEDS
-             for d in run(CausalAnalyzer, generate(seed), None)]
+             for d in run(CausalAnalyzer, generate(seed), None)[0]]
     assert {d.rule for d in diags} == {f"CM00{i}" for i in range(1, 7)}
     cm006 = " | ".join(d.message for d in diags if d.rule == "CM006")
     for flavour in ("appears on nodes", "does not advance",
@@ -332,3 +374,133 @@ def test_generator_reaches_every_rule_and_happens_before(monkeypatch):
                     "clock-reference cycle", "does not match the innermost"):
         assert flavour in cm006, flavour
     assert sum(a != b for a, b in queries) > 100
+
+
+# -- join-row corner cases ------------------------------------------------
+
+
+@pytest.fixture(params=["bulk", "row"])
+def fold_path(request, monkeypatch):
+    """Fold every ready run in bulk, or every run row by row."""
+    monkeypatch.setattr(causal, "_BULK_RUN",
+                        1 if request.param == "bulk" else sys.maxsize)
+
+
+def fold(gen):
+    """Diagnostics and join rows of *gen*'s stream, which must equal the
+    oracle's; the stream must hold a wildcard completion."""
+    streams = gen.streams()
+    diags, rows = run(CausalAnalyzer, streams, None)
+    want_diags, want_rows = run(CausalOracle, streams, None)
+    assert diags == want_diags
+    assert_same_rows(rows, want_rows)
+    assert rows is not None
+    return diags, rows
+
+
+def message(gen, s, d, wild=False):
+    """A send from *s* that *d* receives at once."""
+    cs = gen.send(s, d, TAGS[0])
+    posted = gen.post(d, -1 if wild else s, TAGS[0])
+    return gen.complete(d, posted, s, cs, TAGS[0])
+
+
+def test_self_send_base_row_inside_the_run(fold_path):
+    g = CommStreamGenerator(0, n_ranks=2, n_nodes=1)
+    message(g, 1, 0, wild=True)
+    message(g, 1, 0)
+    self_send = g.send(0, 0, TAGS[0])   # base row: the completion above
+    message(g, 1, 0)
+    g.complete(0, g.post(0, 0, TAGS[0]), 0, self_send, TAGS[0])
+    message(g, 1, 0, wild=True)
+    _, (_, clocks, _) = fold(g)
+    assert len(clocks[0]) == 5          # one run of five folds them all
+
+
+def test_sender_without_completion_before_the_send(fold_path):
+    g = CommStreamGenerator(0, n_ranks=3, n_nodes=1)
+    early = g.send(1, 0, TAGS[0])       # rank 1 has completed nothing yet
+    message(g, 2, 1)
+    message(g, 2, 1)
+    g.complete(0, g.post(0, -1, TAGS[0]), 1, early, TAGS[0])
+    message(g, 1, 0)
+    fold(g)
+
+
+def test_own_column_override_beats_a_future_self_send(fold_path):
+    g = CommStreamGenerator(0, n_ranks=2, n_nodes=1)
+    message(g, 1, 0, wild=True)
+    future = g.clock[0] + 3             # lifts rank 0's own column past
+    g.complete(0, g.post(0, 0, TAGS[0]), 0, future, TAGS[0])
+    g.send(0, 0, TAGS[0], clock=future)  # the completion's clock
+    message(g, 1, 0)
+    message(g, 1, 0)
+    _, (_, clocks, rows) = fold(g)
+    assert rows[0][:, 0].tolist() == clocks[0]
+
+
+def test_clock_cycle_stalls_two_ranks_mid_run(fold_path):
+    g = CommStreamGenerator(0, n_ranks=3, n_nodes=1)
+    for _ in range(3):
+        message(g, 0, 1, wild=True)
+        message(g, 1, 0, wild=True)
+    g.clock_cycle((0, 1))
+    for _ in range(3):                  # left unfolded behind the cycle
+        message(g, 0, 1, wild=True)
+        message(g, 1, 0)
+        message(g, 2, 0)
+    diags, (_, clocks, _) = fold(g)
+    assert [len(c) for c in clocks] == [3, 3, 0]
+    cycle = [d.message for d in diags if "clock-reference cycle" in d.message]
+    assert cycle == ["clock-reference cycle: completions on rank(s) [0, 1] "
+                     "reference each other's futures and cannot be "
+                     "ordered; causal verdicts for them are skipped"]
+
+
+def test_single_rank(fold_path):
+    g = CommStreamGenerator(0, n_ranks=1, n_nodes=1)
+    for k in range(6):
+        message(g, 0, 0, wild=k % 2 == 0)
+    _, (index_of, _, rows) = fold(g)
+    assert index_of == {0: 0} and len(rows[0]) == 6
+
+
+def test_after_waited_visits_each_rank_after_the_one_it_waits_on():
+    order = CausalAnalyzer._after_waited
+    assert order([-1, 0, 1, 2]) == [0, 1, 2, 3]
+    assert order([1, 2, 3, -1]) == [3, 2, 1, 0]
+    assert order([1, 2, 3, 0]) == [3, 2, 1, 0]  # cycle cut where it began
+    assert order([1, 0, 1, -1]) == [1, 0, 2, 3]
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_ring_of_sixteen_ranks(fold_path, step):
+    """2,000 rounds on 3 nodes: each round every rank sends to one
+    neighbour and receives from the other, a fifth of the receives as
+    wildcards.  Receiving from the left, the worklist's ready runs are
+    16 completions long; receiving from the right, one."""
+    n, rounds = 16, 2000
+    g = CommStreamGenerator(24, n_ranks=n, n_nodes=3)
+    for _ in range(rounds):
+        sent = [g.send(r, (r + step) % n, TAGS[0]) for r in range(n)]
+        for d in range(n):
+            src = (d - step) % n
+            wild = g.rng.random() < 0.2
+            posted = g.post(d, -1 if wild else src, TAGS[0])
+            g.complete(d, posted, src, sent[src], TAGS[0])
+    _, (_, clocks, _) = fold(g)
+    assert [len(c) for c in clocks] == [rounds] * n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_many_senders_with_stalls(fold_path, seed):
+    """Random senders over 5 ranks, with a clock-reference cycle at a
+    random point, so runs end on every kind of wait."""
+    g = CommStreamGenerator(seed, n_ranks=5, n_nodes=2)
+    cycle_at = g.rng.randrange(40, 160)
+    for k in range(200):
+        if k == cycle_at:
+            g.clock_cycle()
+        message(g, g.rng.randrange(5), g.rng.randrange(5),
+                wild=g.rng.random() < 0.5)
+    fold(g)
