@@ -387,14 +387,24 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
     peak.  A last phase streams a spool of a fifth as many records (at
     least two chunks): constant memory means the two streaming peaks
     match, whatever the record count.
+
+    The chunk-cost phase profiles the same spool, as a trace directory,
+    with :func:`~repro.core.streamprof.stream_spool_profile` at 512 and
+    at 32768 records per chunk, alternating, five times each:
+    ``small_chunk_ratio`` is the median of the five per-pair ratios, the
+    engine's per-chunk cost as a ratio taken within one run.
     """
+    import shutil
+    import statistics
     import tracemalloc
 
     from repro.core.spool import (
         STREAM_CHUNK_RECORDS,
         TraceSpool,
         iter_spool_chunks,
+        write_spool_header,
     )
+    from repro.core.streamprof import stream_spool_profile
 
     def write_spool(path, n):
         arr, symtab = synthesize_columns(n)
@@ -411,10 +421,16 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
 
     results = REPO_ROOT / "benchmarks" / "results"
     results.mkdir(exist_ok=True)
-    spool_path = results / "stream_bench.spool"
+    spool_dir = results / "stream_bench"
+    spool_path = spool_dir / "bench.spool"
     ref_path = results / "stream_bench_ref.spool"
     n_ref = max(n_records // 5, 2 * STREAM_CHUNK_RECORDS)
     spool_symtab = write_spool(spool_path, n_records)
+    write_spool_header(spool_dir, spool_symtab,
+                       {"bench": {"tsc_hz": TSC_HZ,
+                                  "sensor_names": ["S0", "S1"]}},
+                       {"sampling_hz": 4.0})
+    small_chunk = 512
 
     def batch_once():
         trace = NodeTrace("bench", TSC_HZ, ["S0", "S1"])
@@ -432,6 +448,17 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
         gc.collect()
         batch_s, batch_prof = _timed(batch_once)
         gc.collect()
+
+        # -- chunk-cost phase: small and large chunks alternate
+        pairs = []
+        for _ in range(5):
+            pair = []
+            for size in (small_chunk, STREAM_CHUNK_RECORDS):
+                gc.collect()
+                t0 = time.perf_counter()
+                stream_spool_profile(spool_dir, chunk_records=size)
+                pair.append(time.perf_counter() - t0)
+            pairs.append(pair)
 
         # -- memory phase: same runs again under the allocation tracer
         tracemalloc.start()
@@ -456,7 +483,7 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
         finally:
             tracemalloc.stop()
     finally:
-        spool_path.unlink(missing_ok=True)
+        shutil.rmtree(spool_dir, ignore_errors=True)
         ref_path.unlink(missing_ok=True)
 
     _assert_profiles_match(stream_prof, batch_prof)
@@ -472,6 +499,9 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
         "peak_growth": stream_peak / ref_peak if ref_peak else 0.0,
         "speed_ratio": stream_s / batch_s if batch_s else 0.0,
         "n_functions": len(batch_prof.functions),
+        "small_chunk_records": small_chunk,
+        "chunk_pairs_s": pairs,
+        "small_chunk_ratio": statistics.median(a / b for a, b in pairs),
     }
 
 
@@ -491,6 +521,9 @@ def render_streaming_table(result: dict) -> str:
         f"{ref['n_records']:,}-record stream's "
         f"{ref['peak_bytes'] / 1e6:.1f}MB (gate: <= 1.1x)",
         f"speed ratio: {result['speed_ratio']:.2f}x batch (gate: <= 1.2x)",
+        f"chunk cost:  {result['small_chunk_ratio']:.2f}x the time at "
+        f"{result['small_chunk_records']}-record chunks "
+        f"(gate: <= 5x, target: <= 2x)",
     ])
 
 
@@ -538,6 +571,21 @@ def test_streaming_speed_gate(results_dir):
     assert result["speed_ratio"] <= 1.2, (
         f"streaming is {result['speed_ratio']:.2f}x batch; "
         "expected <= 1.2x"
+    )
+
+
+def test_small_chunk_cost_gate(results_dir):
+    # The per-chunk cost gate: a profile in 512-record chunks (the wire
+    # works at the small-chunk end) may take at most 5x the time of the
+    # same profile in 32768-record chunks, both timed in this run.  The
+    # engine pairs every process's frames with one sort per chunk, so
+    # the per-chunk cost no longer grows with processes, depths or
+    # functions (about 4x on a 2-core box, from 8x); 3x, then 2x, are
+    # the targets (ROADMAP.md).
+    result = _streaming_result()
+    assert result["small_chunk_ratio"] <= 5.0, (
+        f"512-record chunks take {result['small_chunk_ratio']:.2f}x the "
+        "time of 32768-record chunks; expected <= 5x"
     )
 
 

@@ -20,7 +20,8 @@ timing is still reported, but sensor statistics are suppressed.
 The parser reads a resident bundle and drives the profile engine over
 it: each node's records go through one
 :class:`~repro.core.streamprof.ProfileAccumulator` in time order
-(:func:`~repro.core.streamprof.feed_node`), the same engine
+(:func:`~repro.core.streamprof.in_time_order`,
+:func:`~repro.core.streamprof.feed_node`), the same engine
 :func:`~repro.core.streamprof.stream_spool_profile` runs over a spool
 and live sessions run mid-run.  What the parser adds is the raw
 per-sensor series, which Figures 2-4 plot.
@@ -31,7 +32,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.profilemodel import NodeProfile, RunProfile
-from repro.core.streamprof import ProfileAccumulator, feed_node
+from repro.core.streamprof import (
+    ProfileAccumulator,
+    feed_node,
+    in_time_order,
+)
 from repro.core.trace import REC_TEMP, NodeTrace, TraceBundle
 from repro.util.errors import TraceError
 
@@ -79,8 +84,12 @@ class TempestParser:
 
     def parse_node(self, trace: NodeTrace) -> NodeProfile:
         """Parse one node: the engine over its records, plus its series."""
-        if self.strict:
-            # Pre-scan for the §3.3 hazard so the error names the offender.
+        arr = trace.columns.array
+        ordered = in_time_order(arr)
+        if self.strict and ordered is not arr:
+            # Pre-scan for the §3.3 hazard so the error names the
+            # offender.  A node whose tsc column never decreases has no
+            # per-process regression to find.
             from repro.core.tsc import detect_regressions
 
             reports = detect_regressions(trace.func_columns())
@@ -99,8 +108,7 @@ class TempestParser:
             sampling_hz=self.sampling_hz,
             strict=self.strict,
         )
-        arr = trace.columns.array
-        feed_node(acc, arr)
+        feed_node(acc, ordered)
         profile = acc.finalize()
         profile.sensor_series = _series_from(arr[arr["kind"] == REC_TEMP],
                                              trace)

@@ -120,6 +120,16 @@ class RecordColumns:
         self._arr[n] = (kind, addr, tsc, core, pid, value)
         self._n = n + 1
 
+    @classmethod
+    def adopt(cls, arr: np.ndarray) -> "RecordColumns":
+        """Take *arr* — a writable :data:`RECORD_DTYPE` array no one else
+        writes to, such as a chunk :func:`repro.core.spool.iter_spool_chunks`
+        just read — as the store's backing array, without a copy."""
+        cols = cls(capacity=1)
+        cols._arr = arr
+        cols._n = len(arr)
+        return cols
+
     def extend_array(self, arr: np.ndarray) -> None:
         """Bulk-append a structured record array."""
         if arr.dtype != RECORD_DTYPE:

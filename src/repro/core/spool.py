@@ -25,14 +25,15 @@ loses at most one torn record at the tail — which
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.records import (
+    RECORD_DTYPE,
     RECORD_SIZE,
     RecordColumns,
-    records_from_buffer,
     records_to_bytes,
 )
 from repro.core.symtab import SymbolTable
@@ -154,31 +155,31 @@ def iter_spool_chunks(path: Path, *, chunk_records: int = SPOOL_CHUNK_RECORDS,
 
     The constant-memory read path: at most ``chunk_records`` records are
     resident per iteration regardless of file size, which is what lets
-    the streaming engine profile arbitrarily long spools.  ``start_record``
+    the streaming engine profile arbitrarily long spools.  Each chunk is
+    read with ``readinto`` straight into a fresh, writable record array
+    the caller may keep (no intermediate bytes).  ``start_record``
     skips records already consumed (cursor-style tail reads).  A torn
     trailing record is dropped; whether a closed trace may have one is
     :meth:`NodeHeader.count_records
     <repro.core.trace.NodeHeader.count_records>`'s to decide.
     """
     path = Path(path)
-    chunk_bytes = max(1, int(chunk_records)) * RECORD_SIZE
+    n = max(1, int(chunk_records))
     with path.open("rb") as fh:
         if start_record:
             fh.seek(start_record * RECORD_SIZE)
-        pending = b""
         while True:
-            blob = fh.read(chunk_bytes)
-            if not blob:
+            # the whole records left (a torn trailing one is not)
+            left = (os.fstat(fh.fileno()).st_size - fh.tell()) // RECORD_SIZE
+            if left <= 0:
                 break
-            if pending:
-                blob = pending + blob
-                pending = b""
-            remainder = len(blob) % RECORD_SIZE
-            if remainder:
-                pending = blob[len(blob) - remainder:]
-                blob = blob[: len(blob) - remainder]
-            if blob:
-                yield records_from_buffer(blob)
+            chunk = np.empty(min(n, left), dtype=RECORD_DTYPE)
+            whole = fh.readinto(chunk.view(np.uint8)) // RECORD_SIZE
+            if whole < len(chunk):      # the file shrank while we read
+                if whole:
+                    yield chunk[:whole]
+                break
+            yield chunk
 
 
 def write_spool_header(directory: Path, symtab: SymbolTable,

@@ -60,7 +60,7 @@ of the run are unaffected.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import logging
 
@@ -92,6 +92,27 @@ _log = logging.getLogger(__name__)
 
 # ----------------------------------------------------------------------
 # Online per-sensor statistics
+
+def _value_counts(arr: np.ndarray) -> tuple[list, list]:
+    """``np.unique(arr, return_counts=True)`` as lists, without its
+    per-call wrapper layers: the same sort, so equal values (``-0.0``
+    and ``0.0``) keep the same representative, and every NaN counts in
+    one bin, as ``np.unique`` counts them."""
+    s = np.sort(arr)
+    k = len(s)
+    edge = np.empty(k, dtype=bool)
+    edge[0] = True
+    np.not_equal(s[1:], s[:-1], out=edge[1:])
+    if s[-1] != s[-1]:                  # NaNs sort last
+        first_nan = s.searchsorted(s[-1])
+        edge[first_nan] = True
+        edge[first_nan + 1:] = False
+    at = edge.nonzero()[0]
+    counts = np.empty(len(at), dtype=np.int64)
+    counts[:-1] = at[1:] - at[:-1]
+    counts[-1] = k - at[-1]
+    return s[at].tolist(), counts.tolist()
+
 
 class OnlineStats:
     """Constant-memory accumulator of the Figure 2(a) statistic set.
@@ -150,14 +171,16 @@ class OnlineStats:
             return
         n0 = self.n
         self.n = n0 + k
-        lo = float(arr.min())
-        hi = float(arr.max())
+        # (the ufunc reductions behind arr.min()/max()/mean(), without
+        # their per-call wrappers)
+        lo = float(np.minimum.reduce(arr))
+        hi = float(np.maximum.reduce(arr))
         if lo < self.min:
             self.min = lo
         if hi > self.max:
             self.max = hi
         # Chan's parallel merge: two-pass block moments, then one fold.
-        b_mean = float(arr.mean())
+        b_mean = float(np.add.reduce(arr)) / k
         d = arr - b_mean
         b_m2 = float(np.dot(d, d))
         if n0 == 0:
@@ -169,8 +192,7 @@ class OnlineStats:
             self._mean += delta * (k / tot)
             self._m2 += b_m2 + delta * delta * (n0 * k / tot)
         bins = self._bins
-        uq, cnt = np.unique(arr, return_counts=True)
-        for v, c in zip(uq.tolist(), cnt.tolist()):
+        for v, c in zip(*_value_counts(arr)):
             bins[v] = bins.get(v, 0) + c
 
     # -- derived statistics --------------------------------------------
@@ -377,24 +399,108 @@ _R_LATE = "late-records"
 _INITIAL_FIDS = 64
 
 
-def frame_depths(is_enter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matched-frame trick's depth arrays for one process's stream.
+def frame_depths(is_enter: np.ndarray, rank: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The matched-frame trick's depth arrays for every process at once.
 
-    ``depth_after[i]`` is the call depth after event *i*;
-    ``frame_depth[i]`` is the depth of the frame the event belongs to —
-    an ENTER's own depth, or for an EXIT the depth of the frame it
-    closes.  Within one process the *i*-th ENTER reaching depth *d*
-    always matches the *i*-th EXIT leaving depth *d* (a second depth-*d*
-    frame cannot open before the first closes), so ``frame_depth`` plus
-    one stable sort pairs every frame without a per-event loop.
+    The events are grouped by process — ``rank`` numbers the processes
+    0, 1, ... and does not decrease — each process's in stream order.
+    ``depth_after[i]`` is the call depth of event *i*'s process after
+    it (one segmented cumulative sum); ``frame_depth[i]`` is the depth
+    of the frame the event belongs to — an ENTER's own depth, or for an
+    EXIT the depth of the frame it closes.  Within one process the
+    *i*-th ENTER reaching depth *d* always matches the *i*-th EXIT
+    leaving depth *d* (a second depth-*d* frame cannot open before the
+    first closes), so inside a ``(rank, frame_depth)`` group ENTERs and
+    EXITs alternate, and one stable sort by that pair lines every frame
+    up with its mate without a per-process or per-event loop.
     """
-    depth_after = np.cumsum(np.where(is_enter, 1, -1))
+    step = np.where(is_enter, 1, -1)
+    run = step.cumsum()
+    head = np.ones(len(rank), dtype=bool)
+    head[1:] = rank[1:] != rank[:-1]
+    depth_after = run - (run - step)[head][rank]
     frame_depth = np.where(is_enter, depth_after, depth_after + 1)
     return depth_after, frame_depth
 
 
+def _narrow(key: np.ndarray, top: int) -> np.ndarray:
+    """*key* (values in ``0..top``) in the narrowest integer dtype that
+    holds *top*: numpy's stable sort is a radix sort on 8- and 16-bit
+    keys, several times faster than its merge sort on int64."""
+    for dtype, bits in ((np.int8, 7), (np.int16, 15), (np.int32, 31)):
+        if top < 1 << bits:
+            return key.astype(dtype)
+    return key
+
+
+class _Frames(NamedTuple):
+    """One chunk's frames, paired for every process at once.
+
+    The events are each process's carried open frames (as virtual
+    ENTERs) followed by its chunk ENTERs/EXITs in stream order, grouped
+    by process rank; every index below points into that order.
+    """
+
+    rank: np.ndarray      # process rank (ascending pid)
+    pid: np.ndarray
+    fid: np.ndarray
+    t: np.ndarray         # event time; a carried frame's is its process's
+    #                       latest event, where its top segment starts
+    t_enter: np.ndarray   # event time; a carried frame's is its ENTER's
+    pos: np.ndarray       # position in the chunk, -1 for a carried frame
+    cid: Optional[np.ndarray]  # carried context ids, -1 elsewhere (tree)
+    top: np.ndarray       # the ENTER on top after each event, -1 = none
+    enters: np.ndarray    # the chunk's ENTERs
+    parent: np.ndarray    # each chunk ENTER's caller ENTER, -1 = root
+    seg: np.ndarray       # exclusive segments: the event opening each,
+    seg_dt: np.ndarray    # its length and its closing chunk position,
+    seg_pos: np.ndarray   # in chunk (stream) order
+    last: np.ndarray      # each process's last event
+    open: np.ndarray      # every process's open frames, bottom to top
+    n_proc: int
+
+
+class _Carry(NamedTuple):
+    """Every process's open frames between chunks, grouped by pid in
+    ascending order, each process's bottom to top."""
+
+    pid: np.ndarray
+    fid: np.ndarray
+    t_enter: np.ndarray   # when the frame was entered
+    since: np.ndarray     # its process's latest function-record time
+    cid: Optional[np.ndarray]  # context ids, with a tree
+
+
+def _group_tails(key: np.ndarray) -> np.ndarray:
+    """The last index of each run of equal values in *key*."""
+    tail = np.ones(len(key), dtype=bool)
+    tail[:-1] = key[1:] != key[:-1]
+    return tail.nonzero()[0]
+
+
+def _hit_groups(keys: np.ndarray, samp: np.ndarray, s_sidx: np.ndarray,
+                n_sensors: int):
+    """Distinct ``(key, sample)`` hits grouped by (key, sensor).
+
+    Returns the hits' samples, sorted, and ``(key, sensor, lo, hi)``
+    per group in ascending order: the group's samples are
+    ``samples[lo:hi]``, in stream order.
+    """
+    n_s = len(s_sidx)
+    code = np.unique((keys * n_sensors + s_sidx[samp]) * n_s + samp)
+    group, samp = np.divmod(code, n_s)
+    if not len(code):
+        return samp, ()
+    cut = np.flatnonzero(group[1:] != group[:-1]) + 1
+    lo = np.concatenate(([0], cut))
+    hi = np.concatenate((cut, [len(code)]))
+    key, sidx = np.divmod(group[lo], n_sensors)
+    return samp, zip(key.tolist(), sidx.tolist(), lo.tolist(), hi.tolist())
+
+
 def _monotone(a: np.ndarray) -> bool:
-    return len(a) < 2 or bool(np.all(a[1:] >= a[:-1]))
+    return len(a) < 2 or bool((a[1:] >= a[:-1]).all())
 
 
 def process_clock(key: np.ndarray, pids: np.ndarray,
@@ -452,15 +558,17 @@ class ProfileAccumulator:
       lenient repairs (strict mode raises there instead); it never
       writes to the caller's array;
     * the **segment reduction** (:meth:`_reduce`) — ENTER/EXIT frames
-      are matched per process with the matched-frame trick
-      (:func:`frame_depths`, over the carry-over stack threaded in as a
-      virtual ENTER prefix), exclusive time reduces with one
-      ``np.add.at`` over time-ordered top-of-stack segments, inclusive
-      time reduces per function from a segmented cumulative sum of
-      activation counts (union spans merge when their endpoints
+      of every process pair at once with the matched-frame trick
+      (:meth:`_pair_frames`, :func:`frame_depths`: one sort groups the
+      carried frames, as virtual ENTERs, and the chunk's frames by
+      process, one more by frame depth), exclusive time reduces with
+      one ``np.add.at`` over time-ordered top-of-stack segments,
+      inclusive time reduces per function from a segmented cumulative
+      sum of activation counts (union spans merge when their endpoints
       touch), and samples are attributed by closed-interval span
       containment and pushed per (function, sensor) group with one
-      :meth:`OnlineStats.push_many` each.
+      :meth:`OnlineStats.push_many` each.  The number of numpy calls
+      per chunk does not grow with its processes, depths or functions.
     """
 
     def __init__(
@@ -493,7 +601,9 @@ class ProfileAccumulator:
         self._finalized = False
         # -- function registry: aggregates are keyed by dense integer
         #    fids so the hot path can reduce into flat arrays
-        self._addr_fid: dict[int, int] = {}
+        # every address seen, sorted, and its fid (one lookup per chunk)
+        self._addr_keys = np.empty(0, dtype=np.int64)
+        self._addr_fids = np.empty(0, dtype=np.int64)
         self._fid_by_name: dict[str, int] = {}
         self._fnames: list[str] = []
         cap = _INITIAL_FIDS
@@ -510,14 +620,17 @@ class ProfileAccumulator:
         self._pend_start = np.zeros(cap)
         self._pend_end = np.zeros(cap)
         self._pend_mask = np.zeros(cap, dtype=bool)
-        # -- per-process state carried from chunk to chunk: open frames
-        #    and the clock (latest function-record time)
-        self._stacks: dict[int, list[tuple[int, float]]] = {}
+        # -- per-process state carried from chunk to chunk: the clock
+        #    (latest function-record time) and, while its stack is not
+        #    empty, the top frame's function and the time its top
+        #    segment started
         self._last_time: dict[int, float] = {}
         self._now = -math.inf                # latest time seen in any record
         self._top_since: dict[int, tuple[int, float]] = {}
-        # -- remaining sparse per-function aggregates
-        self._arcs: dict[tuple[int, int], int] = {}   # (-1 = "<root>")
+        # -- caller arcs, sparse: sorted ``(caller + 1) << 32 | callee``
+        #    codes (caller -1 = "<root>") and their call counts
+        self._arc_codes = np.empty(0, dtype=np.int64)
+        self._arc_calls = np.empty(0, dtype=np.int64)
         self._span_lo = math.inf
         self._span_hi = -math.inf
         # -- per-(function, sensor) online statistics
@@ -539,9 +652,12 @@ class ProfileAccumulator:
                 self.sensor_names,
                 budget=None if hcct_budget == 0 else int(hcct_budget),
             )
-        #: per-process context-id stacks, mirroring ``_stacks`` frame for
-        #: frame (the path of the open frames in the tree)
-        self._ctx_stacks: dict[int, list[int]] = {}
+        #: every process's open frames (with their context ids when
+        #: there is a tree)
+        self._carry = _Carry(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty(0), np.empty(0),
+            None if self._tree is None else np.empty(0, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Function registry
@@ -559,19 +675,32 @@ class ProfileAccumulator:
             new[: len(old)] = old
             setattr(self, attr, new)
 
-    def _fid_for_addr(self, addr: int) -> int:
-        fid = self._addr_fid.get(addr)
-        if fid is None:
-            name = self.symtab.name_of(addr)
-            fid = self._fid_by_name.get(name)
-            if fid is None:
-                fid = len(self._fnames)
-                self._fnames.append(name)
-                self._fid_by_name[name] = fid
-                if fid >= len(self._excl):
-                    self._grow(fid + 1)
-            self._addr_fid[addr] = fid
-        return fid
+    def _fids_of(self, addrs: np.ndarray) -> np.ndarray:
+        """The fids of function-record addresses: one ``searchsorted``
+        in the sorted address table.  Addresses not seen before
+        register first, in ascending order; aliases of one name share
+        its fid."""
+        keys = self._addr_keys
+        at = keys.searchsorted(addrs)
+        if not len(keys) or (keys.take(at, mode="clip") != addrs).any():
+            new = np.setdiff1d(addrs, keys)
+            fids = []
+            for addr in new.tolist():
+                name = self.symtab.name_of(addr)
+                fid = self._fid_by_name.get(name)
+                if fid is None:
+                    fid = len(self._fnames)
+                    self._fnames.append(name)
+                    self._fid_by_name[name] = fid
+                    if fid >= len(self._excl):
+                        self._grow(fid + 1)
+                fids.append(fid)
+            keys = np.concatenate((keys, new))
+            order = keys.argsort(kind="stable")
+            self._addr_keys = keys = keys[order]
+            self._addr_fids = np.concatenate((self._addr_fids, fids))[order]
+            at = keys.searchsorted(addrs)
+        return self._addr_fids[at]
 
     # ------------------------------------------------------------------
     # Ingest
@@ -621,9 +750,7 @@ class ProfileAccumulator:
             # some stack are pinned (their slots are live credit
             # targets), so eviction decisions depend only on where the
             # chunk boundaries fall.
-            self._tree.end_chunk(pinned={
-                cid for st in self._ctx_stacks.values() for cid in st
-            })
+            self._tree.end_chunk(pinned=set(self._carry.cid.tolist()))
 
     def _times_of(self, tsc: np.ndarray) -> np.ndarray:
         """Vectorized TSC→seconds, matching ``seconds_fn`` per record exactly."""
@@ -655,30 +782,30 @@ class ProfileAccumulator:
         are stable-sorted by time.
         """
         kinds = arr["kind"]
-        keep = (kinds == REC_ENTER) | (kinds == REC_EXIT) | (kinds == REC_TEMP)
-        if not keep.any():
+        # the profile's record kinds are ENTER, EXIT and TEMP: 1, 2, 3
+        keep = (kinds >= REC_ENTER) & (kinds <= REC_TEMP)
+        n_keep = np.count_nonzero(keep)
+        if not n_keep:
             return None, []
-        if not keep.all():
+        if n_keep < len(arr):
             # np.take: fancy indexing is far slower on the packed dtype.
-            arr = np.take(arr, np.flatnonzero(keep))
+            arr = np.take(arr, keep.nonzero()[0])
         kind, addr, pid, value = (
             arr["kind"], arr["addr"], arr["pid"], arr["value"])
         is_f = kind != REC_TEMP
-        n_sensors = len(self.sensor_names)
-        sidx = addr[~is_f]
-        bad = sidx[(sidx < 0) | (sidx >= n_sensors)]
-        if len(bad):
-            raise TraceError(
-                f"{self.node_name}: TEMP record for sensor index "
-                f"{int(bad[0])} but only {n_sensors} sensors declared"
-            )
+        f_addr = addr[is_f]
         code = addr.astype(np.int64)
-        if is_f.any():
-            uniq, inverse = np.unique(addr[is_f], return_inverse=True)
-            code[is_f] = np.fromiter(
-                (self._fid_for_addr(int(a)) for a in uniq),
-                dtype=np.int64, count=len(uniq),
-            )[inverse]
+        if len(f_addr) < n_keep:
+            n_sensors = len(self.sensor_names)
+            sidx = addr[~is_f]
+            if sidx.min() < 0 or sidx.max() >= n_sensors:
+                bad = sidx[(sidx < 0) | (sidx >= n_sensors)]
+                raise TraceError(
+                    f"{self.node_name}: TEMP record for sensor index "
+                    f"{int(bad[0])} but only {n_sensors} sensors declared"
+                )
+        if len(f_addr):
+            code[is_f] = self._fids_of(f_addr)
         t = self._times_of(arr["tsc"])
         repairs: list[str] = []
         if _monotone(t) and float(t[0]) >= self._now:
@@ -731,7 +858,8 @@ class ProfileAccumulator:
             clocks[p] = ti
             stack = stacks.get(p)
             if stack is None:
-                stack = stacks[p] = [f for f, _ in self._stacks.get(p, ())]
+                stack = stacks[p] = self._carry.fid[
+                    self._carry.pid == p].tolist()
             if k == REC_ENTER:
                 stack.append(fid)
             elif stack and stack[-1] == fid:
@@ -780,185 +908,39 @@ class ProfileAccumulator:
                 ) -> Optional[str]:
         """Fold one time-ordered chunk without a per-record loop.
 
+        The number of numpy calls is the same for every chunk, however
+        many processes, call depths or functions it holds: frames pair
+        for every process at once (:meth:`_pair_frames`), exclusive
+        time reduces with one ``np.add.at`` over stream-ordered
+        top-of-stack segments, caller arcs merge into one sorted code
+        table, and the union (:meth:`_commit_union`) and the sample
+        attribution (:meth:`_attribute_chunk`) are segment operations
+        keyed by function id.
+
         Returns ``None`` once folded, or the :data:`REPAIR_REASONS` key
-        of the first process whose frames fail the matched-frame check;
+        of the lowest pid whose frames fail the matched-frame check;
         then nothing has been committed, and the chunk goes to
         :meth:`_repair`.  ``late`` says the chunk holds records below
         what earlier chunks reached (see :meth:`_commit_union`).
         """
         f_mask = kind != REC_TEMP
-        s_mask = ~f_mask
-        s_sidx = code[s_mask]
-        s_t = times[s_mask]
-        s_val = value[s_mask].astype(np.float64)
-
-        f_fid = f_t = f_enter = None
-        have_funcs = bool(f_mask.any())
-        per_pid: list[tuple] = []
-        seg_fids: list[np.ndarray] = []
-        seg_dts: list[np.ndarray] = []
-        seg_pos: list[np.ndarray] = []
-        arc_code_parts: list[np.ndarray] = []
-        tree = self._tree
-        # (pid, src) per exclusive-segment part: ``src`` holds the ext
-        # indices of each segment's top ENTER, or None for the carried
-        # top-of-stack segment — resolved to context ids at commit time.
-        seg_ctx_parts: list[tuple[int, Optional[np.ndarray]]] = []
-        f_gpos_all = np.nonzero(f_mask)[0] if tree is not None else None
-        if have_funcs:
-            f_fid = code[f_mask]
-            f_pid = pids[f_mask].astype(np.int64)
-            f_enter = kind[f_mask] == REC_ENTER
-            f_t = times[f_mask]
-            n_names = len(self._fnames)
-
-            # ---- per-process frame matching (pure: nothing committed
-            #      until every pid validates) ----
-            for pid in np.unique(f_pid).tolist():
-                sel = f_pid == pid
-                gpos = np.nonzero(sel)[0]
-                is_en = f_enter[sel]
-                ni = f_fid[sel]
-                t = f_t[sel]
-                carry = self._stacks.get(pid) or []
-                base = len(carry)
-                if base:
-                    # Thread the carry-over stack in as a virtual ENTER
-                    # prefix: the matched-frame pairing, parent lookups
-                    # and survivor extraction then treat carried frames
-                    # and chunk frames uniformly.
-                    ext_en = np.concatenate(
-                        (np.ones(base, dtype=bool), is_en))
-                    ext_ni = np.concatenate((
-                        np.fromiter((f for f, _ in carry), dtype=np.int64,
-                                    count=base),
-                        ni,
-                    ))
-                else:
-                    ext_en = is_en
-                    ext_ni = ni
-                depth_after, frame_depth = frame_depths(ext_en)
-                if int(depth_after.min()) < 0:
-                    return _R_UNBALANCED
-                enters = np.nonzero(ext_en)[0]
-                exits = np.nonzero(~ext_en)[0]
-                ed = frame_depth[enters]
-                xd = frame_depth[exits]
-                eo = np.argsort(ed, kind="stable")
-                xo = np.argsort(xd, kind="stable")
-                pe = enters[eo]
-                px = exits[xo]
-                eds = ed[eo]
-                xds = xd[xo]
-                if len(px):
-                    e_lo = np.searchsorted(eds, xds, side="left")
-                    e_hi = np.searchsorted(eds, xds, side="right")
-                    ranks = (np.arange(len(xds))
-                             - np.searchsorted(xds, xds, side="left"))
-                    mate = e_lo + ranks
-                    if np.any(mate >= e_hi):
-                        return _R_UNBALANCED
-                    if not np.array_equal(ext_ni[pe[mate]], ext_ni[px]):
-                        return _R_MISMATCH
-                # Surviving frames: per depth, enters beyond the exit
-                # count stay open (at most one per depth, in depth order
-                # — i.e. bottom-to-top stack order).
-                if len(pe):
-                    e_rank = (np.arange(len(eds))
-                              - np.searchsorted(eds, eds, side="left"))
-                    n_x = (np.searchsorted(xds, eds, side="right")
-                           - np.searchsorted(xds, eds, side="left"))
-                    open_pos = pe[e_rank >= n_x]
-                else:
-                    open_pos = pe
-                new_stack = [
-                    carry[p] if p < base
-                    else (int(ext_ni[p]), float(t[p - base]))
-                    for p in open_pos.tolist()
-                ]
-
-                # Top-of-stack after each event, as the ext index of the
-                # ENTER whose frame is on top (-1 = stack empty): an
-                # ENTER is its own top; an EXIT leaves the most recent
-                # still-open frame one level up on top.  The fid view
-                # derives from it; the tree commit reuses the indices to
-                # map segments and samples onto context ids.
-                m_ext = len(ext_en)
-                top_src = np.full(m_ext, -1, dtype=np.int64)
-                top_src[enters] = enters
-                exit_da = depth_after[exits]
-                live = exit_da > 0
-                if live.any():
-                    lx = exits[live]
-                    ld = exit_da[live]
-                    for d in np.unique(ld).tolist():
-                        q = lx[ld == d]
-                        open_enters = enters[ed == d]
-                        parent = open_enters[
-                            np.searchsorted(open_enters, q) - 1]
-                        top_src[q] = parent
-                top = np.where(top_src >= 0,
-                               ext_ni[np.maximum(top_src, 0)],
-                               np.int64(-1))
-
-                # Caller arcs for chunk enters ("<root>" coded -1); the
-                # parent ENTER's ext index doubles as the context-tree
-                # interning order.
-                ce_mask = enters >= base
-                ce = enters[ce_mask]
-                parent_ext = np.empty(0, dtype=np.int64)
-                if len(ce):
-                    ced = ed[ce_mask]
-                    caller = np.full(len(ce), -1, dtype=np.int64)
-                    parent_ext = np.full(len(ce), -1, dtype=np.int64)
-                    deep = ced > 1
-                    if deep.any():
-                        for d in np.unique(ced[deep]).tolist():
-                            at_d = ced == d
-                            q = ce[at_d]
-                            open_enters = enters[ed == d - 1]
-                            parent = open_enters[
-                                np.searchsorted(open_enters, q) - 1]
-                            caller[at_d] = ext_ni[parent]
-                            parent_ext[at_d] = parent
-                    arc_code_parts.append(
-                        (caller + 1) * np.int64(n_names) + ext_ni[ce])
-
-                # Exclusive-time segments between consecutive chunk
-                # events while the stack is non-empty; the carried
-                # top-of-stack segment closes at the first chunk event.
-                if len(t) > 1:
-                    da = depth_after[base:][:-1]
-                    dt = t[1:] - t[:-1]
-                    tops = top[base:][:-1]
-                    valid = (da > 0) & (dt > 0)
-                    if valid.any():
-                        seg_fids.append(tops[valid])
-                        seg_dts.append(dt[valid])
-                        seg_pos.append(gpos[1:][valid])
-                        if tree is not None:
-                            seg_ctx_parts.append(
-                                (pid, top_src[base:][:-1][valid]))
-                carry_top = self._top_since.get(pid)
-                if carry_top is not None:
-                    tfid, since = carry_top
-                    t0 = float(t[0])
-                    if t0 > since:
-                        seg_fids.append(np.array([tfid], dtype=np.int64))
-                        seg_dts.append(np.array([t0 - since]))
-                        seg_pos.append(gpos[:1])
-                        if tree is not None:
-                            seg_ctx_parts.append((pid, None))
-                treeinfo = None
-                if tree is not None:
-                    treeinfo = (base, open_pos, ce, parent_ext, top_src,
-                                f_gpos_all[sel], ext_ni)
-                per_pid.append((pid, new_stack, float(t[-1]), treeinfo))
+        f_at = f_mask.nonzero()[0]
+        s_at = (~f_mask).nonzero()[0]
+        s_sidx = code[s_at]
+        s_t = times[s_at]
+        s_val = value[s_at]
+        f_fid = code[f_at]
+        f_enter = kind[f_at] == REC_ENTER
+        f_t = times[f_at]
+        fr = self._pair_frames(f_fid, pids[f_at], f_enter, f_t, f_at)
+        if isinstance(fr, str):
+            return fr
 
         # ---- the chunk is well-formed: commit ----
-        spans_for: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        first_opens: dict[int, float] = {}
-        if have_funcs:
+        spans = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+        opened = spans[:2]
+        if len(f_at):
+            n_names = len(self._fnames)
             enters_fid = f_fid[f_enter]
             if len(enters_fid):
                 self._calls_arr[:n_names] += np.bincount(
@@ -966,124 +948,225 @@ class ProfileAccumulator:
                 lo = float(f_t[f_enter][0])     # time order: first is min
                 if lo < self._span_lo:
                     self._span_lo = lo
+                # Caller arcs count into the sorted code table; arcs not
+                # seen before merge in first.
+                caller = np.where(fr.parent >= 0, fr.fid[fr.parent], -1)
+                arcs = ((caller + 1) << 32) | fr.fid[fr.enters]
+                known = self._arc_codes
+                at = known.searchsorted(arcs)
+                if not len(known) or (
+                        known.take(at, mode="clip") != arcs).any():
+                    new = np.setdiff1d(arcs, known)
+                    at = known.searchsorted(new)
+                    self._arc_codes = known = np.insert(known, at, new)
+                    self._arc_calls = np.insert(self._arc_calls, at, 0)
+                    at = known.searchsorted(arcs)
+                self._arc_calls += np.bincount(at, minlength=len(known))
             exit_t = f_t[~f_enter]
             if len(exit_t):
                 hi = float(exit_t[-1])
                 if hi > self._span_hi:
                     self._span_hi = hi
-            if arc_code_parts:
-                arcs = self._arcs
-                codes = (arc_code_parts[0] if len(arc_code_parts) == 1
-                         else np.concatenate(arc_code_parts))
-                for code, cnt in zip(*np.unique(codes, return_counts=True)):
-                    code = int(code)
-                    key = (code // n_names - 1, code % n_names)
-                    arcs[key] = arcs.get(key, 0) + int(cnt)
-            for pid, new_stack, t_last, _ti in per_pid:
-                self._stacks[pid] = new_stack
+            # The open frames carry to the next chunk; a process's top
+            # segment starts at its latest event.
+            o = fr.open
+            self._carry = _Carry(fr.pid[o], fr.fid[o], fr.t_enter[o],
+                                 fr.t[fr.last[fr.rank[o]]], None)
+            # The post-chunk clocks and tops of the chunk's processes.
+            top = np.full(fr.n_proc, -1, dtype=np.int64)
+            tops = _group_tails(fr.rank[o])
+            top[fr.rank[o[tops]]] = fr.fid[o[tops]]
+            busy = fr.last[fr.pos[fr.last] >= 0]
+            for pid, t_last, f in zip(fr.pid[busy].tolist(),
+                                      fr.t[busy].tolist(),
+                                      top[fr.rank[busy]].tolist()):
                 self._last_time[pid] = t_last
-                if new_stack:
-                    self._top_since[pid] = (new_stack[-1][0], t_last)
+                if f >= 0:
+                    self._top_since[pid] = (f, t_last)
                 else:
                     self._top_since.pop(pid, None)
-            if seg_fids:
-                sf = np.concatenate(seg_fids)
-                sd = np.concatenate(seg_dts)
-                sp = np.concatenate(seg_pos)
-                # np.add.at applies adds sequentially in index order, so
-                # sorting segments by their closing event's position
-                # sums each function's segments in time order, whatever
-                # the chunking.
-                order = np.argsort(sp, kind="stable")
-                np.add.at(self._excl, sf[order], sd[order])
+            # np.add.at applies adds sequentially in index order, and the
+            # segments are in stream order, so each function's segments
+            # sum in time order, whatever the chunking.
+            np.add.at(self._excl, fr.fid[fr.top[fr.seg]], fr.seg_dt)
+            spans, opened = self._commit_union(f_fid, f_enter, f_t,
+                                               late=late)
 
-            self._commit_union(f_fid, f_enter, f_t, spans_for, first_opens,
-                               late=late)
-
-        if tree is not None:
-            self._commit_tree(per_pid, seg_ctx_parts, seg_dts, seg_pos,
-                              s_t, s_sidx, s_val, np.nonzero(s_mask)[0])
+        if self._tree is not None and fr is not None:
+            self._commit_tree(fr, s_sidx, s_val, s_at, len(kind))
 
         # Retroactive attribution of carried samples to union spans that
         # (re)open at exactly the carried sample timestamp.
         rt0, rsamples = self._recent
-        if rsamples and first_opens:
-            for fid, t_open in first_opens.items():
-                if t_open == rt0:
-                    for seq, sidx, value in rsamples:
-                        self._attribute(fid, sidx, value, seq)
+        if rsamples:
+            o_fid, o_t = opened
+            for fid in o_fid[o_t == rt0].tolist():
+                for seq, sidx, val in rsamples:
+                    self._attribute(fid, sidx, val, seq)
 
         n_s = len(s_t)
         if n_s:
             base_seq = self._seq
             self._seq = base_seq + n_s
-            for sidx in np.unique(s_sidx).tolist():
+            per_sensor = np.bincount(s_sidx)
+            for sidx in per_sensor.nonzero()[0].tolist():
                 self._summary[sidx].push_many(s_val[s_sidx == sidx])
-            self._attribute_chunk(spans_for, s_t, s_sidx, s_val, base_seq)
+            self._attribute_chunk(spans, s_t, s_sidx, s_val, base_seq)
             t_last = float(s_t[-1])
-            tie = np.nonzero(s_t == t_last)[0]
+            tie = int(s_t.searchsorted(t_last))
             self._recent = (t_last, [
-                (base_seq + 1 + int(i), int(s_sidx[i]), float(s_val[i]))
-                for i in tie.tolist()
+                (base_seq + 1 + i, sidx, val) for i, sidx, val in zip(
+                    range(tie, n_s), s_sidx[tie:].tolist(),
+                    s_val[tie:].tolist())
             ])
         return None
 
-    def _commit_tree(self, per_pid, seg_ctx_parts, seg_dts, seg_pos,
-                     s_t, s_sidx, s_val, s_gpos) -> None:
+    def _pair_frames(self, fid, pid, enter, t, pos):
+        """Pair the chunk's frames for every process at once.
+
+        Each process's carried stack goes ahead of its chunk events as
+        virtual ENTERs.  One stable sort groups the events by process
+        rank, one segmented cumulative sum gives their depths
+        (:func:`frame_depths`), and one stable sort by (rank, frame
+        depth) pairs every frame: inside such a group ENTER and EXIT
+        alternate, so an EXIT's mate is its predecessor, and a group
+        that ends in an ENTER is an open frame.  The top of stack after
+        an EXIT and the caller of a chunk ENTER are each one
+        ``searchsorted`` on a (rank, depth, position) key over every
+        ENTER.  Sort keys take the narrowest integer dtype that holds
+        them (:func:`_narrow`).
+
+        Returns ``None`` when there is nothing to pair; the
+        :data:`REPAIR_REASONS` key of the lowest pid whose frames fail
+        (``unbalanced-frames`` before ``frame-mismatch`` for one pid);
+        or the paired :class:`_Frames`.  Nothing is committed.
+        """
+        carry = self._carry
+        n_v = len(carry.pid)
+        if not n_v and not len(fid):
+            return None
+        pid = pid.astype(np.int64)
+        t_enter = t
+        if n_v:
+            pid = np.concatenate((carry.pid, pid))
+            fid = np.concatenate((carry.fid, fid))
+            enter = np.concatenate((np.ones(n_v, dtype=bool), enter))
+            t_enter = np.concatenate((carry.t_enter, t))
+            t = np.concatenate((carry.since, t))
+            pos = np.concatenate((np.full(n_v, -1), pos))
+        cid = None
+        if carry.cid is not None:
+            cid = np.full(len(pid), -1, dtype=np.int64)
+            cid[:n_v] = carry.cid
+
+        # Group by process: each keeps its carried frames first, then
+        # its chunk events in stream order.
+        lo = int(pid.min())
+        order = np.argsort(_narrow(pid - lo, int(pid.max()) - lo),
+                           kind="stable")
+        pid, fid, enter, t, t_enter, pos = (
+            a[order] for a in (pid, fid, enter, t, t_enter, pos))
+        if cid is not None:
+            cid = cid[order]
+        n = len(pid)
+        head = np.ones(n, dtype=bool)
+        head[1:] = pid[1:] != pid[:-1]
+        rank = head.cumsum() - 1
+        n_proc = int(rank[-1]) + 1
+        depth_after, depth = frame_depths(enter, rank)
+
+        # Pair: one stable sort by (rank, frame depth).
+        d_lo = int(depth.min())
+        d_span = int(depth.max()) - d_lo + 1
+        frame_key = rank * d_span + (depth - d_lo)
+        by_depth = np.argsort(_narrow(frame_key, n_proc * d_span - 1),
+                              kind="stable")
+        key = frame_key[by_depth]
+        en_d = enter[by_depth]
+        x_d = (~en_d).nonzero()[0]
+        exits = by_depth[x_d]
+        mates = by_depth[x_d - 1]
+        unbalanced = rank[depth_after < 0]
+        mismatched = rank[exits[fid[mates] != fid[exits]]]
+        if len(unbalanced) or len(mismatched):
+            # The lowest failing pid decides, as a per-process walk in
+            # pid order would; a negative depth breaks the alternation,
+            # so that process's pairing says nothing.
+            first_u = int(unbalanced.min()) if len(unbalanced) else n_proc
+            first_m = int(mismatched.min()) if len(mismatched) else n_proc
+            return _R_UNBALANCED if first_u <= first_m else _R_MISMATCH
+        last = np.ones(n, dtype=bool)
+        last[:-1] = key[1:] != key[:-1]
+        open_ = by_depth[last & en_d]
+        e_d = en_d.nonzero()[0]
+        ent = by_depth[e_d]
+
+        # Top of stack after each event, as the index of the ENTER whose
+        # frame is on top (-1 = stack empty): an ENTER is its own top;
+        # an EXIT leaves the latest ENTER one level up on top.  A chunk
+        # ENTER's caller is the latest ENTER one level up, too.
+        # (one level up is the frame key minus one)
+        top = np.full(n, -1, dtype=np.int64)
+        top[ent] = ent
+        live = exits[depth_after[exits] > 0]
+        enters = (enter & (pos >= 0)).nonzero()[0]
+        nested = depth[enters] > 1
+        ask = np.concatenate((live, enters[nested]))
+        found = ent[(key[e_d] * n + ent).searchsorted(
+            (frame_key[ask] - 1) * n + ask) - 1]
+        top[live] = found[:len(live)]
+        parent = np.full(len(enters), -1, dtype=np.int64)
+        parent[nested] = found[len(live):]
+
+        # Exclusive-time segments between consecutive events of one
+        # process while its stack is non-empty, closed by a chunk event;
+        # a carried frame's time is its process's latest event, so the
+        # carried top-of-stack segment closes at the first chunk event.
+        dt = t[1:] - t[:-1]
+        seg = (~head[1:] & (pos[1:] >= 0) & (depth_after[:-1] > 0)
+               & (dt > 0)).nonzero()[0]
+        seg_pos = pos[seg + 1]
+        in_time = np.argsort(seg_pos, kind="stable")
+        seg = seg[in_time]
+
+        tail = np.ones(n, dtype=bool)
+        tail[:-1] = head[1:]
+        return _Frames(rank, pid, fid, t, t_enter, pos, cid, top, enters,
+                       parent, seg, dt[seg], seg_pos[in_time],
+                       tail.nonzero()[0], open_, n_proc)
+
+    def _commit_tree(self, fr: _Frames, s_sidx, s_val, s_pos,
+                     n_pos: int) -> None:
         """Fold one validated chunk into the calling-context tree.
 
-        Context ids derive from the per-pid matched-frame machinery the
-        flat commit already ran: each chunk ENTER interns under its
-        parent ENTER's context (``parent_ext``), a depth level at a time
-        with one ``intern`` per distinct context, and the chunk's calls
-        count in one ``bincount``; carried frames keep the
-        context-stack prefix, exclusive segments map their top ENTER's
-        ext index (``top_src``) onto context ids and reduce with the
-        same time-ordered ``np.add.at`` as the flat profile — so the
-        tree's per-context times do not depend on the chunking.  Samples
-        attribute point-in-time: each lands once on
+        Context ids derive from the chunk-wide pairing the flat commit
+        already used (:meth:`_pair_frames`): each chunk ENTER interns
+        under its caller ENTER's context, a depth level at a time with
+        one ``intern`` per distinct context, and the chunk's calls count
+        in one ``bincount``; carried frames keep their context ids,
+        exclusive segments map their top ENTER onto context ids and
+        reduce with the same stream-ordered ``np.add.at`` as the flat
+        profile — so the tree's per-context times do not depend on the
+        chunking.  Samples attribute point-in-time: each lands once on
         every distinct context topping some process's stack at that
-        stream position, pushed per (context, sensor) in stream order.
+        stream position (one keyed ``searchsorted`` over every
+        process's events), pushed per (context, sensor) in stream order.
         """
         tree = self._tree
         fnames = self._fnames
-        ctx_stacks = self._ctx_stacks
-        # Pre-chunk tops: processes without events keep their context.
-        pids_in_chunk = {pid for pid, _ns, _tl, _ti in per_pid}
-        const_cids = sorted({st[-1] for pid, st in ctx_stacks.items()
-                             if st and pid not in pids_in_chunk})
-        # One context-id column over every pid's ext indices; each pid's
-        # ``ecid`` is a view into it, so scattering cids into the column
-        # fills the per-pid views too.
-        offs = np.cumsum([0] + [len(ti[4]) for _p, _ns, _tl, ti in per_pid])
-        ecid_all = np.full(int(offs[-1]), -1, dtype=np.int64)
-        ecid_by_pid: dict[int, np.ndarray] = {}
-        carry_by_pid: dict[int, list[int]] = {}
-        e_at, e_par, e_fid = [], [], []
-        for (pid, _ns, _tl, ti), off in zip(per_pid, offs.tolist()):
-            base, _open_pos, ce, parent_ext, top_src, _gg, ext_ni = ti
-            cstack = ctx_stacks.get(pid) or []
-            carry_by_pid[pid] = cstack
-            ecid = ecid_by_pid[pid] = ecid_all[off:off + len(top_src)]
-            if base:
-                ecid[:base] = cstack
-            e_at.append(ce + off)
-            e_par.append(np.where(parent_ext >= 0, parent_ext + off, -1))
-            e_fid.append(ext_ni[ce])
-        if e_at:
+        ecid = fr.cid
+        ce = fr.enters
+        if len(ce):
             # Intern in rounds, one per depth level: a round takes the
-            # ENTERs whose parent context is known (carried, the root,
-            # or interned by an earlier round — ``parent_ext`` always
-            # points earlier), and interns each distinct (parent, name)
-            # once.
-            e_at = np.concatenate(e_at)
-            e_par = np.concatenate(e_par)
-            e_fid = np.concatenate(e_fid)
+            # ENTERs whose caller's context is known (carried, the root,
+            # or interned by an earlier round — a caller always comes
+            # earlier), and interns each distinct (parent, name) once.
             n_names = len(fnames)
-            pending = np.arange(len(e_at))
+            e_fid = fr.fid[ce]
+            pending = np.arange(len(ce))
             while len(pending):
-                par = e_par[pending]
-                pcid = np.where(par >= 0, ecid_all[np.maximum(par, 0)], 0)
+                par = fr.parent[pending]
+                pcid = np.where(par >= 0, ecid[np.maximum(par, 0)], 0)
                 ready = pcid >= 0
                 now = pending[ready]
                 uniq, inv = np.unique(pcid[ready] * n_names + e_fid[now],
@@ -1093,305 +1176,202 @@ class ProfileAccumulator:
                         (uniq // n_names).tolist(),
                         (uniq % n_names).tolist())),
                     dtype=np.int64, count=len(uniq))
-                ecid_all[e_at[now]] = cids[inv]
+                ecid[ce[now]] = cids[inv]
                 pending = pending[~ready]
-            calls = np.bincount(ecid_all[e_at])
+            calls = np.bincount(ecid[ce])
             tree._calls[:len(calls)] += calls
-        if seg_ctx_parts:
-            parts = []
-            for pid, src in seg_ctx_parts:
-                if src is None:        # the carried top-of-stack segment
-                    parts.append(np.array([carry_by_pid[pid][-1]],
-                                          dtype=np.int64))
-                else:
-                    parts.append(ecid_by_pid[pid][src])
-            sc = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            sd = np.concatenate(seg_dts)
-            sp = np.concatenate(seg_pos)
-            order = np.argsort(sp, kind="stable")
-            tree.add_excl_at(sc[order], sd[order])
-        n_s = len(s_t)
+        if len(fr.seg):
+            tree.add_excl_at(ecid[fr.top[fr.seg]], fr.seg_dt)
+        n_s = len(s_pos)
         if n_s:
-            cap = np.int64(len(tree._names) + 1)
-            samp_idx = np.arange(n_s, dtype=np.int64)
-            code_parts = [samp_idx * cap + cid for cid in const_cids]
-            for pid, _ns, _tl, ti in per_pid:
-                base, _op, _ce, _pe, top_src, gpos_g, _ni = ti
-                ecid = ecid_by_pid[pid]
-                idx = np.searchsorted(gpos_g, s_gpos, side="left") - 1
-                cids = np.full(n_s, np.int64(-1))
-                has = idx >= 0
-                if has.any():
-                    src = top_src[base + idx[has]]
-                    cids[has] = np.where(src >= 0,
-                                         ecid[np.maximum(src, 0)],
-                                         np.int64(-1))
-                carry = carry_by_pid[pid]
-                if carry and not has.all():
-                    cids[~has] = carry[-1]
-                ok = cids >= 0
-                if ok.any():
-                    code_parts.append(samp_idx[ok] * cap + cids[ok])
-            if code_parts:
-                codes = np.unique(np.concatenate(code_parts)
-                                  if len(code_parts) > 1
-                                  else code_parts[0])
-                samp = codes // cap
-                cid_arr = codes % cap
-                for c in np.unique(cid_arr).tolist():
-                    sel_s = samp[cid_arr == c]
-                    for sidx in range(len(self.sensor_names)):
-                        m = s_sidx[sel_s] == sidx
-                        if m.any():
-                            tree.push_samples(int(c), sidx,
-                                              s_val[sel_s[m]])
-        # Commit the post-chunk context stacks (mirrors ``_stacks``).
-        for pid, _ns, _tl, ti in per_pid:
-            base, open_pos, _ce, _pe, _ts, _gg, _ni = ti
-            carry = carry_by_pid[pid]
-            ecid = ecid_by_pid[pid]
-            ctx_stacks[pid] = [
-                carry[p] if p < base else int(ecid[p])
-                for p in open_pos.tolist()
-            ]
+            # Each process's latest event before each sample: events
+            # keyed by (rank, chunk position), carried frames first.
+            width = n_pos + 1
+            procs = np.arange(fr.n_proc)
+            ev = np.searchsorted(
+                fr.rank * width + fr.pos + 1,
+                (procs[:, None] * width + s_pos + 1).ravel()) - 1
+            src = fr.top[ev]
+            hit = ((ev >= 0) & (fr.rank[ev] == np.repeat(procs, n_s))
+                   & (src >= 0))
+            samp, groups = _hit_groups(
+                ecid[src[hit]], np.tile(np.arange(n_s), fr.n_proc)[hit],
+                s_sidx, len(self.sensor_names))
+            for c, sidx, a, b in groups:
+                tree.push_samples(c, sidx, s_val[samp[a:b]])
+        # The carried frames keep their context ids.
+        self._carry = self._carry._replace(cid=ecid[fr.open])
 
-    def _commit_union(self, f_fid, f_enter, f_t, spans_for, first_opens,
-                      *, late: bool) -> None:
+    def _commit_union(self, f_fid, f_enter, f_t, *, late: bool):
         """Per-function inclusive-time union over one time-ordered chunk.
 
-        A segmented cumulative sum of ±1 activation deltas finds the
-        0→1 opens and 1→0 closes per function; each close pairs with its
-        same-rank open (rank shifted by one when the function carried an
-        open span into the chunk), and raw spans merge into runs when
-        they touch, like the one-span pending buffer carried between
-        chunks.  All fully-retired runs reduce with one ``np.add.at``
-        (per-slot order preserved, so sums do not depend on the
-        chunking); only each function's *last* run needs its own
-        disposition (kept pending, resumed into the open span, or
-        flushed).
+        The union state a function carries into the chunk goes ahead of
+        its events as virtual ones: its pending span as an open and a
+        close, its open span as one open that carries its activation
+        count.  One stable sort by function id and one segmented
+        cumulative sum of the activation deltas then find every 0→1
+        open and 1→0 close; each close's span starts at its function's
+        latest open, and spans merge into runs when they touch (a reopen
+        at the pending span's end resumes it, a later one retires it).
+        Every run but each function's last one retires, reduced with one
+        ``np.add.at`` (per-slot order preserved, so sums do not depend
+        on the chunking); the last run is kept pending when the function
+        ends the chunk inactive, or extended by its open span when the
+        trailing open touches it — masks over the chunk's functions.
 
         In a ``late`` chunk a function's union times are first raised
         to what its union already holds (pending end, or open start and
         max-close carry): a late record can extend a span forward but
         cannot reopen one already retired.  On every other chunk that
         raise changes nothing, so it is skipped.
+
+        Returns the chunk's attribution spans as a ``(fid, start, end)``
+        table — each function's runs, the carried pending span among
+        them (for boundary-tie samples), and its still-open span — and
+        its first opens, ``(fid, time)``.
         """
-        delta = np.where(f_enter, 1, -1).astype(np.int64)
-        order = np.argsort(f_fid, kind="stable")
-        g_f = f_fid[order]
-        g_d = delta[order]
-        g_t = f_t[order]
+        inf = math.inf
         if late:
             held = np.where(
                 self._pend_mask, self._pend_end,
                 np.where(self._active_arr > 0,
                          np.maximum(self._open_start_arr,
-                                    self._maxclose_arr), -math.inf))
-            g_t = np.maximum(g_t, held[g_f])
-        cs = np.cumsum(g_d)
-        first = np.concatenate(([True], g_f[1:] != g_f[:-1]))
-        grp_start = np.nonzero(first)[0]
-        grp_sizes = np.diff(np.append(grp_start, len(g_f)))
+                                    self._maxclose_arr), -inf))
+            f_t = np.maximum(f_t, held[f_fid])
+        present = np.zeros(len(self._active_arr), dtype=bool)
+        present[f_fid] = True
+        pend = (present & self._pend_mask).nonzero()[0]
+        held_open = (present & (self._active_arr > 0)).nonzero()[0]
+        n_v = 2 * len(pend) + len(held_open)
+        g_f = np.concatenate((pend, pend, held_open, f_fid))
+        order = np.argsort(_narrow(g_f, len(self._fnames) - 1),
+                           kind="stable")
+        g_f = g_f[order]
+        g_d = np.concatenate((
+            np.ones(len(pend), dtype=np.int64),
+            np.full(len(pend), -1), self._active_arr[held_open],
+            np.where(f_enter, 1, -1)))[order]
+        g_t = np.concatenate((
+            self._pend_start[pend], self._pend_end[pend],
+            self._open_start_arr[held_open], f_t))[order]
+        real = order >= n_v
+        n = len(g_f)
+        first = np.ones(n, dtype=bool)
+        first[1:] = g_f[1:] != g_f[:-1]
+        grp_start = first.nonzero()[0]
+        grp_last = np.concatenate((grp_start[1:], [n])) - 1
         grp_fids = g_f[grp_start]
-        carry0 = self._active_arr[grp_fids]
-        base_cs = cs[grp_start] - g_d[grp_start]
-        c = cs - np.repeat(base_cs, grp_sizes) + np.repeat(carry0, grp_sizes)
-        opens = (g_d == 1) & (c == 1)
-        closes = (g_d == -1) & (c == 0)
-        o_idx = np.nonzero(opens)[0]
-        c_idx = np.nonzero(closes)[0]
-        of = g_f[o_idx]
-        ot = g_t[o_idx]
+        # Each function's activation count after each of its events.
+        cs = g_d.cumsum()
+        c = cs - (cs - g_d)[grp_start][first.cumsum() - 1]
+        opens = (g_d > 0) & (c == g_d)
+        closes = (g_d < 0) & (c == 0)
+        count_end = c[grp_last]
+        live = count_end > 0
+        at = np.arange(n)
+        latest_open = np.maximum.accumulate(np.where(opens, at, -1))
+        last_open = latest_open[grp_last]
+        last_close = np.maximum.reduceat(np.where(closes, at, -1), grp_start)
+        has_run = last_close >= 0
+        first_open = np.minimum.reduceat(np.where(opens & real, at, n),
+                                         grp_start)
+        has_open = first_open < n
+        t_open = g_t[first_open[has_open]]
+        # Each close's span starts at its function's latest open; spans
+        # merge into runs when they touch (start == previous end).
+        c_idx = closes.nonzero()[0]
         cf = g_f[c_idx]
         ctm = g_t[c_idx]
-        n_close = len(cf)
-        if n_close:
-            # Span start per close: the same-rank open, or the carried
-            # open-span start for a function entering the chunk active.
-            b_close = (self._active_arr[cf] > 0).astype(np.int64)
-            c_rank = np.arange(n_close) - np.searchsorted(cf, cf,
-                                                          side="left")
-            s_rank = c_rank - b_close
-            span_start = np.empty(n_close)
-            carried = s_rank < 0
-            if carried.any():
-                span_start[carried] = self._open_start_arr[cf[carried]]
-            norm = np.nonzero(~carried)[0]
-            if len(norm):
-                o_grp = np.searchsorted(of, cf[norm], side="left")
-                span_start[norm] = ot[o_grp + s_rank[norm]]
-            # Merge touching raw spans into runs (start == previous end).
-            new_run = np.concatenate(([True], cf[1:] != cf[:-1]))
-            if n_close > 1:
-                new_run[1:] |= span_start[1:] > ctm[:-1]
-            r_idx = np.nonzero(new_run)[0]
-            run_fid = cf[r_idx]
-            run_start = span_start[r_idx]
-            run_end = ctm[np.append(r_idx[1:] - 1, n_close - 1)]
-            add_run = np.ones(len(r_idx), dtype=bool)
-        else:
-            run_fid = np.empty(0, dtype=np.int64)
-            run_start = np.empty(0)
-            run_end = np.empty(0)
-            add_run = np.empty(0, dtype=bool)
+        span_start = g_t[latest_open[c_idx]]
+        new_run = np.ones(len(cf), dtype=bool)
+        new_run[1:] = (cf[1:] != cf[:-1]) | (span_start[1:] > ctm[:-1])
+        run_last = np.ones(len(cf), dtype=bool)
+        run_last[:-1] = new_run[1:]
+        run_fid = cf[new_run]
+        run_start = span_start[new_run]
+        run_end = ctm[run_last]
+        # Each function's last run: kept pending when the function ends
+        # the chunk inactive; extended into the open span when the
+        # trailing open touches it.  (a trailing NaN: no run)
+        last_run = run_fid.searchsorted(grp_fids, side="right") - 1
+        last_start = np.concatenate((run_start, [np.nan]))[last_run]
+        last_end = g_t[last_close]
+        extend = live & has_run & (g_t[last_open] <= last_end)
+        self._open_start_arr[grp_fids[live]] = np.where(
+            extend, last_start, g_t[last_open])[live]
+        park = ~live & has_run
+        self._pend_mask[grp_fids] = park
+        parked = grp_fids[park]
+        self._pend_start[parked] = last_start[park]
+        self._pend_end[parked] = last_end[park]
+        add_run = np.ones(len(run_fid), dtype=bool)
+        add_run[last_run[extend | park]] = False
+        # Max-close carry, for a span left open past the chunk: the
+        # latest time it is known to reach (a nested close, or the end
+        # of the run it extends), so that a late or end-of-trace close
+        # cannot end it earlier.  A close after the last 0-reaching
+        # close belongs to the still-open span; otherwise the carry was
+        # reset at that retire.  A function without closes keeps its
+        # carry.  In time order every retiring close already ends its
+        # run at the in-chunk maximum.
+        last_x = np.maximum.reduceat(np.where(g_d < 0, at, -1), grp_start)
+        reach = np.where(last_x < 0, self._maxclose_arr[grp_fids],
+                         np.where(last_x > last_close, g_t[last_x], -inf))
+        reach = np.where(extend & (last_end > reach), last_end, reach)
+        self._maxclose_arr[grp_fids] = np.where(live, reach, -inf)
 
-        count_end = carry0 + np.add.reduceat(g_d, grp_start)
-        # All closes (not only the 0-reaching ones), for carrying the
-        # per-span max-close time: nested closes inside a span that stays
-        # open past the chunk can outlast a later lenient finalize close.
-        x_all = np.nonzero(g_d == -1)[0]
-        xf_all = g_f[x_all]
-        incl = self._incl
-        inf = math.inf
-        for k in range(len(grp_fids)):
-            fid = int(grp_fids[k])
-            cend = int(count_end[k])
-            r_lo = int(np.searchsorted(run_fid, fid, side="left"))
-            r_hi = int(np.searchsorted(run_fid, fid, side="right"))
-            nruns = r_hi - r_lo
-            o_lo = int(np.searchsorted(of, fid, side="left"))
-            o_hi = int(np.searchsorted(of, fid, side="right"))
-            pend0 = None
-            if self._pend_mask[fid]:
-                pend0 = (float(self._pend_start[fid]),
-                         float(self._pend_end[fid]))
-            if o_hi > o_lo:
-                t_open = float(ot[o_lo])
-                first_opens[fid] = t_open
-                if pend0 is not None:
-                    # The carried pending span resolves at the reopen:
-                    # touching resumes the merged span, a gap flushes it.
-                    self._pend_mask[fid] = False
-                    ps, pe_ = pend0
-                    if t_open <= pe_:
-                        if nruns:
-                            run_start[r_lo] = ps
-                    else:
-                        incl[fid] += pe_ - ps
-                        self._incl_touched[fid] = True
-            resumed = (pend0 is not None and o_hi > o_lo
-                       and float(ot[o_lo]) <= pend0[1])
-            open_final = None
-            floor = -inf        # how far a still-open span already reaches
-            if cend > 0:
-                if nruns:
-                    o_last = float(ot[o_hi - 1])
-                    last_end = float(run_end[r_hi - 1])
-                    if o_last <= last_end:
-                        # Trailing open touches the last run: the run is
-                        # not retired, it extends into the open span.
-                        add_run[r_hi - 1] = False
-                        open_final = float(run_start[r_hi - 1])
-                        floor = last_end
-                    else:
-                        open_final = o_last
-                elif o_hi > o_lo:
-                    # Opened in-chunk, never closed.
-                    if resumed:
-                        open_final, floor = pend0
-                    else:
-                        open_final = float(ot[o_lo])
-                else:
-                    # Carried in active and stayed active: unchanged.
-                    open_final = float(self._open_start_arr[fid])
-                self._open_start_arr[fid] = open_final
-            elif nruns:
-                # Closed at chunk end: the last run becomes the pending
-                # span (it may still merge with a future reopen).
-                add_run[r_hi - 1] = False
-                self._pend_start[fid] = run_start[r_hi - 1]
-                self._pend_end[fid] = run_end[r_hi - 1]
-                self._pend_mask[fid] = True
-            # Max-close carry, for a span left open past the chunk: the
-            # latest time it is known to reach (a nested close, or the
-            # end of the run it resumed), so that a late or end-of-trace
-            # close cannot end it earlier.  In time order every retiring
-            # close already ends its run at the in-chunk maximum.
-            if cend == 0:
-                self._maxclose_arr[fid] = -inf
-            else:
-                xa_lo = int(np.searchsorted(xf_all, fid, side="left"))
-                xa_hi = int(np.searchsorted(xf_all, fid, side="right"))
-                if xa_hi > xa_lo:
-                    c_lo_f = int(np.searchsorted(cf, fid, side="left"))
-                    c_hi_f = int(np.searchsorted(cf, fid, side="right"))
-                    last_close = int(x_all[xa_hi - 1])
-                    last_retire = (int(c_idx[c_hi_f - 1])
-                                   if c_hi_f > c_lo_f else -1)
-                    # A close after the last 0-reaching close belongs to
-                    # the still-open span; otherwise the carry was reset
-                    # at that retire.
-                    self._maxclose_arr[fid] = (
-                        float(g_t[last_close])
-                        if last_close > last_retire else -inf)
-                if floor > self._maxclose_arr[fid]:
-                    self._maxclose_arr[fid] = floor
-            # Attribution spans: carried pending (boundary-tie samples),
-            # this chunk's runs, and the still-open span.
-            n_spans = (1 if pend0 is not None else 0) + nruns \
-                + (1 if open_final is not None else 0)
-            starts = np.empty(n_spans)
-            ends = np.empty(n_spans)
-            w = 0
-            if pend0 is not None:
-                starts[0], ends[0] = pend0
-                w = 1
-            starts[w:w + nruns] = run_start[r_lo:r_hi]
-            ends[w:w + nruns] = run_end[r_lo:r_hi]
-            if open_final is not None:
-                starts[-1] = open_final
-                ends[-1] = inf
-            spans_for[fid] = (starts, ends)
-        self._active_arr[grp_fids] += count_end - carry0
-        keep = np.nonzero(add_run)[0]
-        if len(keep):
-            np.add.at(incl, run_fid[keep],
-                      run_end[keep] - run_start[keep])
-            self._incl_touched[run_fid[keep]] = True
+        self._active_arr[grp_fids] = count_end
+        retired = run_fid[add_run]
+        np.add.at(self._incl, retired, (run_end - run_start)[add_run])
+        self._incl_touched[retired] = True
+        spans = (
+            np.concatenate((run_fid, grp_fids[live])),
+            np.concatenate((run_start, self._open_start_arr[grp_fids[live]])),
+            np.concatenate((run_end, np.full(np.count_nonzero(live), inf))),
+        )
+        return spans, (grp_fids[has_open], t_open)
 
-    def _attribute_chunk(self, spans_for, s_t, s_sidx, s_val, base_seq
+    def _attribute_chunk(self, spans, s_t, s_sidx, s_val, base_seq
                          ) -> None:
         """Closed-interval containment attribution for one chunk's
-        samples, pushed per (function, sensor) group in stream order."""
-        n_s = len(s_t)
-        candidates = set(spans_for)
-        candidates.update(np.nonzero(self._active_arr)[0].tolist())
-        candidates.update(np.nonzero(self._pend_mask)[0].tolist())
-        n_sensors = len(self.sensor_names)
+        samples, pushed per (function, sensor) group in stream order.
+
+        *spans* is the chunk's ``(fid, start, end)`` table from
+        :meth:`_commit_union`; a function without events in the chunk
+        adds its whole-chunk span while active, or its pending span.
+        The samples are in time order, so each span's samples are one
+        ``searchsorted`` range of them; where a function's spans
+        overlap (one extends another), its hits deduplicate as they
+        group.
+        """
+        fid, start, end = spans
+        quiet = np.ones(len(self._active_arr), dtype=bool)
+        quiet[fid] = False
+        active = np.flatnonzero((self._active_arr > 0) & quiet)
+        pending = np.flatnonzero(self._pend_mask & quiet)
+        fid = np.concatenate((fid, active, pending))
+        start = np.concatenate((start, np.full(len(active), -math.inf),
+                                self._pend_start[pending]))
+        end = np.concatenate((end, np.full(len(active), math.inf),
+                              self._pend_end[pending]))
+        lo = np.searchsorted(s_t, start, side="left")
+        n_hit = np.searchsorted(s_t, end, side="right") - lo
+        total = int(n_hit.sum())
+        if not total:
+            return
+        samp = np.arange(total) + np.repeat(lo - (np.cumsum(n_hit) - n_hit),
+                                            n_hit)
+        samp, groups = _hit_groups(np.repeat(fid, n_hit), samp, s_sidx,
+                                   len(self.sensor_names))
         stats = self._stats
         attr_seq = self._attr_seq
-        for fid in candidates:
-            item = spans_for.get(fid)
-            if item is not None:
-                starts, ends = item
-            elif self._active_arr[fid] > 0:
-                # Active with no events this chunk: covers everything.
-                starts = np.array([-math.inf])
-                ends = np.array([math.inf])
-            elif self._pend_mask[fid]:
-                starts = self._pend_start[fid:fid + 1]
-                ends = self._pend_end[fid:fid + 1]
-            else:
-                continue
-            if not len(starts):
-                continue
-            idx = np.searchsorted(starts, s_t, side="right") - 1
-            ok = np.nonzero(idx >= 0)[0]
-            hit = np.zeros(n_s, dtype=bool)
-            hit[ok] = s_t[ok] <= ends[idx[ok]]
-            if not hit.any():
-                continue
-            for sidx in range(n_sensors):
-                m = hit & (s_sidx == sidx)
-                if not m.any():
-                    continue
-                key = (fid, sidx)
-                st = stats.get(key)
-                if st is None:
-                    st = stats[key] = OnlineStats()
-                st.push_many(s_val[m])
-                last = int(np.nonzero(m)[0][-1])
-                attr_seq[key] = base_seq + 1 + last
+        for f, sidx, a, b in groups:
+            key = (f, sidx)
+            st = stats.get(key)
+            if st is None:
+                st = stats[key] = OnlineStats()
+            st.push_many(s_val[samp[a:b]])
+            attr_seq[key] = base_seq + 1 + int(samp[b - 1])
 
     # ------------------------------------------------------------------
     # Profile construction
@@ -1400,10 +1380,16 @@ class ProfileAccumulator:
         """The frame executing now, as ``(function, entered at)``: of
         every process's top frame, the one entered last — ``None`` while
         every stack is empty."""
+        carry = self._carry
+        tops = _group_tails(carry.pid)
+        entered = dict(zip(carry.pid[tops].tolist(),
+                           zip(carry.fid[tops].tolist(),
+                               carry.t_enter[tops].tolist())))
         top = None
-        for stack in self._stacks.values():
-            if stack and (top is None or stack[-1][1] > top[1]):
-                top = stack[-1]
+        for pid in self._last_time:
+            frame = entered.get(pid)
+            if frame and (top is None or frame[1] > top[1]):
+                top = frame
         return None if top is None else (self._fnames[top[0]], top[1])
 
     def snapshot(self) -> NodeProfile:
@@ -1452,11 +1438,12 @@ class ProfileAccumulator:
             return None
         tree = self._tree.clone()
         now = self._now
+        carry = self._carry
+        tops = _group_tails(carry.pid)
+        top_cid = dict(zip(carry.pid[tops].tolist(), carry.cid[tops].tolist()))
         for pid, (_fid, since) in self._top_since.items():
             if now > since:
-                cstack = self._ctx_stacks.get(pid)
-                if cstack:
-                    tree.add_excl(cstack[-1], now - since)
+                tree.add_excl(top_cid[pid], now - since)
         tree.prune_to_budget()
         return tree
 
@@ -1482,15 +1469,19 @@ class ProfileAccumulator:
         """End of trace: every open frame closes at its process's clock,
         folded as one time-ordered chunk of EXITs (late where a process
         stopped before others did)."""
+        stacks: dict[int, list[int]] = {}
+        for pid, fid in zip(self._carry.pid.tolist(),
+                            self._carry.fid.tolist()):
+            stacks.setdefault(pid, []).append(fid)
         rows = [(fid, self._last_time[pid], pid)
-                for pid, stack in self._stacks.items()
-                for fid, _t0 in reversed(stack)]
+                for pid in self._last_time if pid in stacks
+                for fid in reversed(stacks[pid])]
         if rows and self.strict:
             pid = min((pid for _f, _t, pid in rows),
                       key=self._last_time.__getitem__)
             raise TraceError(
                 f"pid {pid}: trace ended with open frames "
-                f"{[self._fnames[f] for f, _ in self._stacks[pid]]}"
+                f"{[self._fnames[f] for f in stacks[pid]]}"
             )
         if rows:
             fid, t, pid = (np.array(col) for col in zip(*rows))
@@ -1583,8 +1574,10 @@ class ProfileAccumulator:
             exclusive_s={fnames[f]: float(v) for f, v in exclusive.items()},
             calls={fnames[f]: int(self._calls_arr[f]) for f in called},
             arcs={
-                (("<root>" if c < 0 else fnames[c]), fnames[f]): n
-                for (c, f), n in self._arcs.items()
+                (("<root>" if code >> 32 == 0 else fnames[(code >> 32) - 1]),
+                 fnames[code & 0xFFFFFFFF]): n
+                for code, n in zip(self._arc_codes.tolist(),
+                                   self._arc_calls.tolist())
             },
             span=span,
             stats=stats,
@@ -1742,7 +1735,7 @@ def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
     )
     for name, trace in bundle.nodes.items():
         acc = profiler.add_node(name, trace.tsc_hz, trace.sensor_names)
-        feed_node(acc, trace.columns.array, chunk_records)
+        feed_node(acc, in_time_order(trace.columns.array), chunk_records)
     return profiler.finalize()
 
 
@@ -1773,12 +1766,11 @@ def in_time_order(arr: np.ndarray) -> np.ndarray:
 
 def feed_node(acc: ProfileAccumulator, arr: np.ndarray,
               chunk_records: Optional[int] = None) -> None:
-    """Fold one node's resident records into *acc*: in time order
-    (:func:`in_time_order`), in slices of ``chunk_records`` (default
-    :data:`repro.core.spool.STREAM_CHUNK_RECORDS`)."""
+    """Fold one node's resident records, already in time order
+    (:func:`in_time_order`), into *acc* in slices of ``chunk_records``
+    (default :data:`repro.core.spool.STREAM_CHUNK_RECORDS`)."""
     from repro.core.spool import STREAM_CHUNK_RECORDS
 
-    arr = in_time_order(arr)
     size = chunk_records or STREAM_CHUNK_RECORDS
     for lo in range(0, len(arr), size):
         acc.consume(arr[lo:lo + size])

@@ -252,7 +252,11 @@ class TraceBundle:
             trace.truncated = node.truncated or lost
             for chunk in node.iter_chunks(
                     max(n, 1), tolerate_truncation=tolerate_truncation):
-                trace.extend_columns(chunk)
+                if len(trace):
+                    trace.extend_columns(chunk)
+                else:
+                    # a fresh array read for this trace: adopt, no copy
+                    trace.columns = RecordColumns.adopt(chunk)
             bundle.add_node(trace)
         return bundle
 

@@ -390,8 +390,7 @@ def test_peak_live_respects_budget_every_chunk():
     for lo in range(0, len(arr), 64):
         acc.consume(arr[lo:lo + 64])
         # exposed trees always respect the budget at chunk boundaries
-        assert len(acc._tree) <= max(
-            32, len({cid for st in acc._ctx_stacks.values() for cid in st}))
+        assert len(acc._tree) <= max(32, len(set(acc._carry.cid.tolist())))
     acc.finalize()
     # after the final (unpinned) prune nothing exceeds the budget
     assert len(acc._tree) <= 32

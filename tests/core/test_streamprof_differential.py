@@ -266,3 +266,154 @@ def test_tree_chunking_invariance():
     for chunk in (1, 64, None):
         acc, _ = stream_acc(trace, symtab, chunk, hcct_budget=0)
         assert_trees_match(acc._tree, ref._tree, ctx=f"chunk={chunk}")
+
+
+# ------------------------------------------------------------ pairing
+# The engine pairs every process's frames with one sort per chunk; the
+# corner cases of that pairing, each against the oracle at every chunk
+# size (the tree, too, where a chunk may hold no function record).
+
+import numpy as np
+
+from repro.core.streamprof import _narrow
+from repro.core.symtab import SymbolTable
+from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP, NodeTrace
+
+PAIRING_CHUNKS = (1, 7, 64, None)
+STEP = 50_000_000            # ticks between events: 0.05 s at 1 GHz
+
+
+def event_trace(events, *, sweep_every=3):
+    """A node trace of ``(kind, name, pid)`` events STEP ticks apart,
+    with a two-sensor sweep after every *sweep_every* events."""
+    trace = NodeTrace("node1", 1e9, ["S0", "S1"])
+    symtab = SymbolTable()
+    tsc = 0
+    for i, (kind, name, pid) in enumerate(events, 1):
+        tsc += STEP
+        trace.append_event(kind, symtab.address_of(name), tsc, 0, pid)
+        if i % sweep_every == 0:
+            for s in range(2):
+                trace.append_event(REC_TEMP, s, tsc + 1, 3, 999,
+                                   40.0 + (i % 7) * 0.5 + s)
+    return trace, symtab
+
+
+def nest(pid, names):
+    """ENTERs down *names*, then the EXITs back up."""
+    return ([(REC_ENTER, n, pid) for n in names]
+            + [(REC_EXIT, n, pid) for n in reversed(names)])
+
+
+def assert_matches_oracle(trace, symtab, chunks=PAIRING_CHUNKS, **kw):
+    """Every chunk size against the oracle; returns the accumulators."""
+    want = batch_profile(trace, symtab)
+    accs = {}
+    for chunk in chunks:
+        acc, got = stream_acc(trace, symtab, chunk, **kw)
+        assert_stream_matches_batch(got, want)
+        accs[chunk] = acc
+    return accs
+
+
+def interleave(*streams):
+    """Round-robin merge of per-process event lists (stream order kept)."""
+    out, streams = [], [list(s) for s in streams]
+    while any(streams):
+        for s in streams:
+            if s:
+                out.append(s.pop(0))
+    return out
+
+
+@pytest.mark.parametrize("lower, higher, reason", [
+    ("unbalanced", "mismatched", "unbalanced-frames"),
+    ("mismatched", "unbalanced", "frame-mismatch"),
+    ("both", "clean", "unbalanced-frames"),
+])
+def test_lowest_failing_pid_names_the_repair(lower, higher, reason):
+    """Two processes fail differently in one chunk: the lower pid's
+    failure is the one counted, and unbalanced frames win over a
+    mismatch within one pid."""
+    def stream(pid, how):
+        ok = nest(pid, ["main", "a", "b"])
+        if how == "unbalanced":        # an EXIT with nothing open
+            return [(REC_EXIT, "orphan", pid)] + ok
+        if how == "mismatched":        # b closes as c
+            return ok[:3] + [(REC_EXIT, "c", pid)] + ok[4:]
+        if how == "both":
+            return ([(REC_EXIT, "orphan", pid)] + ok[:3]
+                    + [(REC_EXIT, "c", pid)] + ok[4:])
+        return ok
+
+    trace, symtab = event_trace(interleave(stream(3, lower),
+                                           stream(8, higher)))
+    accs = assert_matches_oracle(trace, symtab)
+    # the whole trace fits one 64-record chunk
+    assert accs[None].fallbacks == accs[64].fallbacks == {reason: 1}
+
+
+def test_stacks_carried_across_every_chunk_boundary():
+    """Three processes keep frames open from the first record to the
+    last, at changing depths, so every chunk boundary carries stacks;
+    a TEMP-only stretch makes chunks with no function record."""
+    a = nest(1, ["main", "solve", "x", "y"]) * 3
+    b = nest(2, ["main", "io"]) * 5
+    c = nest(5, ["main", "solve", "x"]) * 4
+    body = interleave(a, b, c)
+    events = ([(REC_ENTER, "root", p) for p in (1, 2, 5)] + body
+              + [(REC_EXIT, "root", p) for p in (1, 2, 5)])
+    trace, symtab = event_trace(events, sweep_every=2)
+    mid = len(trace.columns.array) // 2
+    arr = trace.columns.array
+    # a burst of sweeps mid-run, while every process has frames open
+    burst = np.repeat(arr[mid - 1:mid], 20)
+    burst["kind"] = REC_TEMP
+    burst["addr"] = np.arange(20) % 2
+    burst["value"] = 45.0 + np.arange(20) * 0.25
+    burst["tsc"] = arr["tsc"][mid - 1] + 1 + np.arange(20)
+    arr["tsc"][mid:] += 100
+    whole = np.concatenate((arr[:mid], burst, arr[mid:]))
+    trace = NodeTrace("node1", 1e9, ["S0", "S1"])
+    trace.extend_columns(whole)
+    assert_matches_oracle(trace, symtab)
+    for chunk in PAIRING_CHUNKS:
+        for budget in (0, 8):
+            acc, _ = stream_acc(trace, symtab, chunk, hcct_budget=budget)
+            assert_trees_match(
+                acc._tree,
+                oracle_tree(trace, symtab, budget=budget,
+                            chunk_records=chunk),
+                ctx=f"chunk={chunk} budget={budget}")
+
+
+def test_deep_recursion_widens_the_pairing_key():
+    """Three processes hold a frame open while a fourth recurses past
+    8192 levels: the (process rank, depth) key no longer fits int16 and
+    takes int32.  (Each chunk pairs every carried frame again, so the
+    one-record chunking of this 16k-event trace is left out.)"""
+    depth = 8300
+    holders = [(REC_ENTER, "main", p) for p in (1, 2, 3)]
+    deep = nest(4, ["main"] + ["rec"] * depth)
+    events = (holders + deep
+              + [(REC_EXIT, "main", p) for p in (1, 2, 3)])
+    trace, symtab = event_trace(events, sweep_every=500)
+    assert 4 * (depth + 1) > np.iinfo(np.int16).max
+    assert _narrow(np.arange(3), 4 * (depth + 1) - 1).dtype == np.int32
+    assert_matches_oracle(trace, symtab, chunks=(7, 64, None))
+
+
+def test_sixty_four_processes_in_one_chunk():
+    streams = [nest(p, ["main", f"f{p % 5}", f"g{p % 3}"]) * 2
+               for p in range(1, 65)]
+    trace, symtab = event_trace(interleave(*streams), sweep_every=16)
+    assert_matches_oracle(trace, symtab)
+
+
+def test_large_and_negative_pids():
+    """pids spanning the whole int32 range group as well as small ones:
+    the grouping key widens to int64."""
+    pids = (-2**31, -7, 0, 2**31 - 1)
+    streams = [nest(p, ["main", "work"]) * 3 for p in pids]
+    trace, symtab = event_trace(interleave(*streams))
+    assert_matches_oracle(trace, symtab)
