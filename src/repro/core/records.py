@@ -106,6 +106,7 @@ class RecordColumns:
         cap = len(self._arr)
         if need <= cap:
             return
+        cap = max(cap, 1)
         while cap < need:
             cap *= 2
         fresh = np.empty(cap, dtype=RECORD_DTYPE)
@@ -122,9 +123,15 @@ class RecordColumns:
 
     @classmethod
     def adopt(cls, arr: np.ndarray) -> "RecordColumns":
-        """Take *arr* — a writable :data:`RECORD_DTYPE` array no one else
-        writes to, such as a chunk :func:`repro.core.spool.iter_spool_chunks`
-        just read — as the store's backing array, without a copy."""
+        """Take *arr* — a :data:`RECORD_DTYPE` array no one else writes
+        to, such as a chunk :func:`repro.core.spool.iter_spool_chunks`
+        just read — as the store's backing array, without a copy.
+
+        *arr* may be a read-only view (:func:`records_from_buffer` over
+        bytes): the store never writes through it.  Every write to an
+        adopted store lands past its end, so the first append copies into
+        owned storage, and :meth:`clear` lets a read-only view go.
+        """
         cols = cls(capacity=1)
         cols._arr = arr
         cols._n = len(arr)
@@ -142,7 +149,10 @@ class RecordColumns:
         self._n += k
 
     def clear(self) -> None:
-        """Drop all records (capacity is retained)."""
+        """Drop all records (capacity is retained; an adopted read-only
+        view is let go for fresh storage)."""
+        if not self._arr.flags.writeable:
+            self._arr = np.empty(_INITIAL_CAPACITY, dtype=RECORD_DTYPE)
         self._n = 0
 
     # -- reads ----------------------------------------------------------

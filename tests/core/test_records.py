@@ -9,6 +9,7 @@ load under the old reader.
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core.records import (
@@ -95,3 +96,33 @@ def test_clear_retains_nothing_live():
     cols.clear()
     assert len(cols) == 0
     assert cols.to_bytes() == b""
+
+
+def test_adopted_read_only_view_is_never_written():
+    blob = b"".join(pack(r) for r in some_records(6))
+    view = records_from_buffer(blob)
+    assert not view.flags.writeable
+    cols = RecordColumns.adopt(view)
+    assert np.shares_memory(cols.array, view)
+    cols.append_row(*some_records(7)[6])
+    assert rows(cols.array) == some_records(7)
+    assert rows(view) == some_records(6)
+    cols.extend_array(to_array(some_records(9)[7:]))
+    assert rows(cols.array) == some_records(9)
+
+
+def test_clear_then_append_on_adopted_read_only_store():
+    blob = b"".join(pack(r) for r in some_records(6))
+    cols = RecordColumns.adopt(records_from_buffer(blob))
+    cols.clear()
+    assert len(cols) == 0
+    for r in some_records(3):
+        cols.append_row(*r)
+    assert rows(cols.array) == some_records(3)
+    assert rows(records_from_buffer(blob)) == some_records(6)
+
+
+def test_adopted_empty_array_grows():
+    cols = RecordColumns.adopt(records_from_buffer(b""))
+    cols.append_row(*some_records(1)[0])
+    assert rows(cols.array) == some_records(1)
