@@ -72,12 +72,14 @@ class TempestParser:
 
     def parse(self) -> RunProfile:
         """Parse every node trace in the bundle."""
-        nodes = {
-            name: self.parse_node(trace)
-            for name, trace in self.bundle.nodes.items()
-        }
+        return self._profile_of(
+            [self.parse_node(trace) for trace in self.bundle.nodes.values()])
+
+    def _profile_of(self, profiles: list[NodeProfile]) -> RunProfile:
+        """The run profile of the bundle's node *profiles*, given in the
+        bundle's node order."""
         return RunProfile(
-            nodes=nodes,
+            nodes=dict(zip(self.bundle.nodes, profiles)),
             sampling_hz=self.sampling_hz,
             meta=dict(self.bundle.meta),
         )
