@@ -33,6 +33,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -61,6 +62,8 @@ CHUNK_RECORDS = 4096
 #: aggregate fan-in throughput must hold this fraction of the
 #: single-stream loopback (BENCH_wire) rate
 MIN_AGGREGATE_FRACTION = 0.25
+#: single-stream baseline timings; the gate divides by their median
+BASELINE_RUNS = 3
 
 
 def build_shared_spool(tmp_path: Path, n_per_node: int, node_names):
@@ -124,45 +127,35 @@ def run_fanin_benchmark(tmp_path: Path,
     spool = TraceSpool(single_dir / "shared.spool")
     spool.write_array(arr)
     spool.close()
+    del arr
     write_spool_header(
         single_dir, symtab,
         {names[0]: {"tsc_hz": 1.8e9, "sensor_names": ["S0", "S1"]}},
         {"sampling_hz": 4.0},
     )
-    hub = LoopbackHub()
-    client = CollectorClient.from_spool_header(
-        single_dir, names[0], hub.connect,
-        config=CollectorConfig(chunk_records=CHUNK_RECORDS),
-    )
-    t0 = time.perf_counter()
-    acked = client.push_spool(single_dir / "shared.spool")
-    single_s = time.perf_counter() - t0
-    client.close()
-    assert acked == n_total
-    assert hub.aggregator.metrics.records_in == n_total
-    single_rate = n_total / single_s
 
-    # Free the baseline phase's state before timing fan-in: the hub's
-    # aggregator retains the whole reassembled stream (~33 MB/M records)
-    # and keeping it live through the fan-in phase measurably degrades
-    # it (GC generation-2 sweeps walk the retained graph mid-run).
-    del hub, client, arr
-    gc.collect()
+    def time_single() -> float:
+        hub = LoopbackHub()
+        client = CollectorClient.from_spool_header(
+            single_dir, names[0], hub.connect,
+            config=CollectorConfig(chunk_records=CHUNK_RECORDS),
+        )
+        t0 = time.perf_counter()
+        acked = client.push_spool(single_dir / "shared.spool")
+        elapsed = time.perf_counter() - t0
+        client.close()
+        assert acked == n_total
+        assert hub.aggregator.metrics.records_in == n_total
+        # Free the baseline's state before fan-in is timed: the hub's
+        # aggregator retains the whole reassembled stream (~33 MB/M
+        # records) and keeping it live through the fan-in phase
+        # measurably degrades it (GC generation-2 sweeps walk the
+        # retained graph mid-run).
+        del hub, client
+        gc.collect()
+        return elapsed
 
-    # -- 64 concurrent collectors over real sockets --------------------
-    # Best of up to five attempts: this is a floor gate ("CAN the
-    # server sustain the rate"), and on a shared box scheduler noise
-    # only ever subtracts — a 65-thread phase degrades superlinearly
-    # under CPU-steal windows (every cross-thread wakeup eats the steal
-    # latency) while the single-threaded baseline barely notices, so
-    # one attempt's figure is an unreliable lower bound.  A short pause
-    # after a failing attempt lets a transient window pass.
-    # Correctness is asserted on every attempt; only the timing takes
-    # the best.
-    attempts: list[float] = []
-    fanin_s = None
-    metrics = None
-    for _attempt in range(5):
+    def time_fanin() -> tuple[float, dict]:
         with AsyncAggregatorServer(expected_nodes=N_COLLECTORS) as server:
             acks = [0] * N_COLLECTORS
             errors: list[BaseException] = []
@@ -189,13 +182,41 @@ def run_fanin_benchmark(tmp_path: Path,
             assert all(a == n_per for a in acks)
             attempt_metrics = server.aggregator.metrics.to_dict()
             assert attempt_metrics["records_in"] == n_total
+        return elapsed, attempt_metrics
+
+    # -- 64 concurrent collectors over real sockets, against the
+    # single-stream baseline ---------------------------------------------
+    # The baseline is timed BASELINE_RUNS times, alternating with the
+    # first fan-in attempts, and the gate divides by the median: one
+    # baseline reading on a shared box swings the ratio by more than the
+    # margin the floor leaves.  Fan-in is the best of up to five
+    # attempts: this is a floor gate ("CAN the server sustain the
+    # rate"), and on a shared box scheduler noise only ever subtracts —
+    # a 65-thread phase degrades superlinearly under CPU-steal windows
+    # (every cross-thread wakeup eats the steal latency) while the
+    # single-threaded baseline barely notices, so one attempt's figure
+    # is an unreliable lower bound.  A short pause after a failing
+    # attempt lets a transient window pass.  Correctness is asserted on
+    # every run; only the timing takes the median and the best.
+    single_times: list[float] = []
+    attempts: list[float] = []
+    fanin_s = None
+    metrics = None
+    for attempt in range(5):
+        if attempt < BASELINE_RUNS:
+            single_times.append(time_single())
+        elapsed, attempt_metrics = time_fanin()
         attempts.append(n_total / elapsed)
         if fanin_s is None or elapsed < fanin_s:
             fanin_s = elapsed
             metrics = attempt_metrics
-        if n_total / fanin_s >= MIN_AGGREGATE_FRACTION * single_rate:
+        single_s = statistics.median(single_times)
+        single_rate = n_total / single_s
+        passing = n_total / fanin_s >= MIN_AGGREGATE_FRACTION * single_rate
+        if passing and len(single_times) == BASELINE_RUNS:
             break
-        time.sleep(2.0)
+        if not passing:
+            time.sleep(2.0)
     fanin_rate = n_total / fanin_s
 
     result = {
@@ -205,6 +226,7 @@ def run_fanin_benchmark(tmp_path: Path,
         "single_stream_loopback": {
             "push_s": single_s,
             "records_per_s": single_rate,
+            "attempt_push_s": single_times,
         },
         "fanin": {
             "push_s": fanin_s,

@@ -171,11 +171,11 @@ def instrument(fn=None, *, name: Optional[str] = None):
 
         @functools.wraps(func)
         def wrapper(ctx, *args, **kwargs):
-            tracer = tracer_of(ctx)
+            proc = _proc_of(ctx)
+            tracer = proc.trace_context
             if tracer is None or tracer.stopped:
                 result = yield from func(ctx, *args, **kwargs)
                 return result
-            proc = _proc_of(ctx)
             tracer.on_enter(proc, symbol)
             try:
                 result = yield from func(ctx, *args, **kwargs)

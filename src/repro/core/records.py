@@ -117,7 +117,8 @@ class RecordColumns:
                    pid: int, value: float = 0.0) -> None:
         """Append one record from its six fields."""
         n = self._n
-        self._grow_to(n + 1)
+        if n == len(self._arr):
+            self._grow_to(n + 1)
         self._arr[n] = (kind, addr, tsc, core, pid, value)
         self._n = n + 1
 

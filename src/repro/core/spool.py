@@ -141,7 +141,7 @@ class SpoolingNodeTrace(NodeTrace):
                      pid: int, value: float = 0.0) -> None:
         self.spool.write_event(kind, addr, tsc, core, pid, value)
         if self.keep_in_memory:
-            super().append_event(kind, addr, tsc, core, pid, value)
+            self.columns.append_row(kind, addr, tsc, core, pid, value)
 
     def extend_columns(self, arr: np.ndarray) -> None:
         self.spool.write_array(arr)

@@ -1,7 +1,8 @@
 """Discrete-event simulation kernel.
 
 A minimal, deterministic event queue: events are ordered by (time, sequence
-number) so same-time events fire in scheduling order.  All higher layers
+number) so same-time events fire in scheduling order.  The heap holds
+``(time, seq, event)`` tuples, so its comparisons run in C.  All higher layers
 (processes, thermal sampling, MPI transfers) are built on this kernel; no
 component of the simulation ever reads the wall clock.
 
@@ -21,25 +22,25 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.util.errors import SimulationError
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)`` so that insertion order breaks ties
-    deterministically.  Cancelled events stay in the heap but are skipped
-    when popped (lazy deletion).
+    The queue orders events by ``(time, seq)`` so that insertion order
+    breaks ties deterministically.  Cancelled events stay in the heap but
+    are skipped when popped (lazy deletion).
     """
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark this event so the simulator skips it."""
@@ -61,7 +62,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._live = 0  # non-cancelled events in the heap
 
     @property
@@ -86,9 +87,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self._now})"
             )
-        ev = Event(time=float(time), seq=self._seq, callback=callback)
+        return self._push(float(time), self._seq, callback)
+
+    def _push(self, time: float, key: int,
+              callback: Callable[[], None]) -> Event:
+        """Queue *callback* at *time*, ties broken by the unique *key*."""
+        ev = Event(time, key, callback)
         self._seq += 1
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, key, ev))
         self._live += 1
         return ev
 
@@ -100,12 +106,13 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the next live event.  Returns False if the queue is empty."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, ev = heapq.heappop(heap)
             if ev.cancelled:
                 continue
             self._live -= 1
-            self._now = ev.time
+            self._now = time
             ev.callback()
             return True
         return False
@@ -134,9 +141,9 @@ class Simulator:
 
     def _peek_time(self) -> Optional[float]:
         """Time of the next live event, skipping cancelled heads."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +258,5 @@ class ScrambledTieSimulator(Simulator):
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self._now})"
             )
-        key = _mix64(self._scramble_seed ^ self._seq)
-        ev = Event(time=float(time), seq=key, callback=callback)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        self._live += 1
-        return ev
+        return self._push(float(time), _mix64(self._scramble_seed ^ self._seq),
+                          callback)

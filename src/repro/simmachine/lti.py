@@ -51,8 +51,8 @@ class LTISystem:
         self.m = B.shape[1]
 
         # Eigendecomposition cache.  RC networks are similar to symmetric
-        # matrices, so eigenvalues are real, but we keep complex arithmetic
-        # for generality and cast back at the end.
+        # matrices, so ``eig`` returns real arrays for them; a general A
+        # keeps complex arithmetic and casts back at the end.
         w, V = np.linalg.eig(A)
         if require_stable and np.any(w.real >= 1e-12):
             raise ConfigError(
@@ -64,6 +64,7 @@ class LTISystem:
         self._Vinv = np.linalg.inv(V)
         # Precompute A^{-1} B for steady states.
         self._AinvB = np.linalg.solve(A, B)
+        self._real = not np.iscomplexobj(V)
 
     def steady_state(self, u: np.ndarray) -> np.ndarray:
         """Return ``x_ss = -A^{-1} B u``, the fixed point under constant input."""
@@ -76,11 +77,19 @@ class LTISystem:
             raise ConfigError(f"dt must be non-negative, got {dt}")
         if dt == 0.0:
             return np.array(x0, dtype=float, copy=True)
-        x0 = np.asarray(x0, dtype=float)
-        xss = self.steady_state(u)
+        return self._advance(np.asarray(x0, dtype=float),
+                             np.asarray(u, dtype=float), dt)
+
+    def _advance(self, x0: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+        """:meth:`advance` for float arrays and ``dt > 0``, unchecked: the
+        per-event path of :class:`~repro.simmachine.thermal.ThermalNetwork`.
+        The result is a fresh array that aliases neither input."""
+        xss = -(self._AinvB @ u)
         # e^{A dt} v  =  V diag(e^{w dt}) V^{-1} v
         coeffs = self._Vinv @ (x0 - xss)
         x = self._V @ (np.exp(self._w * dt) * coeffs) + xss
+        if self._real:
+            return x
         return np.real_if_close(x).real.astype(float)
 
     def response_curve(

@@ -11,6 +11,7 @@ node, where tempd's <1% CPU claim is then measurable rather than assumed).
 from __future__ import annotations
 
 import inspect
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
@@ -63,10 +64,13 @@ class Machine:
         self.nodes: dict[str, SimNode] = {}
         self._procs: list[SimProcess] = []
         self._next_pid = 1
-        self._core_queues: dict[tuple[str, int], list] = {}
         for nc in self._node_configs():
             rng = self.rngs.get(f"sensor-noise/{nc.name}")
             self.nodes[nc.name] = SimNode(nc, rng=rng)
+        #: each core's FIFO of (proc, duration, activity) waiting for it
+        self._core_queues: dict[SimCore, deque] = {
+            core: deque() for node in self.nodes.values() for core in node.cores
+        }
 
     # ------------------------------------------------------------------
     # Construction
@@ -175,37 +179,32 @@ class Machine:
     # ------------------------------------------------------------------
     # Core scheduling (FIFO time-sharing)
 
-    def _core_key(self, core: SimCore) -> tuple[str, int]:
-        return (core.node_name, core.core_id)
-
     def _core_submit(
         self, core: SimCore, proc: SimProcess, duration: float, activity: float
     ) -> None:
         """Submit a compute segment; runs now if the core is free, else queues."""
-        key = self._core_key(core)
-        queue = self._core_queues.setdefault(key, [])
         if core.running is None:
             self._core_begin(core, proc, duration, activity)
         else:
-            queue.append((proc, duration, activity))
+            self._core_queues[core].append((proc, duration, activity))
 
     def _core_begin(
         self, core: SimCore, proc: SimProcess, duration: float, activity: float
     ) -> None:
         core.running = proc
-        node = self.node(core.node_name)
+        node = self.nodes[core.node_name]
         node.set_core_activity(core.core_id, activity, self.sim.now)
         self.sim.schedule(duration, lambda: self._core_complete(core, proc))
 
     def _core_complete(self, core: SimCore, proc: SimProcess) -> None:
-        node = self.node(core.node_name)
         core.running = None
-        queue = self._core_queues.get(self._core_key(core), [])
+        queue = self._core_queues[core]
         if queue:
-            nproc, dur, act = queue.pop(0)
+            nproc, dur, act = queue.popleft()
             self._core_begin(core, nproc, dur, act)
         else:
-            node.set_core_activity(core.core_id, ACTIVITY_IDLE, self.sim.now)
+            self.nodes[core.node_name].set_core_activity(
+                core.core_id, ACTIVITY_IDLE, self.sim.now)
         proc.resume(None)
 
     # ------------------------------------------------------------------
@@ -235,7 +234,14 @@ class Machine:
                           max_time: float = 1e7) -> None:
         """Run until every process in *procs* has finished."""
         guard = 0
-        while any(p.state != ST_FINISHED for p in procs):
+        # Unfinished processes; a finished one is dropped once it reaches
+        # the end, so the list empties exactly when every process is done.
+        unfinished = list(procs)
+        while True:
+            while unfinished and unfinished[-1].state == ST_FINISHED:
+                unfinished.pop()
+            if not unfinished:
+                return
             if not self.sim.step():
                 stuck = [p for p in procs if p.state != ST_FINISHED]
                 raise DeadlockError(

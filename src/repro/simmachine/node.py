@@ -93,6 +93,16 @@ class SimNode:
                     SimCore(config.name, s, c, cid, config.opps, spec)
                 )
                 cid += 1
+        # Socket power bookkeeping: each core's dynamic power is kept per
+        # core id and memoized by (activity, OPP index), so an activity
+        # change costs a dict lookup and a short sum, not a model rebuild.
+        cps = config.cores_per_socket
+        self._socket_slices = [slice(s * cps, (s + 1) * cps)
+                               for s in range(config.n_sockets)]
+        self._p_static = pparams.p_uncore + pparams.leak0
+        self._dyn_memo: dict[tuple[float, int], float] = {}
+        self._core_dyn = [self._dynamic_power(c.activity, c.opp_index)
+                          for c in self.cores]
         self.chip = HwmonChip(
             chip_name=f"{config.name}-smc",
             sensors=config.sensor_profile(),
@@ -110,14 +120,24 @@ class SimNode:
     # ------------------------------------------------------------------
     # Power / activity plumbing
 
-    def _socket_cores(self, socket: int) -> list[SimCore]:
-        return [c for c in self.cores if c.socket == socket]
+    def _dynamic_power(self, activity: float, opp_index: int) -> float:
+        """One core's dynamic power, memoized; a miss goes through
+        :meth:`PowerModel.core_dynamic_power` and its range check."""
+        key = (activity, opp_index)
+        try:
+            return self._dyn_memo[key]
+        except KeyError:
+            watts = self.power_model.core_dynamic_power(
+                activity, self.config.opps[opp_index])
+            self._dyn_memo[key] = watts
+            return watts
 
     def _socket_power(self, socket: int) -> float:
-        cores = self._socket_cores(socket)
-        return self.power_model.socket_power(
-            [c.activity for c in cores], [c.opp for c in cores]
-        )
+        # The same float operations, in the same order, as
+        # PowerModel.socket_power: uncore + leak0 + sum() over the socket's
+        # cores by id.  The builtin sum() stays — from Python 3.12 it
+        # compensates float rounding, so a += loop would change bits.
+        return self._p_static + sum(self._core_dyn[self._socket_slices[socket]])
 
     def _sync_all_sockets(self, t: float) -> None:
         for s in range(self.config.n_sockets):
@@ -126,6 +146,7 @@ class SimNode:
     def set_core_activity(self, core_id: int, activity: float, t: float) -> None:
         """Set a core's activity factor at time *t*, updating socket power."""
         core = self.core(core_id)
+        self._core_dyn[core_id] = self._dynamic_power(activity, core.opp_index)
         core.activity = activity
         self.thermal.set_socket_power(core.socket, self._socket_power(core.socket), t)
 
@@ -134,6 +155,7 @@ class SimNode:
         in-flight compute keeps its original completion time)."""
         core = self.core(core_id)
         core.set_opp(opp_index)
+        self._core_dyn[core_id] = self._dynamic_power(core.activity, opp_index)
         self.thermal.set_socket_power(core.socket, self._socket_power(core.socket), t)
 
     def set_fan_rpm(self, rpm: float, t: float) -> None:

@@ -65,8 +65,8 @@ class Compute(Directive):
         self.activity = float(activity)
 
     def start(self, machine, proc: "SimProcess") -> None:
-        core = proc.core
-        scale = core.nominal_freq_hz / core.freq_hz
+        core = proc.node.cores[proc.core_id]
+        scale = core.nominal_freq_hz / core.opps[core.opp_index].freq_hz
         duration = self.seconds * scale + proc.take_overhead()
         proc.state = ST_COMPUTING
         machine._core_submit(core, proc, duration, self.activity)
@@ -163,7 +163,7 @@ class SetOpp(Directive):
         self.opp_index = opp_index
 
     def start(self, machine, proc: "SimProcess") -> None:
-        machine.node(proc.node_name).set_core_opp(
+        proc.node.set_core_opp(
             proc.core_id, self.opp_index, machine.sim.now
         )
         proc.state = ST_READY
@@ -185,6 +185,9 @@ class SimProcess:
         self.machine = machine
         self._gen = gen
         self.node_name = node_name
+        #: the :class:`SimNode` this process runs on (a process never
+        #: changes node; :meth:`rebind` moves it between cores)
+        self.node = machine.node(node_name)
         self.core_id = core_id
         self.pid = pid
         self.name = name
@@ -204,14 +207,9 @@ class SimProcess:
 
     # -- identity ------------------------------------------------------
     @property
-    def node(self):
-        """The :class:`SimNode` this process runs on."""
-        return self.machine.node(self.node_name)
-
-    @property
     def core(self):
         """The :class:`SimCore` this process is currently bound to."""
-        return self.node.core(self.core_id)
+        return self.node.cores[self.core_id]
 
     def rebind(self, core_id: int) -> None:
         """Bind to a different core on the same node (between directives)."""
@@ -234,7 +232,7 @@ class SimProcess:
 
     def read_tsc(self) -> int:
         """Read the bound core's TSC — what an rdtsc in this process sees."""
-        return self.core.tsc(self.machine.sim.now)
+        return self.node.cores[self.core_id].tsc(self.machine.sim.now)
 
     # -- overhead accounting --------------------------------------------
     def charge_overhead(self, seconds: float) -> None:

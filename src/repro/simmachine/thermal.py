@@ -93,7 +93,8 @@ class ThermalNetwork:
     segment integrates under constant input with the exact LTI solution.
 
     State layout: ``[die_0 .. die_{S-1}, sink_0 .. sink_{S-1}, case]``.
-    Input layout: ``[P_0 .. P_{S-1}, T_ambient]``.
+    Input layout: ``[P_0 .. P_{S-1}, T_ambient]``, held in one vector that
+    power and ambient changes write in place.
     """
 
     def __init__(
@@ -108,6 +109,8 @@ class ThermalNetwork:
             raise ConfigError(f"need at least one socket, got {n_sockets}")
         self.params = params
         self.n_sockets = n_sockets
+        self._u = np.zeros(n_sockets + 1)
+        self._powers = self._u[:n_sockets]   # a view: writes land in _u
         self.ambient_c = float(ambient_c) + params.inlet_offset_c
         self.fan_rpm = float(fan_rpm)
         self.labels = (
@@ -119,11 +122,10 @@ class ThermalNetwork:
         self._sys_cache: dict[float, LTISystem] = {}
         self._system = self._build_system(self.fan_rpm)
         self.last_time = 0.0
-        self._powers = np.zeros(n_sockets)
         if initial_c is None:
             # Start at the idle steady state for zero socket power, which is
             # ambient everywhere (leakage fold makes it slightly above).
-            self.state = self._system.steady_state(self._input_vector())
+            self.state = self._system.steady_state(self._u)
         else:
             self.state = np.full(len(self.labels), float(initial_c))
 
@@ -172,8 +174,14 @@ class ThermalNetwork:
         self._sys_cache[rpm] = sys_
         return sys_
 
-    def _input_vector(self) -> np.ndarray:
-        return np.concatenate([self._powers, [self.ambient_c]])
+    @property
+    def ambient_c(self) -> float:
+        """Inlet-air temperature (deg C), the last slot of the input."""
+        return float(self._u[self.n_sockets])
+
+    @ambient_c.setter
+    def ambient_c(self, value: float) -> None:
+        self._u[self.n_sockets] = value
 
     # ------------------------------------------------------------------
     # Public API
@@ -195,9 +203,9 @@ class ThermalNetwork:
             raise SimulationError(
                 f"thermal time went backwards: {t} < {self.last_time}"
             )
-        dt = max(0.0, t - self.last_time)
+        dt = t - self.last_time
         if dt > 0.0:
-            self.state = self._system.advance(self.state, self._input_vector(), dt)
+            self.state = self._system._advance(self.state, self._u, dt)
             self.last_time = t
 
     def set_socket_power(self, socket: int, watts: float, t: float) -> None:

@@ -111,3 +111,55 @@ def test_max_events_guard():
     sim.schedule(0.0, loop)
     with pytest.raises(SimulationError):
         sim.run(max_events=1000)
+
+
+# -- the tuple heap keeps the kernel's contract -----------------------------
+
+
+def test_ties_fire_in_insertion_order_across_interleaved_times():
+    sim = Simulator()
+    fired = []
+    for i in range(12):
+        sim.schedule_at(float(i % 3), lambda i=i: fired.append(i))
+
+    def at_one():
+        # scheduled for "now" from inside a tie group: runs after the
+        # events already queued for this instant
+        sim.schedule(0.0, lambda: fired.append("late-1"))
+
+    sim.schedule_at(1.0, at_one)
+    sim.run()
+    assert fired == [0, 3, 6, 9, 1, 4, 7, 10, "late-1", 2, 5, 8, 11]
+
+
+def test_cancelled_events_never_fire_and_pending_stays_right():
+    sim = Simulator()
+    fired = []
+    evs = [sim.schedule(1.0, lambda i=i: fired.append(i)) for i in range(5)]
+    tail = sim.schedule(2.0, lambda: fired.append("tail"))
+    sim.cancel(evs[0])          # the heap's head
+    sim.cancel(evs[3])
+    sim.cancel(evs[3])          # idempotent
+    assert sim.pending == 4
+    sim.run(until=1.5)
+    assert fired == [1, 2, 4]
+    assert sim.pending == 1
+    sim.cancel(tail)
+    assert sim.pending == 0
+    assert not sim.step()
+    assert fired == [1, 2, 4]
+
+
+def test_scrambled_tie_order_is_pinned():
+    # Tie keys come from integer splitmix64 alone, so this order is the
+    # same on every Python version and platform.
+    from repro.simmachine.events import ScrambledTieSimulator
+
+    sim = ScrambledTieSimulator(seed=7)
+    fired = []
+    for i in range(8):
+        sim.schedule(1.0, lambda i=i: fired.append(i))
+    sim.schedule(0.5, lambda: fired.append("early"))
+    sim.schedule(2.0, lambda: fired.append("late"))
+    sim.run()
+    assert fired == ["early", 7, 1, 6, 3, 0, 5, 4, 2, "late"]
