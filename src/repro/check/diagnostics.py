@@ -105,9 +105,9 @@ RULES: dict[str, Rule] = {r.id: r for r in [
        "<Bqqiid struct layout: same itemsize, same field offsets, and a "
        "sample record round-trips bit-for-bit through both"),
     _r("TL018", "chunking-divergence", SEV_WARNING,
-       "the profile engine gives the same profile of a trace whether fed "
-       "in STREAM_CHUNK_RECORDS chunks (TempestParser) or as one whole "
-       "chunk per node, within documented tolerances",
+       "the profile engine gives the same profile of a trace whether "
+       "stream_spool_profile feeds it in STREAM_CHUNK_RECORDS chunks or "
+       "in 4093-record chunks, within documented tolerances",
        "times/avg/var/sdv rel 1e-9; n/min/max/med/mod/calls exact"),
     _r("TL019", "coverage-inconsistent", SEV_ERROR,
        "each function's coverage is in [0, 1] and equals "

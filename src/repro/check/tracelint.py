@@ -10,12 +10,13 @@ stay possible.
 
 Entry points, coarse to fine:
 
-* :func:`check_path` — a trace directory, closed or live: header +
-  per-node record-stream checks, plus (closed directories, ``deep=True``)
-  the chunking-invariance cross-validation of TL018 and the
-  profile-level rules via :func:`check_profile`.
-* :func:`check_records` — one record stream: kinds, stack balance, TSC
-  monotonicity, sensor index/range/quantization, symbol resolution.
+* :func:`check_path` — a trace directory, closed or live, read chunk
+  by chunk: header + per-node record-stream checks, plus (closed
+  directories, ``deep=True``) the chunking-invariance cross-validation
+  of TL018 and the profile-level rules via :func:`check_profile`.
+* :func:`lint_chunks` / :func:`check_records` — one record stream, in
+  chunks / as one array: kinds, stack balance, TSC monotonicity, sensor
+  index/range/quantization, symbol resolution.
 * :func:`check_profile` — a finished :class:`RunProfile`: coverage
   arithmetic, statistic sanity, significance coherence.
 * :func:`compare_profiles` — TL018, agreement of two profiles of the
@@ -54,6 +55,9 @@ TEMP_BAND_C = (-25.0, 125.0)
 TEMP_QUANTUM_C = 0.25
 #: plausible TSC calibration band (kHz microcontroller .. THz fantasy)
 TSC_HZ_BAND = (1e3, 1e12)
+#: TL018's second chunking: small and odd, so its cuts fall away from
+#: STREAM_CHUNK_RECORDS' and a trace shorter than one chunk is cut too
+_RECHUNK_RECORDS = 4093
 #: reference record layout the columnar dtype must never drift from
 REFERENCE_STRUCT_FORMAT = "<Bqqiid"
 _REFERENCE_FIELDS = ("kind", "addr", "tsc", "core", "pid", "value")
@@ -85,7 +89,6 @@ _HINTS = {
              "the header by hand",
     "TL013": "give every sensor a unique, non-empty name",
     "TL014": "regenerate the bundle with a complete symbol table",
-    "TL015": "",
     "TL016": "set meta['sampling_hz'] to the tempd sweep rate (4.0 in the "
              "paper)",
     "TL017": "records.RECORD_DTYPE must stay byte-identical to <Bqqiid; "
@@ -210,15 +213,18 @@ def check_layout(dtype: Optional[np.dtype] = None,
 # Record-stream checks
 
 
-def check_records(arr: np.ndarray, *, path: str = "", node: str = "",
-                  sensor_names: Optional[list[str]] = None,
-                  symtab=None,
-                  known_kinds=None) -> list[Diagnostic]:
-    """Validate one node's record stream (a structured record array).
+def lint_chunks(chunks, *, path: str = "", node: str = "",
+                sensor_names: Optional[list[str]] = None, symtab=None,
+                known_kinds=None) -> tuple[list[Diagnostic], bool]:
+    """Validate one node's record stream, read as structured-array
+    *chunks*, and say whether its ``tsc`` column never decreases.
 
     Covers TL005 (kinds), TL006/TL007 (stack balance / open frames),
     TL008 (TSC monotonicity), TL009-TL011 (sensor index, range,
     quantization), TL014 (symbol resolution), TL015 (empty trace).
+    Per-pid stacks and TSC maxima, the record offset and the unresolved
+    addresses carry from one chunk to the next, so any chunking of a
+    stream gives the diagnostics of the whole stream.
 
     ``known_kinds`` is the set of record kinds this reader understands
     (default: everything the current code knows).  Kinds outside it in the
@@ -226,48 +232,54 @@ def check_records(arr: np.ndarray, *, path: str = "", node: str = "",
     the forward-compat contract that lets a pre-comm-records reader lint
     a newer writer's bundle by skipping what it cannot parse.
     """
-    agg = _Agg(path=path, node=node)
-    if len(arr) == 0:
-        agg.hit("TL015", "trace declares this node but holds no records")
-        return agg.diagnostics()
+    from repro.core.streamprof import _monotone, process_clock
 
-    if known_kinds is None:
-        known_kinds = KNOWN_KINDS
-    kinds = arr["kind"]
-    known = np.isin(kinds, np.asarray(sorted(known_kinds), dtype=kinds.dtype))
-    if not known.all():
+    agg = _Agg(path=path, node=node)
+    known_kinds = sorted(KNOWN_KINDS if known_kinds is None else known_kinds)
+    stacks: dict[int, list[int]] = {}
+    maxima: dict[int, int] = {}     # each pid's clock: its running max tsc
+    unresolved: set[int] = set()
+    base, orderly, last_tsc = 0, True, np.iinfo(np.int64).min
+    for arr in chunks:
+        if not len(arr):
+            continue
+        kinds, tsc = arr["kind"], arr["tsc"]
+        orderly = orderly and tsc[0] >= last_tsc and _monotone(tsc)
+        last_tsc = tsc[-1]
+
+        known = np.isin(kinds, known_kinds)
         for j in np.nonzero(~known)[0].tolist():
             k = int(kinds[j])
             if k in COMM_KINDS:
                 agg.hit("TL005",
                         f"record kind {k} is a comm-extension kind this "
                         "reader does not understand; skipping",
-                        f"record[{j}]", severity="warning")
+                        f"record[{base + j}]", severity="warning")
             else:
                 agg.hit("TL005",
                         f"record kind {k} is not a known record kind",
-                        f"record[{j}]")
+                        f"record[{base + j}]")
 
-    func_mask = (kinds == REC_ENTER) | (kinds == REC_EXIT)
-    temp_mask = kinds == REC_TEMP
+        func_mask = (kinds == REC_ENTER) | (kinds == REC_EXIT)
+        positions = (np.nonzero(func_mask)[0] + base).tolist()
+        f_tsc, f_pid = tsc[func_mask], arr["pid"][func_mask]
 
-    # -- TL008: per-pid TSC monotonicity over function events -----------
-    from repro.core.tsc import detect_regressions
+        # -- TL008: per-pid TSC monotonicity: the records whose time the
+        # lenient engine would clamp to their process's clock
+        clock = process_clock(f_tsc, f_pid, maxima)
+        for j in np.flatnonzero(f_tsc < clock).tolist():
+            agg.hit("TL008", f"pid {int(f_pid[j])} steps back "
+                    f"{int(clock[j] - f_tsc[j])} ticks",
+                    f"record[{positions[j]}]")
+        pids, last = np.unique(f_pid[::-1], return_index=True)
+        maxima.update(zip(pids.tolist(),
+                          clock[len(clock) - 1 - last].tolist()))
 
-    regressions = detect_regressions(arr)
-    for rep in regressions:
-        agg.hit("TL008",
-                f"pid {rep.pid} steps back {rep.back_step_ticks} ticks",
-                f"record[{rep.index}]")
-
-    # -- TL006 / TL007: stack balance per pid ---------------------------
-    if func_mask.any():
-        positions = np.nonzero(func_mask)[0].tolist()
+        # -- TL006: stack balance per pid; TL014: symbol resolution -----
         fkinds = kinds[func_mask].tolist()
         faddrs = arr["addr"][func_mask].tolist()
-        fpids = arr["pid"][func_mask].tolist()
-        stacks: dict[int, list[int]] = {}
-        for i, kind, addr, pid in zip(positions, fkinds, faddrs, fpids):
+        for i, kind, addr, pid in zip(positions, fkinds, faddrs,
+                                      f_pid.tolist()):
             stack = stacks.setdefault(pid, [])
             if kind == REC_ENTER:
                 stack.append(addr)
@@ -285,91 +297,60 @@ def check_records(arr: np.ndarray, *, path: str = "", node: str = "",
                     stack.pop()
             else:
                 stack.pop()
-        for pid in sorted(stacks):
-            if stacks[pid]:
-                agg.hit("TL007",
-                        f"pid {pid}: stream ended with "
-                        f"{len(stacks[pid])} open frame(s)", f"pid[{pid}]")
-
-        # -- TL014: every function address resolves ---------------------
         if symtab is not None:
-            for addr in np.unique(arr["addr"][func_mask]).tolist():
+            for addr in np.unique(faddrs).tolist():
                 try:
-                    symtab.name_of(int(addr))
+                    symtab.name_of(addr)
                 except TraceError:
-                    agg.hit("TL014",
-                            f"address {int(addr):#x} is not in the "
-                            "symbol table", f"addr[{int(addr):#x}]")
+                    unresolved.add(addr)
 
-    # -- TL009-TL011: sensor sanity -------------------------------------
-    if temp_mask.any():
-        tpos = np.nonzero(temp_mask)[0]
-        sidx = arr["addr"][temp_mask]
-        vals = arr["value"][temp_mask].astype(np.float64)
-        if sensor_names is not None:
-            out_of_range = (sidx < 0) | (sidx >= len(sensor_names))
-            for j in np.nonzero(out_of_range)[0].tolist():
-                agg.hit("TL009",
-                        f"TEMP record addresses sensor {int(sidx[j])} but "
-                        f"only {len(sensor_names)} sensor(s) are declared",
+        # -- TL009-TL011: sensor sanity ---------------------------------
+        temp_mask = kinds == REC_TEMP
+        if temp_mask.any():
+            tpos = np.nonzero(temp_mask)[0] + base
+            sidx = arr["addr"][temp_mask]
+            vals = arr["value"][temp_mask].astype(np.float64)
+            if sensor_names is not None:
+                out_of_range = (sidx < 0) | (sidx >= len(sensor_names))
+                for j in np.nonzero(out_of_range)[0].tolist():
+                    agg.hit("TL009",
+                            f"TEMP record addresses sensor {int(sidx[j])} "
+                            f"but only {len(sensor_names)} sensor(s) are "
+                            "declared", f"record[{int(tpos[j])}]")
+            lo, hi = TEMP_BAND_C
+            in_band = (vals >= lo) & (vals <= hi)   # NaN/inf fail this
+            for j in np.nonzero(~in_band)[0].tolist():
+                agg.hit("TL010",
+                        f"TEMP value {vals[j]:g} degC is outside the "
+                        f"plausible band [{lo:g}, {hi:g}]",
                         f"record[{int(tpos[j])}]")
-        lo, hi = TEMP_BAND_C
-        in_band = (vals >= lo) & (vals <= hi)   # NaN/inf fail this
-        for j in np.nonzero(~in_band)[0].tolist():
-            agg.hit("TL010",
-                    f"TEMP value {vals[j]:g} degC is outside the "
-                    f"plausible band [{lo:g}, {hi:g}]",
-                    f"record[{int(tpos[j])}]")
-        steps = vals / TEMP_QUANTUM_C
-        off_grid = np.abs(steps - np.round(steps)) > 1e-6
-        off_grid &= np.isfinite(vals)
-        for j in np.nonzero(off_grid)[0].tolist():
-            agg.hit("TL011",
-                    f"TEMP value {vals[j]!r} degC is not a multiple of "
-                    f"the {TEMP_QUANTUM_C} degC quantum",
-                    f"record[{int(tpos[j])}]")
+            steps = vals / TEMP_QUANTUM_C
+            off_grid = np.abs(steps - np.round(steps)) > 1e-6
+            off_grid &= np.isfinite(vals)
+            for j in np.nonzero(off_grid)[0].tolist():
+                agg.hit("TL011",
+                        f"TEMP value {vals[j]!r} degC is not a multiple "
+                        f"of the {TEMP_QUANTUM_C} degC quantum",
+                        f"record[{int(tpos[j])}]")
+        base += len(arr)
 
-    return agg.diagnostics()
-
-
-# ----------------------------------------------------------------------
-# Header / metadata checks shared by bundles and spools
-
-
-def _check_node_meta(node, path: str) -> list[Diagnostic]:
-    """TL012 (calibration) + TL013 (sensor names) for one header entry."""
-    diags: list[Diagnostic] = []
-    tsc_hz = node.tsc_hz
-    lo, hi = TSC_HZ_BAND
-    if not (math.isfinite(tsc_hz) and lo <= tsc_hz <= hi):
-        diags.append(_diag("TL012",
-                           f"tsc_hz {tsc_hz!r} is not a plausible "
-                           f"calibration in [{lo:g}, {hi:g}] Hz",
-                           path=path, node=node.name))
-    names = node.sensor_names
-    empties = sum(1 for n in names if not n.strip())
-    if empties:
-        diags.append(_diag("TL013",
-                           f"{empties} sensor name(s) are empty",
-                           path=path, node=node.name))
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
-        diags.append(_diag("TL013",
-                           f"duplicate sensor name(s): {sorted(dupes)}",
-                           path=path, node=node.name))
-    return diags
+    if not base:
+        agg.hit("TL015", "trace declares this node but holds no records")
+    for pid in sorted(stacks):
+        if stacks[pid]:
+            agg.hit("TL007",
+                    f"pid {pid}: stream ended with {len(stacks[pid])} "
+                    "open frame(s)", f"pid[{pid}]")
+    for addr in sorted(unresolved):
+        agg.hit("TL014", f"address {addr:#x} is not in the symbol table",
+                f"addr[{addr:#x}]")
+    return sorted(agg.diagnostics(), key=lambda d: d.rule), orderly
 
 
-def _check_sampling_hz(meta, path: str) -> list[Diagnostic]:
-    """TL016: ``meta['sampling_hz']``, when present, is finite positive."""
-    hz = meta.get("sampling_hz")
-    if hz is None:
-        return []
-    if not math.isfinite(hz) or hz <= 0:
-        return [_diag("TL016",
-                      f"sampling_hz {hz!r} is not a finite positive rate",
-                      path=path)]
-    return []
+def check_records(arr: np.ndarray, **options) -> list[Diagnostic]:
+    """Validate one node's record stream (a structured record array):
+    :func:`lint_chunks` over it as one chunk, with the same options."""
+    return lint_chunks([arr], **options)[0]
 
 
 # ----------------------------------------------------------------------
@@ -377,25 +358,27 @@ def _check_sampling_hz(meta, path: str) -> list[Diagnostic]:
 
 
 def check_path(path, *, deep: bool = True) -> list[Diagnostic]:
-    """Validate a trace directory, closed or live.
+    """Validate a trace directory, closed or live, in bounded memory.
 
     One walk for every layout; every difference follows from the header
     (:func:`~repro.core.trace.read_trace_header`).  A header the reader
-    rejects is TL001.  TL003/TL004 apply where the header declares
-    record counts (a closed directory), by the rule every reader holds
-    to (:meth:`~repro.core.trace.NodeHeader.count_records`): a file short
-    of its count is TL003 unless the header marks the node truncated.
-    A live spool's torn tail is recoverable by
+    rejects is TL001.  TL002-TL004 and TL015 come from each node's
+    :meth:`~repro.core.trace.NodeHeader.stat_records`, the count rule
+    every reader holds to.  A live spool's torn tail is recoverable by
     design (the writer may have crashed mid-chunk), so its TL002 is a
     warning, and its missing record file is TL015: the node has not
-    spooled yet.  The causal pass runs in live mode on a spool, and not
-    at all after an error.  Only a
-    closed directory, with ``deep``, is additionally parsed twice — by the
-    parser, in ``STREAM_CHUNK_RECORDS`` chunks, and as one whole-stream
-    chunk per node — and the two profiles cross-validated (TL018) plus
-    profile-level rules (TL019-TL021) — skipped whenever structural
-    errors or timestamp disorder would make the comparison meaningless.
+    spooled yet.  Every record file, condemned or not, streams through
+    :func:`lint_chunks` in ``STREAM_CHUNK_RECORDS`` chunks.  The causal
+    pass runs in live mode on a spool, and not at all after an error.
+    Only a closed directory, with ``deep``, is additionally profiled by
+    :func:`~repro.core.streamprof.stream_spool_profile` at two chunk
+    sizes that cut it in different places, the profiles cross-validated
+    (TL018) plus profile-level rules (TL019-TL021) — skipped whenever
+    structural errors or timestamp disorder would make the comparison
+    meaningless.
     """
+    from repro.core.spool import STREAM_CHUNK_RECORDS, iter_spool_chunks
+
     path = Path(path)
     if not is_trace_dir(path):
         raise ConfigError(f"{path} is not a trace directory")
@@ -406,53 +389,64 @@ def check_path(path, *, deep: bool = True) -> list[Diagnostic]:
     except TraceError as exc:
         return diags + [_diag("TL001", str(exc), path=label)]
     live = not header.closed
-    diags.extend(_check_sampling_hz(header.meta, label))
+    hz = header.meta.get("sampling_hz")
+    if hz is not None and not (math.isfinite(hz) and hz > 0):
+        diags.append(_diag("TL016", f"sampling_hz {hz!r} is not a finite "
+                                    "positive rate", path=label))
 
     orderly = True   # every node's stream globally time-ordered
     for node in header.nodes.values():
-        diags.extend(_check_node_meta(node, label))
-        try:
-            blob = node.path.read_bytes()
-        except OSError as exc:
-            if live and not node.path.exists():
-                diags.append(_diag("TL015",
-                                   "declared node has no spool file yet",
-                                   path=label, node=node.name))
+        def finding(rule_id: str, message: str,
+                    severity: Optional[str] = None) -> None:
+            diags.append(_diag(rule_id, message, path=label,
+                               node=node.name, severity=severity))
+
+        # -- TL012 / TL013: calibration and sensor names ----------------
+        lo, hi = TSC_HZ_BAND
+        if not (math.isfinite(node.tsc_hz) and lo <= node.tsc_hz <= hi):
+            finding("TL012", f"tsc_hz {node.tsc_hz!r} is not a plausible "
+                             f"calibration in [{lo:g}, {hi:g}] Hz")
+        names = node.sensor_names
+        empties = sum(1 for n in names if not n.strip())
+        if empties:
+            finding("TL013", f"{empties} sensor name(s) are empty")
+        dupes = {n for n in names if names.count(n) > 1}
+        if dupes:
+            finding("TL013", f"duplicate sensor name(s): {sorted(dupes)}")
+
+        # -- TL002-TL004, TL015: the record file against the header -----
+        st = node.stat_records()
+        if st.error is not None:
+            if live:
+                finding("TL015", "declared node has no spool file yet")
             else:
-                diags.append(_diag("TL002",
-                                   f"record file is unreadable: {exc}",
-                                   path=label, node=node.name))
+                finding("TL002", f"record file is unreadable: {st.error}")
             continue
-        remainder = len(blob) % RECORD_SIZE
-        if remainder:
-            detail = (f"{remainder} trailing bytes are not a whole record "
-                      "(torn tail; recoverable)" if live else
-                      f"{len(blob)} bytes is not a multiple of the "
-                      f"{RECORD_SIZE}-byte record size ({remainder} "
-                      "trailing bytes)")
-            diags.append(_diag("TL002", detail, path=label, node=node.name,
-                               severity="warning" if live else None))
-            blob = blob[: len(blob) - remainder]
-        n = len(blob) // RECORD_SIZE
-        declared = node.n_records
-        if declared is not None and n != declared:
-            if not (node.truncated and n < declared):
-                diags.append(_diag("TL003",
-                                   f"record file holds {n} records, "
-                                   f"header says {declared}",
-                                   path=label, node=node.name))
-        elif declared is not None and node.truncated and not remainder:
-            diags.append(_diag("TL004",
-                               "truncated flag is set but the record file "
-                               "is intact and count-matching",
-                               path=label, node=node.name))
-        arr = np.frombuffer(blob, dtype=RECORD_DTYPE)
-        diags.extend(check_records(arr, path=label, node=node.name,
-                                   sensor_names=node.sensor_names,
-                                   symtab=header.symtab))
-        if len(arr) and not bool(
-                np.all(arr["tsc"][1:] >= arr["tsc"][:-1])):
-            orderly = False
+        if st.torn:
+            finding("TL002",
+                    f"{st.torn} trailing bytes are not a whole record "
+                    "(torn tail; recoverable)" if live else
+                    f"{st.size} bytes is not a multiple of the "
+                    f"{RECORD_SIZE}-byte record size ({st.torn} "
+                    "trailing bytes)", "warning" if live else None)
+        if st.extra or (st.short and not node.truncated):
+            finding("TL003", f"record file holds {st.n} records, header "
+                             f"says {st.declared}")
+        elif node.truncated and st.n == st.declared and not st.torn:
+            finding("TL004", "truncated flag is set but the record file "
+                             "is intact and count-matching")
+        # -- TL005-TL011, TL014, TL015: the records, chunk by chunk ------
+        try:
+            found, ordered = lint_chunks(
+                iter_spool_chunks(node.path,
+                                  chunk_records=STREAM_CHUNK_RECORDS),
+                path=label, node=node.name, sensor_names=node.sensor_names,
+                symtab=header.symtab)
+        except OSError as exc:
+            finding("TL002", f"record file is unreadable: {exc}")
+            continue
+        diags.extend(found)
+        orderly = orderly and ordered
 
     # Communication sanitizer (CM0xx): rebuild vector clocks from the
     # comm-event stream and check races/deadlocks/collectives/skew.
@@ -464,36 +458,21 @@ def check_path(path, *, deep: bool = True) -> list[Diagnostic]:
 
         diags.extend(causal_check_bundle(path, label=label))
 
-    if deep and header.closed and orderly \
-            and not any(d.severity == "error" for d in diags) \
-            and not any(d.rule == "TL008" for d in diags):
-        diags.extend(_deep_check_bundle(path, label))
-    return diags
+    # time order rules out TL008 and the late records that chunkings
+    # may profile differently
+    if deep and not live and orderly \
+            and not any(d.severity == "error" for d in diags):
+        from repro.core.streamprof import stream_spool_profile
 
-
-def _deep_check_bundle(path: Path, label: str) -> list[Diagnostic]:
-    """Parse the (structurally clean, time-ordered) bundle chunked and
-    whole, and cross-check."""
-    from repro.core.parser import TempestParser
-    from repro.core.streamprof import StreamingRunProfiler
-    from repro.core.trace import TraceBundle
-
-    try:
-        bundle = TraceBundle.load(path, tolerate_truncation=True)
-        batch = TempestParser(bundle, strict=False).parse()
-    except TraceError as exc:
-        return [_diag("TL001", f"bundle does not parse: {exc}", path=label)]
-    diags = check_profile(batch, path=label)
-    profiler = StreamingRunProfiler(
-        bundle.symtab,
-        sampling_hz=float(bundle.meta.get("sampling_hz", 4.0)),
-        strict=False,
-        meta=bundle.meta,
-    )
-    for name, trace in bundle.nodes.items():
-        acc = profiler.add_node(name, trace.tsc_hz, trace.sensor_names)
-        acc.consume(trace.columns.array)
-    diags.extend(compare_profiles(batch, profiler.finalize(), path=label))
+        try:
+            profile = stream_spool_profile(path)
+            rechunked = stream_spool_profile(
+                path, chunk_records=_RECHUNK_RECORDS)
+        except TraceError as exc:
+            return diags + [_diag("TL001", f"bundle does not parse: {exc}",
+                                  path=label)]
+        diags.extend(check_profile(profile, path=label))
+        diags.extend(compare_profiles(profile, rechunked, path=label))
     return diags
 
 
@@ -686,15 +665,29 @@ def compare_profiles(batch, stream, *, rel: float = 1e-9,
 # TL022: wire reassembly byte-identity
 
 
-def _record_bytes(header, node) -> bytes:
-    """The record bytes a reader takes from *node*: a bundle's whole
-    file; a live spool's whole records so far (none if not spooled yet)."""
-    if header.closed:
-        return node.path.read_bytes()
-    if not node.path.exists():
-        return b""
-    blob = node.path.read_bytes()
-    return blob[: len(blob) - len(blob) % RECORD_SIZE]
+def _record_extent(node) -> int:
+    """The bytes of *node*'s record file a reader takes: a bundle's
+    whole file; a live spool's whole records so far (none if not
+    spooled yet)."""
+    st = node.stat_records()
+    if st.declared is not None and st.error is not None:
+        raise st.error
+    return st.n * RECORD_SIZE if st.declared is None else st.size
+
+
+def _first_difference(a: Path, b: Path, size: int) -> Optional[int]:
+    """Where the first *size* bytes of files *a* and *b* first differ,
+    read a bounded block at a time; None if they agree."""
+    block = 1 << 20
+    with a.open("rb") as fa, b.open("rb") as fb:
+        for off in range(0, size, block):
+            n = min(block, size - off)
+            x, y = fa.read(n), fb.read(n)
+            if x != y:
+                return off + next(
+                    (i for i, (p, q) in enumerate(zip(x, y)) if p != q),
+                    min(len(x), len(y)))
+    return None
 
 
 def compare_bundle_dirs(local, wire) -> list[Diagnostic]:
@@ -724,58 +717,42 @@ def compare_bundle_dirs(local, wire) -> list[Diagnostic]:
         return diags
     lhead, whead = headers
 
+    def finding(message: str, node: str = "", location: str = "") -> None:
+        diags.append(_diag("TL022", message, path=label, node=node,
+                           location=location))
+
     if lhead.symtab.to_dict() != whead.symtab.to_dict():
-        diags.append(_diag("TL022",
-                           "symbol tables differ between the local and "
-                           "wire-reassembled bundles", path=label))
+        finding("symbol tables differ between the local and "
+                "wire-reassembled bundles")
     if lhead.meta != whead.meta:
-        diags.append(_diag("TL022",
-                           f"run meta differs: local "
-                           f"{lhead.meta!r} vs wire "
-                           f"{whead.meta!r}", path=label))
+        finding(f"run meta differs: local {lhead.meta!r} vs wire "
+                f"{whead.meta!r}")
 
     lnodes, wnodes = set(lhead.nodes), set(whead.nodes)
     for node in sorted(lnodes - wnodes):
-        diags.append(_diag("TL022",
-                           "node is missing from the wire-reassembled "
-                           "bundle", path=label, node=node))
+        finding("node is missing from the wire-reassembled bundle", node)
     for node in sorted(wnodes - lnodes):
-        diags.append(_diag("TL022",
-                           "node appears only in the wire-reassembled "
-                           "bundle", path=label, node=node))
+        finding("node appears only in the wire-reassembled bundle", node)
 
     for node in sorted(lnodes & wnodes):
         linfo, winfo = lhead.nodes[node], whead.nodes[node]
         diff = [k for k in ("sensor_names", "tsc_hz")
                 if getattr(linfo, k) != getattr(winfo, k)]
         if diff:
-            diags.append(_diag("TL022",
-                               f"node header fields differ: {diff}",
-                               path=label, node=node))
+            finding(f"node header fields differ: {diff}", node)
         try:
-            lblob = _record_bytes(lhead, linfo)
-            wblob = _record_bytes(whead, winfo)
+            lsize, wsize = _record_extent(linfo), _record_extent(winfo)
+            off = _first_difference(linfo.path, winfo.path, lsize) \
+                if lsize == wsize and lsize else None
         except OSError as exc:
-            diags.append(_diag("TL022",
-                               f"record file is unreadable: {exc}",
-                               path=label, node=node))
+            finding(f"record file is unreadable: {exc}", node)
             continue
-        if lblob == wblob:
-            continue
-        if len(lblob) != len(wblob):
-            diags.append(_diag("TL022",
-                               f"record files differ in size: local "
-                               f"{len(lblob)} bytes "
-                               f"({len(lblob) // RECORD_SIZE} records) vs "
-                               f"wire {len(wblob)} bytes "
-                               f"({len(wblob) // RECORD_SIZE} records)",
-                               path=label, node=node))
-            continue
-        off = next(i for i, (a, b) in enumerate(zip(lblob, wblob))
-                   if a != b)
-        diags.append(_diag("TL022",
-                           f"record files diverge at byte {off} "
-                           f"(record {off // RECORD_SIZE})",
-                           path=label, node=node,
-                           location=f"record[{off // RECORD_SIZE}]"))
+        if lsize != wsize:
+            finding(f"record files differ in size: local {lsize} bytes "
+                    f"({lsize // RECORD_SIZE} records) vs wire {wsize} "
+                    f"bytes ({wsize // RECORD_SIZE} records)", node)
+        elif off is not None:
+            finding(f"record files diverge at byte {off} "
+                    f"(record {off // RECORD_SIZE})", node,
+                    f"record[{off // RECORD_SIZE}]")
     return diags

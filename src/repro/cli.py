@@ -377,10 +377,10 @@ def cmd_compare(args) -> int:
     """Diff two saved trace bundles function by function."""
     from repro.analysis.diffprof import diff_profiles, render_diff
 
-    before = TempestParser(TraceBundle.load(args.before),
-                           strict=not args.lenient).parse()
-    after = TempestParser(TraceBundle.load(args.after),
-                          strict=not args.lenient).parse()
+    before, after = (
+        TempestParser(TraceBundle.load(path, tolerate_truncation=args.lenient),
+                      strict=not args.lenient).parse()
+        for path in (args.before, args.after))
     deltas = diff_profiles(before, after)
     if not deltas:
         # Incomparable inputs are a usage problem, not a diff finding.
@@ -610,7 +610,6 @@ def cmd_push(args) -> int:
     """Push a trace directory's nodes (usually a finalized spool) to a
     running aggregator."""
     from repro.cluster import CollectorClient, CollectorConfig, SocketTransport
-    from repro.core.records import RECORD_SIZE
 
     host, port = _parse_hostport(args.connect)
     header = read_trace_header(args.spool_dir)
@@ -631,7 +630,8 @@ def cmd_push(args) -> int:
     complete = True
     for name in node_names:
         spool_file = header.nodes[name].path
-        if not spool_file.exists():
+        records = header.nodes[name].stat_records()
+        if records.error is not None:
             print(f"tempest push: {spool_file} missing, skipping",
                   file=sys.stderr)
             complete = False
@@ -642,7 +642,7 @@ def cmd_push(args) -> int:
             run=args.run,
             config=config,
         )
-        total = spool_file.stat().st_size // RECORD_SIZE
+        total = records.n
         acked = client.push_spool(spool_file)
         client.close()
         report[name] = {

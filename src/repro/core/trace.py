@@ -266,6 +266,30 @@ class TraceBundle:
 
 
 @dataclass(frozen=True)
+class RecordStat:
+    """One ``stat`` of a node's record file against its header: *n*
+    whole records and *torn* trailing bytes, or the *error* that kept
+    the file from being stat'ed; *declared* is None for a live node."""
+
+    n: int
+    torn: int
+    declared: Optional[int]
+    error: Optional[OSError] = None
+
+    @property
+    def size(self) -> int:
+        return self.n * RECORD_SIZE + self.torn
+
+    @property
+    def short(self) -> bool:
+        return self.declared is not None and self.n < self.declared
+
+    @property
+    def extra(self) -> bool:
+        return self.declared is not None and self.n > self.declared
+
+
+@dataclass(frozen=True)
 class NodeHeader:
     """One node's entry in a trace directory header, validated."""
 
@@ -280,42 +304,40 @@ class NodeHeader:
     #: the node's record file (a live node's may not exist yet)
     path: Path
 
+    def stat_records(self) -> RecordStat:
+        """The node's record file held against the header's count: the
+        verdict :meth:`count_records` and TraceLint judge by."""
+        try:
+            whole, torn = divmod(self.path.stat().st_size, RECORD_SIZE)
+        except OSError as exc:
+            return RecordStat(0, 0, self.n_records, exc)
+        return RecordStat(whole, torn, self.n_records)
+
     def count_records(self, *, tolerate_truncation: bool = False
                       ) -> tuple[int, bool]:
-        """The whole records in the node's record file (one ``stat``),
-        and whether a closed node lost records.
+        """The whole records in the node's record file, and whether a
+        closed node lost records, by :meth:`stat_records`.
 
         A live node's torn tail is dropped and a missing record file
         holds no records.  A closed node's record file must hold exactly
-        the declared count, whole: a missing or torn file or a count
-        mismatch raises :class:`TraceError`.  A short file (missing, torn
-        or fewer records) is lost records instead when the caller
-        tolerates truncation, or when the header itself marks the node
-        ``truncated``; more records than declared is always an error.
+        the declared count, whole, or :class:`TraceError` is raised —
+        unless it is short (missing, torn or fewer records) and the
+        caller tolerates truncation or the header marks the node
+        ``truncated``: then it lost records.
         """
-        try:
-            size = self.path.stat().st_size
-        except OSError as exc:
-            if self.n_records is None and not self.path.exists():
-                return 0, False
-            if not tolerate_truncation:
-                raise TraceError(f"cannot read {self.path}: {exc}")
-            return 0, True
-        n, torn = divmod(size, RECORD_SIZE)
-        if self.n_records is None:
-            return n, False
-        if torn and not tolerate_truncation:
-            raise TraceError(
-                f"{self.path.name} is corrupt: {size} bytes is "
-                f"not a multiple of {RECORD_SIZE}"
-            )
-        if n > self.n_records or (n < self.n_records and not (
+        st = self.stat_records()
+        if st.declared is None:
+            return st.n, False
+        if st.error is not None and not tolerate_truncation:
+            raise TraceError(f"cannot read {self.path}: {st.error}")
+        if st.torn and not tolerate_truncation:
+            raise TraceError(f"{self.path.name} is corrupt: {st.size} "
+                             f"bytes is not a multiple of {RECORD_SIZE}")
+        if st.extra or (st.short and not (
                 tolerate_truncation or self.truncated)):
-            raise TraceError(
-                f"{self.path.name} has {n} records, header says "
-                f"{self.n_records}"
-            )
-        return n, bool(torn) or n < self.n_records
+            raise TraceError(f"{self.path.name} has {st.n} records, "
+                             f"header says {st.declared}")
+        return st.n, st.error is not None or bool(st.torn) or st.short
 
     def iter_chunks(self, chunk_records: int, *,
                     tolerate_truncation: bool = False):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.check.tracelint import check_records, lint_chunks
 from repro.core.records import RECORD_DTYPE
 from repro.core.symtab import SymbolTable
 from repro.core.trace import (
@@ -50,3 +51,25 @@ def records_array(rows):
     for i, row in enumerate(rows):
         arr[i] = row
     return arr
+
+
+#: the chunk sizes every record-stream test folds its stream at
+FOLD_CHUNKS = (1, 7, 64)
+
+
+def lint_in_chunks(arr, size, **kwargs):
+    """:func:`lint_chunks` (diagnostics, time order) of *arr* fed in
+    chunks of *size* records."""
+    return lint_chunks((arr[lo:lo + size]
+                        for lo in range(0, len(arr), size)), **kwargs)
+
+
+def lint_records(arr, **kwargs):
+    """``check_records(arr, **kwargs)``, the fold over the whole stream
+    as one chunk, once the fold at every size in :data:`FOLD_CHUNKS` is
+    seen to give the same diagnostics list and time-order verdict."""
+    whole = lint_chunks([arr], **kwargs)
+    for size in FOLD_CHUNKS:
+        assert lint_in_chunks(arr, size, **kwargs) == whole, size
+    assert check_records(arr, **kwargs) == whole[0]
+    return whole[0]

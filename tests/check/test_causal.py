@@ -16,7 +16,7 @@ import pytest
 
 from repro.check import RULES
 from repro.check.causal import CausalAnalyzer, causal_check_bundle
-from repro.check.tracelint import check_path, check_records
+from repro.check.tracelint import check_path
 from repro.core.commrec import (
     FLAG_COMPLETE,
     FLAG_RENDEZVOUS,
@@ -48,7 +48,7 @@ from repro.core.trace import (
 )
 from repro.util.errors import ConfigError
 
-from tests.check.fixtures import records_array
+from tests.check.fixtures import lint_records, records_array
 
 
 def rules_of(diags):
@@ -428,15 +428,15 @@ def comm_augmented_records():
 def test_old_reader_downgrades_comm_kinds_to_warning():
     """A reader built before the comm extension skips the reserved-range
     kinds with a warning instead of declaring the trace corrupt."""
-    diags = check_records(comm_augmented_records(),
-                          known_kinds=(REC_ENTER, REC_EXIT, REC_TEMP))
+    diags = lint_records(comm_augmented_records(),
+                         known_kinds=(REC_ENTER, REC_EXIT, REC_TEMP))
     tl5 = [d for d in diags if d.rule == "TL005"]
     assert tl5 and all(d.severity == "warning" for d in tl5)
     assert "skipping" in tl5[0].message
 
 
 def test_current_reader_accepts_comm_kinds():
-    diags = check_records(comm_augmented_records())
+    diags = lint_records(comm_augmented_records())
     assert "TL005" not in rules_of(diags)
 
 
@@ -444,7 +444,7 @@ def test_truly_unknown_kind_is_still_an_error():
     arr = records_array([(REC_ENTER, 10, 0, 0, 1, 0.0),
                          (9, 10, 5, 0, 1, 0.0),
                          (REC_EXIT, 10, 9, 0, 1, 0.0)])
-    diags = check_records(arr, known_kinds=(REC_ENTER, REC_EXIT, REC_TEMP))
+    diags = lint_records(arr, known_kinds=(REC_ENTER, REC_EXIT, REC_TEMP))
     tl5 = [d for d in diags if d.rule == "TL005"]
     assert tl5 and tl5[0].severity == "error"
 

@@ -254,3 +254,29 @@ def test_damaged_closed_directory_is_refused_by_every_reader(
     loaded = TraceBundle.load(path, tolerate_truncation=True)
     assert loaded.node("node1").truncated
     assert len(loaded.node("node1")) == 29 - 20
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_extra_records_are_refused_even_when_lenient(tmp_path, capsys,
+                                                     layout):
+    """A record file holding more records than its header declares is
+    no lost tail to recover: every reader refuses it, leniently too, and
+    ``check`` reports the count (TL003)."""
+    save, _, suffix = LAYOUTS[layout]
+    path = save(build_clean_bundle(seed=7), tmp_path / "d")
+    rec_file = path / f"node1{suffix}"
+    blob = rec_file.read_bytes()
+    rec_file.write_bytes(blob + blob[-3 * RECORD_SIZE:])
+
+    for argv in (["race", str(path)], ["parse", str(path)],
+                 ["parse", "--lenient", str(path)],
+                 ["compare", "--lenient", str(path), str(path)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "header says 29" in err, err
+
+    report = tmp_path / "check.json"
+    assert main(["check", str(path), "--json", str(report)]) == 1
+    diags = json.loads(report.read_text())["diagnostics"]
+    (tl3,) = [d for d in diags if d["rule"] == "TL003"]
+    assert tl3["message"] == "record file holds 32 records, header says 29"

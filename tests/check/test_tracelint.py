@@ -17,15 +17,20 @@ from repro.check.tracelint import (
     check_layout,
     check_path,
     check_profile,
-    check_records,
     compare_profiles,
 )
 from repro.core.parser import TempestParser
+from repro.core.records import RECORD_SIZE
 from repro.core.symtab import SymbolTable
 from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP, TraceBundle
 from repro.util.errors import ConfigError
 
-from tests.check.fixtures import build_bundle, records_array
+from tests.check.fixtures import (
+    build_bundle,
+    lint_in_chunks,
+    lint_records,
+    records_array,
+)
 from tests.legacy import LAYOUTS
 
 import pytest
@@ -87,7 +92,7 @@ def test_check_layout_detects_field_reorder():
 
 
 def test_empty_trace_is_info():
-    diags = check_records(records_array([]), node="node1")
+    diags = lint_records(records_array([]), node="node1")
     assert rules_of(diags) == ["TL015"]
     assert diags[0].severity == "info"
 
@@ -95,7 +100,7 @@ def test_empty_trace_is_info():
 def test_unknown_record_kind():
     arr = records_array([(1, 10, 0, 0, 1, 0.0), (9, 10, 5, 0, 1, 0.0),
                          (2, 10, 9, 0, 1, 0.0)])
-    diags = check_records(arr)
+    diags = lint_records(arr)
     assert "TL005" in rules_of(diags)
 
 
@@ -103,7 +108,7 @@ def test_stack_imbalance_and_open_frames():
     # EXIT with empty stack; then an ENTER never closed.
     arr = records_array([(REC_EXIT, 10, 0, 0, 1, 0.0),
                          (REC_ENTER, 20, 5, 0, 1, 0.0)])
-    diags = check_records(arr)
+    diags = lint_records(arr)
     assert rules_of(diags) == ["TL006", "TL007"]
 
 
@@ -112,7 +117,7 @@ def test_tsc_regression():
                          (REC_ENTER, 20, 50, 0, 1, 0.0),
                          (REC_EXIT, 20, 120, 0, 1, 0.0),
                          (REC_EXIT, 10, 130, 0, 1, 0.0)])
-    diags = check_records(arr)
+    diags = lint_records(arr)
     assert rules_of(diags) == ["TL008"]
 
 
@@ -123,13 +128,13 @@ def test_sensor_index_band_and_quantization():
         (REC_TEMP, 0, 2, 0, 2, 400.0),    # TL010: out of band
         (REC_TEMP, 1, 3, 0, 2, 44.51),    # TL011: off the 0.25 C grid
     ])
-    diags = check_records(arr, sensor_names=["S0", "S1"])
+    diags = lint_records(arr, sensor_names=["S0", "S1"])
     assert rules_of(diags) == ["TL009", "TL010", "TL011"]
 
 
 def test_nan_temperature_fails_band_not_quantization():
     arr = records_array([(REC_TEMP, 0, 0, 0, 2, float("nan"))])
-    diags = check_records(arr, sensor_names=["S0"])
+    diags = lint_records(arr, sensor_names=["S0"])
     assert rules_of(diags) == ["TL010"]
 
 
@@ -140,15 +145,65 @@ def test_symtab_unresolvable():
                          (REC_ENTER, known + 999, 1, 0, 1, 0.0),
                          (REC_EXIT, known + 999, 2, 0, 1, 0.0),
                          (REC_EXIT, known, 3, 0, 1, 0.0)])
-    diags = check_records(arr, symtab=symtab)
+    diags = lint_records(arr, symtab=symtab)
     assert rules_of(diags) == ["TL014"]
 
 
 def test_aggregation_folds_repeats_into_one_diagnostic():
     rows = [(REC_TEMP, 0, i, 0, 2, 44.51) for i in range(50)]
-    diags = check_records(records_array(rows), sensor_names=["S0"])
+    diags = lint_records(records_array(rows), sensor_names=["S0"])
     assert rules_of(diags) == ["TL011"]
     assert "(+49 more)" in diags[0].message
+
+
+def test_unresolved_addresses_split_over_chunks():
+    """TL014 names the smallest unresolved address first, however the
+    stream is cut, and counts each address once."""
+    symtab = SymbolTable()
+    known = symtab.address_of("main")
+    big, small = known + 999, known + 5
+    arr = records_array([(REC_ENTER, known, 0, 0, 1, 0.0),
+                         (REC_ENTER, big, 1, 0, 1, 0.0),
+                         (REC_EXIT, big, 2, 0, 1, 0.0),
+                         (REC_ENTER, small, 3, 0, 1, 0.0),
+                         (REC_EXIT, small, 4, 0, 1, 0.0),
+                         (REC_ENTER, big, 5, 0, 1, 0.0),
+                         (REC_EXIT, big, 6, 0, 1, 0.0),
+                         (REC_EXIT, known, 7, 0, 1, 0.0)])
+    (diag,), _ = lint_in_chunks(arr, 3, symtab=symtab)  # big, then small
+    assert [diag] == lint_records(arr, symtab=symtab)
+    assert diag.rule == "TL014"
+    assert diag.location == f"addr[{small:#x}]"
+    assert diag.message.endswith("(+1 more)")
+
+
+def test_tsc_regression_straddling_a_chunk_cut():
+    """A pid's running TSC maximum carries over the cut: the record
+    after it steps back from the maximum before it."""
+    arr = records_array([(REC_ENTER, 10, 100, 0, 1, 0.0),
+                         (REC_ENTER, 30, 5, 0, 2, 0.0),
+                         (REC_ENTER, 20, 300, 0, 1, 0.0),
+                         # cut here
+                         (REC_EXIT, 20, 250, 0, 1, 0.0),
+                         (REC_EXIT, 30, 6, 0, 2, 0.0),
+                         (REC_EXIT, 10, 400, 0, 1, 0.0)])
+    (diag,), _ = lint_in_chunks(arr, 3)
+    assert [diag] == lint_records(arr)
+    assert diag.rule == "TL008"
+    assert diag.message == "pid 1 steps back 50 ticks"
+    assert diag.location == "record[3]"
+
+
+def test_time_order_is_judged_across_chunk_cuts():
+    """A stream whose only step back in time falls on a chunk cut is
+    still out of order, so the deep pass skips it."""
+    arr = records_array([(REC_ENTER, 10, 0, 0, 1, 0.0),
+                         (REC_TEMP, 0, 20, 3, 2, 44.5),
+                         # cut here
+                         (REC_TEMP, 0, 15, 3, 2, 44.5),
+                         (REC_EXIT, 10, 30, 0, 1, 0.0)])
+    assert lint_in_chunks(arr, 2, sensor_names=["S0"]) == ([], False)
+    assert lint_records(arr, sensor_names=["S0"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +247,19 @@ def test_truncated_flag_on_intact_file(tmp_path):
         path = save(build_bundle(), tmp_path / layout)
         _edit_header(path, header_name, _mark_truncated)
         assert "TL004" in rules_of(check_path(path))
+
+
+def test_truncated_flag_on_short_file_is_coherent(tmp_path):
+    """A short record file the header marks truncated is the lost tail
+    the flag announces: neither a count mismatch nor an incoherent
+    flag."""
+    for layout, (save, header_name, suffix) in LAYOUTS.items():
+        path = save(build_bundle(), tmp_path / layout)
+        _edit_header(path, header_name, _mark_truncated)
+        rec = path / f"node1{suffix}"
+        rec.write_bytes(rec.read_bytes()[:-3 * RECORD_SIZE])
+        got = rules_of(check_path(path))
+        assert "TL003" not in got and "TL004" not in got, got
 
 
 def test_torn_bundle_record_file_is_error(tmp_path):

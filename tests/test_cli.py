@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import main
 
+from tests.legacy import LAYOUTS
+
 
 def test_micro_text_report(capsys):
     assert main(["micro", "--bench", "B", "--plot"]) == 0
@@ -60,6 +62,31 @@ def test_save_and_parse_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Function: main" in out
     assert "foo1" in out
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_compare_lenient_recovers_a_short_bundle(tmp_path, capsys, layout):
+    """`compare --lenient` reads a closed bundle whose record file lost
+    its tail as `parse --lenient` does; without it the count mismatch
+    is an error (exit 2)."""
+    from repro.core.records import RECORD_SIZE
+    from repro.core.trace import TraceBundle
+
+    saved = tmp_path / "saved"
+    assert main(["micro", "--bench", "D", "--save-trace", str(saved)]) == 0
+    save, _, suffix = LAYOUTS[layout]
+    before = save(TraceBundle.load(saved), tmp_path / "before")
+    after = save(TraceBundle.load(saved), tmp_path / "after")
+    record_file = after / f"node1{suffix}"
+    record_file.write_bytes(record_file.read_bytes()[:-50 * RECORD_SIZE])
+    capsys.readouterr()
+
+    assert main(["parse", "--lenient", str(after)]) == 0
+    assert main(["compare", "--lenient", str(before), str(after)]) == 0
+    assert "main" in capsys.readouterr().out
+    assert main(["compare", str(before), str(after)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "header says" in err
 
 
 def _spooled_micro_d(tmp_path):
