@@ -921,11 +921,12 @@ def causal_check_bundle(path, *, label: str = "",
     """Run the communication sanitizer over a trace directory.
 
     Each node's record file streams through the analyzer in bounded
-    chunks; traces without comm records yield ``[]``.  A spool is live,
-    so the analyzer runs in live mode: finalize-dependent findings
-    (CM002/CM004) downgrade to warnings because the matching tail may
-    not have been written yet.  A malformed header, or a closed node's
-    record file that is torn or does not hold the declared count, raises
+    chunks; traces without comm records yield ``[]``.  On a live
+    directory (a spool still being written) the analyzer runs in live
+    mode: finalize-dependent findings (CM002/CM004) downgrade to
+    warnings because the matching tail may not have been written yet.
+    A malformed header, or a closed node's record file that is torn or
+    does not hold the declared count, raises
     :class:`~repro.util.errors.TraceError`
     (:meth:`~repro.core.trace.NodeHeader.iter_chunks`): the survivors of
     a lost tail look like ranks that stopped early, and every verdict

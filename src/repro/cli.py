@@ -6,7 +6,7 @@ Mirrors the paper's workflow from the terminal:
   simulated node and print the Figure 2(a) report (and 2(b) plot).
 * ``tempest npb --bench FT --klass W --ranks 4`` — run an NPB code on the
   simulated cluster, print per-node reports and the stacked cluster plot.
-* ``tempest parse <bundle>`` — post-process a saved trace bundle.
+* ``tempest parse <dir>`` — post-process a saved trace directory.
 * ``tempest sensors [--root PATH]`` — list hwmon sensors (real Linux or a
   materialized virtual tree).
 * ``tempest check <path>...`` — static analysis: TraceLint over bundles
@@ -29,13 +29,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core import TempestParser, TempestSession, render_stdout_report
+from repro.core import TempestSession, render_stdout_report
 from repro.core.ascii_plot import render_cluster_profile, render_function_profile
+from repro.core.parser import read_sensor_series
 from repro.core.report import dump_csv, dump_json
-from repro.core.trace import TraceBundle, is_trace_dir, read_trace_header
+from repro.core.streamprof import stream_bundle_profile, stream_spool_profile
+from repro.core.trace import is_trace_dir, read_trace_header
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.util.canonjson import canon_dumps
-from repro.util.errors import ConfigError, ReproError
+from repro.util.errors import ReproError
 
 
 def _add_inject_args(p: argparse.ArgumentParser) -> None:
@@ -65,13 +67,13 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
                    help="report degC instead of degF")
     p.add_argument("--format", choices=["text", "csv", "json"],
                    default="text")
-    p.add_argument("--save-trace", type=Path, default=None,
-                   help="directory to save the raw trace bundle")
     p.add_argument("--html", type=Path, default=None,
                    help="also write a self-contained HTML report here")
 
 
-def _add_live_args(p: argparse.ArgumentParser) -> None:
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--save-trace", type=Path, default=None,
+                   help="directory to save the raw trace bundle")
     p.add_argument(
         "--live", type=float, default=None, metavar="SECONDS",
         help="print a live hotspot snapshot every SECONDS of simulated "
@@ -253,14 +255,10 @@ def cmd_hotpaths(args) -> int:
     the streaming engine with an HCCT budget, merges the per-node trees,
     and prints the top-k contexts plus every hot function whose
     exclusive time splits across more than one calling context."""
-    from repro.core.streamprof import stream_bundle_profile
-
     budget = args.hcct_budget
     if args.bundle is not None:
-        bundle = TraceBundle.load(args.bundle,
-                                  tolerate_truncation=args.lenient)
-        profile = stream_bundle_profile(bundle, strict=not args.lenient,
-                                        hcct_budget=budget)
+        profile = stream_spool_profile(args.bundle, strict=not args.lenient,
+                                       hcct_budget=budget)
         source = str(args.bundle)
     else:
         setup = _npb_setup(args)
@@ -349,26 +347,18 @@ def cmd_hotpaths(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    """Profile a trace directory: a closed one through the parser, a
-    live spool chunk by chunk in constant memory."""
-    path = args.bundle
-    if read_trace_header(path).closed:
-        if args.chunk_records is not None or args.hcct_budget is not None:
-            raise ConfigError(
-                f"{path} is a closed trace directory; --chunk-records "
-                "and --hcct-budget apply to live spool directories only"
-            )
-        bundle = TraceBundle.load(path, tolerate_truncation=args.lenient)
-        profile = TempestParser(bundle, strict=not args.lenient).parse()
-    else:
-        from repro.core.streamprof import stream_spool_profile
-
-        profile = stream_spool_profile(
-            path,
-            chunk_records=args.chunk_records,
-            strict=not args.lenient,
-            hcct_budget=args.hcct_budget,
-        )
+    """Profile a trace directory in bounded memory; ``--html`` reads the
+    raw sensor series it plots."""
+    profile = stream_spool_profile(
+        args.bundle,
+        chunk_records=args.chunk_records,
+        strict=not args.lenient,
+        hcct_budget=args.hcct_budget,
+    )
+    if args.html:
+        for node in read_trace_header(args.bundle).nodes.values():
+            profile.nodes[node.name].sensor_series = read_sensor_series(
+                node, tolerate_truncation=args.lenient)
     _emit(profile, args)
     return 0
 
@@ -377,10 +367,8 @@ def cmd_compare(args) -> int:
     """Diff two saved trace bundles function by function."""
     from repro.analysis.diffprof import diff_profiles, render_diff
 
-    before, after = (
-        TempestParser(TraceBundle.load(path, tolerate_truncation=args.lenient),
-                      strict=not args.lenient).parse()
-        for path in (args.before, args.after))
+    before, after = (stream_spool_profile(path, strict=not args.lenient)
+                     for path in (args.before, args.after))
     deltas = diff_profiles(before, after)
     if not deltas:
         # Incomparable inputs are a usage problem, not a diff finding.
@@ -845,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", action="store_true")
     _add_output_args(p)
     _add_inject_args(p)
-    _add_live_args(p)
+    _add_run_args(p)
     p.set_defaults(fn=cmd_micro)
 
     p = sub.add_parser("npb", help="run an NPB benchmark on the simulated cluster")
@@ -859,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", action="store_true")
     _add_output_args(p)
     _add_inject_args(p)
-    _add_live_args(p)
+    _add_run_args(p)
     p.set_defaults(fn=cmd_npb)
 
     p = sub.add_parser("hotspots",
@@ -902,27 +890,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hotpaths)
 
     p = sub.add_parser("parse",
-                       help="parse a saved trace bundle or spool directory")
+                       help="profile a saved trace directory")
     p.add_argument("bundle", type=Path,
-                   help="a trace directory: a closed one (--save-trace; "
-                        "its header declares every node's record count) "
-                        "is parsed whole, a live spool (spool_dir) chunk "
-                        "by chunk; each spool chunk is put in time order, "
-                        "so a spool profiles like the bundle loaded from "
-                        "it unless a record arrives more than one chunk "
-                        "late; a malformed header, or a record file torn "
-                        "or short of its count, is an error (exit 2; "
-                        "--lenient recovers a short file)")
+                   help="a trace directory, closed (--save-trace, a "
+                        "finished session's spool_dir) or live, profiled "
+                        "chunk by chunk in bounded memory; a malformed "
+                        "header, or a record file torn or short of its "
+                        "count, is an error (exit 2; --lenient recovers "
+                        "a short file)")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--chunk-records", type=int, default=None,
-                   help="spools only: records per streaming chunk "
-                        "(default: the streaming read size, 32768 — the "
-                        "engine amortizes per-chunk cost over big "
-                        "chunks)")
+                   help="records per streaming chunk (default: the "
+                        "streaming read size, 32768 — the engine "
+                        "amortizes per-chunk cost over big chunks)")
     p.add_argument("--hcct-budget", type=int, default=None, metavar="N",
-                   help="spools only: also build hot calling-context "
-                        "trees, at most N tracked contexts per node "
-                        "(0 = unbounded exact CCT; default: off)")
+                   help="also build hot calling-context trees, at most N "
+                        "tracked contexts per node (0 = unbounded exact "
+                        "CCT; default: off)")
     _add_output_args(p)
     p.set_defaults(fn=cmd_parse)
 

@@ -22,9 +22,9 @@ it: each node's records go through one
 :class:`~repro.core.streamprof.ProfileAccumulator` in time order
 (:func:`~repro.core.streamprof.in_time_order`,
 :func:`~repro.core.streamprof.feed_node`), the same engine
-:func:`~repro.core.streamprof.stream_spool_profile` runs over a spool
-and live sessions run mid-run.  What the parser adds is the raw
-per-sensor series, which Figures 2-4 plot.
+:func:`~repro.core.streamprof.stream_spool_profile` runs over a trace
+directory and live sessions run mid-run.  What the parser adds is the
+raw per-sensor series, which Figures 2-4 plot.
 """
 
 from __future__ import annotations
@@ -32,17 +32,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.profilemodel import NodeProfile, RunProfile
+from repro.core.records import RECORD_DTYPE
+from repro.core.spool import STREAM_CHUNK_RECORDS
 from repro.core.streamprof import (
     ProfileAccumulator,
     feed_node,
     in_time_order,
 )
-from repro.core.trace import REC_TEMP, NodeTrace, TraceBundle
+from repro.core.trace import REC_TEMP, NodeHeader, NodeTrace, TraceBundle
 from repro.util.errors import TraceError
 
 
 def _series_from(
-    temp: np.ndarray, trace: NodeTrace
+    temp: np.ndarray, tsc_hz: float, sensor_names: list[str]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-sensor (times, values) arrays, built as pure column ops:
     sampled sensors first, in index order, then the silent ones, empty.
@@ -50,16 +52,25 @@ def _series_from(
     Sensor indices are already validated: the engine raises on an
     undeclared one before the series are built.
     """
-    times_all = np.asarray(trace.seconds(temp["tsc"]), dtype=np.float64)
+    times_all = temp["tsc"] / float(tsc_hz)
     values_all = temp["value"].astype(np.float64)
     sensor_idx = temp["addr"]
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for idx in np.unique(sensor_idx).tolist():
         mask = sensor_idx == idx
-        out[trace.sensor_names[idx]] = (times_all[mask], values_all[mask])
-    for name in trace.sensor_names:
+        out[sensor_names[idx]] = (times_all[mask], values_all[mask])
+    for name in sensor_names:
         out.setdefault(name, (np.empty(0), np.empty(0)))
     return out
+
+
+def read_sensor_series(node: NodeHeader, *, tolerate_truncation=False):
+    """A trace-directory node's series, as the parser builds them, from
+    the TEMP records of each chunk its record file is read in."""
+    temp = [np.empty(0, RECORD_DTYPE)] + [
+        c[c["kind"] == REC_TEMP] for c in node.iter_chunks(
+            STREAM_CHUNK_RECORDS, tolerate_truncation=tolerate_truncation)]
+    return _series_from(np.concatenate(temp), node.tsc_hz, node.sensor_names)
 
 
 class TempestParser:
@@ -113,5 +124,5 @@ class TempestParser:
         feed_node(acc, ordered)
         profile = acc.finalize()
         profile.sensor_series = _series_from(arr[arr["kind"] == REC_TEMP],
-                                             trace)
+                                             trace.tsc_hz, trace.sensor_names)
         return profile

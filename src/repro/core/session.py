@@ -225,28 +225,24 @@ class TempestSession:
     def _emergency_flush(self) -> None:
         """Best-effort preservation when a workload dies mid-run.
 
-        Every spool is driven through its context manager so the buffered
-        columnar chunk (up to 4095 records, previously dropped on the
-        floor) reaches disk before the handle closes, and the header is
-        written so the partial trace stays parseable post-mortem.  Errors
-        here must never mask the workload's own exception.
+        Every spool is closed, which drains its buffered columnar chunk
+        (up to 4095 records, previously dropped on the floor) before the
+        handle closes, and a live header is written so the partial trace
+        stays parseable post-mortem.  Errors here must never mask the
+        workload's own exception.
         """
-        from repro.core.spool import SpoolingNodeTrace
-
+        if self.spool_dir is None:
+            return
         for tracer in self.tracers.values():
-            trace = tracer.trace
-            if isinstance(trace, SpoolingNodeTrace) and not trace.spool.closed:
-                try:
-                    with trace.spool:
-                        pass       # __exit__ drains the chunk, then closes
-                except (OSError, TraceError) as exc:
-                    _log.debug("emergency spool flush for %s failed: %s",
-                               trace.node_name, exc)
-        if self.spool_dir is not None:
             try:
-                self.finalize_spools()
-            except (OSError, TraceError, ConfigError) as exc:
-                _log.debug("emergency spool-header write failed: %s", exc)
+                tracer.trace.spool.close()
+            except (OSError, TraceError) as exc:
+                _log.debug("emergency spool flush for %s failed: %s",
+                           tracer.node_name, exc)
+        try:
+            self.finalize_spools()
+        except (OSError, TraceError, ConfigError) as exc:
+            _log.debug("emergency spool-header write failed: %s", exc)
 
     def _install_progress(self) -> None:
         """Arm the periodic live-profile callback (idempotent)."""
@@ -265,26 +261,30 @@ class TempestSession:
         parse``/``check``/``race``/``push`` and the collectors all open
         it through :func:`repro.core.trace.read_trace_header`.
 
+        After :meth:`stop` the header declares each node's record count
+        (the directory is closed); after ``_emergency_flush`` it stays live.
+
         Idempotent: a session may finalize through ``stop()`` *and*
         through ``_emergency_flush`` (or an external collector may have
         drained the same spools already) — the second call must neither
         raise on the closed spools nor rewrite the header out from under
         a reader.
         """
-        from repro.core.spool import SpoolingNodeTrace, write_spool_header
+        from repro.core.spool import write_spool_header
 
         if self._spools_finalized:
             return
         self._spools_finalized = True
         nodes = {}
         for name, tracer in self.tracers.items():
-            trace = tracer.trace
-            if isinstance(trace, SpoolingNodeTrace):
-                trace.spool.close()
+            trace = tracer.trace      # a SpoolingNodeTrace: see attach()
+            trace.spool.close()
             nodes[name] = {
                 "tsc_hz": trace.tsc_hz,
                 "sensor_names": trace.sensor_names,
             }
+            if self._stopped:
+                nodes[name]["n_records"] = trace.spool.records_written
         write_spool_header(
             self.spool_dir, self.symtab, nodes,
             {"sampling_hz": self.tempd_config.sampling_hz},

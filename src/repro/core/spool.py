@@ -4,14 +4,15 @@ The real Tempest appends trace records to a file *during* execution — a
 long run must not hold its whole trace in memory.  A :class:`TraceSpool`
 attaches to a :class:`~repro.core.trace.NodeTrace` and sinks each record
 as it is appended; :func:`write_spool_header` saves the directory's
-header.  This is the only trace-directory layout written: a session's
-spools get a header without record counts (live, still growing), and
-:meth:`TraceBundle.save <repro.core.trace.TraceBundle.save>` writes the
-same files with a header, written last, that declares every node's
-count (closed).  Readers open either through
-:func:`repro.core.trace.read_trace_header` and read records through
-:meth:`NodeHeader.iter_chunks <repro.core.trace.NodeHeader.iter_chunks>`,
-which drops a torn tail (a crash mid-append) from a live spool.
+header.  This is the only trace-directory layout written: a header
+without record counts makes the directory live (still growing, or left
+by a dead workload), and one written last that declares every node's
+count makes it closed, as a finished session and :meth:`TraceBundle.save
+<repro.core.trace.TraceBundle.save>` leave it.  Readers open either
+through :func:`repro.core.trace.read_trace_header` and read records
+through :meth:`NodeHeader.iter_chunks
+<repro.core.trace.NodeHeader.iter_chunks>`, which drops a torn tail (a
+crash mid-append) from a live spool.
 
 Spooling is buffered and columnar: records accumulate in a small
 structured-array chunk and hit the file as one ``write`` per
@@ -189,8 +190,7 @@ def write_spool_header(directory: Path, symtab: SymbolTable,
 
     ``nodes`` maps node name -> {"tsc_hz": ..., "sensor_names": [...]},
     plus, when the directory is closed, every node's ``"n_records"``
-    (and ``"truncated": True`` when set).  A session's header declares
-    no record counts: its spools may still grow.
+    (and ``"truncated": True`` when set).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -2,12 +2,12 @@
 
 The paper's parser is post-mortem: collect the full trace plus the tempd
 sample log, then merge them offline.  Here every path to a profile —
-:class:`~repro.core.parser.TempestParser` over a resident bundle,
-:func:`stream_spool_profile` over a spool, live snapshots mid-run — runs
-the same :class:`ProfileAccumulator`.  It consumes columnar record chunks
-(the ``RecordColumns`` chunks that ``TraceSpool`` writes and
-:func:`repro.core.spool.iter_spool_chunks` reads back) *incrementally*,
-maintaining per-function/per-sensor online statistics and an incremental
+:func:`stream_spool_profile` over a trace directory,
+:class:`~repro.core.parser.TempestParser` over a resident bundle, live
+snapshots mid-run — runs the same :class:`ProfileAccumulator`.  It
+consumes columnar record chunks (``TraceSpool`` writes them,
+:func:`repro.core.spool.iter_spool_chunks` reads them) *incrementally*,
+keeping per-function/per-sensor online statistics and an incremental
 frame stack, so a profile snapshot is available at any point mid-run and
 engine state is bounded by O(functions × sensors), not trace length.
 
@@ -818,7 +818,8 @@ class ProfileAccumulator:
             if self.strict and len(bad):
                 i = int(bad[0])
                 raise TraceError(
-                    f"pid {int(f_pid[i])}: timestamps regressed "
+                    f"{self.node_name}: pid {int(f_pid[i])}: timestamps "
+                    "regressed "
                     f"({float(f_t[i])} after {float(clock[i])}); "
                     "was the process bound to one core?"
                 )
@@ -1681,22 +1682,23 @@ class StreamingRunProfiler:
 def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
                          strict: bool = False,
                          hcct_budget: Optional[int] = None) -> RunProfile:
-    """Constant-memory profile of a trace directory (usually a spool).
+    """Constant-memory profile of a trace directory, closed or live
+    (``parse``, ``compare``, ``hotpaths --bundle``, ``check``).
 
     Reads the header (:func:`~repro.core.trace.read_trace_header`) plus
     each node's record file in fixed-size record chunks and folds them
     straight into streaming accumulators — the whole trace is never
     resident, so peak memory is O(chunk + functions × sensors) however
-    long the run was.  Each chunk is put in time order as it is
-    consumed, so a spool profiles like the bundle loaded from it unless
-    a record arrives a whole chunk late (counted as ``late-records``).
-    The default chunk size is :data:`repro.core.spool.STREAM_CHUNK_RECORDS`
-    — larger than the spool write granularity, because the reduction
-    amortizes per-chunk overhead over more records at ~11 MB of peak
-    residency.  A closed directory's record files must hold the counts
-    its header declares (:meth:`~repro.core.trace.NodeHeader.iter_chunks`);
-    without ``strict`` a short one is read as far as it goes, as
-    ``parse --lenient`` does.
+    long the run was; no raw sensor series are kept.  Each chunk is put
+    in time order as it is consumed, so a directory profiles like the
+    bundle loaded from it unless a record arrives a whole chunk late
+    (counted as ``late-records``).  The default chunk size is
+    :data:`repro.core.spool.STREAM_CHUNK_RECORDS` — larger than the
+    spool write granularity, because the reduction amortizes per-chunk
+    overhead over more records at ~11 MB of peak residency.  A closed
+    directory's record files must hold the counts its header declares
+    (:meth:`~repro.core.trace.NodeHeader.iter_chunks`); without
+    ``strict`` a short one is read as far as it goes.
     """
     from repro.core.spool import STREAM_CHUNK_RECORDS
 

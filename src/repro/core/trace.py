@@ -23,11 +23,11 @@ reader — save, spooling, parsing, diagnostics — moves whole arrays.
 On disk a trace is a directory: a JSON header, ``header.json`` (symbol
 table, node metadata, calibration), plus one binary record file per
 node, ``<node>.spool``.  A session appends to the record files while it
-runs (:mod:`repro.core.spool`) and writes a header without record
-counts: the directory is *live*.  :meth:`TraceBundle.save` writes the
-record files and then, last, a header that declares every node's
-record count: the directory is *closed*.  :func:`read_trace_header` is
-the one reader of a header, and :meth:`NodeHeader.iter_chunks` the one
+runs (:mod:`repro.core.spool`); a header without record counts makes
+the directory *live*.  A finished session, and :meth:`TraceBundle.save`,
+write the header last and declare every node's record count: the
+directory is *closed*.  :func:`read_trace_header` is the one reader of
+a header, and :meth:`NodeHeader.iter_chunks` the one
 reader of a node's record file; everything that opens a trace
 directory goes through them.  Bundles written before the two layouts
 became one are still read (:func:`read_trace_header`), never written.
@@ -364,9 +364,9 @@ class TraceHeader:
     """A trace directory's header: what every reader needs before it
     touches a record."""
 
-    #: True when every node declares its record count (the directory was
-    #: written whole by :meth:`TraceBundle.save`); False for a live spool
-    #: a session may still be appending to
+    #: True when every node declares its record count (a finished
+    #: session or :meth:`TraceBundle.save` wrote it); False for a live
+    #: spool a session may still be appending to
     closed: bool
     symtab: SymbolTable
     meta: dict

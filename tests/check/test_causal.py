@@ -508,10 +508,12 @@ def test_check_bundle_dir_includes_causal_findings(tmp_path):
 
 
 def test_causal_check_spool_live(tmp_path):
-    """Spooled traces stream through the live-mode checker."""
+    """Spooled traces stream through the live-mode checker (a finished
+    session closes its spools, so a live copy is made)."""
     from repro.core.session import TempestSession
     from repro.mpisim.comm import ANY_SOURCE
     from repro.simmachine.machine import ClusterConfig, Machine
+    from tests.legacy import as_spool
 
     def program(ctx):
         comm = ctx.comm
@@ -525,7 +527,8 @@ def test_causal_check_spool_live(tmp_path):
     spool = tmp_path / "spool"
     session = TempestSession(machine, spool_dir=spool)
     session.run_mpi(program, 3, name="spool-race")
-    assert "CM001" in rules_of(causal_check_bundle(spool))
+    live = as_spool(spool, tmp_path / "live")
+    assert "CM001" in rules_of(causal_check_bundle(live))
 
 
 # ----------------------------------------------------------------------

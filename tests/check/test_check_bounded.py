@@ -1,19 +1,23 @@
 """``tempest check`` reads a trace in bounded memory and still checks
-the engine's chunking invariance (TL018) on short traces.
+the engine's chunking invariance (TL018) on short traces; ``parse``,
+``compare`` and ``hotpaths --bundle`` read it in bounded memory too.
 
 Every record file streams through the one record reader in
 ``STREAM_CHUNK_RECORDS`` chunks, and the deep pass profiles the trace
 twice through :func:`~repro.core.streamprof.stream_spool_profile`, at
 ``STREAM_CHUNK_RECORDS`` and at a small odd chunk size, so no pass
-holds a whole record file.
+holds a whole record file.  The profiling commands run the same
+:func:`~repro.core.streamprof.stream_spool_profile`.
 """
 
 import tracemalloc
 import weakref
 
 import numpy as np
+import pytest
 
 from repro.check.tracelint import check_path
+from repro.cli import main
 from repro.core.records import RecordColumns
 from repro.core.spool import STREAM_CHUNK_RECORDS
 from repro.core.streamprof import ProfileAccumulator
@@ -54,27 +58,52 @@ def flat_bundle(path, n_pairs):
     return path
 
 
-def check_peak(path):
-    """check_path's findings on *path* and its traced heap peak."""
+def traced_peak(run, path):
+    """``run(path)`` and its traced heap peak."""
     tracemalloc.start()
     try:
-        diags = check_path(path)
+        result = run(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return diags, peak
+    return result, peak
+
+
+def peaks_at_n_and_2n(tmp_path, run, clean):
+    """*run*'s traced heap peaks on ~100k and ~200k records; each result
+    must be *clean*."""
+    run(flat_bundle(tmp_path / "warm-up", 10))   # lazy imports
+    peaks = []
+    for n_pairs in (25_000, 50_000):
+        result, peak = traced_peak(run, flat_bundle(tmp_path / f"{n_pairs}",
+                                                    n_pairs))
+        assert result == clean
+        peaks.append(peak)
+    return peaks
 
 
 def test_check_path_memory_does_not_grow_with_the_trace(tmp_path):
     """Twice the records, the same peak: no pass holds a whole record
     file (the whole-file reads peaked at ~1.9x)."""
-    check_path(flat_bundle(tmp_path / "warm-up", 10))   # lazy imports
-    peaks = []
-    for n_pairs in (25_000, 50_000):          # ~100k and ~200k records
-        diags, peak = check_peak(flat_bundle(tmp_path / f"{n_pairs}",
-                                             n_pairs))
-        assert diags == []
-        peaks.append(peak)
+    peaks = peaks_at_n_and_2n(tmp_path, check_path, [])
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+#: the profiling commands, each as argv for a trace directory
+PROFILE_COMMANDS = {
+    "parse": lambda path: ["parse", str(path), "--format", "json"],
+    "compare": lambda path: ["compare", str(path), str(path)],
+    "hotpaths": lambda path: ["hotpaths", "--bundle", str(path)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PROFILE_COMMANDS))
+def test_profile_commands_memory_does_not_grow_with_the_trace(
+        tmp_path, capsys, command):
+    """The same bound for the commands that profile a trace directory
+    (loading it whole peaked at 1.4-1.6x)."""
+    argv = PROFILE_COMMANDS[command]
+    peaks = peaks_at_n_and_2n(tmp_path, lambda path: main(argv(path)), 0)
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 

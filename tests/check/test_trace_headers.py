@@ -14,7 +14,6 @@ bundle the spool-to-bundle reassembly always produced.
 """
 
 import json
-import shutil
 
 import numpy as np
 import pytest
@@ -26,18 +25,7 @@ from repro.core.trace import NodeTrace, TraceBundle, read_trace_header
 from repro.faults.commfaults import build_clean_bundle
 
 from tests.check.fixtures import build_bundle, fill_trace
-from tests.legacy import LAYOUTS, save_legacy_bundle
-
-
-def as_spool(closed_dir, spool_dir):
-    """Copy a closed directory into a live spool: the same files, the
-    header without record counts."""
-    shutil.copytree(closed_dir, spool_dir)
-    header = json.loads((spool_dir / "header.json").read_text())
-    for info in header["nodes"].values():
-        del info["n_records"]
-    (spool_dir / "header.json").write_text(json.dumps(header))
-    return spool_dir
+from tests.legacy import LAYOUTS, as_spool, save_legacy_bundle
 
 
 def _first_node(doc):

@@ -12,7 +12,12 @@ from repro.core.spool import (
     write_spool_header,
 )
 from repro.core.symtab import SymbolTable
-from repro.core.trace import REC_ENTER, REC_TEMP, TraceBundle
+from repro.core.trace import (
+    REC_ENTER,
+    REC_TEMP,
+    TraceBundle,
+    read_trace_header,
+)
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.util.errors import TraceError
 from repro.workloads.microbench import micro_d
@@ -154,6 +159,24 @@ def test_iter_spool_chunks_truncated_tail(tmp_path):
         TraceBundle.load(tmp_path)
 
 
+def test_finished_session_closes_its_spools(tmp_path, capsys):
+    """stop() declares every node's record count, the records its spool
+    wrote: the directory is closed, and the strict checkers pass it."""
+    from repro.cli import main
+
+    spools = tmp_path / "spools"
+    m = Machine(ClusterConfig(n_nodes=2, vary_nodes=False, seed=11))
+    session = TempestSession(m, spool_dir=spools)
+    session.run_mpi(lambda ctx: micro_d(ctx, 2.0, 0.1), 2)
+    header = read_trace_header(spools)
+    assert header.closed
+    for name, node in header.nodes.items():
+        written = session.tracers[name].trace.spool.records_written
+        assert node.n_records == written == node.stat_records().n > 0
+    assert main(["check", "--strict", str(spools)]) == 0
+    assert main(["race", "--strict", str(spools)]) == 0
+
+
 def test_session_emergency_flush_preserves_spool(tmp_path):
     """A workload exception mid-run still leaves a parseable spool dir,
     including the records buffered in the spool's open chunk."""
@@ -172,6 +195,11 @@ def test_session_emergency_flush_preserves_spool(tmp_path):
     trace = bundle.node("node1")
     assert len(trace) > 0                           # buffered chunk flushed
     assert trace.temp_columns() is not None
+    # the run never finished: the directory stays live, and a lenient
+    # parse profiles what reached it
+    assert not read_trace_header(tmp_path / "spools").closed
+    from repro.cli import main
+    assert main(["parse", "--lenient", str(tmp_path / "spools")]) == 0
 
 
 def test_spool_to_bundle_validation(tmp_path):

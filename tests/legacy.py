@@ -5,9 +5,11 @@ Trace directories used to come in two layouts: a closed bundle
 ``<node>.spool``).  The library now writes only the second (a bundle is
 a closed spool) but still reads the first.  This is the old writer,
 verbatim, so tests can make the legacy bundles that readers must keep
-loading.
+loading; :func:`as_spool` makes a live spool out of a closed directory.
 """
 
+import json
+import shutil
 from pathlib import Path
 
 from repro.util.canonjson import dump_canonical
@@ -44,6 +46,18 @@ def save_current(bundle, path) -> Path:
     """Write *bundle* the way the library does: a closed spool."""
     bundle.save(path)
     return Path(path)
+
+
+def as_spool(closed_dir, spool_dir) -> Path:
+    """Copy a closed directory into a live spool: the same files, the
+    header without record counts.  A finished session closes its
+    spools, so a live directory is made this way."""
+    shutil.copytree(closed_dir, spool_dir)
+    header = json.loads((spool_dir / "header.json").read_text())
+    for info in header["nodes"].values():
+        del info["n_records"]
+    (spool_dir / "header.json").write_text(json.dumps(header))
+    return Path(spool_dir)
 
 
 #: layout -> (writer, header file, record-file suffix), current first

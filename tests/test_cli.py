@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 
-from tests.legacy import LAYOUTS
+from tests.legacy import LAYOUTS, as_spool
 
 
 def test_micro_text_report(capsys):
@@ -90,19 +90,18 @@ def test_compare_lenient_recovers_a_short_bundle(tmp_path, capsys, layout):
 
 
 def _spooled_micro_d(tmp_path):
-    """A 2-node spooled micro D run: (spool dir, bundle saved from it)."""
+    """A 2-node spooled micro D run: (a live copy of its spool
+    directory, the closed directory the finished session left)."""
     from repro.core import TempestSession
-    from repro.core.trace import TraceBundle
     from repro.simmachine.machine import ClusterConfig, Machine
     from repro.workloads.microbench import micro_d
 
-    spools, bundle_dir = tmp_path / "spools", tmp_path / "bundle"
+    spools = tmp_path / "spools"
     session = TempestSession(
         Machine(ClusterConfig(n_nodes=2, vary_nodes=False, seed=11)),
         spool_dir=spools)
     session.run_mpi(lambda ctx: micro_d(ctx, 2.0, 0.1), 2)
-    TraceBundle.load(spools).save(bundle_dir)
-    return spools, bundle_dir
+    return as_spool(spools, tmp_path / "live"), spools
 
 
 def _calls_and_times(capsys, path):
@@ -114,7 +113,7 @@ def _calls_and_times(capsys, path):
 
 
 def test_parse_spool_dir_matches_saved_bundle(tmp_path, capsys):
-    """`parse` tells a spool from a bundle by inspection; both report
+    """A live spool and the closed directory of the same records report
     the same calls and times."""
     spools, bundle_dir = _spooled_micro_d(tmp_path)
     from_spool = _calls_and_times(capsys, spools)
@@ -124,12 +123,74 @@ def test_parse_spool_dir_matches_saved_bundle(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", [["--chunk-records", "7"],
                                   ["--hcct-budget", "16"]])
-def test_parse_bundle_rejects_spool_only_flags(tmp_path, capsys, flag):
+def test_parse_takes_streaming_flags_on_every_directory(tmp_path, capsys,
+                                                        flag):
+    """Both layouts stream through one engine: a closed directory takes
+    the streaming flags too, and profiles as its live spool does."""
     spools, bundle_dir = _spooled_micro_d(tmp_path)
-    assert main(["parse", str(spools), *flag]) == 0
+    outputs = []
+    for path in (spools, bundle_dir):
+        assert main(["parse", str(path), *flag, "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_parse_html_plots_every_directory(tmp_path, capsys):
+    """`parse --html` draws the raw sensor series the parser builds from
+    a resident bundle, for a closed directory and a live spool alike."""
+    from repro.core.htmlreport import render_html_report
+    from repro.core.parser import TempestParser
+    from repro.core.trace import TraceBundle
+
+    spools, bundle_dir = _spooled_micro_d(tmp_path)
+    html = render_html_report(
+        TempestParser(TraceBundle.load(bundle_dir)).parse())
+    assert "(no samples)" not in html
+    for path in (bundle_dir, spools):
+        out = tmp_path / f"{path.name}.html"
+        assert main(["parse", str(path), "--html", str(out)]) == 0
+        assert out.read_text() == html
     capsys.readouterr()
-    assert main(["parse", str(bundle_dir), *flag]) == 2
-    assert "spool directories only" in capsys.readouterr().err
+
+
+def test_parse_names_the_node_of_a_regressed_trace(tmp_path, capsys):
+    """A strict parse of a closed directory whose process clock steps
+    back names the node in its one error line (exit 2); --lenient
+    clamps the step."""
+    from repro.core.symtab import SymbolTable
+    from repro.core.trace import REC_ENTER, REC_EXIT, NodeTrace, TraceBundle
+
+    symtab = SymbolTable()
+    main_addr, f = symtab.address_of("main"), symtab.address_of("f")
+    bundle = TraceBundle(symtab)
+    bundle.meta = {"sampling_hz": 4.0}
+    for name in ("node1", "node2"):
+        trace = NodeTrace(name, 1e9, ["S0"])
+        trace.append_event(REC_ENTER, main_addr, 0, 0, 2)
+        # node2's pid 2 enters f 1 ms before it entered main
+        trace.append_event(REC_ENTER, f,
+                           -1_000_000 if name == "node2" else 1_000_000, 0, 2)
+        trace.append_event(REC_EXIT, f, 2_000_000, 0, 2)
+        trace.append_event(REC_EXIT, main_addr, 3_000_000, 0, 2)
+        bundle.add_node(trace)
+    bundle.save(tmp_path / "regressed")
+    assert main(["parse", str(tmp_path / "regressed")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: node2: pid 2: timestamps regressed (-0.001 after "
+                   "0.0); was the process bound to one core?\n")
+    assert main(["parse", "--lenient", str(tmp_path / "regressed")]) == 0
+
+
+@pytest.mark.parametrize("command", ["parse", "serve"])
+def test_save_trace_is_only_a_run_flag(tmp_path, capsys, command):
+    """`--save-trace` saves a run's trace (micro, npb); parse and serve
+    have no run to save and refuse it (exit 2)."""
+    args = [str(tmp_path)] if command == "parse" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--save-trace", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --save-trace" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_parse_rejects_unknown_directory(tmp_path, capsys):
