@@ -224,7 +224,9 @@ def parse_objects(records: list[TraceRecord], symtab: SymbolTable):
 def parse_columnar(cols: RecordColumns, symtab: SymbolTable):
     trace = NodeTrace("bench", TSC_HZ, ["S0", "S1"])
     trace.columns = cols
-    node = TempestParser(TraceBundle(symtab)).parse_node(trace)
+    bundle = TraceBundle(symtab)
+    bundle.add_node(trace)
+    node = TempestParser(bundle).parse().node("bench")
     return node.timeline, node.sensor_series
 
 
@@ -444,8 +446,9 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
         # the whole spool resident: one chunk of every record
         for arr in iter_spool_chunks(spool_path, chunk_records=n_records):
             trace.extend_columns(arr)
-        return TempestParser(TraceBundle(spool_symtab),
-                             strict=False).parse_node(trace)
+        bundle = TraceBundle(spool_symtab)
+        bundle.add_node(trace)
+        return TempestParser(bundle, strict=False).parse().node("bench")
 
     try:
         # -- timing phase: no tracemalloc, GC quiesced between runs;

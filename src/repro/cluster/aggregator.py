@@ -37,9 +37,9 @@ one authoritative cursor per node — ``n_records`` accepted so far:
 Each node's accepted record bytes accumulate verbatim (the zero
 re-encode invariant), so the drained bundle is byte-identical to what
 the node's own spool would have produced, and the merged profile is
-computed by the same per-node parse the in-process path uses — equality
+computed by the same per-node fold the in-process path uses — equality
 with the single-process profile is exact, not approximate.  The bundle
-views those bytes without a copy, and the merged profile parses its
+views those bytes without a copy, and the merged profile folds its
 nodes one per CPU.
 
 Connection state machine (drift-documented in ``docs/INTERNALS.md``)::
@@ -83,10 +83,14 @@ from repro.cluster.wire import (
     decode_json,
     encode_json_frame,
 )
-from repro.core.parser import TempestParser
+from repro.core.parser import attach_sensor_series
 from repro.core.profilemodel import RunProfile
 from repro.core.records import RECORD_SIZE, RecordColumns, records_from_buffer
-from repro.core.streamprof import StreamingRunProfiler
+from repro.core.streamprof import (
+    StreamingRunProfiler,
+    bundle_sources,
+    fold_profile,
+)
 from repro.core.summary import RunSummary
 from repro.core.symtab import SymbolTable
 from repro.core.trace import NodeTrace, TraceBundle, check_tsc_hz
@@ -100,7 +104,7 @@ ST_STREAMING = "STREAMING"
 ST_SUMMARIZING = "SUMMARIZING"
 ST_DRAINED = "DRAINED"
 
-#: ``merged_profile`` pool ceiling.  Each worker holds about one parse
+#: ``merged_profile`` pool ceiling.  Each worker holds about one fold
 #: chunk's working set (~7.6 MB at collect-64's 31k records per node);
 #: there 8 workers peaked below the serial copy-then-parse path and 16
 #: above it (docs/INTERNALS.md).
@@ -471,10 +475,6 @@ class Aggregator:
             )
         return self._live_profiler
 
-    def drained_nodes(self) -> list[str]:
-        with self._lock:
-            return sorted(n.name for n in self.nodes.values() if n.drained)
-
     def all_drained(self, expected_nodes: Optional[int] = None) -> bool:
         """True when every known source — collector nodes and downstream
         leaves — has a fully satisfied EOF (and at least *expected_nodes*
@@ -539,24 +539,25 @@ class Aggregator:
             return bundle
 
     def merged_profile(self) -> RunProfile:
-        """The cluster profile of everything accepted, via the lenient
-        parser — the same pipeline the in-process path drives, so the
-        result is *equal*, not approximately equal, when the streams
-        arrived intact.
+        """The cluster profile of everything accepted, leniently — the
+        fold the in-process path runs over the same records
+        (:func:`~repro.core.streamprof.stream_bundle_profile` plus the
+        raw sensor series), so the result is *equal*, not approximately
+        equal, when the streams arrived intact.
 
-        Nodes parse one per CPU, at most :data:`_MAX_WORKERS`, on a
-        thread pool (numpy releases the GIL for most of a node's parse);
+        Nodes fold one per CPU, at most :data:`_MAX_WORKERS`, on a
+        thread pool (numpy releases the GIL for most of a node's fold);
         each node has its own accumulator and only reads the symbol
-        table, so the profile is the serial parse's, and an error is the
+        table, so the profile is the serial fold's, and an error is the
         first failing node's in sorted order.
         """
         bundle = self.to_bundle()
-        parser = TempestParser(bundle, strict=False)
         workers = min(len(bundle.nodes), _usable_cpus(), _MAX_WORKERS)
         with ThreadPoolExecutor(max(1, workers)) as pool:
-            profiles = list(pool.map(parser.parse_node,
-                                     bundle.nodes.values()))
-        return parser._profile_of(profiles)
+            profile = fold_profile(bundle.symtab, bundle.meta,
+                                   bundle_sources(bundle), strict=False,
+                                   map=pool.map)
+        return attach_sensor_series(profile, bundle)
 
     def live_snapshot(self) -> RunProfile:
         """Mid-stream merged profile (requires ``live=True``)."""

@@ -17,30 +17,24 @@ relative to the sampling interval for the thermal sensors, thermal
 statistical data is not considered significant for this function") — their
 timing is still reported, but sensor statistics are suppressed.
 
-The parser reads a resident bundle and drives the profile engine over
-it: each node's records go through one
-:class:`~repro.core.streamprof.ProfileAccumulator` in time order
-(:func:`~repro.core.streamprof.in_time_order`,
-:func:`~repro.core.streamprof.feed_node`), the same engine
-:func:`~repro.core.streamprof.stream_spool_profile` runs over a trace
-directory and live sessions run mid-run.  What the parser adds is the
-raw per-sensor series, which Figures 2-4 plot.
+The parser is the resident-bundle front end of the one profile driver:
+:func:`~repro.core.streamprof.stream_bundle_profile` folds each node's
+records chunk by chunk through one
+:class:`~repro.core.streamprof.ProfileAccumulator`, exactly as
+:func:`~repro.core.streamprof.stream_spool_profile` folds the trace
+directory saved from the bundle.  What the parser adds is the raw
+per-sensor series, which Figures 2-4 plot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.profilemodel import NodeProfile, RunProfile
+from repro.core.profilemodel import RunProfile
 from repro.core.records import RECORD_DTYPE
 from repro.core.spool import STREAM_CHUNK_RECORDS
-from repro.core.streamprof import (
-    ProfileAccumulator,
-    feed_node,
-    in_time_order,
-)
-from repro.core.trace import REC_TEMP, NodeHeader, NodeTrace, TraceBundle
-from repro.util.errors import TraceError
+from repro.core.streamprof import stream_bundle_profile
+from repro.core.trace import REC_TEMP, NodeHeader, TraceBundle
 
 
 def _series_from(
@@ -73,56 +67,27 @@ def read_sensor_series(node: NodeHeader, *, tolerate_truncation=False):
     return _series_from(np.concatenate(temp), node.tsc_hz, node.sensor_names)
 
 
+def attach_sensor_series(profile: RunProfile,
+                         bundle: TraceBundle) -> RunProfile:
+    """Give each node of *profile* the raw series of *bundle*'s node of
+    the same name; returns *profile*."""
+    for name, trace in bundle.nodes.items():
+        arr = trace.columns.array
+        profile.nodes[name].sensor_series = _series_from(
+            arr[arr["kind"] == REC_TEMP], trace.tsc_hz, trace.sensor_names)
+    return profile
+
+
 class TempestParser:
     """Post-processor turning a :class:`TraceBundle` into a :class:`RunProfile`."""
 
     def __init__(self, bundle: TraceBundle, *, strict: bool = True):
         self.bundle = bundle
         self.strict = strict
-        self.sampling_hz = float(bundle.meta.get("sampling_hz", 4.0))
 
     def parse(self) -> RunProfile:
-        """Parse every node trace in the bundle."""
-        return self._profile_of(
-            [self.parse_node(trace) for trace in self.bundle.nodes.values()])
-
-    def _profile_of(self, profiles: list[NodeProfile]) -> RunProfile:
-        """The run profile of the bundle's node *profiles*, given in the
-        bundle's node order."""
-        return RunProfile(
-            nodes=dict(zip(self.bundle.nodes, profiles)),
-            sampling_hz=self.sampling_hz,
-            meta=dict(self.bundle.meta),
-        )
-
-    def parse_node(self, trace: NodeTrace) -> NodeProfile:
-        """Parse one node: the engine over its records, plus its series."""
-        arr = trace.columns.array
-        ordered = in_time_order(arr)
-        if self.strict and ordered is not arr:
-            # Pre-scan for the §3.3 hazard so the error names the
-            # offender.  A node whose tsc column never decreases has no
-            # per-process regression to find.
-            from repro.core.tsc import detect_regressions
-
-            reports = detect_regressions(trace.func_columns())
-            if reports:
-                raise TraceError(
-                    f"{trace.node_name}: timestamp regressions detected — "
-                    + "; ".join(r.describe() for r in reports[:3])
-                    + (f" (+{len(reports) - 3} more)" if len(reports) > 3
-                       else "")
-                )
-        acc = ProfileAccumulator(
-            trace.node_name,
-            self.bundle.symtab,
-            trace.seconds,
-            trace.sensor_names,
-            sampling_hz=self.sampling_hz,
-            strict=self.strict,
-        )
-        feed_node(acc, ordered)
-        profile = acc.finalize()
-        profile.sensor_series = _series_from(arr[arr["kind"] == REC_TEMP],
-                                             trace.tsc_hz, trace.sensor_names)
-        return profile
+        """Parse every node trace in the bundle: its profile, plus the
+        raw sensor series."""
+        return attach_sensor_series(
+            stream_bundle_profile(self.bundle, strict=self.strict),
+            self.bundle)

@@ -77,8 +77,10 @@ class NodeProfile:
     sensor_series: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (t, degC)
     timeline: Timeline
     #: per-sensor whole-node statistics from the profile engine; the raw
-    #: ``sensor_series`` is only filled by the parser (a resident bundle)
-    #: and ``parse --html`` (:func:`repro.core.parser.read_sensor_series`)
+    #: ``sensor_series`` is only filled where the records are resident —
+    #: the parser and the served profile
+    #: (:func:`repro.core.parser.attach_sensor_series`) — and by ``parse
+    #: --html`` (:func:`repro.core.parser.read_sensor_series`)
     sensor_summary: dict[str, SensorStats] = field(default_factory=dict)
     #: the node's hot calling-context tree (:mod:`repro.core.cct`), when
     #: the producer was asked to keep one (``hcct_budget``); the flat

@@ -1,12 +1,16 @@
 """The profile engine: single-pass, constant-memory profiling.
 
 The paper's parser is post-mortem: collect the full trace plus the tempd
-sample log, then merge them offline.  Here every path to a profile —
-:func:`stream_spool_profile` over a trace directory,
-:class:`~repro.core.parser.TempestParser` over a resident bundle, live
-snapshots mid-run — runs the same :class:`ProfileAccumulator`.  It
-consumes columnar record chunks (``TraceSpool`` writes them,
-:func:`repro.core.spool.iter_spool_chunks` reads them) *incrementally*,
+sample log, then merge them offline.  Here every profile of a whole
+run comes from one driver, :func:`fold_profile`, over per-node chunk
+sources of two kinds: a trace directory's record files
+(:func:`stream_spool_profile`) and a resident bundle's columns
+(:func:`stream_bundle_profile`, which
+:class:`~repro.core.parser.TempestParser` and the wire aggregator's
+served profile run).  Live snapshots mid-run feed the same
+:class:`ProfileAccumulator`.  It consumes columnar record chunks
+(``TraceSpool`` writes them, :func:`repro.core.spool.iter_spool_chunks`
+reads them) *incrementally*,
 keeping per-function/per-sensor online statistics and an incremental
 frame stack, so a profile snapshot is available at any point mid-run and
 engine state is bounded by O(functions × sensors), not trace length.
@@ -83,6 +87,7 @@ __all__ = [
     "ProfileAccumulator",
     "REPAIR_REASONS",
     "StreamingRunProfiler",
+    "fold_profile",
     "stream_bundle_profile",
     "stream_spool_profile",
 ]
@@ -513,8 +518,8 @@ def process_clock(key: np.ndarray, pids: np.ndarray,
     process's keys so far, starting from ``seed[pid]`` (the clock
     carried over from earlier records).  *key* is any time column —
     TSC ticks or seconds.  Returns *key* itself when nothing is clamped.
-    :func:`feed_node` applies this rule to a whole resident node,
-    :meth:`ProfileAccumulator.consume` to each chunk.
+    :meth:`ProfileAccumulator.consume` applies this rule to each chunk,
+    :func:`in_time_order` to a whole resident node.
     """
     out = key
     if not len(key):
@@ -868,13 +873,14 @@ class ProfileAccumulator:
             elif not stack:
                 if self.strict:
                     raise TraceError(
-                        f"pid {p}: EXIT {fnames[fid]!r} with empty stack")
+                        f"{self.node_name}: pid {p}: EXIT {fnames[fid]!r} "
+                        "with empty stack")
                 continue
             else:
                 if self.strict:
                     raise TraceError(
-                        f"pid {p}: EXIT {fnames[fid]!r} but top of stack "
-                        f"is {fnames[stack[-1]]!r}"
+                        f"{self.node_name}: pid {p}: EXIT {fnames[fid]!r} "
+                        f"but top of stack is {fnames[stack[-1]]!r}"
                     )
                 matched = fid in stack
                 while stack and stack[-1] != fid:
@@ -1481,7 +1487,7 @@ class ProfileAccumulator:
             pid = min((pid for _f, _t, pid in rows),
                       key=self._last_time.__getitem__)
             raise TraceError(
-                f"pid {pid}: trace ended with open frames "
+                f"{self.node_name}: pid {pid}: trace ended with open frames "
                 f"{[self._fnames[f] for f in stacks[pid]]}"
             )
         if rows:
@@ -1679,6 +1685,40 @@ class StreamingRunProfiler:
         )
 
 
+def fold_profile(symtab: SymbolTable, meta: dict, sources, *,
+                 strict: bool = False, hcct_budget: Optional[int] = None,
+                 map: Callable = map) -> RunProfile:
+    """The run profile of per-node chunk sources: each node's chunks,
+    in stream order, fold into one :class:`ProfileAccumulator`.
+
+    A source is ``(name, tsc_hz, sensor_names, chunks)``; the profile's
+    nodes keep the sources' order.  This is the one driver behind every
+    profile of a whole run — a trace directory
+    (:func:`stream_spool_profile`), a resident bundle
+    (:func:`stream_bundle_profile`) and the served profile
+    (:meth:`~repro.cluster.aggregator.Aggregator.merged_profile`, which
+    passes its thread pool's ``map`` to fold a node per worker).
+    """
+    profiler = StreamingRunProfiler(
+        symtab,
+        sampling_hz=float(meta.get("sampling_hz", 4.0)),
+        strict=strict,
+        meta=meta,
+        hcct_budget=hcct_budget,
+    )
+
+    def fold(source):
+        name, tsc_hz, sensor_names, chunks = source
+        acc = profiler.add_node(name, tsc_hz, sensor_names)
+        for chunk in chunks:
+            acc.consume(chunk)
+        return name, acc.finalize()
+
+    return RunProfile(nodes=dict(map(fold, sources)),
+                      sampling_hz=profiler.sampling_hz,
+                      meta=dict(profiler.meta))
+
+
 def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
                          strict: bool = False,
                          hcct_budget: Optional[int] = None) -> RunProfile:
@@ -1691,8 +1731,9 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
     resident, so peak memory is O(chunk + functions × sensors) however
     long the run was; no raw sensor series are kept.  Each chunk is put
     in time order as it is consumed, so a directory profiles like the
-    bundle loaded from it unless a record arrives a whole chunk late
-    (counted as ``late-records``).  The default chunk size is
+    bundle loaded from it (:func:`stream_bundle_profile` folds the same
+    chunks); a record a whole chunk late is folded at its own time and
+    counted as ``late-records``.  The default chunk size is
     :data:`repro.core.spool.STREAM_CHUNK_RECORDS` — larger than the
     spool write granularity, because the reduction amortizes per-chunk
     overhead over more records at ~11 MB of peak residency.  A closed
@@ -1703,51 +1744,50 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
     from repro.core.spool import STREAM_CHUNK_RECORDS
 
     header = read_trace_header(directory)
-    profiler = StreamingRunProfiler(
-        header.symtab,
-        sampling_hz=float(header.meta.get("sampling_hz", 4.0)),
-        strict=strict,
-        meta=header.meta,
-        hcct_budget=hcct_budget,
-    )
     size = chunk_records or STREAM_CHUNK_RECORDS
-    for node in header.nodes.values():
-        acc = profiler.add_node(node.name, node.tsc_hz, node.sensor_names)
-        for chunk in node.iter_chunks(size, tolerate_truncation=not strict):
-            acc.consume(chunk)
-    return profiler.finalize()
+    return fold_profile(
+        header.symtab, header.meta,
+        ((node.name, node.tsc_hz, node.sensor_names,
+          node.iter_chunks(size, tolerate_truncation=not strict))
+         for node in header.nodes.values()),
+        strict=strict, hcct_budget=hcct_budget)
 
 
-def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
-                          strict: bool = True,
+def bundle_sources(bundle) -> list[tuple]:
+    """A resident :class:`~repro.core.trace.TraceBundle`'s nodes as
+    :func:`fold_profile` sources: views of each node's records in
+    :data:`repro.core.spool.STREAM_CHUNK_RECORDS` chunks, the chunks a
+    trace directory saved from the bundle is read in."""
+    from repro.core.spool import STREAM_CHUNK_RECORDS
+
+    return [(name, trace.tsc_hz, trace.sensor_names,
+             trace.iter_column_chunks(STREAM_CHUNK_RECORDS))
+            for name, trace in bundle.nodes.items()]
+
+
+def stream_bundle_profile(bundle, *, strict: bool = True,
                           hcct_budget: Optional[int] = None) -> RunProfile:
-    """Profile an in-memory :class:`~repro.core.trace.TraceBundle`.
-
-    The same engine and feed as :class:`~repro.core.parser.TempestParser`
-    (:func:`feed_node`), minus the parser's raw sensor series; this is
-    how a bundle grows a hot calling-context tree (``hcct_budget``).
-    Chunked so the HCCT's chunk-boundary eviction engages on long traces.
+    """Profile an in-memory :class:`~repro.core.trace.TraceBundle`
+    exactly as its saved directory is profiled
+    (:func:`stream_spool_profile`): the same chunks through the same
+    fold.  :class:`~repro.core.parser.TempestParser` adds the raw sensor
+    series; this is how a bundle grows a hot calling-context tree
+    (``hcct_budget``).
     """
-    profiler = StreamingRunProfiler(
-        bundle.symtab,
-        sampling_hz=float(bundle.meta.get("sampling_hz", 4.0)),
-        strict=strict,
-        meta=dict(bundle.meta),
-        hcct_budget=hcct_budget,
-    )
-    for name, trace in bundle.nodes.items():
-        acc = profiler.add_node(name, trace.tsc_hz, trace.sensor_names)
-        feed_node(acc, in_time_order(trace.columns.array), chunk_records)
-    return profiler.finalize()
+    return fold_profile(bundle.symtab, bundle.meta, bundle_sources(bundle),
+                        strict=strict, hcct_budget=hcct_budget)
 
 
 def in_time_order(arr: np.ndarray) -> np.ndarray:
-    """One node's resident records in the order the engine folds them.
+    """One node's resident records, stable-sorted whole by time.
 
-    A node's trace is only time-ordered per process: tempd's sweeps and
-    a rank's buffered records reach it in bursts.  When the ``tsc``
-    column is not non-decreasing, the records are stable-sorted once by
-    time, a function record's time being its process's clock
+    Only the ASCII plot's function band wants this
+    (:func:`repro.core.ascii_plot._function_band`): it cuts a whole node
+    by time with ``searchsorted``, so the whole node must be in order —
+    the profile engine needs only each chunk in order.  A node's trace
+    is only time-ordered per process: tempd's sweeps and a rank's
+    buffered records reach it in bursts.  When the ``tsc`` column is
+    not non-decreasing, a function record's time is its process's clock
     (:func:`process_clock`) — every process keeps its own order, and a
     regressed record sorts where the lenient clamp puts it.
     """
@@ -1764,15 +1804,3 @@ def in_time_order(arr: np.ndarray) -> np.ndarray:
         key[is_f] = clock
     # np.take: fancy indexing is far slower on the packed record dtype.
     return np.take(arr, np.argsort(key, kind="stable"))
-
-
-def feed_node(acc: ProfileAccumulator, arr: np.ndarray,
-              chunk_records: Optional[int] = None) -> None:
-    """Fold one node's resident records, already in time order
-    (:func:`in_time_order`), into *acc* in slices of ``chunk_records``
-    (default :data:`repro.core.spool.STREAM_CHUNK_RECORDS`)."""
-    from repro.core.spool import STREAM_CHUNK_RECORDS
-
-    size = chunk_records or STREAM_CHUNK_RECORDS
-    for lo in range(0, len(arr), size):
-        acc.consume(arr[lo:lo + size])

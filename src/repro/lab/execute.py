@@ -163,12 +163,11 @@ def execute_run(spec: RunSpec, *, machine=None,
     n_records = 0
     for name, trace in sorted(bundle.nodes.items()):
         acc = profiler.add_node(name, trace.tsc_hz, trace.sensor_names)
-        arr = trace.columns.array
         raw = trace.columns.to_bytes()
         records_sha[name] = hashlib.sha256(raw).hexdigest()
-        n_records += len(arr)
-        for lo in range(0, len(arr), STREAM_CHUNK_RECORDS):
-            acc.consume(arr[lo:lo + STREAM_CHUNK_RECORDS])
+        n_records += len(trace)
+        for chunk in trace.iter_column_chunks(STREAM_CHUNK_RECORDS):
+            acc.consume(chunk)
     summary = profiler.summary(final=True)
     summary_doc = summary.to_dict()
     profile = summary.to_profile()

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.util.canonjson import canon_bytes, content_digest, dump_canonical
 from repro.util.errors import LabError, LabLockError
@@ -275,8 +275,3 @@ class Laboratory:
             p.name for p in self.campaigns_dir.iterdir()
             if (p / "campaign.json").is_file()
         )
-
-    def iter_manifest_docs(self) -> Iterator[tuple[str, dict]]:
-        """(run_id, manifest document) for every completed run."""
-        for run_id in self.run_ids():
-            yield run_id, self.read_manifest_doc(run_id)

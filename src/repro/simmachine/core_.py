@@ -86,15 +86,6 @@ class SimCore:
         rate = self.nominal_freq_hz * (1.0 + self.tsc_spec.drift_ppm * 1e-6)
         return int(rate * t) + self.tsc_spec.skew_cycles
 
-    def seconds_from_tsc(self, ticks: int) -> float:
-        """Invert :meth:`tsc` assuming an ideal (skew/drift-free) counter.
-
-        This is what a profiler's calibration does: it knows the nominal
-        frequency but not this core's private skew/drift, so values measured
-        on a *different* core convert with a hidden error — the §3.3 hazard.
-        """
-        return ticks / self.nominal_freq_hz
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimCore({self.node_name} s{self.socket}c{self.index_in_socket}"

@@ -1,6 +1,6 @@
 """``Aggregator.merged_profile`` against the serial parse of its bundle.
 
-The served profile parses nodes one per CPU, each over a read-only view
+The served profile folds nodes one per CPU, each over a read-only view
 of its accepted bytes.  The contract: whatever the worker count, the
 profile, the lenient repairs taken and any error are exactly those of
 ``TempestParser(agg.to_bundle(), strict=False).parse()``.
@@ -22,7 +22,7 @@ from repro.cluster.wire import (
     encode_json_frame,
     hello_payload,
 )
-from repro.core import parser as parser_mod
+from repro.core import streamprof
 from repro.core.parser import TempestParser
 from repro.core.records import RECORD_DTYPE, RECORD_SIZE
 from repro.core.report import dump_json
@@ -140,13 +140,13 @@ def fallbacks(monkeypatch):
     """Every node's lenient repairs, as its accumulator counted them."""
     seen = {}
 
-    class Recording(parser_mod.ProfileAccumulator):
+    class Recording(streamprof.ProfileAccumulator):
         def finalize(self):
             out = super().finalize()
             seen[self.node_name] = dict(self.fallbacks)
             return out
 
-    monkeypatch.setattr(parser_mod, "ProfileAccumulator", Recording)
+    monkeypatch.setattr(streamprof, "ProfileAccumulator", Recording)
     return seen
 
 

@@ -455,8 +455,10 @@ def test_abandoned_process_bridges_union_gaps():
         ("f", REC_ENTER, 6_000_000_000, 2),
         ("f", REC_EXIT, 7_000_000_000, 2),
     ])
-    parsed = TempestParser(TraceBundle(symtab), strict=False) \
-        .parse_node(trace).functions["f"]
+    bundle = TraceBundle(symtab)
+    bundle.add_node(trace)
+    parsed = TempestParser(bundle, strict=False).parse() \
+        .node("n").functions["f"]
     oracle = batch_profile(trace, symtab).functions["f"]
     assert oracle.total_time_s == pytest.approx(3.0)
     assert parsed.total_time_s == pytest.approx(6.0)
@@ -482,41 +484,7 @@ def test_negative_start_time_stays_on_fast_path():
 
 
 # ----------------------------------------------------------------------
-# The strict parser's regression pre-scan
-
-def scans_run(monkeypatch):
-    """Every call of the strict parser's regression pre-scan."""
-    from repro.core import tsc
-
-    calls = []
-    real = tsc.detect_regressions
-
-    def recording(records):
-        calls.append(len(records))
-        return real(records)
-
-    monkeypatch.setattr(tsc, "detect_regressions", recording)
-    return calls
-
-
-@pytest.mark.parametrize("events, scanned", [
-    # time-ordered node: no per-process regression can exist
-    ([("a", REC_ENTER, 100, 1), ("a", REC_EXIT, 200, 1),
-      ("b", REC_ENTER, 300, 2), ("b", REC_EXIT, 400, 2)], False),
-    # interleaved across pids, monotone per pid: scanned, and clean
-    ([("a", REC_ENTER, 100, 1), ("b", REC_ENTER, 50, 2),
-      ("b", REC_EXIT, 60, 2), ("a", REC_EXIT, 200, 1)], True),
-])
-def test_strict_parse_scans_only_a_node_out_of_time_order(
-        monkeypatch, events, scanned):
-    trace, symtab = mini_events(events)
-    bundle = TraceBundle(symtab)
-    bundle.add_node(trace)
-    calls = scans_run(monkeypatch)
-    profile = TempestParser(bundle).parse()
-    assert bool(calls) == scanned
-    assert profile.node("n").functions["a"].n_calls == 1
-
+# Strict errors name the node
 
 def test_strict_parse_names_the_regression():
     trace, symtab = mini_events([
@@ -524,13 +492,11 @@ def test_strict_parse_names_the_regression():
         ("b", REC_EXIT, 60, 2), ("a", REC_EXIT, 400, 1)])
     bundle = TraceBundle(symtab)
     bundle.add_node(trace)
-    from repro.core.tsc import detect_regressions
-
-    (report,) = detect_regressions(trace.func_columns())
     with pytest.raises(TraceError) as err:
         TempestParser(bundle).parse()
     assert str(err.value) == (
-        f"n: timestamp regressions detected — {report.describe()}")
+        "n: pid 1: timestamps regressed (4e-07 after 1e-06); "
+        "was the process bound to one core?")
 
 
 # ----------------------------------------------------------------------

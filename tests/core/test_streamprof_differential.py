@@ -28,7 +28,6 @@ import pytest
 from repro.check.tracelint import compare_profiles
 from repro.cluster import CollectorClient, CollectorConfig, LoopbackHub
 from repro.core import TempestSession, streamprof
-from repro.core import parser as parser_mod
 from repro.core.parser import TempestParser
 from repro.core.profilemodel import RunProfile
 from repro.core.streamprof import (
@@ -36,12 +35,23 @@ from repro.core.streamprof import (
     ProfileAccumulator,
     stream_spool_profile,
 )
-from repro.core.trace import TraceBundle
+from repro.core.report import dump_json
+from repro.core.spool import STREAM_CHUNK_RECORDS
+from repro.core.symtab import SymbolTable
+from repro.core.trace import (
+    REC_ENTER,
+    REC_EXIT,
+    REC_TEMP,
+    NodeTrace,
+    TraceBundle,
+)
 from repro.simmachine.machine import ClusterConfig, Machine
 from repro.workloads.npb import bt
 from tests.core.difftrace import generate_trace
 from tests.core.oracle import oracle_profile, oracle_tree
+from tests.rows import Row, to_array
 from tests.core.test_streamprof import (
+    TSC_HZ,
     assert_per_process_fields_equal,
     assert_profiles_equivalent,
     assert_stream_matches_batch,
@@ -135,7 +145,7 @@ def test_parser_on_bt_class_w_takes_no_fallbacks_and_matches_oracle(
     nodes start at negative converted times.  The parser still keeps
     every chunk free of repairs and matches the oracle."""
     bundle, _ = bt_class_w
-    accs = recording_accumulators(monkeypatch, parser_mod)
+    accs = recording_accumulators(monkeypatch, streamprof)
     parsed = TempestParser(bundle).parse()
     assert len(accs) == 4
     assert [acc.fallbacks for acc in accs] == [{}] * 4
@@ -170,6 +180,36 @@ def test_spool_profile_equals_bundle_profile(bt_class_w, monkeypatch,
     assert len(accs) == 4
     assert [acc.fallbacks for acc in accs] == [{}] * 4
     assert_run_profiles_equal(spooled, resident)
+
+
+def test_resident_bundle_profiles_a_chunk_late_record_as_its_directory(
+        tmp_path, monkeypatch):
+    """The reorder window is one chunk for a resident bundle too: pid
+    2's call of g over a sample reaches the node two chunks after the
+    sample, so it is folded at its own time, with ``late-records``, on
+    the bundle exactly as on the directory saved from it."""
+    symtab = SymbolTable()
+    f, g = symtab.address_of("f"), symtab.address_of("g")
+    sec = int(TSC_HZ)
+    calls = [Row(kind, f, (2 * i + end) * sec, 0, 1)
+             for i in range(STREAM_CHUNK_RECORDS)
+             for kind, end in ((REC_ENTER, 0), (REC_EXIT, 1))]
+    sample = Row(REC_TEMP, 0, 10 * sec + sec // 2, 3, 999, 50.0)
+    late = [Row(REC_ENTER, g, 10 * sec + sec // 5, 1, 2),
+            Row(REC_EXIT, g, 10 * sec + 4 * sec // 5, 1, 2)]
+    trace = NodeTrace("n", TSC_HZ, ["S0"])
+    trace.extend_columns(to_array(calls[:21] + [sample] + calls[21:] + late))
+    bundle = TraceBundle(symtab)
+    bundle.add_node(trace)
+    bundle.save(tmp_path / "late")
+    accs = recording_accumulators(monkeypatch, streamprof)
+    resident = TempestParser(bundle).parse()
+    saved = stream_spool_profile(tmp_path / "late", strict=True)
+    assert [acc.fallbacks for acc in accs] == [{"late-records": 1}] * 2
+    assert dump_json(resident) == dump_json(saved)
+    assert_run_profiles_equal(resident, saved)
+    # the sample was folded before g's call arrived: g gets no credit
+    assert resident.node("n").functions["g"].n_samples == 0
 
 
 def test_live_wire_summary_equals_bundle_profile(bt_class_w, monkeypatch):

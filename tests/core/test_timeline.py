@@ -34,8 +34,9 @@ def parse_records(recs, sym, strict=True):
     """The parser's timeline of one node holding *recs*."""
     trace = NodeTrace("n", 1e9, [])
     trace.extend_columns(recs)
-    parser = TempestParser(TraceBundle(sym), strict=strict)
-    return parser.parse_node(trace).timeline
+    bundle = TraceBundle(sym)
+    bundle.add_node(trace)
+    return TempestParser(bundle, strict=strict).parse().node("n").timeline
 
 
 def build(events, strict=True, pid=1):

@@ -2,10 +2,14 @@
 
 import json
 import math
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.core.parser import TempestParser
+from repro.core.trace import REC_ENTER, REC_EXIT
+from repro.util.errors import TraceError
 
 from tests.legacy import LAYOUTS, as_spool
 
@@ -179,6 +183,40 @@ def test_parse_names_the_node_of_a_regressed_trace(tmp_path, capsys):
     assert err == ("error: node2: pid 2: timestamps regressed (-0.001 after "
                    "0.0); was the process bound to one core?\n")
     assert main(["parse", "--lenient", str(tmp_path / "regressed")]) == 0
+
+
+@pytest.mark.parametrize("events, message", [
+    ([(REC_EXIT, "f", 0), (REC_ENTER, "main", 1), (REC_EXIT, "main", 2)],
+     "node2: pid 2: EXIT 'f' with empty stack"),
+    ([(REC_ENTER, "main", 0), (REC_EXIT, "f", 1), (REC_EXIT, "main", 2)],
+     "node2: pid 2: EXIT 'f' but top of stack is 'main'"),
+    ([(REC_ENTER, "main", 0), (REC_ENTER, "f", 1), (REC_EXIT, "f", 2)],
+     "node2: pid 2: trace ended with open frames ['main']"),
+])
+def test_parse_names_the_node_of_an_unbalanced_trace(tmp_path, capsys,
+                                                     events, message):
+    """Every strict error from the profile engine names its node, as a
+    regression does: an EXIT on an empty or mismatched stack, and
+    frames still open at the end of the trace."""
+    from repro.core.symtab import SymbolTable
+    from repro.core.trace import NodeTrace, TraceBundle
+
+    symtab = SymbolTable()
+    bundle = TraceBundle(symtab)
+    bundle.meta = {"sampling_hz": 4.0}
+    clean = [(REC_ENTER, "main", 0), (REC_EXIT, "main", 1)]
+    for name in ("node1", "node2"):
+        trace = NodeTrace(name, 1e9, ["S0"])
+        for kind, func, ms in (events if name == "node2" else clean):
+            trace.append_event(kind, symtab.address_of(func), ms * 1_000_000,
+                               0, 2)
+        bundle.add_node(trace)
+    bundle.save(tmp_path / "unbalanced")
+    assert main(["parse", str(tmp_path / "unbalanced")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+        TempestParser(bundle).parse()
+    assert main(["parse", "--lenient", str(tmp_path / "unbalanced")]) == 0
 
 
 @pytest.mark.parametrize("command", ["parse", "serve"])
